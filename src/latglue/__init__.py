@@ -14,7 +14,6 @@ from .discforms import (
     FiniteAbelianMap,
     GlueError,
     IsotropicSubgroup,
-    b_value,
     discriminant_group,
     enumerate_isotropic_subgroups,
     extend_to_overlattice,
@@ -28,7 +27,6 @@ from .discforms import (
     overlattice_with_basis,
     preserves_form,
     pullback_form,
-    q_value,
     solve_psi_bar,
     with_generators,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "LatticeError",
     "Sublattice",
     "admits_order3",
-    "b_value",
     "coinvariant_lattice",
     "discriminant_group",
     "enumerate_isotropic_subgroups",
@@ -81,7 +78,6 @@ __all__ = [
     "overlattice_with_basis",
     "preserves_form",
     "pullback_form",
-    "q_value",
     "reduced_binary_form",
     "solve_psi_bar",
     "torsion_exponent_check",

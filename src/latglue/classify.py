@@ -20,7 +20,7 @@ than silently applied.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -46,6 +46,7 @@ from .exact import (
     IntVector,
     frac_inverse,
     freeze,
+    gram_of_rows,
     mat_mul,
     transpose,
     vec_content,
@@ -242,10 +243,9 @@ def order_isometry_block(m: int, t_lattice: IntegerLattice) -> IntMatrix:
     if m == 2:
         return ((-1, 0), (0, -1))
     if m == 3:
-        candidate = ORDER3_BLOCK
         g = t_lattice.gram
-        if mat_mul(mat_mul(transpose(candidate), g), candidate) == g:
-            return candidate
+        if gram_of_rows(transpose(ORDER3_BLOCK), g) == g:
+            return ORDER3_BLOCK
         group = orthogonal_group(t_lattice)
         for elem in group.elements:
             if elem.order == 3:
@@ -321,6 +321,25 @@ def ambient_divisibility(polarization: IntVector, gamma: FiniteAbelianMap) -> in
     return g
 
 
+def _glue_data(m: int, name: str, phi: IntMatrix, polarization: IntVector) -> dict:
+    """Gluing, solved psi_bar and ambient divisibility for an extension phi.
+
+    The keys are the matching ClassificationCase fields.
+    """
+    gamma = gluing_map(m, name)
+    phi_bar = induced_map(phi, invariant_discriminant())
+    psi_bar = solve_psi_bar(phi_bar, gamma)
+    if not glue_extension_check(phi_bar, psi_bar, gamma):
+        raise GlueError(f"order-{m} psi_bar fails the gluing equation")
+    if not preserves_form(psi_bar):
+        raise GlueError(f"order-{m} psi_bar does not preserve the pulled-back form")
+    return {
+        "gamma": gamma.matrix,
+        "psi_bar": psi_bar.matrix,
+        "divisibility": ambient_divisibility(polarization, gamma),
+    }
+
+
 def build_extension(
     m: int, orbit: Orbit, t_sub: Sublattice, index: int
 ) -> ClassificationCase:
@@ -335,13 +354,7 @@ def build_extension(
         raise LatticeError("extension does not fix the polarization")
     if phi.order != m:
         raise LatticeError(f"extension has order {phi.order}, expected {m}")
-    gamma = gluing_map(m, name)
-    phi_bar = induced_map(phi_matrix, invariant_discriminant())
-    psi_bar = solve_psi_bar(phi_bar, gamma)
-    if not glue_extension_check(phi_bar, psi_bar, gamma):
-        raise GlueError("solved psi_bar fails the gluing equation")
-    if not preserves_form(psi_bar):
-        raise GlueError("solved psi_bar does not preserve the pulled-back form")
+    glue = _glue_data(m, name, phi_matrix, polarization)
     witness = orbit_witness(case_symmetry_group(), orbit.representative, polarization)
     norm = int(lattice.norm(polarization))
     return ClassificationCase(
@@ -357,9 +370,7 @@ def build_extension(
         index=index,
         phi=phi_matrix,
         order=phi.order,
-        gamma=gamma.matrix,
-        psi_bar=psi_bar.matrix,
-        divisibility=ambient_divisibility(polarization, gamma),
+        **glue,
     )
 
 
@@ -446,30 +457,10 @@ def order6_closure(
             phi = Isometry(lattice, product)
             if phi.order != 6:
                 raise LatticeError(f"product isometry has order {phi.order}")
-            gamma = gluing_map(6, c2.name)
-            phi_bar = induced_map(product, invariant_discriminant())
-            psi_bar = solve_psi_bar(phi_bar, gamma)
-            if not glue_extension_check(phi_bar, psi_bar, gamma):
-                raise GlueError("order-6 psi_bar fails the gluing equation")
-            if not preserves_form(psi_bar):
-                raise GlueError("order-6 psi_bar does not preserve the form")
             result.append(
-                ClassificationCase(
-                    m=6,
-                    name=c2.name,
-                    polarization=c2.polarization,
-                    orbit_rep=c2.orbit_rep,
-                    orbit_size=c2.orbit_size,
-                    witness=c2.witness,
-                    n=c2.n,
-                    t_basis=c2.t_basis,
-                    t_gram=c2.t_gram,
-                    index=c2.index,
-                    phi=product,
-                    order=6,
-                    gamma=gamma.matrix,
-                    psi_bar=psi_bar.matrix,
-                    divisibility=ambient_divisibility(c2.polarization, gamma),
+                replace(
+                    c2, m=6, phi=product, order=6,
+                    **_glue_data(6, c2.name, product, c2.polarization),
                 )
             )
     return tuple(result)

@@ -7,16 +7,16 @@ Subcommands:
   orbits --norm N [--gram JSON | --file PATH] [--full-group] [--format json|md]
 
 Exit codes: 0 success / all verified, 1 verification mismatch, 2 usage or
-input error.  All output is UTF-8 and byte-stable for identical inputs.
+input error (including inconsistent golden data).  All output is UTF-8 and
+byte-stable for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .exact import freeze
+from .discforms import GlueError
 from .lattices import IntegerLattice, LatticeError
 from .report import (
     classify_markdown,
@@ -35,29 +35,12 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 
-def _parse_gram_text(text: str) -> IntegerLattice:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LatticeError(f"invalid JSON: {exc}") from exc
-    if isinstance(data, dict):
-        data = data.get("gram")
-    if not isinstance(data, list):
-        raise LatticeError('expected a JSON array or {"gram": [[...]]}')
-    for row in data:
-        if not isinstance(row, list) or any(
-            isinstance(x, bool) or not isinstance(x, int) for x in row
-        ):
-            raise LatticeError("Gram entries must be exact integers")
-    return IntegerLattice(freeze(data))
-
-
 def _lattice_from_args(args) -> IntegerLattice | None:
     if getattr(args, "gram", None):
-        return _parse_gram_text(args.gram)
+        return IntegerLattice.from_json(args.gram)
     if getattr(args, "file", None):
         with open(args.file, "r", encoding="utf-8") as handle:
-            return _parse_gram_text(handle.read())
+            return IntegerLattice.from_json(handle.read())
     return None
 
 
@@ -131,7 +114,7 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(render_json(report))
             return EXIT_OK
-    except (LatticeError, OSError) as exc:
+    except (LatticeError, GlueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     return EXIT_USAGE

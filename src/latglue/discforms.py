@@ -23,6 +23,7 @@ from math import gcd, lcm, prod
 from .exact import (
     frac_inverse,
     freeze,
+    gram_of_rows,
     hnf,
     int_inverse,
     lcm_denominator,
@@ -32,7 +33,7 @@ from .exact import (
     solve_int,
     transpose,
 )
-from .lattices import IntegerLattice, LatticeError, Sublattice
+from .lattices import IntegerLattice, LatticeError, Sublattice, closure
 
 
 class GlueError(ValueError):
@@ -190,15 +191,8 @@ def discriminant_group(lattice: IntegerLattice) -> DiscriminantGroup:
             orders.append(di)
             lifts.append(tuple(w[j][i] for j in range(n)))
     lifts_t = freeze(lifts)
-    pair = tuple(
-        tuple(
-            sum((lifts_t[a][i] * lattice.gram[i][j] * lifts_t[b][j]
-                 for i in range(n) for j in range(n)), Fraction(0))
-            for b in range(len(orders))
-        )
-        for a in range(len(orders))
-    )
-    return DiscriminantGroup(tuple(orders), freeze(pair), lifts_t, lattice)
+    pair = gram_of_rows(lifts_t, lattice.gram)
+    return DiscriminantGroup(tuple(orders), pair, lifts_t, lattice)
 
 
 def with_generators(group: DiscriminantGroup, lifts) -> DiscriminantGroup:
@@ -215,24 +209,9 @@ def with_generators(group: DiscriminantGroup, lifts) -> DiscriminantGroup:
     orders = tuple(e.order() for e in elems)
     if prod(orders) != group.order():
         raise GlueError("given vectors do not freely generate the group")
-    span = set()
-    for coeffs in itertools.product(*(range(d) for d in orders)):
-        total = group.zero()
-        for c, e in zip(coeffs, elems):
-            total = total + c * e
-        span.add(total.coeffs)
-    if len(span) != group.order():
+    if len(span_elements(group, elems)) != group.order():
         raise GlueError("given vectors do not generate the group")
-    n = lattice.rank
-    pair = tuple(
-        tuple(
-            sum((lifts_t[a][i] * lattice.gram[i][j] * lifts_t[b][j]
-                 for i in range(n) for j in range(n)), Fraction(0))
-            for b in range(len(orders))
-        )
-        for a in range(len(orders))
-    )
-    return DiscriminantGroup(orders, freeze(pair), lifts_t, lattice)
+    return DiscriminantGroup(orders, gram_of_rows(lifts_t, lattice.gram), lifts_t, lattice)
 
 
 @dataclass(frozen=True)
@@ -269,28 +248,16 @@ class DiscElement:
         return not any(self.coeffs)
 
 
-def q_value(x: DiscElement) -> Fraction:
-    return x.parent.q(x)
-
-
-def b_value(x: DiscElement, y: DiscElement) -> Fraction:
-    return x.parent.b(x, y)
-
-
 def span_elements(parent: DiscriminantGroup, generators) -> frozenset:
     """Coefficient tuples of the subgroup generated by the given elements."""
-    gens = [parent.element(g.coeffs if isinstance(g, DiscElement) else g)
+    orders = parent.orders
+    gens = [parent.element(g.coeffs if isinstance(g, DiscElement) else g).coeffs
             for g in generators]
-    seen = {parent.zero().coeffs}
-    frontier = [parent.zero()]
-    while frontier:
-        current = frontier.pop()
-        for g in gens:
-            nxt = current + g
-            if nxt.coeffs not in seen:
-                seen.add(nxt.coeffs)
-                frontier.append(nxt)
-    return frozenset(seen)
+
+    def add(x, y):
+        return tuple((a + b) % d for a, b, d in zip(x, y, orders))
+
+    return frozenset(closure([parent.zero().coeffs], gens, add))
 
 
 @dataclass(frozen=True)
@@ -406,7 +373,7 @@ def overlattice_with_basis(h: IsotropicSubgroup):
     )
     if len(basis) != n:
         raise GlueError("overlattice basis has wrong rank")
-    gram = mat_mul(mat_mul(basis, lattice.gram), transpose(basis))
+    gram = gram_of_rows(basis, lattice.gram)
     if any(x.denominator != 1 for row in gram for x in row):
         raise GlueError("overlattice pairing is not integral")
     gram_int = freeze(tuple(int(x) for x in row) for row in gram)
@@ -548,8 +515,7 @@ def induced_map(matrix, group: DiscriminantGroup) -> FiniteAbelianMap:
     if group.source is None:
         raise GlueError("induced maps need a lattice-backed group")
     gram = group.source.gram
-    check = mat_mul(mat_mul(transpose(matrix), gram), matrix)
-    if check != gram:
+    if gram_of_rows(transpose(matrix), gram) != gram:
         raise GlueError("matrix is not an isometry of the source lattice")
     cols = []
     for i in range(group.ngens):
@@ -658,22 +624,13 @@ def pullback_form(
     """
     if codomain.source is None:
         raise GlueError("pullback needs a lattice-backed codomain")
-    gram = codomain.source.gram
-    n = codomain.source.rank
-    image_lifts = []
-    for j in range(len(domain_orders)):
-        elem = codomain.element(tuple(row[j] for row in matrix))
-        image_lifts.append(codomain.lift(elem))
-    k = len(domain_orders)
-    pair = tuple(
-        tuple(
-            -sum((image_lifts[a][i] * gram[i][j] * image_lifts[b][j]
-                  for i in range(n) for j in range(n)), Fraction(0))
-            for b in range(k)
-        )
-        for a in range(k)
-    )
-    return DiscriminantGroup(tuple(domain_orders), freeze(pair))
+    image_lifts = [
+        codomain.lift(codomain.element(tuple(row[j] for row in matrix)))
+        for j in range(len(domain_orders))
+    ]
+    pair = gram_of_rows(image_lifts, codomain.source.gram)
+    negated = tuple(tuple(-x for x in row) for row in pair)
+    return DiscriminantGroup(tuple(domain_orders), negated)
 
 
 def forms_isometric(a: DiscriminantGroup, b: DiscriminantGroup):
@@ -704,7 +661,7 @@ def forms_isometric(a: DiscriminantGroup, b: DiscriminantGroup):
     def backtrack(i):
         if i == a.ngens:
             matrix = transpose([e.coeffs for e in chosen])
-            candidate = FiniteAbelianMap(a_as_b, b, matrix)
+            candidate = FiniteAbelianMap(a, b, matrix)
             if candidate.is_injective():
                 return matrix
             return None
@@ -716,7 +673,4 @@ def forms_isometric(a: DiscriminantGroup, b: DiscriminantGroup):
             chosen.pop()
         return None
 
-    # The map's domain must equal b's group structure for validation; use a
-    # bare copy of a with the same orders so the matrix checks run.
-    a_as_b = a
     return backtrack(0)

@@ -50,27 +50,48 @@ def vec_content(v: Sequence[int]) -> int:
     return g
 
 
+def row_reduce(rows, ncols: int) -> tuple[list[int], Fraction]:
+    """Rational Gauss-Jordan elimination on the first ``ncols`` columns, in place.
+
+    ``rows`` is a list of lists of Fractions; columns past ``ncols`` are
+    carried along (an augmented block).  Afterwards the pivot rows come
+    first, each pivot is 1 and is the only nonzero entry of its column.
+    Returns the pivot columns and the product of the pivots met, signed by
+    the row swaps (for a square matrix of full rank: its determinant).
+    """
+    pivots: list[int] = []
+    det_factor = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            det_factor = -det_factor
+        pivot = rows[r][c]
+        det_factor *= pivot
+        rows[r] = [x / pivot for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, det_factor
+
+
+def gram_of_rows(rows, gram):
+    """Pairing matrix rows * gram * rows^T of row vectors under a Gram matrix."""
+    return mat_mul(mat_mul(rows, gram), transpose(rows))
+
+
 def det(a) -> Fraction | int:
-    """Exact determinant by fraction-free Gaussian elimination (Bareiss)."""
+    """Exact determinant by rational Gauss-Jordan elimination."""
     n = len(a)
-    if n == 0:
-        return 1
-    m = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= m[i][i]
+    pivots, result = row_reduce([[Fraction(x) for x in row] for row in a], n)
+    if len(pivots) < n:
+        return 0
     if result.denominator == 1:
         return int(result)
     return result
@@ -81,17 +102,8 @@ def frac_inverse(a) -> FracMatrix:
     n = len(a)
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(a)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        pivot = m[col][col]
-        m[col] = [x / pivot for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    if len(row_reduce(m, n)[0]) < n:
+        raise ZeroDivisionError("matrix is singular")
     return freeze(row[n:] for row in m)
 
 

@@ -23,20 +23,20 @@ from .exact import (
     floor_sqrt_frac,
     frac_inverse,
     freeze,
+    gram_of_rows,
     identity,
     mat_mul,
     mat_vec,
     transpose,
 )
-from .lattices import IntegerLattice, LatticeError, Sublattice
+from .lattices import IntegerLattice, LatticeError, Sublattice, closure
 
 RANK_GUARD = 4
 CANDIDATE_GUARD = 10_000
 
 
 def is_isometry_matrix(lattice: IntegerLattice, matrix) -> bool:
-    m = freeze(matrix)
-    return mat_mul(mat_mul(transpose(m), lattice.gram), m) == lattice.gram
+    return gram_of_rows(transpose(freeze(matrix)), lattice.gram) == lattice.gram
 
 
 def matrix_order(matrix, limit: int = 10_000) -> int:
@@ -175,6 +175,38 @@ class IsometryGroup:
         return IsometryGroup(self.lattice, kept)
 
 
+def _isometries(a: IntegerLattice, b: IntegerLattice):
+    """Every matrix M with M^T * gram_a * M = gram_b, in backtracking order.
+
+    Column i of M is an a-vector of norm b.gram[i][i]; a candidate is kept
+    only if it pairs with the columns chosen before as b's basis does.
+    """
+    n = b.rank
+    candidates = []
+    for i in range(n):
+        cands = vectors_of_norm(a, b.gram[i][i])
+        if len(cands) > CANDIDATE_GUARD:
+            raise LatticeError("too many candidate images for basis vectors")
+        candidates.append(cands)
+    images: list[IntVector] = []
+
+    def backtrack(i: int):
+        if i == n:
+            yield transpose(images)
+            return
+        for v in candidates[i]:
+            if all(a.pairing(v, images[j]) == b.gram[i][j] for j in range(i)):
+                images.append(v)
+                yield from backtrack(i + 1)
+                images.pop()
+
+    for matrix in backtrack(0):
+        # The pairing filter already forces the full Gram identity; keep the
+        # explicit check as a safety net for degenerate candidate sets.
+        if gram_of_rows(transpose(matrix), a.gram) == b.gram:
+            yield matrix
+
+
 def orthogonal_group(lattice: IntegerLattice) -> IsometryGroup:
     """O(L) for a positive definite lattice of small rank, by backtracking."""
     n = lattice.rank
@@ -182,32 +214,7 @@ def orthogonal_group(lattice: IntegerLattice) -> IsometryGroup:
         raise LatticeError(f"orthogonal group enumeration is guarded to rank <= {RANK_GUARD}")
     if lattice.signature() != (n, 0):
         raise LatticeError("group enumeration needs a positive definite lattice")
-    candidates = []
-    for i in range(n):
-        cands = vectors_of_norm(lattice, lattice.gram[i][i])
-        if len(cands) > CANDIDATE_GUARD:
-            raise LatticeError("too many candidate images for basis vectors")
-        candidates.append(cands)
-
-    found: list[IntMatrix] = []
-    images: list[IntVector] = []
-
-    def backtrack(i: int):
-        if i == n:
-            matrix = transpose(images)
-            found.append(matrix)
-            return
-        for v in candidates[i]:
-            if all(lattice.pairing(v, images[j]) == lattice.gram[i][j] for j in range(i)):
-                images.append(v)
-                backtrack(i + 1)
-                images.pop()
-
-    backtrack(0)
-    kept = [m for m in found if is_isometry_matrix(lattice, m)]
-    # The pairing filter already forces the full Gram identity; keep the
-    # explicit check as a safety net for degenerate candidate sets.
-    elements = tuple(Isometry(lattice, m) for m in sorted(kept))
+    elements = tuple(Isometry(lattice, m) for m in sorted(_isometries(lattice, lattice)))
     return IsometryGroup(lattice, elements)
 
 
@@ -224,33 +231,7 @@ def isometry_between(a: IntegerLattice, b: IntegerLattice):
         return None
     if sa[1] != 0:
         raise LatticeError("isometry testing needs positive definite lattices")
-    n = a.rank
-    candidates = []
-    for i in range(n):
-        cands = vectors_of_norm(a, b.gram[i][i])
-        if not cands:
-            return None
-        candidates.append(cands)
-    images: list[IntVector] = []
-
-    def backtrack(i: int):
-        if i == n:
-            return transpose(images)
-        for v in candidates[i]:
-            if all(a.pairing(v, images[j]) == b.gram[i][j] for j in range(i)):
-                images.append(v)
-                result = backtrack(i + 1)
-                images.pop()
-                if result is not None:
-                    return result
-        return None
-
-    matrix = backtrack(0)
-    if matrix is None:
-        return None
-    if mat_mul(mat_mul(transpose(matrix), a.gram), matrix) != b.gram:
-        return None
-    return matrix
+    return next(_isometries(a, b), None)
 
 
 @dataclass(frozen=True)
@@ -273,16 +254,7 @@ def orbits(group: IsometryGroup, vectors) -> tuple[Orbit, ...]:
     remaining = set(tuple(v) for v in vectors)
     result = []
     while remaining:
-        seed = min(remaining)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            current = frontier.pop()
-            for g in group.elements:
-                image = g.apply(current)
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
+        orbit = closure([min(remaining)], group.elements, lambda v, g: g.apply(v))
         members = tuple(sorted(orbit))
         result.append(Orbit(members[0], members))
         remaining -= orbit
@@ -331,19 +303,7 @@ def coinvariant_lattice(lattice: IntegerLattice, generators) -> Sublattice:
 def group_generated_by(lattice: IntegerLattice, generators) -> tuple[IntMatrix, ...]:
     """Closure of a generator list under multiplication (finite groups only)."""
     gens = [freeze(g.matrix if isinstance(g, Isometry) else g) for g in generators]
-    eye = identity(lattice.rank)
-    seen = {eye}
-    frontier = [eye]
-    while frontier:
-        current = frontier.pop()
-        for g in gens:
-            nxt = mat_mul(current, g)
-            if nxt not in seen:
-                if len(seen) > 100_000:
-                    raise LatticeError("generated group is too large")
-                seen.add(nxt)
-                frontier.append(nxt)
-    return tuple(sorted(seen))
+    return tuple(sorted(closure([identity(lattice.rank)], gens, mat_mul, limit=100_000)))
 
 
 def torsion_exponent_check(lattice: IntegerLattice, generators) -> bool:

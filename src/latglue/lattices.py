@@ -31,11 +31,12 @@ from .exact import (
     det,
     frac_inverse,
     freeze,
+    gram_of_rows,
     hnf,
     identity,
-    lcm_denominator,
     mat_mul,
     mat_vec,
+    row_reduce,
     saturate_rows,
     solve_int,
     transpose,
@@ -45,6 +46,25 @@ from .exact import (
 
 class LatticeError(ValueError):
     """Raised for inputs violating a lattice precondition."""
+
+
+def closure(start, gens, step, limit=None) -> set:
+    """Smallest superset of ``start`` closed under x -> step(x, g) for g in gens.
+
+    Raises LatticeError as soon as more than ``limit`` elements are reached.
+    """
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        current = frontier.pop()
+        for g in gens:
+            nxt = step(current, g)
+            if nxt not in seen:
+                seen.add(nxt)
+                if limit is not None and len(seen) > limit:
+                    raise LatticeError(f"closure exceeds {limit} elements")
+                frontier.append(nxt)
+    return seen
 
 
 def is_primitive_vector(v) -> bool:
@@ -123,11 +143,6 @@ class IntegerLattice:
                     m[r][k] = Fraction(0)
         return pos, neg
 
-    @property
-    def is_definite(self) -> bool:
-        s_plus, s_minus = self.signature()
-        return s_plus == 0 or s_minus == 0
-
     # -- bilinear form ------------------------------------------------
 
     def pairing(self, v, w) -> int | Fraction:
@@ -151,11 +166,6 @@ class IntegerLattice:
         """Rows of gram^-1; generates the dual lattice over Z."""
         return frac_inverse(self.gram)
 
-    def in_dual(self, v) -> bool:
-        """True iff v (rational coordinates) pairs integrally with the lattice."""
-        return all(Fraction(x).denominator == 1
-                   for x in mat_vec(self.gram, tuple(Fraction(c) for c in v)))
-
     # -- sublattices --------------------------------------------------
 
     def span(self, generators) -> "Sublattice":
@@ -171,16 +181,21 @@ class IntegerLattice:
 
     @classmethod
     def from_json(cls, text: str) -> "IntegerLattice":
-        data = json.loads(text)
-        if not isinstance(data, dict) or "gram" not in data:
-            raise LatticeError('expected {"gram": [[int, ...], ...]}')
-        gram = data["gram"]
-        if not isinstance(gram, list) or any(
-            not isinstance(row, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in row)
-            for row in gram
-        ):
-            raise LatticeError("Gram entries must be exact integers")
-        return cls(freeze(gram))
+        """Parse a Gram matrix given as ``[[...]]`` or ``{"gram": [[...]]}``."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise LatticeError(f"invalid JSON: {exc}") from exc
+        if isinstance(data, dict):
+            data = data.get("gram")
+        if not isinstance(data, list):
+            raise LatticeError('expected a JSON array or {"gram": [[...]]}')
+        for row in data:
+            if not isinstance(row, list) or any(
+                isinstance(x, bool) or not isinstance(x, int) for x in row
+            ):
+                raise LatticeError("Gram entries must be exact integers")
+        return cls(freeze(data))
 
 
 @dataclass(frozen=True)
@@ -204,8 +219,7 @@ class Sublattice:
         return len(self.basis)
 
     def gram(self) -> IntMatrix:
-        g = mat_mul(mat_mul(self.basis, self.ambient.gram), transpose(self.basis))
-        return freeze(g)
+        return freeze(gram_of_rows(self.basis, self.ambient.gram))
 
     def lattice(self) -> IntegerLattice:
         return IntegerLattice(self.gram())
@@ -224,22 +238,8 @@ class Sublattice:
         ncols = self.rank
         rows = [[Fraction(self.basis[j][i]) for j in range(ncols)] + [Fraction(v[i])]
                 for i in range(self.ambient.rank)]
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            pivot = rows[r][c]
-            rows[r] = [x / pivot for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        for i in range(r, len(rows)):
+        pivots, _ = row_reduce(rows, ncols)
+        for i in range(len(pivots), len(rows)):
             if rows[i][-1] != 0:
                 raise LatticeError("vector does not lie in the span of the sublattice")
         sol = [Fraction(0)] * ncols
@@ -288,20 +288,3 @@ class Sublattice:
             raise LatticeError(f"determinant ratio {n} is not a perfect square")
         return root
 
-
-def direct_sum_sublattice(ambient: IntegerLattice, *parts: Sublattice) -> Sublattice:
-    """Stack the generator rows of several sublattices of one ambient lattice."""
-    rows: list[IntVector] = []
-    for part in parts:
-        if part.ambient != ambient:
-            raise LatticeError("parts live in different ambient lattices")
-        rows.extend(part.basis)
-    return Sublattice(ambient, freeze(rows))
-
-
-def rational_span_basis(rows) -> IntMatrix:
-    """Canonical integer form of a rational row span: HNF of cleared rows."""
-    d = lcm_denominator(rows)
-    cleared = freeze(tuple(int(Fraction(x) * d) for x in row) for row in rows)
-    h, _ = hnf(cleared)
-    return tuple(row for row in h if any(row))

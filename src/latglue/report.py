@@ -28,7 +28,7 @@ from .classify import (
     vector_name,
 )
 from .discforms import discriminant_group, forms_isometric, is_anti_isometry
-from .exact import freeze, hnf, mat_mul, snf, transpose
+from .exact import freeze, gram_of_rows, hnf, snf, transpose
 from .isometries import (
     RANK_GUARD,
     group_generated_by,
@@ -354,7 +354,7 @@ def verify_cases_report() -> dict:
                 _mat(hnf(printed_t)[0][: len(printed_t)]),
             )
         )
-        printed_t_gram = mat_mul(mat_mul(printed_t, lattice.gram), transpose(printed_t))
+        printed_t_gram = gram_of_rows(printed_t, lattice.gram)
         cells.append(
             _cell(f"{label}: T_X Gram", _mat(printed_t_gram), row["t_gram"])
         )
@@ -394,9 +394,7 @@ def verify_cases_report() -> dict:
     # The claimed glue generator of the existence walkthrough: its q value
     # is recomputed and the discrepancy surfaced through the allowlist.
     t_rows = ((1, 1, 0), (0, 0, 1), (1, -1, 0))
-    t_lattice = IntegerLattice(
-        mat_mul(mat_mul(t_rows, lattice.gram), transpose(t_rows))
-    )
+    t_lattice = IntegerLattice(gram_of_rows(t_rows, lattice.gram))
     a_t = discriminant_group(t_lattice)
     claimed_ambient = tuple(Fraction(s) for s in data["claimed_glue_lift"])
     sub = lattice.span(t_rows)

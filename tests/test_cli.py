@@ -85,6 +85,21 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     assert code == 1
 
 
+def test_inconsistent_golden_data_is_input_error(capsys, monkeypatch):
+    """A non-injective printed gluing is an input error (exit 2), not a crash."""
+    import latglue.classify as classify_mod
+    import latglue.report as report_mod
+
+    corrupted = json.loads(json.dumps(classify_mod.printed_tables()))
+    corrupted["table2"][0]["gamma"] = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    monkeypatch.setattr(classify_mod, "printed_tables", lambda: corrupted)
+    monkeypatch.setattr(report_mod, "printed_tables", lambda: corrupted)
+    code, _, err = run_cli(capsys, "verify-table", "cases")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_lattice_info(capsys):
     code, out, _ = run_cli(
         capsys, "lattice-info", "--gram", "[[6,3,0],[3,6,0],[0,0,6]]"

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from fractions import Fraction
 
 from latglue.exact import (
@@ -29,11 +30,20 @@ def test_det_examples():
     assert det(((2,),)) == 2
     assert det(((6, 3), (3, 6))) == 27
     assert det(((0, 1), (1, 0))) == -1
+    # the first pivot needs a row swap, which flips the sign
+    assert det(((0, 2, 1), (3, 1, 0), (1, 0, 1))) == -7
+    assert det(((1, 2, 3), (2, 4, 6), (0, 1, 1))) == 0
+    assert det(((0, 0), (0, 0))) == 0
+    assert det(((Fraction(1, 2), 0), (0, 1))) == Fraction(1, 2)
 
 
 def test_frac_inverse_round_trip():
     g = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
     assert mat_mul(g, frac_inverse(g)) == identity(3)
+    swapped = ((0, 1), (1, 0))
+    assert frac_inverse(swapped) == swapped
+    with pytest.raises(ZeroDivisionError):
+        frac_inverse(((1, 2), (2, 4)))
 
 
 def test_hnf_shape_and_transform():

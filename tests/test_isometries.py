@@ -211,6 +211,9 @@ def test_isometry_between():
     assert m is not None
     assert mat_mul(mat_mul(transpose(m), a.gram), m) == b.gram
     assert isometry_between(a, IntegerLattice(((6, 3), (3, 6)))) is None
+    for lattice in (a, IntegerLattice(S_GRAM), IntegerLattice(((2,),))):
+        self_map = isometry_between(lattice, lattice)
+        assert self_map in {g.matrix for g in orthogonal_group(lattice).elements}
 
 
 def test_rank_guard():

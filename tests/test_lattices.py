@@ -9,6 +9,7 @@ from latglue.lattices import (
     IntegerLattice,
     LatticeError,
     Sublattice,
+    closure,
     is_primitive_vector,
 )
 
@@ -185,6 +186,11 @@ def test_json_round_trip(invariant):
         IntegerLattice.from_json('{"gram": [[1.5]]}')
     with pytest.raises(LatticeError):
         IntegerLattice.from_json('{"other": 3}')
+    with pytest.raises(LatticeError):
+        IntegerLattice.from_json("not json")
+    with pytest.raises(LatticeError):
+        IntegerLattice.from_json("[1, 2]")
+    assert IntegerLattice.from_json("[[2]]") == IntegerLattice(((2,),))
 
 
 def test_sublattice_membership(invariant):
@@ -195,3 +201,13 @@ def test_sublattice_membership(invariant):
     assert coords == (Fraction(3), Fraction(-1))
     with pytest.raises(LatticeError):
         sub.coordinates_of((1, 0, 0))
+
+
+def test_closure_orbit_and_limit():
+    def step(x, g):
+        return (x + g) % 12
+
+    assert closure([0], [8], step) == {0, 4, 8}
+    assert closure([1, 2], [6], step, limit=4) == {1, 2, 7, 8}
+    with pytest.raises(LatticeError):
+        closure([0], [1], step, limit=5)
