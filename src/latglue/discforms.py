@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .exact import (
     frac_inverse,
@@ -53,12 +54,19 @@ class DiscriminantGroup:
     whose diagonal read mod 2Z gives q and whose off-diagonal entries read
     mod Z give b.  Lattice-backed groups also carry rational ``lifts`` of
     the generators (coordinates in the source lattice basis).
+
+    The forms are evaluated in integers: with ``exponent`` e (the largest
+    order, 1 for the trivial group) the matrix ``int_gram`` Q = e * pair_gram
+    is integral, because d_i * pair_gram[i][j] is.  Then
+    q(x) = (x Q x^T mod 2e) / e and b(x, y) = (x Q y^T mod e) / e.
     """
 
     orders: tuple[int, ...]
     pair_gram: tuple[tuple[Fraction, ...], ...]
     lifts: tuple[tuple[Fraction, ...], ...] | None = None
     source: IntegerLattice | None = None
+    exponent: int = field(init=False, repr=False, compare=False)
+    int_gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "orders", tuple(int(d) for d in self.orders))
@@ -81,6 +89,11 @@ class DiscriminantGroup:
                 d * d * self.pair_gram[i][i]
             ).numerator % 2:
                 raise GlueError("quadratic values are not well-defined modulo 2Z")
+        exponent = self.orders[-1] if k else 1
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "int_gram", freeze(
+            tuple(int(exponent * x) for x in row) for row in self.pair_gram
+        ))
 
     # -- structure ------------------------------------------------------
 
@@ -107,24 +120,24 @@ class DiscriminantGroup:
 
     # -- the forms --------------------------------------------------------
 
+    def _pair_int(self, c, d) -> int:
+        """x Q y^T for coefficient tuples c, d (not reduced)."""
+        return sum(ci * sum(map(mul, row, d)) for ci, row in zip(c, self.int_gram) if ci)
+
     def q(self, x: "DiscElement") -> Fraction:
         """Quadratic form value in [0, 2)."""
-        total = Fraction(0)
-        c = x.coeffs
-        for i in range(self.ngens):
-            for j in range(self.ngens):
-                total += c[i] * c[j] * self.pair_gram[i][j]
-        return _reduce_mod(total, 2)
+        if x.parent is not self and x.parent != self:
+            raise GlueError("elements belong to different groups")
+        e = self.exponent
+        return Fraction(self._pair_int(x.coeffs, x.coeffs) % (2 * e), e)
 
     def b(self, x: "DiscElement", y: "DiscElement") -> Fraction:
         """Bilinear form value in [0, 1)."""
-        if x.parent != self or y.parent != self:
-            raise GlueError("elements belong to different groups")
-        total = Fraction(0)
-        for i in range(self.ngens):
-            for j in range(self.ngens):
-                total += x.coeffs[i] * y.coeffs[j] * self.pair_gram[i][j]
-        return _reduce_mod(total, 1)
+        for z in (x, y):
+            if z.parent is not self and z.parent != self:
+                raise GlueError("elements belong to different groups")
+        e = self.exponent
+        return Fraction(self._pair_int(x.coeffs, y.coeffs) % e, e)
 
     # -- lattice-backed extras -------------------------------------------
 
@@ -222,7 +235,7 @@ class DiscElement:
     coeffs: tuple[int, ...]
 
     def __add__(self, other: "DiscElement") -> "DiscElement":
-        if self.parent != other.parent:
+        if self.parent is not other.parent and self.parent != other.parent:
             raise GlueError("elements belong to different groups")
         return self.parent.element(
             tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
@@ -270,10 +283,12 @@ class IsotropicSubgroup:
 
     parent: DiscriminantGroup
     generators: tuple[DiscElement, ...]
+    _coeffs: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        for coeffs in self.element_coeffs():
+        object.__setattr__(self, "_coeffs", span_elements(self.parent, self.generators))
+        for coeffs in self._coeffs:
             value = self.parent.q(self.parent.element(coeffs))
             if value != 0:
                 raise GlueError(
@@ -281,52 +296,13 @@ class IsotropicSubgroup:
                 )
 
     def element_coeffs(self) -> frozenset:
-        return span_elements(self.parent, self.generators)
+        return self._coeffs
 
     def elements(self) -> list[DiscElement]:
         return [self.parent.element(c) for c in sorted(self.element_coeffs())]
 
     def order(self) -> int:
         return len(self.element_coeffs())
-
-
-def _all_subgroups_of_order(group: DiscriminantGroup, order: int) -> list[frozenset]:
-    """All subgroups of exactly the given order, as coefficient-tuple sets.
-
-    Breadth-first closure over joins with cyclic subgroups, tracking small
-    generating sets; group orders in this artifact stay small (a few
-    hundred elements), so this is cheap.
-    """
-    if order < 1 or group.order() % order:
-        return []
-    zero = group.zero().coeffs
-    trivial = frozenset([zero])
-    if order == 1:
-        return [trivial]
-    cyclic: dict[frozenset, tuple] = {}
-    for elem in group.elements():
-        if elem.is_zero():
-            continue
-        span = span_elements(group, [elem])
-        if len(span) <= order and order % len(span) == 0 and span not in cyclic:
-            cyclic[span] = elem.coeffs
-    found: dict[frozenset, tuple] = {trivial: ()}
-    frontier = [trivial]
-    while frontier:
-        current = frontier.pop()
-        if len(current) == order:
-            continue
-        gens = found[current]
-        for span, gen in cyclic.items():
-            if span <= current:
-                continue
-            joined = span_elements(
-                group, [group.element(c) for c in gens + (gen,)]
-            )
-            if len(joined) <= order and order % len(joined) == 0 and joined not in found:
-                found[joined] = gens + (gen,)
-                frontier.append(joined)
-    return sorted((s for s in found if len(s) == order), key=sorted)
 
 
 def _generating_set(group: DiscriminantGroup, subgroup: frozenset) -> tuple[DiscElement, ...]:
@@ -343,12 +319,46 @@ def _generating_set(group: DiscriminantGroup, subgroup: frozenset) -> tuple[Disc
 
 
 def enumerate_isotropic_subgroups(group: DiscriminantGroup, order: int) -> list[IsotropicSubgroup]:
-    """All isotropic subgroups of the given order, by exhaustive search."""
-    result = []
-    for subgroup in _all_subgroups_of_order(group, order):
-        if all(group.q(group.element(c)) == 0 for c in subgroup):
-            result.append(IsotropicSubgroup(group, _generating_set(group, subgroup)))
-    return result
+    """All isotropic subgroups of the given order, sorted by their elements.
+
+    Subgroups are grown from the trivial one by adjoining an isotropic
+    element b-orthogonal to the generators chosen so far, one cyclic
+    subgroup at a time.  This reaches every isotropic H (its elements are
+    isotropic and pairwise orthogonal) and nothing else, because
+    q(x + y) = q(x) + q(y) + 2 b(x, y).  Spans are deduplicated, and only
+    spans whose order divides ``order`` are grown further.
+    """
+    if order < 1 or group.order() % order:
+        return []
+    orders, e = group.orders, group.exponent
+    zero = group.zero().coeffs
+
+    def add(x, y):
+        return tuple((a + b) % d for a, b, d in zip(x, y, orders))
+
+    cyclic: dict[frozenset, tuple] = {}
+    for c in itertools.product(*(range(d) for d in orders)):
+        if any(c) and group._pair_int(c, c) % (2 * e) == 0:
+            cyclic.setdefault(frozenset(closure([zero], [c], add)), c)
+    trivial = frozenset([zero])
+    found: dict[frozenset, tuple] = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        span = frontier.pop()
+        gens = found[span]
+        if len(span) == order:
+            continue
+        for line, g in cyclic.items():
+            if line <= span or any(group._pair_int(g, h) % e for h in gens):
+                continue
+            joined = frozenset(closure(span, [g], add))
+            if order % len(joined) == 0 and joined not in found:
+                found[joined] = gens + (g,)
+                frontier.append(joined)
+    return [
+        IsotropicSubgroup(group, _generating_set(group, s))
+        for s in sorted((s for s in found if len(s) == order), key=sorted)
+    ]
 
 
 def overlattice_with_basis(h: IsotropicSubgroup):
@@ -453,7 +463,8 @@ class FiniteAbelianMap:
         )
 
     def image_coeffs(self) -> frozenset:
-        return frozenset(self.apply(x).coeffs for x in self.domain.elements())
+        """The image, as the subgroup spanned by the images of the generators."""
+        return span_elements(self.codomain, transpose(self.matrix))
 
     def is_injective(self) -> bool:
         return len(self.image_coeffs()) == self.domain.order()
@@ -543,16 +554,30 @@ def extend_to_overlattice(matrix, h: IsotropicSubgroup):
     return freeze(tuple(int(x) for x in row) for row in extended)
 
 
+def _forms_match(gamma: FiniteAbelianMap, sign: int) -> bool:
+    """q(gamma(x)) == sign * q(x) and b likewise, for every x and y.
+
+    Checked on the generators (q) and on generator pairs (b) only: since
+    q(kx) = k^2 q(x) and q(x + y) = q(x) + q(y) + 2 b(x, y), these values
+    fix both forms on the whole group.
+    """
+    dom, cod = gamma.domain, gamma.codomain
+    gens = [dom.generator(i) for i in range(dom.ngens)]
+    images = [gamma.apply(g) for g in gens]
+    for i, (x, y) in enumerate(zip(gens, images)):
+        if cod.q(y) != _reduce_mod(sign * dom.q(x), 2):
+            return False
+        for j in range(i + 1, len(gens)):
+            if cod.b(y, images[j]) != _reduce_mod(sign * dom.b(x, gens[j]), 1):
+                return False
+    return True
+
+
 def is_anti_isometry(gamma: FiniteAbelianMap) -> bool:
-    """q_domain(x) == -q_codomain(gamma(x)) for every x, by full enumeration."""
+    """q_domain(x) == -q_codomain(gamma(x)) for every x (gamma must be injective)."""
     if not gamma.is_injective():
         raise GlueError("gluing morphism is not injective")
-    for x in gamma.domain.elements():
-        lhs = gamma.domain.q(x)
-        rhs = _reduce_mod(-gamma.codomain.q(gamma.apply(x)), 2)
-        if lhs != rhs:
-            return False
-    return True
+    return _forms_match(gamma, -1)
 
 
 def glue_extension_check(
@@ -598,19 +623,7 @@ def preserves_form(auto: FiniteAbelianMap) -> bool:
     """True iff the endomorphism preserves q and b (an O(A_L) membership test)."""
     if auto.domain != auto.codomain:
         raise GlueError("form preservation needs an endomorphism")
-    group = auto.domain
-    if not auto.is_injective():
-        return False
-    elems = list(group.elements())
-    for x in elems:
-        if group.q(auto.apply(x)) != group.q(x):
-            return False
-    for i in range(group.ngens):
-        for j in range(i, group.ngens):
-            x, y = group.generator(i), group.generator(j)
-            if group.b(auto.apply(x), auto.apply(y)) != group.b(x, y):
-                return False
-    return True
+    return auto.is_injective() and _forms_match(auto, 1)
 
 
 def pullback_form(

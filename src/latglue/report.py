@@ -139,7 +139,13 @@ def lattice_info_report(lattice: IntegerLattice) -> dict:
         "even": lattice.is_even,
         "discriminant_orders": discriminant_orders_any(lattice),
     }
-    if (s_minus == 0 or s_plus == 0) and lattice.rank <= RANK_GUARD:
+    if s_minus and s_plus:
+        report["skipped"] = {"isometry_group_order":
+                             "indefinite lattice: O(L) is only enumerated for definite lattices"}
+    elif lattice.rank > RANK_GUARD:
+        report["skipped"] = {"isometry_group_order":
+                             f"rank {lattice.rank} exceeds the isometry search limit of {RANK_GUARD}"}
+    else:
         work = lattice if s_minus == 0 else IntegerLattice(
             freeze(tuple(-x for x in row) for row in lattice.gram)
         )

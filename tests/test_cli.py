@@ -118,6 +118,26 @@ def test_lattice_info(capsys):
     assert report["isometry_group_order"] == 12
 
 
+def test_lattice_info_says_why_the_group_order_is_missing(capsys):
+    two_i5 = json.dumps([[2 if i == j else 0 for j in range(5)] for i in range(5)])
+    code, out, _ = run_cli(capsys, "lattice-info", "--gram", two_i5)
+    assert code == 0
+    report = json.loads(out)
+    assert "isometry_group_order" not in report
+    assert "rank 5" in report["skipped"]["isometry_group_order"]
+
+    code, out, _ = run_cli(capsys, "lattice-info", "--gram", "[[2,1],[1,-2]]")
+    assert code == 0
+    report = json.loads(out)
+    assert report["signature"] == [1, 1]
+    assert "isometry_group_order" not in report
+    assert "indefinite" in report["skipped"]["isometry_group_order"]
+
+    code, out, _ = run_cli(capsys, "lattice-info", "--gram", "[[-2,1],[1,-2]]")
+    report = json.loads(out)
+    assert report["isometry_group_order"] == 12 and "skipped" not in report
+
+
 def test_lattice_info_rejects_degenerate(capsys):
     code, _, err = run_cli(capsys, "lattice-info", "--gram", "[[0]]")
     assert code == 2 and "degenerate" in err

@@ -95,6 +95,17 @@ def test_q_b_compatibility(pinned):
         assert lhs == (2 * pinned.b(x, y)) % 2
 
 
+def test_forms_reject_elements_of_another_group():
+    group = discriminant_group(IntegerLattice(((2, 1), (1, 2))))
+    stranger = discriminant_group(IntegerLattice(((6,),))).generator(0)
+    with pytest.raises(GlueError):
+        group.q(stranger)
+    with pytest.raises(GlueError):
+        group.b(stranger, group.generator(0))
+    with pytest.raises(GlueError):
+        group.b(group.generator(0), stranger)
+
+
 def test_existence_walkthrough_dual_classes():
     """The printed generating classes of A_T exist and generate it."""
     group = discriminant_group(IntegerLattice(T_EF_GRAM))

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 from fractions import Fraction
@@ -84,6 +85,30 @@ def test_snf_divisibility_chain():
         assert diag[: len(nonzero)] == nonzero
         for first, second in zip(nonzero, nonzero[1:]):
             assert second % first == 0
+
+
+def test_snf_and_hnf_against_sympy():
+    """Independent oracle: sympy's invariant factors and |det| (tests only)."""
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix
+
+    rng = random.Random(7)
+    shapes = [(n, n) for n in range(1, 5)] * 6 + [(2, 3), (3, 2), (4, 2), (2, 4)] * 3
+    singular = 0
+    for nrows, ncols in shapes:
+        a = random_matrix(rng, nrows, ncols, bound=6)
+        if nrows == ncols > 1 and rng.random() < 0.3:
+            # singular: the last row becomes a combination of the first and the second-last
+            a = a[:-1] + (tuple(x + 2 * y for x, y in zip(a[0], a[-2])),)
+        d, _u, _v = snf(a)
+        factors = [int(x) for x in normalforms.invariant_factors(Matrix(a))]
+        assert [d[i][i] for i in range(min(nrows, ncols))] == factors
+        if nrows == ncols and det(a) != 0:
+            h, _ = hnf(a)
+            assert prod(next(x for x in row if x) for row in h) == abs(det(a))
+        else:
+            singular += nrows == ncols
+    assert singular >= 3
 
 
 def test_kernel_and_solve():

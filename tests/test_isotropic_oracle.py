@@ -1,0 +1,193 @@
+"""The integer discriminant-form core against exhaustive oracles.
+
+``enumerate_isotropic_subgroups`` grows isotropic subgroups through
+pairwise orthogonal isotropic generators; the oracle builds every subgroup
+(``test_properties.all_subgroups``, joins of cyclic subgroups that use no
+form data) and keeps those on which q vanishes at every element.
+``preserves_form`` and ``is_anti_isometry`` check the forms on generators
+only; the oracles evaluate them on every element.
+"""
+
+import random
+
+import pytest
+
+from latglue.discforms import (
+    FiniteAbelianMap,
+    GlueError,
+    discriminant_group,
+    enumerate_isotropic_subgroups,
+    induced_map,
+    is_anti_isometry,
+    preserves_form,
+    pullback_form,
+    span_elements,
+)
+from latglue.exact import det, freeze, identity
+from latglue.isometries import orthogonal_group
+from latglue.lattices import IntegerLattice
+from test_properties import all_subgroups
+
+D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+
+
+def block_sum(a, b):
+    n, m = len(a), len(b)
+    rows = [tuple(a[i]) + (0,) * m for i in range(n)]
+    rows += [(0,) * n + tuple(b[i]) for i in range(m)]
+    return freeze(rows)
+
+
+def seeded_lattices(count=30, seed=301):
+    """Even lattices with |A_L| <= 64: fixed extremes plus random ones."""
+    fixed = [
+        ((0, 1), (1, 0)),  # U: trivial A_L
+        block_sum(D4, D4),  # (Z/2)^4, many isotropic elements
+        ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2)),  # (Z/2)^4, indefinite
+        ((4, 0), (0, -4)),
+        ((2, 1), (1, -4)),
+        ((8, 0, 0), (0, 2, 0), (0, 0, 2)),
+    ]
+    lattices = [IntegerLattice(g) for g in fixed]
+    rng = random.Random(seed)
+    while len(lattices) < count:
+        n = rng.randint(1, 3)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = 2 * rng.choice([1, 2, 3, 4, -1, -2, -3])
+            for j in range(i + 1, n):
+                gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+        d = det(gram)
+        if d == 0 or abs(d) > 64:
+            continue
+        lattices.append(IntegerLattice(freeze(gram)))
+    return lattices
+
+
+def isotropic_by_exhaustion(group):
+    """Isotropic subgroups by order: every subgroup, kept if q vanishes on all of it."""
+    by_order = {}
+    for subgroup in all_subgroups(group):
+        if all(group.q(group.element(c)) == 0 for c in subgroup):
+            by_order.setdefault(len(subgroup), []).append(subgroup)
+    return {n: sorted(subs, key=sorted) for n, subs in by_order.items()}
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.fixture(scope="module")
+def groups():
+    return [(lattice, discriminant_group(lattice)) for lattice in seeded_lattices()]
+
+
+def test_isotropic_subgroups_match_exhaustive_search(groups):
+    nontrivial = 0
+    for _lattice, group in groups:
+        assert group.order() <= 64
+        expected = isotropic_by_exhaustion(group)
+        for order in divisors(group.order()):
+            grown = enumerate_isotropic_subgroups(group, order)
+            assert [h.element_coeffs() for h in grown] == expected.get(order, [])
+            for h in grown:
+                assert span_elements(group, h.generators) == h.element_coeffs()
+            nontrivial += order > 1 and bool(grown)
+    assert nontrivial >= 10
+
+
+def test_non_cyclic_isotropic_subgroups_are_found(groups):
+    group = groups[1][1]
+    assert group.orders == (2, 2, 2, 2)
+    fours = enumerate_isotropic_subgroups(group, 4)
+    assert fours and all(len(h.generators) == 2 for h in fours)
+
+
+def test_unusable_orders_give_nothing(groups):
+    for _lattice, group in groups[:8]:
+        n = group.order()
+        assert enumerate_isotropic_subgroups(group, 0) == []
+        assert enumerate_isotropic_subgroups(group, -n) == []
+        non_divisor = next(k for k in range(2, 2 * n + 3) if n % k)
+        assert enumerate_isotropic_subgroups(group, non_divisor) == []
+
+
+def preserves_form_by_enumeration(auto):
+    group = auto.domain
+    if not auto.is_injective():
+        return False
+    elems = list(group.elements())
+    gens = [group.generator(i) for i in range(group.ngens)]
+    return all(group.q(auto(x)) == group.q(x) for x in elems) and all(
+        group.b(auto(x), auto(g)) == group.b(x, g) for x in elems for g in gens
+    )
+
+
+def is_anti_isometry_by_enumeration(gamma):
+    if not gamma.is_injective():
+        raise GlueError("gluing morphism is not injective")
+    dom, cod = gamma.domain, gamma.codomain
+    gens = [dom.generator(i) for i in range(dom.ngens)]
+    return all(
+        (dom.q(x) + cod.q(gamma(x))) % 2 == 0 for x in dom.elements()
+    ) and all(
+        (dom.b(x, g) + cod.b(gamma(x), gamma(g))) % 1 == 0
+        for x in dom.elements() for g in gens
+    )
+
+
+def random_endomorphism(rng, group, keep_q):
+    """A random endomorphism: generator i goes to an element killed by d_i.
+
+    With ``keep_q`` that element also has the generator's q value, so that
+    only the b values on generator pairs can tell a form isometry apart.
+    """
+    elems = list(group.elements())
+    cols = []
+    for i, d in enumerate(group.orders):
+        pool = [y for y in elems if (d * y).is_zero()]
+        if keep_q:
+            want = group.q(group.generator(i))
+            pool = [y for y in pool if group.q(y) == want]
+        cols.append(rng.choice(pool).coeffs)
+    return FiniteAbelianMap(group, group, tuple(zip(*cols)))
+
+
+def test_preserves_form_matches_enumeration(groups):
+    rng = random.Random(302)
+    verdicts = set()
+    for lattice, group in groups:
+        if group.order() == 1:
+            continue
+        maps = [random_endomorphism(rng, group, k % 2) for k in range(8)]
+        if lattice.rank <= 3 and lattice.signature()[1] == 0:
+            maps += [induced_map(g.matrix, group) for g in orthogonal_group(lattice).elements]
+        for auto in maps:
+            expected = preserves_form_by_enumeration(auto)
+            assert preserves_form(auto) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_is_anti_isometry_matches_enumeration(groups):
+    """sigma . gamma0 with gamma0 an anti-isometry is one iff sigma preserves q."""
+    rng = random.Random(303)
+    verdicts = set()
+    for lattice, group in groups:
+        if group.order() == 1:
+            continue
+        domain = pullback_form(group, identity(group.ngens), group.orders)
+        for k in range(8):
+            sigma = random_endomorphism(rng, group, k % 2)
+            gamma = FiniteAbelianMap(domain, group, sigma.matrix)
+            if not gamma.is_injective():
+                with pytest.raises(GlueError):
+                    is_anti_isometry(gamma)
+                with pytest.raises(GlueError):
+                    is_anti_isometry_by_enumeration(gamma)
+                verdicts.add(None)
+                continue
+            expected = is_anti_isometry_by_enumeration(gamma)
+            assert is_anti_isometry(gamma) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False, None}
