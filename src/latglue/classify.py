@@ -278,7 +278,7 @@ def extend_block_isometry(
     # so the ambient action is R^T . phi_t . (R^T)^-1.
     basis_t = transpose(rows)
     conj = mat_mul(mat_mul(basis_t, phi_t), frac_inverse(basis_t))
-    integral = all(Fraction(x).denominator == 1 for row in conj for x in row)
+    integral = all(x.denominator == 1 for row in conj for x in row)
 
     glue = None
     if full_sub.index() > 1:
@@ -307,17 +307,13 @@ def ambient_divisibility(polarization: IntVector, gamma: FiniteAbelianMap) -> in
     """
     lattice = invariant_lattice_fixed()
     group = gamma.codomain
-    g = 0
-    for i in range(lattice.rank):
-        basis_vec = tuple(int(i == j) for j in range(lattice.rank))
-        g = gcd(g, int(lattice.pairing(polarization, basis_vec)))
+    g = lattice.divisibility(polarization)
     for i in range(gamma.domain.ngens):
         image = gamma.apply(gamma.domain.generator(i))
-        lift = group.lift(image)
-        pairing = lattice.pairing(polarization, lift)
-        if Fraction(pairing).denominator != 1:
+        pairing = lattice.pairing(polarization, group.lift(image))
+        if pairing.denominator != 1:
             raise GlueError("polarization does not pair integrally with the glue")
-        g = gcd(g, int(pairing))
+        g = gcd(g, pairing)
     return g
 
 
@@ -356,7 +352,7 @@ def build_extension(
         raise LatticeError(f"extension has order {phi.order}, expected {m}")
     glue = _glue_data(m, name, phi_matrix, polarization)
     witness = orbit_witness(case_symmetry_group(), orbit.representative, polarization)
-    norm = int(lattice.norm(polarization))
+    norm = lattice.norm(polarization)
     return ClassificationCase(
         m=m,
         name=name,

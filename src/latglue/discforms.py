@@ -19,13 +19,14 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
 
 from .exact import (
+    bilinear,
     frac_inverse,
     freeze,
     gram_of_rows,
     hnf,
+    identity,
     int_inverse,
     lcm_denominator,
     mat_mul,
@@ -58,7 +59,8 @@ class DiscriminantGroup:
     The forms are evaluated in integers: with ``exponent`` e (the largest
     order, 1 for the trivial group) the matrix ``int_gram`` Q = e * pair_gram
     is integral, because d_i * pair_gram[i][j] is.  Then
-    q(x) = (x Q x^T mod 2e) / e and b(x, y) = (x Q y^T mod e) / e.
+    q(x) = (x Q x^T mod 2e) / e and b(x, y) = (x Q y^T mod e) / e, where
+    x Q y^T is ``exact.bilinear`` on the coefficient tuples.
     """
 
     orders: tuple[int, ...]
@@ -120,16 +122,12 @@ class DiscriminantGroup:
 
     # -- the forms --------------------------------------------------------
 
-    def _pair_int(self, c, d) -> int:
-        """x Q y^T for coefficient tuples c, d (not reduced)."""
-        return sum(ci * sum(map(mul, row, d)) for ci, row in zip(c, self.int_gram) if ci)
-
     def q(self, x: "DiscElement") -> Fraction:
         """Quadratic form value in [0, 2)."""
         if x.parent is not self and x.parent != self:
             raise GlueError("elements belong to different groups")
         e = self.exponent
-        return Fraction(self._pair_int(x.coeffs, x.coeffs) % (2 * e), e)
+        return Fraction(bilinear(x.coeffs, self.int_gram, x.coeffs) % (2 * e), e)
 
     def b(self, x: "DiscElement", y: "DiscElement") -> Fraction:
         """Bilinear form value in [0, 1)."""
@@ -137,39 +135,35 @@ class DiscriminantGroup:
             if z.parent is not self and z.parent != self:
                 raise GlueError("elements belong to different groups")
         e = self.exponent
-        return Fraction(self._pair_int(x.coeffs, y.coeffs) % e, e)
+        return Fraction(bilinear(x.coeffs, self.int_gram, y.coeffs) % e, e)
 
     # -- lattice-backed extras -------------------------------------------
 
     def lift(self, x: "DiscElement") -> tuple[Fraction, ...]:
         if self.lifts is None:
             raise GlueError("group has no lattice lifts")
-        n = len(self.lifts[0])
-        return tuple(
-            sum((Fraction(x.coeffs[i]) * self.lifts[i][j] for i in range(self.ngens)),
-                Fraction(0))
-            for j in range(n)
-        )
+        if not self.lifts:  # the trivial group has no generator lifts to add up
+            return (0,) * self.source.rank
+        return mat_vec(transpose(self.lifts), x.coeffs)
 
     def element_from_dual_vector(self, v) -> "DiscElement":
         """Class of a dual vector given by rational source-lattice coordinates."""
         if self.source is None or self.lifts is None:
             raise GlueError("group has no source lattice")
-        vv = tuple(Fraction(x) for x in v)
-        pairings = mat_vec(self.source.gram, vv)
+        pairings = mat_vec(self.source.gram, v)
         if any(p.denominator != 1 for p in pairings):
             raise GlueError("vector is not in the dual lattice")
         # Solve sum_i c_i * lifts_i = v modulo the source lattice, exactly:
         # clear denominators and solve the integer system [L^T | D*I] z = D*v.
-        denom = lcm(lcm_denominator(self.lifts), lcm_denominator([vv]))
-        n = len(vv)
+        denom = lcm(lcm_denominator(self.lifts), lcm_denominator([v]))
+        n = len(v)
         cols = []
         for i in range(self.ngens):
             cols.append([int(self.lifts[i][j] * denom) for j in range(n)])
         for j in range(n):
             cols.append([denom if jj == j else 0 for jj in range(n)])
         matrix = tuple(tuple(col[j] for col in cols) for j in range(n))
-        target = tuple(int(x * denom) for x in vv)
+        target = tuple(int(x * denom) for x in v)
         sol = solve_int(matrix, target)
         if sol is None:
             raise GlueError("vector class is not generated by the group generators")
@@ -338,7 +332,7 @@ def enumerate_isotropic_subgroups(group: DiscriminantGroup, order: int) -> list[
 
     cyclic: dict[frozenset, tuple] = {}
     for c in itertools.product(*(range(d) for d in orders)):
-        if any(c) and group._pair_int(c, c) % (2 * e) == 0:
+        if any(c) and bilinear(c, group.int_gram, c) % (2 * e) == 0:
             cyclic.setdefault(frozenset(closure([zero], [c], add)), c)
     trivial = frozenset([zero])
     found: dict[frozenset, tuple] = {trivial: ()}
@@ -349,7 +343,7 @@ def enumerate_isotropic_subgroups(group: DiscriminantGroup, order: int) -> list[
         if len(span) == order:
             continue
         for line, g in cyclic.items():
-            if line <= span or any(group._pair_int(g, h) % e for h in gens):
+            if line <= span or any(bilinear(g, group.int_gram, h) % e for h in gens):
                 continue
             joined = frozenset(closure(span, [g], add))
             if order % len(joined) == 0 and joined not in found:
@@ -372,7 +366,7 @@ def overlattice_with_basis(h: IsotropicSubgroup):
         raise GlueError("overlattices need a lattice-backed group")
     lattice = group.source
     n = lattice.rank
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows = [list(row) for row in identity(n)]
     for gen in h.generators:
         rows.append(list(group.lift(gen)))
     denom = lcm_denominator(rows)
@@ -586,15 +580,14 @@ def glue_extension_check(
     """phi_bar . gamma == gamma . psi_bar on every element.
 
     ``phi_bar`` acts on gamma's codomain, ``psi_bar`` on gamma's domain.
+    Both sides are homomorphisms, so comparing their matrices (the images
+    of the generators) decides it.
     """
     if phi_bar.domain != gamma.codomain or phi_bar.codomain != gamma.codomain:
         raise GlueError("phi_bar does not act on the gluing codomain")
     if psi_bar.domain != gamma.domain or psi_bar.codomain != gamma.domain:
         raise GlueError("psi_bar does not act on the gluing domain")
-    for x in gamma.domain.elements():
-        if phi_bar.apply(gamma.apply(x)) != gamma.apply(psi_bar.apply(x)):
-            return False
-    return True
+    return phi_bar.compose(gamma).matrix == gamma.compose(psi_bar).matrix
 
 
 def solve_psi_bar(phi_bar: FiniteAbelianMap, gamma: FiniteAbelianMap) -> FiniteAbelianMap:

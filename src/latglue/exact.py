@@ -1,8 +1,9 @@
 """Exact linear algebra over Z and Q.
 
 Everything here works on tuples-of-tuples of Python ints (or Fractions for
-the rational routines); no floating point is used anywhere.  Conventions
-are pinned so that every caller sees deterministic output:
+the rational routines); no floating point is used anywhere.  Lattice
+pairings and discriminant forms share one v*G*w^T kernel, ``bilinear``.
+Conventions are pinned so that every caller sees deterministic output:
 
 * Hermite normal form is row-style with positive pivots and entries above
   a pivot reduced into [0, pivot).
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -40,6 +42,11 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def bilinear(v, gram, w):
+    """v*gram*w^T (int on integer inputs), skipping zero entries of v; no length check."""
+    return sum(vi * sum(map(mul, row, w)) for vi, row in zip(v, gram) if vi)
 
 
 def vec_content(v: Sequence[int]) -> int:

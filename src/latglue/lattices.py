@@ -28,6 +28,7 @@ from .exact import (
     FracVector,
     IntMatrix,
     IntVector,
+    bilinear,
     det,
     frac_inverse,
     freeze,
@@ -146,8 +147,9 @@ class IntegerLattice:
     # -- bilinear form ------------------------------------------------
 
     def pairing(self, v, w) -> int | Fraction:
-        total = sum(Fraction(v[i]) * self.gram[i][j] * Fraction(w[j])
-                    for i in range(self.rank) for j in range(self.rank))
+        if len(v) != self.rank or len(w) != self.rank:
+            raise LatticeError(f"vector lengths {len(v)}, {len(w)} do not match rank {self.rank}")
+        total = bilinear(v, self.gram, w)
         return int(total) if total.denominator == 1 else total
 
     def norm(self, v) -> int | Fraction:

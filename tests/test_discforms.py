@@ -106,6 +106,16 @@ def test_forms_reject_elements_of_another_group():
         group.b(group.generator(0), stranger)
 
 
+def test_lift_sums_the_generator_lifts(pinned):
+    x = pinned.element((1, 2, 5))
+    want = tuple(F_LIFTS[0][j] + 2 * F_LIFTS[1][j] + 5 * F_LIFTS[2][j] for j in range(3))
+    assert pinned.lift(x) == want
+    # the trivial group (here of U) has no generator lifts; its zero lifts to 0
+    trivial = discriminant_group(IntegerLattice(((0, 1), (1, 0))))
+    assert trivial.order() == 1
+    assert trivial.lift(trivial.zero()) == (0, 0)
+
+
 def test_existence_walkthrough_dual_classes():
     """The printed generating classes of A_T exist and generate it."""
     group = discriminant_group(IntegerLattice(T_EF_GRAM))

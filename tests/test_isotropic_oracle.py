@@ -5,18 +5,21 @@ pairwise orthogonal isotropic generators; the oracle builds every subgroup
 (``test_properties.all_subgroups``, joins of cyclic subgroups that use no
 form data) and keeps those on which q vanishes at every element.
 ``preserves_form`` and ``is_anti_isometry`` check the forms on generators
-only; the oracles evaluate them on every element.
+only, and ``glue_extension_check`` compares two homomorphisms by their
+matrices; the oracles evaluate them on every element.
 """
 
 import random
 
 import pytest
 
+from latglue.classify import classify, gluing_map, invariant_discriminant, printed_tables
 from latglue.discforms import (
     FiniteAbelianMap,
     GlueError,
     discriminant_group,
     enumerate_isotropic_subgroups,
+    glue_extension_check,
     induced_map,
     is_anti_isometry,
     preserves_form,
@@ -191,3 +194,34 @@ def test_is_anti_isometry_matches_enumeration(groups):
             assert is_anti_isometry(gamma) == expected
             verdicts.add(expected)
     assert verdicts == {True, False, None}
+
+
+def glue_extension_check_by_enumeration(phi_bar, psi_bar, gamma):
+    """phi_bar . gamma == gamma . psi_bar, compared on every element of the domain."""
+    return all(
+        phi_bar.apply(gamma.apply(x)) == gamma.apply(psi_bar.apply(x))
+        for x in gamma.domain.elements()
+    )
+
+
+def test_glue_extension_check_matches_enumeration():
+    """Derived, printed and mutated psi_bar on all seven printed rows."""
+    cases = {(c.m, c.name): c for m in (2, 3, 6) for c in classify(m)[0]}
+    rows = printed_tables()["table2"]
+    assert len(rows) == 7
+    verdicts = []
+    for row in rows:
+        case = cases[(row["m"], row["name"])]
+        gamma = gluing_map(row["m"], row["name"])
+        phi_bar = induced_map(case.phi, invariant_discriminant())
+        mutated = [list(r) for r in case.psi_bar]
+        mutated[0][2] += 1  # the order-9 generator may go anywhere
+        for matrix in (case.psi_bar, freeze(row["psi_bar"]), freeze(mutated)):
+            psi_bar = FiniteAbelianMap(gamma.domain, gamma.domain, matrix)
+            expected = glue_extension_check_by_enumeration(phi_bar, psi_bar, gamma)
+            assert glue_extension_check(phi_bar, psi_bar, gamma) == expected
+            verdicts.append(expected)
+    # derived: all True; printed: one erratum; mutated: all False
+    assert verdicts[0::3] == [True] * 7
+    assert verdicts[1::3].count(False) == 1
+    assert verdicts[2::3] == [False] * 7

@@ -4,7 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from latglue.exact import det, identity, mat_mul
+from latglue.exact import det, freeze, identity, mat_mul, mat_vec, transpose
 from latglue.lattices import (
     IntegerLattice,
     LatticeError,
@@ -81,6 +81,52 @@ def test_norms_and_pairings(invariant):
         w = tuple(rng.randint(-4, 4) for _ in range(3))
         assert invariant.norm(v) % 6 == 0
         assert invariant.pairing(v, w) % 3 == 0
+
+
+def test_pairing_rejects_wrong_lengths(invariant):
+    # unchecked, the kernel's zip would read (1, 0, 0, 5) as e and return 6
+    with pytest.raises(LatticeError, match="lengths 4, 4 do not match rank 3"):
+        invariant.norm((1, 0, 0, 5))
+    with pytest.raises(LatticeError, match="lengths 2, 2 do not match rank 3"):
+        invariant.norm((1, 0))
+    with pytest.raises(LatticeError, match="lengths 3, 2 do not match rank 3"):
+        invariant.pairing(E, (1, 0))
+
+
+def pairing_by_fractions(lattice, v, w):
+    """The double sum over Fraction coordinates: oracle for the exact kernel."""
+    n = lattice.rank
+    total = sum(Fraction(v[i]) * lattice.gram[i][j] * Fraction(w[j])
+                for i in range(n) for j in range(n))
+    return int(total) if total.denominator == 1 else total
+
+
+def test_pairing_matches_fraction_oracle():
+    rng = random.Random(12)
+    lattices = []
+    while len(lattices) < 20:
+        n = rng.randint(1, 4)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.randint(-5, 5)
+        if det(gram) != 0:
+            lattices.append(IntegerLattice(freeze(gram)))
+    assert sum(1 for lattice in lattices if min(lattice.signature()) > 0) >= 5
+    result_types = set()
+    for lattice in lattices:
+        n = lattice.rank
+        dual_t = transpose(lattice.dual_basis())
+        vectors = [(0,) * n] + [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(4)]
+        vectors += [mat_vec(dual_t, tuple(rng.randint(-3, 3) for _ in range(n)))
+                    for _ in range(4)]
+        for v in vectors:
+            for w in vectors:
+                want = pairing_by_fractions(lattice, v, w)
+                got = lattice.pairing(v, w)
+                assert got == want and type(got) is type(want)
+                result_types.add(type(got))
+    assert result_types == {int, Fraction}
 
 
 def test_divisibility_examples(invariant):
