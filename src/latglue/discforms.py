@@ -27,7 +27,6 @@ from .exact import (
     gram_of_rows,
     hnf,
     identity,
-    int_inverse,
     lcm_denominator,
     mat_mul,
     mat_vec,
@@ -54,7 +53,10 @@ class DiscriminantGroup:
     ``pair_gram`` is the rational matrix of pairings of the generators,
     whose diagonal read mod 2Z gives q and whose off-diagonal entries read
     mod Z give b.  Lattice-backed groups also carry rational ``lifts`` of
-    the generators (coordinates in the source lattice basis).
+    the generators (coordinates in the source lattice basis) and the
+    integer k x n matrix ``classes``, the quotient map: a dual vector v has
+    integral pairings G v with the source basis, and its class has the
+    coefficients ``classes`` * G v (reduced modulo the orders).
 
     The forms are evaluated in integers: with ``exponent`` e (the largest
     order, 1 for the trivial group) the matrix ``int_gram`` Q = e * pair_gram
@@ -67,14 +69,16 @@ class DiscriminantGroup:
     pair_gram: tuple[tuple[Fraction, ...], ...]
     lifts: tuple[tuple[Fraction, ...], ...] | None = None
     source: IntegerLattice | None = None
+    classes: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False, compare=False)
     exponent: int = field(init=False, repr=False, compare=False)
     int_gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "orders", tuple(int(d) for d in self.orders))
         object.__setattr__(self, "pair_gram", freeze(self.pair_gram))
-        if self.lifts is not None:
-            object.__setattr__(self, "lifts", freeze(self.lifts))
+        for name in ("lifts", "classes"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, freeze(getattr(self, name)))
         k = len(self.orders)
         if any(d <= 1 for d in self.orders):
             raise GlueError("cyclic factor orders must exceed 1")
@@ -148,26 +152,14 @@ class DiscriminantGroup:
 
     def element_from_dual_vector(self, v) -> "DiscElement":
         """Class of a dual vector given by rational source-lattice coordinates."""
-        if self.source is None or self.lifts is None:
+        if self.source is None or self.classes is None:
             raise GlueError("group has no source lattice")
+        if len(v) != self.source.rank:
+            raise GlueError(f"vector length {len(v)} does not match rank {self.source.rank}")
         pairings = mat_vec(self.source.gram, v)
         if any(p.denominator != 1 for p in pairings):
             raise GlueError("vector is not in the dual lattice")
-        # Solve sum_i c_i * lifts_i = v modulo the source lattice, exactly:
-        # clear denominators and solve the integer system [L^T | D*I] z = D*v.
-        denom = lcm(lcm_denominator(self.lifts), lcm_denominator([v]))
-        n = len(v)
-        cols = []
-        for i in range(self.ngens):
-            cols.append([int(self.lifts[i][j] * denom) for j in range(n)])
-        for j in range(n):
-            cols.append([denom if jj == j else 0 for jj in range(n)])
-        matrix = tuple(tuple(col[j] for col in cols) for j in range(n))
-        target = tuple(int(x * denom) for x in v)
-        sol = solve_int(matrix, target)
-        if sol is None:
-            raise GlueError("vector class is not generated by the group generators")
-        return self.element(sol[: self.ngens])
+        return self.element(mat_vec(self.classes, pairings))
 
 
 def bare_group(orders) -> DiscriminantGroup:
@@ -180,26 +172,20 @@ def bare_group(orders) -> DiscriminantGroup:
 def discriminant_group(lattice: IntegerLattice) -> DiscriminantGroup:
     """A_L = L^dual / L for an even non-degenerate lattice.
 
-    The cyclic decomposition comes from the Smith normal form of the Gram
-    matrix; generator lifts are explicit rational vectors.
+    The cyclic decomposition comes from the Smith normal form U G V = D of
+    the Gram matrix G.  U carries the pairings G Z^n of L onto D Z^n, so the
+    rows of U with d_i > 1 are the quotient map ``classes``, and the i-th
+    canonical generator lifts to G^-1 U^-1 e_i = V e_i / d_i.
     """
     if not lattice.is_even:
         raise LatticeError("discriminant quadratic form needs an even lattice")
-    d, u, _v = snf(lattice.gram)
-    uinv = int_inverse(u)
-    ginv = frac_inverse(lattice.gram)
-    w = mat_mul(ginv, uinv)  # column i lifts the i-th canonical generator
-    orders = []
-    lifts = []
-    n = lattice.rank
-    for i in range(n):
-        di = d[i][i]
-        if di > 1:
-            orders.append(di)
-            lifts.append(tuple(w[j][i] for j in range(n)))
-    lifts_t = freeze(lifts)
-    pair = gram_of_rows(lifts_t, lattice.gram)
-    return DiscriminantGroup(tuple(orders), pair, lifts_t, lattice)
+    d, u, v = snf(lattice.gram)
+    keep = [i for i in range(lattice.rank) if d[i][i] > 1]
+    lifts = freeze(tuple(Fraction(row[i], d[i][i]) for row in v) for i in keep)
+    return DiscriminantGroup(
+        tuple(d[i][i] for i in keep), gram_of_rows(lifts, lattice.gram), lifts, lattice,
+        tuple(u[i] for i in keep),
+    )
 
 
 def with_generators(group: DiscriminantGroup, lifts) -> DiscriminantGroup:
@@ -218,7 +204,14 @@ def with_generators(group: DiscriminantGroup, lifts) -> DiscriminantGroup:
         raise GlueError("given vectors do not freely generate the group")
     if len(span_elements(group, elems)) != group.order():
         raise GlueError("given vectors do not generate the group")
-    return DiscriminantGroup(orders, gram_of_rows(lifts_t, lattice.gram), lifts_t, lattice)
+    # new coefficients -> canonical ones is a bijection; invert it on the
+    # canonical generators and compose with the canonical quotient map
+    onto = FiniteAbelianMap(bare_group(orders), group, transpose([e.coeffs for e in elems]))
+    inverse = transpose([onto.solve(group.generator(i)).coeffs for i in range(group.ngens)])
+    return DiscriminantGroup(
+        orders, gram_of_rows(lifts_t, lattice.gram), lifts_t, lattice,
+        mat_mul(inverse, group.classes),
+    )
 
 
 @dataclass(frozen=True)
@@ -401,12 +394,10 @@ def glue_subgroup(sub: Sublattice) -> IsotropicSubgroup:
     if sub.rank != ambient.rank:
         raise GlueError("glue subgroup needs a full-rank sublattice")
     group = discriminant_group(sub.lattice())
-    gens = []
-    for i in range(ambient.rank):
-        basis_vec = tuple(int(i == j) for j in range(ambient.rank))
-        coords = sub.coordinates_of(basis_vec)
-        gens.append(group.element_from_dual_vector(coords))
-    subgroup = span_elements(group, gens)
+    # column i of B G holds the pairings of the i-th ambient basis vector
+    # with the rows of the basis B of T
+    images = mat_mul(group.classes, mat_mul(sub.basis, ambient.gram))
+    subgroup = span_elements(group, transpose(images))
     return IsotropicSubgroup(group, _generating_set(group, subgroup))
 
 
@@ -517,16 +508,16 @@ class FiniteAbelianMap:
 
 def induced_map(matrix, group: DiscriminantGroup) -> FiniteAbelianMap:
     """Action of a source-lattice isometry on a lattice-backed group."""
-    if group.source is None:
+    if group.source is None or group.classes is None:
         raise GlueError("induced maps need a lattice-backed group")
     gram = group.source.gram
-    if gram_of_rows(transpose(matrix), gram) != gram:
+    if any(x.denominator != 1 for row in matrix for x in row) or (
+        gram_of_rows(transpose(matrix), gram) != gram
+    ):
         raise GlueError("matrix is not an isometry of the source lattice")
-    cols = []
-    for i in range(group.ngens):
-        image_lift = mat_vec(matrix, group.lifts[i])
-        cols.append(group.element_from_dual_vector(image_lift).coeffs)
-    return FiniteAbelianMap(group, group, transpose(cols))
+    # column i: the class of matrix * lift_i, read off its pairings
+    images = mat_mul(matrix, transpose(group.lifts))
+    return FiniteAbelianMap(group, group, mat_mul(mat_mul(group.classes, gram), images))
 
 
 def extends_to_overlattice(matrix, h: IsotropicSubgroup) -> bool:

@@ -83,26 +83,26 @@ def vectors_of_norm(lattice: IntegerLattice, norm: int) -> tuple[IntVector, ...]
     """All lattice vectors of the exact given norm, lexicographically sorted.
 
     Fincke-Pohst style enumeration from the rational Cholesky decomposition
-    Q(x) = sum_i q_i (x_i + sum_{j>i} u_ij x_j)^2 with exact bounds.
+    Q(x) = sum_i q_i (x_i + sum_{j>i} u_ij x_j)^2 with exact bounds.  The
+    lattice is positive definite iff every pivot q_i is positive.
     """
     if norm < 0:
         return ()
-    s_plus, s_minus = lattice.signature()
-    if s_minus != 0:
-        raise LatticeError("short-vector enumeration needs a positive definite lattice")
-    if norm == 0:
-        return ((0,) * lattice.rank,)
     n = lattice.rank
     q = [[Fraction(x) for x in row] for row in lattice.gram]
     # Fincke-Pohst preprocessing: afterwards
     #   Q(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2 .
     for i in range(n):
+        if q[i][i] <= 0:
+            raise LatticeError("short-vector enumeration needs a positive definite lattice")
         for j in range(i + 1, n):
             q[j][i] = q[i][j]
             q[i][j] = q[i][j] / q[i][i]
         for k in range(i + 1, n):
             for col in range(k, n):
                 q[k][col] = q[k][col] - q[k][i] * q[i][col]
+    if norm == 0:
+        return ((0,) * n,)
 
     results: list[IntVector] = []
     x = [0] * n

@@ -155,8 +155,13 @@ class IntegerLattice:
     def norm(self, v) -> int | Fraction:
         return self.pairing(v, v)
 
+    def _check_length(self, v) -> None:
+        if len(v) != self.rank:
+            raise LatticeError(f"vector length {len(v)} does not match rank {self.rank}")
+
     def divisibility(self, v: IntVector) -> int:
         """div(v) = gcd of all pairings of v with lattice vectors."""
+        self._check_length(v)
         if not any(v):
             raise LatticeError("divisibility of the zero vector is undefined")
         g = 0
@@ -227,6 +232,7 @@ class Sublattice:
         return IntegerLattice(self.gram())
 
     def contains(self, v: IntVector) -> bool:
+        self.ambient._check_length(v)
         if not self.basis:
             return not any(v)
         cols = transpose(self.basis)
@@ -237,6 +243,7 @@ class Sublattice:
 
         The vector must lie in the Q-span of the sublattice.
         """
+        self.ambient._check_length(v)
         ncols = self.rank
         rows = [[Fraction(self.basis[j][i]) for j in range(ncols)] + [Fraction(v[i])]
                 for i in range(self.ambient.rank)]

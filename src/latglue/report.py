@@ -245,9 +245,12 @@ def verify_orbits_report() -> dict:
     data = printed_tables()
     sym = case_symmetry_group()
     lattice = invariant_lattice_fixed()
+    by_norm = {
+        norm: vectors_of_norm(lattice, norm)
+        for norm in sorted({row["norm"] for row in data["table1"]})
+    }
     cells = []
-    for norm in sorted({row["norm"] for row in data["table1"]}):
-        vectors = vectors_of_norm(lattice, norm)
+    for norm, vectors in by_norm.items():
         computed = orbits(sym, vectors)
         printed_rows = [r for r in data["table1"] if r["norm"] == norm]
         cells.append(
@@ -276,10 +279,7 @@ def verify_orbits_report() -> dict:
                 )
             )
     full = full_isometry_group()
-    merged = {}
-    for norm in sorted({row["norm"] for row in data["table1"]}):
-        vectors = vectors_of_norm(lattice, norm)
-        merged[str(norm)] = len(orbits(full, vectors))
+    merged = {str(norm): len(orbits(full, vectors)) for norm, vectors in by_norm.items()}
     return {
         "command": "verify-table orbits",
         "cells": cells,

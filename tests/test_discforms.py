@@ -116,6 +116,25 @@ def test_lift_sums_the_generator_lifts(pinned):
     assert trivial.lift(trivial.zero()) == (0, 0)
 
 
+def test_element_from_dual_vector_rejects_wrong_lengths(disc):
+    with pytest.raises(GlueError, match="length 5 does not match rank 3"):
+        disc.element_from_dual_vector((Q(1, 3), 0, 0, 0, 0))
+    with pytest.raises(GlueError, match="length 2 does not match rank 3"):
+        disc.element_from_dual_vector((Q(1, 3), 0))
+    with pytest.raises(GlueError, match="not in the dual lattice"):
+        disc.element_from_dual_vector((Q(1, 5), 0, 0))
+
+
+def test_class_lookup_needs_the_quotient_map(disc):
+    # the same group data without ``classes`` cannot look up classes
+    bare = type(disc)(disc.orders, disc.pair_gram, disc.lifts, disc.source)
+    assert bare == disc
+    with pytest.raises(GlueError):
+        bare.element_from_dual_vector(disc.lifts[0])
+    with pytest.raises(GlueError):
+        induced_map(identity(3), bare)
+
+
 def test_existence_walkthrough_dual_classes():
     """The printed generating classes of A_T exist and generate it."""
     group = discriminant_group(IntegerLattice(T_EF_GRAM))
@@ -214,6 +233,14 @@ def test_induced_map_identity_and_negation(pinned):
     for i in range(3):
         gen = pinned.generator(i)
         assert neg.apply(gen) == -gen
+
+
+def test_induced_map_rejects_rational_isometries():
+    # preserves the form of diag(2, 2) over Q but does not map Z^2 to itself
+    rotation = ((Q(3, 5), Q(-4, 5)), (Q(4, 5), Q(3, 5)))
+    group = discriminant_group(IntegerLattice(((2, 0), (0, 2))))
+    with pytest.raises(GlueError, match="not an isometry"):
+        induced_map(rotation, group)
 
 
 def test_induced_map_printed_values(pinned):

@@ -67,8 +67,23 @@ def test_vectors_of_norm_examples(invariant):
 
 
 def test_vectors_of_norm_rejects_indefinite():
-    with pytest.raises(LatticeError):
-        vectors_of_norm(IntegerLattice(((0, 1), (1, 0))), 2)
+    message = "needs a positive definite lattice"
+    hyperbolic = IntegerLattice(((0, 1), (1, 0)))
+    with pytest.raises(LatticeError, match=message):
+        vectors_of_norm(hyperbolic, 2)
+    # negative definite: the first pivot is already negative
+    with pytest.raises(LatticeError, match=message):
+        vectors_of_norm(IntegerLattice(((-2, 1), (1, -2))), 2)
+    # indefinite with a positive first pivot: the second one is -9/2
+    with pytest.raises(LatticeError, match=message):
+        vectors_of_norm(IntegerLattice(((2, 1), (1, -4))), 2)
+    with pytest.raises(LatticeError, match=message):
+        vectors_of_norm(IntegerLattice(((2, 0, 0), (0, 2, 0), (0, 0, -2))), 4)
+    # norm 0 still checks definiteness; a negative norm has no vectors at all
+    with pytest.raises(LatticeError, match=message):
+        vectors_of_norm(hyperbolic, 0)
+    assert vectors_of_norm(hyperbolic, -2) == ()
+    assert vectors_of_norm(IntegerLattice(((2,),)), 0) == ((0,),)
 
 
 def test_vectors_of_norm_against_box_oracle():

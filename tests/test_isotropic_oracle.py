@@ -6,10 +6,14 @@ pairwise orthogonal isotropic generators; the oracle builds every subgroup
 form data) and keeps those on which q vanishes at every element.
 ``preserves_form`` and ``is_anti_isometry`` check the forms on generators
 only, and ``glue_extension_check`` compares two homomorphisms by their
-matrices; the oracles evaluate them on every element.
+matrices; the oracles evaluate them on every element.  Classes of dual
+vectors are read off the Smith form (``DiscriminantGroup.classes``); the
+oracle solves sum_i c_i lift_i = v modulo L as a cleared integer system.
 """
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,13 +24,24 @@ from latglue.discforms import (
     discriminant_group,
     enumerate_isotropic_subgroups,
     glue_extension_check,
+    glue_subgroup,
     induced_map,
     is_anti_isometry,
     preserves_form,
     pullback_form,
     span_elements,
+    with_generators,
 )
-from latglue.exact import det, freeze, identity
+from latglue.exact import (
+    det,
+    frac_inverse,
+    freeze,
+    identity,
+    lcm_denominator,
+    mat_vec,
+    solve_int,
+    transpose,
+)
 from latglue.isometries import orthogonal_group
 from latglue.lattices import IntegerLattice
 from test_properties import all_subgroups
@@ -225,3 +240,115 @@ def test_glue_extension_check_matches_enumeration():
     assert verdicts[0::3] == [True] * 7
     assert verdicts[1::3].count(False) == 1
     assert verdicts[2::3] == [False] * 7
+
+
+def class_by_cleared_solve(group, v):
+    """Class of a dual vector: one integer solution of sum_i c_i lift_i = v mod L.
+
+    Clears denominators and solves [lifts^T | D I] z = D v with ``solve_int``.
+    """
+    if any(Fraction(p).denominator != 1 for p in mat_vec(group.source.gram, v)):
+        raise GlueError("vector is not in the dual lattice")
+    denom = lcm_denominator(list(group.lifts) + [v])
+    n = len(v)
+    cols = [[int(lift[j] * denom) for j in range(n)] for lift in group.lifts]
+    cols += [[denom * (i == j) for i in range(n)] for j in range(n)]
+    sol = solve_int(transpose(cols), tuple(int(x * denom) for x in v))
+    if sol is None:
+        raise GlueError("vector class is not generated by the group generators")
+    return group.element(sol[: group.ngens])
+
+
+def random_dual_vectors(rng, lattice, count):
+    """Random integer combinations of the dual basis (rows of G^-1)."""
+    dual = frac_inverse(lattice.gram)
+    return [
+        tuple(mat_vec(transpose(dual), [rng.randint(-7, 7) for _ in dual]))
+        for _ in range(count)
+    ]
+
+
+def random_rebase(rng, group):
+    """Lifts of a random generating set with the canonical orders.
+
+    Generator j goes to a unit multiple of itself plus multiples of the other
+    generators that keep its order d_j (an invertible change of generators),
+    and each lift is moved by a random lattice vector.
+    """
+    orders, k = group.orders, group.ngens
+    coeffs = [list(row) for row in identity(k)]
+    for _ in range(3 * k):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i == j:
+            unit = rng.choice([u for u in range(1, orders[j]) if gcd(u, orders[j]) == 1])
+            coeffs[j] = [unit * c for c in coeffs[j]]
+        else:  # generator j += c * (what keeps order d_j) * generator i
+            step = rng.randint(1, 5) * max(1, orders[i] // orders[j])
+            coeffs[j] = [a + step * b for a, b in zip(coeffs[j], coeffs[i])]
+    n = group.source.rank
+    return [
+        tuple(
+            sum(c * group.lifts[i][col] for i, c in enumerate(row)) + rng.randint(-2, 2)
+            for col in range(n)
+        )
+        for row in coeffs
+    ]
+
+
+@pytest.fixture(scope="module")
+def rebased(groups):
+    """Each nontrivial group rebased onto three random generating sets."""
+    rng = random.Random(304)
+    out = []
+    for lattice, group in groups:
+        if group.order() > 1:
+            out += [(lattice, with_generators(group, random_rebase(rng, group))) for _ in range(3)]
+    return out
+
+
+def test_class_map_matches_cleared_solve(groups, rebased):
+    rng = random.Random(305)
+    indefinite = changed = checked = 0
+    for lattice, group in groups + rebased:
+        indefinite += lattice.signature()[1] > 0
+        changed += group.lifts != discriminant_group(lattice).lifts
+        vectors = random_dual_vectors(rng, lattice, 12) + list(group.lifts)
+        for v in vectors:
+            assert group.element_from_dual_vector(v) == class_by_cleared_solve(group, v)
+            checked += 1
+        with pytest.raises(GlueError, match="not in the dual lattice"):
+            group.element_from_dual_vector((Fraction(1, 2 * lattice.determinant()),) * lattice.rank)
+    assert len(groups) >= 30 and indefinite >= 10
+    assert changed >= 60 and checked >= 1000
+
+
+def test_induced_map_and_glue_subgroup_match_cleared_solve(groups, rebased):
+    from latglue.isometries import orthogonal_group
+
+    rng = random.Random(306)
+    glued = 0
+    for lattice, group in groups + rebased:
+        n = lattice.rank
+        isometries = [identity(n), tuple(tuple(-x for x in row) for row in identity(n))]
+        if lattice.signature()[1] == 0 and n <= 3:
+            isometries += [g.matrix for g in orthogonal_group(lattice).elements]
+        for matrix in isometries:
+            cols = [class_by_cleared_solve(group, mat_vec(matrix, lift)).coeffs
+                    for lift in group.lifts]
+            assert induced_map(matrix, group).matrix == freeze(transpose(cols))
+    for lattice, _group in groups:
+        n = lattice.rank
+        for _ in range(3):
+            basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            if not 0 < abs(det(basis)) <= 3:
+                continue
+            sub = lattice.span(basis)
+            glue = glue_subgroup(sub)
+            gens = [
+                class_by_cleared_solve(glue.parent, sub.coordinates_of(e))
+                for e in identity(n)
+            ]
+            assert glue.element_coeffs() == span_elements(glue.parent, gens)
+            assert glue.order() == abs(det(basis))
+            glued += 1
+    assert glued >= 20

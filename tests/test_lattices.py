@@ -91,6 +91,30 @@ def test_pairing_rejects_wrong_lengths(invariant):
         invariant.norm((1, 0))
     with pytest.raises(LatticeError, match="lengths 3, 2 do not match rank 3"):
         invariant.pairing(E, (1, 0))
+    # unchecked, divisibility((1, 0)) returned 3 and contains((1, 0)) True
+    with pytest.raises(LatticeError, match="length 2 does not match rank 3"):
+        invariant.divisibility((1, 0))
+    with pytest.raises(LatticeError, match="length 2 does not match rank 3"):
+        invariant.divisibility((0, 0))
+    with pytest.raises(LatticeError, match="length 2 does not match rank 3"):
+        invariant.span((E,)).contains((1, 0))
+    with pytest.raises(LatticeError, match="length 2 does not match rank 3"):
+        invariant.span(()).contains((0, 0))
+    with pytest.raises(LatticeError, match="length 4 does not match rank 3"):
+        invariant.span((E,)).contains((1, 0, 0, 0))
+    with pytest.raises(LatticeError, match="length 2 does not match rank 3"):
+        invariant.full().coordinates_of((1, 0))
+    with pytest.raises(LatticeError, match="length 5 does not match rank 3"):
+        invariant.full().coordinates_of((1, 0, 0, 0, 0))
+
+
+def test_module_doctest():
+    import doctest
+
+    import latglue.lattices
+
+    result = doctest.testmod(latglue.lattices)
+    assert result.failed == 0 and result.attempted >= 5
 
 
 def pairing_by_fractions(lattice, v, w):
