@@ -64,11 +64,74 @@ from .isometries import (
 from .lattices import IntegerLattice, LatticeError, Sublattice
 
 
+_VEC3 = (int, int, int)
+_MAT3 = (_VEC3, _VEC3, _VEC3)
+_FRAC3 = (Fraction, Fraction, Fraction)
+# Shape of the golden data: a dict lists required keys, a tuple is a list of
+# exactly that many entries, a one-entry list is a list of any length,
+# Fraction is a string Fraction() parses, and object is anything.
+GOLDEN_SHAPE = {
+    "invariant_gram": _MAT3,
+    "basis_names": (str, str, str),
+    "symplectic_group_order": int,
+    "printed_isometry_group_order": int,
+    "printed_order_bound": int,
+    "printed_admissible_m": [int],
+    "isometry_generators_row_convention": {"rho1": _MAT3, "rho2": _MAT3, "rho3": _MAT3},
+    "dual_generator_lifts": (_FRAC3, _FRAC3, _FRAC3),
+    "coinvariant_discriminant_orders": _VEC3,
+    "table1": [{"norm": int, "representative": _VEC3, "name": str, "members": [_VEC3]}],
+    "table2": [{
+        "label": str, "m": int, "L": _VEC3, "name": str, "t_generators": (_VEC3, _VEC3),
+        "phi": _MAT3, "order": int, "gamma": _MAT3, "psi_bar": _MAT3, "divisibility": int,
+        "t_gram": ((int, int), (int, int)),
+    }],
+    "claimed_glue_lift": _FRAC3,
+    "allowlist": [{"id": str, "table": str, "row": int, "cell": str,
+                   "printed": object, "computed": object, "note": str}],
+    "notes": [str],
+}
+
+
+def check_shape(value, shape, where: str = "golden data") -> None:
+    """Raise GlueError naming the first place where ``value`` does not fit ``shape``."""
+    if shape is object:
+        return
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise GlueError(f"{where} is not an object")
+        for key, sub in shape.items():
+            if key not in value:
+                raise GlueError(f"{where} has no {key!r}")
+            check_shape(value[key], sub, f"{where}.{key}")
+    elif isinstance(shape, (list, tuple)):
+        if not isinstance(value, list) or isinstance(shape, tuple) and len(value) != len(shape):
+            size = f" of {len(shape)}" if isinstance(shape, tuple) else ""
+            raise GlueError(f"{where} is not a list{size}")
+        for i, entry in enumerate(value):
+            check_shape(entry, shape[i] if isinstance(shape, tuple) else shape[0], f"{where}[{i}]")
+    elif shape is Fraction:
+        try:
+            Fraction(value if isinstance(value, str) else None)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise GlueError(f"{where} is not a fraction string") from None
+    elif not isinstance(value, shape) or isinstance(value, bool):
+        raise GlueError(f"{where} is not of type {shape.__name__}")
+
+
 @lru_cache(maxsize=1)
 def printed_tables() -> dict:
-    """The shipped transcription of the printed reference tables (golden data)."""
+    """The shipped transcription of the printed reference tables (golden data).
+
+    Raises GlueError if the file is not JSON or does not fit GOLDEN_SHAPE.
+    """
     text = resources.files("latglue").joinpath("data/printed_tables.json").read_text("utf-8")
-    return json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GlueError(f"golden data is not valid JSON: {exc}") from None
+    check_shape(data, GOLDEN_SHAPE)
+    return data
 
 
 def _parse_frac_vector(strings) -> tuple[Fraction, ...]:

@@ -414,6 +414,8 @@ class FiniteAbelianMap:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if any(int(x) != x for row in self.matrix for x in row):
+            raise GlueError("map matrix entries must be integers")
         reduced = freeze(
             tuple(int(x) % self.codomain.orders[i] for x in row)
             for i, row in enumerate(self.matrix)

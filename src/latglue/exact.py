@@ -37,11 +37,11 @@ def transpose(a):
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def bilinear(v, gram, w):
@@ -112,14 +112,6 @@ def frac_inverse(a) -> FracMatrix:
     if len(row_reduce(m, n)[0]) < n:
         raise ZeroDivisionError("matrix is singular")
     return freeze(row[n:] for row in m)
-
-
-def int_inverse(a) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, as ints."""
-    inv = frac_inverse(a)
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ValueError("matrix is not unimodular")
-    return freeze(tuple(int(x) for x in row) for row in inv)
 
 
 def hnf(a) -> tuple[IntMatrix, IntMatrix]:

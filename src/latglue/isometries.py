@@ -1,9 +1,18 @@
 """Orthogonal groups of small definite lattices, orbits, fixed lattices.
 
+Short vectors come from an all-integer Fincke-Pohst enumeration (Fincke &
+Pohst 1985; Cohen, *A Course in Computational Algebraic Number Theory*,
+2.7).  One set-up per lattice sorts the basis by ascending diagonal and
+runs a fraction-free (Bareiss) LDL^T, so that M*Q(x) = sum_i c_i * t_i^2
+with integers M, c_i and t_i = sum_{j>=i} u_ij * x_j.  The descent then
+uses ``isqrt`` and floor division only, solves its last level in closed
+form, and is refused up front (``NODE_GUARD``) when its node bound is too
+large.
+
 The orthogonal group of a positive definite lattice is enumerated by
 matching basis vectors to candidate images of the right norm and pairwise
-pairings (all short-vector lists are computed exactly).  This is only
-meant for the small ranks the toolkit works at and is guarded accordingly.
+pairings.  This is only meant for the small ranks the toolkit works at and
+is guarded accordingly.  Orbits are read off the group in one pass.
 
 Matrices act on column coordinate vectors; the columns of an isometry
 matrix are the images of the basis vectors.
@@ -11,28 +20,30 @@ matrix are the images of the basis vectors.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import ceil, floor
+from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 from .exact import (
     IntMatrix,
     IntVector,
-    floor_sqrt_frac,
-    frac_inverse,
     freeze,
     gram_of_rows,
     identity,
     mat_mul,
     mat_vec,
     transpose,
+    vec_content,
 )
 from .lattices import IntegerLattice, LatticeError, Sublattice, closure
 
 RANK_GUARD = 4
 CANDIDATE_GUARD = 10_000
+# Largest node bound a short-vector enumeration may start with: the bound
+# counts level-1 nodes (each finishes level 0 in closed form), from the dual
+# basis lengths; a larger one is refused with LatticeError instead of run.
+NODE_GUARD = 1_000_000
 
 
 def is_isometry_matrix(lattice: IntegerLattice, matrix) -> bool:
@@ -79,71 +90,128 @@ class Isometry:
         return Isometry(self.lattice, inv)
 
 
+def _bareiss_rows(gram, task: str = "short-vector enumeration") -> list[list[int]]:
+    """Fraction-free (Bareiss) LDL^T of a symmetric integer matrix.
+
+    Row k is row k of the matrix after k elimination steps, from the
+    diagonal on; its first entry D_{k+1} is the leading principal minor of
+    size k + 1, and Q(x) = sum_k t_k^2 / (D_k * D_{k+1}) with D_0 = 1 and
+    t_k = sum_{j>=k} row_k[j - k] * x_j.  Raises LatticeError ("<task> needs
+    a positive definite lattice") at the first pivot <= 0, i.e. unless the
+    form is positive definite.
+    """
+    n = len(gram)
+    a = [list(row) for row in gram]
+    rows = []
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            raise LatticeError(f"{task} needs a positive definite lattice")
+        rows.append(a[k][k:])
+        for i in range(k + 1, n):
+            for j in range(i, n):
+                a[i][j] = (pivot * a[i][j] - a[k][i] * a[k][j]) // prev
+        prev = pivot
+    return rows
+
+
+class _ShortVectors:
+    """Integer Fincke-Pohst enumeration for one positive definite lattice.
+
+    The set-up runs once: the basis is sorted by ascending diagonal (so the
+    outer levels take the long basis vectors), and the Bareiss rows, divided
+    by their contents, give M*Q(x) = sum_i c_i * t_i^2 with integers M, c_i
+    and t_i = d_i * x_i + sum_{j>i} u_ij * x_j (``pivots`` d_i, ``tails``
+    u_ij, ``coeffs`` c_i, ``scale`` M).  After that ``vectors`` works in
+    ints only: ``isqrt`` and floor division per level, a closed-form last
+    level.
+    """
+
+    def __init__(self, lattice: IntegerLattice):
+        gram = lattice.gram
+        n = lattice.rank
+        order = sorted(range(n), key=lambda i: gram[i][i])
+        # slot[i]: the position of original basis vector i in the sorted basis
+        self.slot = sorted(range(n), key=order.__getitem__)
+        g = [[gram[i][j] for j in order] for i in order]
+        raw = _bareiss_rows(g)
+        minors = [1] + [row[0] for row in raw]
+        self.pivots, self.tails, nums, dens = [], [], [], []
+        for k, row in enumerate(raw):
+            content = vec_content(row)
+            self.pivots.append(row[0] // content)
+            self.tails.append([x // content for x in row[1:]])
+            num, den = content * content, minors[k] * minors[k + 1]
+            common = gcd(num, den)
+            nums.append(num // common)
+            dens.append(den // common)
+        self.scale = lcm(*dens)
+        self.coeffs = [num * (self.scale // den) for num, den in zip(nums, dens)]
+        self.det = minors[-1]
+        # adj(G)_jj for the levels j >= 1, i.e. the determinants of the minors
+        self.cofactors = [
+            _bareiss_rows([[x for c, x in enumerate(row) if c != j]
+                           for r, row in enumerate(g) if r != j])[-1][0]
+            for j in range(1, n)
+        ]
+
+    def node_bound(self, norm: int) -> int:
+        """Level-1 nodes of ``vectors(norm)``: prod_{j>=1} (2*isqrt(norm*adj_jj // det) + 1)."""
+        return prod(2 * isqrt(norm * c // self.det) + 1 for c in self.cofactors)
+
+    def vectors(self, norm: int) -> tuple[IntVector, ...]:
+        """All vectors of the given norm >= 0, sorted, in the lattice's own basis."""
+        n = len(self.slot)
+        if norm == 0:
+            return ((0,) * n,)
+        bound = self.node_bound(norm)
+        if bound > NODE_GUARD:
+            raise LatticeError(
+                f"short-vector enumeration of norm {norm} may visit {bound} nodes "
+                f"(limit {NODE_GUARD})"
+            )
+        pivots, tails, coeffs = self.pivots, self.tails, self.coeffs
+        y = [0] * n
+        found: list[IntVector] = []
+
+        def descend(i: int, rem: int):
+            d, c = pivots[i], coeffs[i]
+            shift = sum(map(mul, tails[i], y[i + 1:]))
+            if i == 0:
+                # c*t^2 == rem with t = d*y_0 + shift, solved in closed form
+                if rem % c:
+                    return
+                t = isqrt(rem // c)
+                if t * t * c != rem:
+                    return
+                for root in {t, -t}:
+                    if (root - shift) % d == 0:
+                        y[0] = (root - shift) // d
+                        found.append(tuple(y))
+                return
+            t = isqrt(rem // c)
+            for yi in range(-((t + shift) // d), (t - shift) // d + 1):
+                y[i] = yi
+                u = d * yi + shift
+                descend(i - 1, rem - c * u * u)
+            y[i] = 0
+
+        descend(n - 1, self.scale * norm)
+        return tuple(sorted(tuple(v[k] for k in self.slot) for v in found))
+
+
 def vectors_of_norm(lattice: IntegerLattice, norm: int) -> tuple[IntVector, ...]:
     """All lattice vectors of the exact given norm, lexicographically sorted.
 
-    Fincke-Pohst style enumeration from the rational Cholesky decomposition
-    Q(x) = sum_i q_i (x_i + sum_{j>i} u_ij x_j)^2 with exact bounds.  The
-    lattice is positive definite iff every pivot q_i is positive.
+    A negative norm has no vectors; otherwise the lattice must be positive
+    definite (a Bareiss pivot <= 0 raises LatticeError), and an enumeration
+    whose node bound exceeds NODE_GUARD raises LatticeError instead of
+    running.
     """
     if norm < 0:
         return ()
-    n = lattice.rank
-    q = [[Fraction(x) for x in row] for row in lattice.gram]
-    # Fincke-Pohst preprocessing: afterwards
-    #   Q(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2 .
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise LatticeError("short-vector enumeration needs a positive definite lattice")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for col in range(k, n):
-                q[k][col] = q[k][col] - q[k][i] * q[i][col]
-    if norm == 0:
-        return ((0,) * n,)
-
-    results: list[IntVector] = []
-    x = [0] * n
-
-    def descend(i: int, remaining: Fraction):
-        shift = sum((q[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        bound = floor_sqrt_frac(remaining / q[i][i])
-        lo = ceil(-bound - 1 - shift)
-        hi = floor(bound + 1 - shift)
-        for xi in range(lo, hi + 1):
-            value = q[i][i] * (xi + shift) * (xi + shift)
-            if value > remaining:
-                continue
-            x[i] = xi
-            if i == 0:
-                if value == remaining:
-                    results.append(tuple(x))
-            else:
-                descend(i - 1, remaining - value)
-        x[i] = 0
-
-    descend(n - 1, Fraction(norm))
-    return tuple(sorted(results))
-
-
-def vectors_of_norm_boxed(lattice: IntegerLattice, norm: int) -> tuple[IntVector, ...]:
-    """Independent oracle: full scan of the dual-bound coordinate box."""
-    if norm < 0:
-        return ()
-    s_plus, s_minus = lattice.signature()
-    if s_minus != 0:
-        raise LatticeError("short-vector enumeration needs a positive definite lattice")
-    if norm == 0:
-        return ((0,) * lattice.rank,)
-    inv = frac_inverse(lattice.gram)
-    bounds = [floor_sqrt_frac(norm * inv[i][i]) for i in range(lattice.rank)]
-    hits = []
-    for v in itertools.product(*(range(-b, b + 1) for b in bounds)):
-        if lattice.norm(v) == norm:
-            hits.append(v)
-    return tuple(sorted(hits))
+    return _ShortVectors(lattice).vectors(norm)
 
 
 @dataclass(frozen=True)
@@ -171,6 +239,11 @@ class IsometryGroup:
         return any(g.order == k for g in self.elements)
 
     def subgroup_where(self, predicate) -> "IsometryGroup":
+        """The elements satisfying ``predicate``, which must cut out a subgroup.
+
+        Nothing checks closure here, but ``orbits`` reads an orbit off the
+        elements in one pass and is only right when they form a group.
+        """
         kept = tuple(g for g in self.elements if predicate(g))
         return IsometryGroup(self.lattice, kept)
 
@@ -179,32 +252,36 @@ def _isometries(a: IntegerLattice, b: IntegerLattice):
     """Every matrix M with M^T * gram_a * M = gram_b, in backtracking order.
 
     Column i of M is an a-vector of norm b.gram[i][i]; a candidate is kept
-    only if it pairs with the columns chosen before as b's basis does.
+    only if it pairs with the columns chosen before as b's basis does.  One
+    short-vector set-up serves every distinct norm, and each candidate
+    carries gram_a * v, so a pairing test is one dot product.
     """
     n = b.rank
-    candidates = []
-    for i in range(n):
-        cands = vectors_of_norm(a, b.gram[i][i])
+    short = _ShortVectors(a)
+    by_norm = {}
+    for norm in sorted({b.gram[i][i] for i in range(n)}):
+        cands = short.vectors(norm)
         if len(cands) > CANDIDATE_GUARD:
             raise LatticeError("too many candidate images for basis vectors")
-        candidates.append(cands)
+        by_norm[norm] = [(v, mat_vec(a.gram, v)) for v in cands]
+    candidates = [by_norm[b.gram[i][i]] for i in range(n)]
     images: list[IntVector] = []
+    paired: list[IntVector] = []
 
     def backtrack(i: int):
         if i == n:
             yield transpose(images)
             return
-        for v in candidates[i]:
-            if all(a.pairing(v, images[j]) == b.gram[i][j] for j in range(i)):
+        target = b.gram[i]
+        for v, gv in candidates[i]:
+            if all(sum(map(mul, gw, v)) == target[j] for j, gw in enumerate(paired)):
                 images.append(v)
+                paired.append(gv)
                 yield from backtrack(i + 1)
                 images.pop()
+                paired.pop()
 
-    for matrix in backtrack(0):
-        # The pairing filter already forces the full Gram identity; keep the
-        # explicit check as a safety net for degenerate candidate sets.
-        if gram_of_rows(transpose(matrix), a.gram) == b.gram:
-            yield matrix
+    yield from backtrack(0)
 
 
 def orthogonal_group(lattice: IntegerLattice) -> IsometryGroup:
@@ -212,8 +289,7 @@ def orthogonal_group(lattice: IntegerLattice) -> IsometryGroup:
     n = lattice.rank
     if n > RANK_GUARD:
         raise LatticeError(f"orthogonal group enumeration is guarded to rank <= {RANK_GUARD}")
-    if lattice.signature() != (n, 0):
-        raise LatticeError("group enumeration needs a positive definite lattice")
+    _bareiss_rows(lattice.gram, "group enumeration")
     elements = tuple(Isometry(lattice, m) for m in sorted(_isometries(lattice, lattice)))
     return IsometryGroup(lattice, elements)
 
@@ -231,7 +307,12 @@ def isometry_between(a: IntegerLattice, b: IntegerLattice):
         return None
     if sa[1] != 0:
         raise LatticeError("isometry testing needs positive definite lattices")
-    return next(_isometries(a, b), None)
+    matrix = next(_isometries(a, b), None)
+    # The pairing filter already forces the full Gram identity (orthogonal_group
+    # checks it again in Isometry); keep the explicit check as a safety net.
+    if matrix is not None and gram_of_rows(transpose(matrix), a.gram) != b.gram:
+        raise LatticeError("internal inconsistency: backtracking returned a non-isometry")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -247,6 +328,8 @@ class Orbit:
 def orbits(group: IsometryGroup, vectors) -> tuple[Orbit, ...]:
     """Partition vectors into group orbits.
 
+    ``group.elements`` is a group, so the orbit of v is {g(v) : g in G}:
+    one pass over the elements per orbit, from the smallest vector left.
     Each orbit is closed under the group even if the input was not; the
     representative is the lexicographically smallest member and orbits are
     sorted by representative.
@@ -254,7 +337,10 @@ def orbits(group: IsometryGroup, vectors) -> tuple[Orbit, ...]:
     remaining = set(tuple(v) for v in vectors)
     result = []
     while remaining:
-        orbit = closure([min(remaining)], group.elements, lambda v, g: g.apply(v))
+        start = min(remaining)
+        orbit = {g.apply(start) for g in group.elements}
+        if start not in orbit:
+            raise LatticeError("orbits need a group: its elements miss the identity")
         members = tuple(sorted(orbit))
         result.append(Orbit(members[0], members))
         remaining -= orbit

@@ -262,9 +262,6 @@ class Sublattice:
             return self
         return Sublattice(self.ambient, saturate_rows(self.basis))
 
-    def is_primitive(self) -> bool:
-        return self.saturation().basis == hnf(self.basis)[0][: self.rank]
-
     def orthogonal_complement(self) -> "Sublattice":
         """Primitive sublattice of all ambient vectors pairing to 0 with this one.
 

@@ -1,10 +1,14 @@
+import json
+
 import pytest
 
 from latglue.classify import (
+    GOLDEN_SHAPE,
     admissible_n,
     admissible_orders,
     ambient_divisibility,
     case_symmetry_group,
+    check_shape,
     classify,
     coinvariant_form,
     full_isometry_group,
@@ -17,7 +21,7 @@ from latglue.classify import (
     totient,
     vector_name,
 )
-from latglue.discforms import forms_isometric, is_anti_isometry
+from latglue.discforms import GlueError, forms_isometric, is_anti_isometry
 from latglue.exact import freeze, mat_mul, transpose
 from latglue.isometries import matrix_order
 from latglue.lattices import LatticeError
@@ -278,3 +282,21 @@ def test_hexagonal_form_never_represents_two():
 
     for v in vectors_of_norm(invariant_lattice_fixed(), 18):
         assert v[2] == 0
+
+
+def test_golden_shape_check_names_the_bad_field():
+    check_shape(printed_tables(), GOLDEN_SHAPE)
+    corruptions = (
+        (lambda d: d["table2"][3]["gamma"].__setitem__(2, [1, 2]),
+         r"golden data\.table2\[3\]\.gamma\[2\] is not a list of 3"),
+        (lambda d: d["table1"][0].pop("members"), r"table1\[0\] has no 'members'"),
+        (lambda d: d["dual_generator_lifts"][1].__setitem__(0, "1/0"),
+         r"dual_generator_lifts\[1\]\[0\] is not a fraction string"),
+        (lambda d: d.__setitem__("notes", "one note"), r"notes is not a list"),
+        (lambda d: d.__setitem__("printed_order_bound", True), r"is not of type int"),
+    )
+    for corrupt, message in corruptions:
+        data = json.loads(json.dumps(printed_tables()))
+        corrupt(data)
+        with pytest.raises(GlueError, match=message):
+            check_shape(data, GOLDEN_SHAPE)

@@ -1,7 +1,15 @@
 import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import latglue
 from latglue.cli import main
 from latglue.report import (
     classify_markdown,
@@ -232,3 +240,93 @@ def test_classify_report_excluded_reasons():
     reasons = {e["name"]: e["reason"] for e in report["excluded"]}
     assert reasons["3h"] == "not primitive"
     assert report["assumptions"]
+
+
+# -- adversarial inputs, each run as a fresh CLI process ----------------------
+
+CASE_BUDGET_S = 10.0
+
+
+def cli_process(argv, package_root):
+    """Run ``python -m latglue.cli`` once (one child at a time) and time it."""
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "latglue.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=CASE_BUDGET_S,
+    )
+    return proc, time.perf_counter() - start
+
+
+def adversarial_grams(rng):
+    """Seeded malformed, indefinite, degenerate and huge-entry Gram inputs."""
+    valid = "[[6,3,0],[3,6,0],[0,0,6]]"
+    cut = rng.randrange(1, len(valid) - 1)
+    pos = rng.randrange(len(valid))
+    yield valid[:cut]
+    yield valid[:pos] + rng.choice("x]{,.e") + valid[pos:]
+    yield rng.choice(["[]", "{}", "null", '"gram"', "[[1,2],[3]]", '{"gram": 5}', "[[2.5]]"])
+    a, b = rng.randint(1, 9), rng.randint(1, 9)
+    yield json.dumps([[2 * a, 0], [0, -2 * b]])
+    yield json.dumps([[-2 * a, 1], [1, -2 * b - 2]])
+    v = [rng.randint(-3, 3) or 1 for _ in range(3)]
+    yield json.dumps([[x * y for y in v] for x in v])
+    big = 10**21
+    yield json.dumps([[big, 1], [1, 2]])
+    yield json.dumps([[big, big - 1], [big - 1, big]])
+
+
+def corrupt_golden(rng, text, kind):
+    """A seeded corruption of the golden JSON: truncated, a number changed or a key dropped."""
+    if kind == "truncate":
+        return text[: rng.randrange(1, len(text))]
+    data = json.loads(text)
+    row = rng.choice(data["table2"])
+    if kind == "number":
+        cell = rng.choice(["phi", "gamma", "psi_bar"])
+        row[cell][rng.randrange(3)][rng.randrange(3)] = rng.randint(-9, 9)
+    else:
+        del row[rng.choice(sorted(row))]
+    return json.dumps(data)
+
+
+def assert_clean_exit(proc, elapsed, argv):
+    assert proc.returncode in (0, 1, 2), (argv, proc.returncode, proc.stderr)
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+    assert elapsed < CASE_BUDGET_S, (argv, elapsed)
+    if proc.returncode == 2:
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, (argv, proc.stderr)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_adversarial_inputs_exit_cleanly(seed, tmp_path):
+    rng = random.Random(seed)
+    package = Path(latglue.__file__).resolve().parent
+    exits = []
+    for gram in adversarial_grams(rng):
+        for argv in (["lattice-info", "--gram", gram], ["orbits", "--norm", "2", "--gram", gram]):
+            proc, elapsed = cli_process(argv, package.parent)
+            assert_clean_exit(proc, elapsed, argv)
+            exits.append(proc.returncode)
+    assert 0 in exits and 2 in exits
+
+    copy = tmp_path / "latglue"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    golden = copy / "data" / "printed_tables.json"
+    pristine = golden.read_text("utf-8")
+    for kind in ("truncate", "number", "drop"):
+        golden.write_text(corrupt_golden(rng, pristine, kind), "utf-8")
+        argv = ["verify-table", "cases"]
+        proc, elapsed = cli_process(argv, tmp_path)
+        assert_clean_exit(proc, elapsed, argv + [kind])
+
+
+def test_huge_entries_answer_or_refuse():
+    package_root = Path(latglue.__file__).resolve().parent.parent
+    big = 10**21
+    proc, _ = cli_process(["lattice-info", "--gram", json.dumps([[big, 1], [1, 2]])], package_root)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["isometry_group_order"] == 4
+    level = json.dumps([[big, big - 1], [big - 1, big]])
+    proc, _ = cli_process(["lattice-info", "--gram", level], package_root)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "nodes (limit 1000000)" in proc.stderr

@@ -7,6 +7,7 @@ from latglue.discforms import (
     FiniteAbelianMap,
     GlueError,
     IsotropicSubgroup,
+    bare_group,
     discriminant_group,
     enumerate_isotropic_subgroups,
     extend_to_overlattice,
@@ -104,6 +105,14 @@ def test_forms_reject_elements_of_another_group():
         group.b(stranger, group.generator(0))
     with pytest.raises(GlueError):
         group.b(group.generator(0), stranger)
+
+
+def test_map_rejects_non_integral_entries():
+    z4 = bare_group((4,))
+    with pytest.raises(GlueError, match="must be integers"):
+        FiniteAbelianMap(z4, z4, ((Q(5, 2),),))
+    # integral Fractions are reduced like ints
+    assert FiniteAbelianMap(z4, z4, ((Q(10, 2),),)).matrix == ((1,),)
 
 
 def test_lift_sums_the_generator_lifts(pinned):

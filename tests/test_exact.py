@@ -10,7 +10,6 @@ from latglue.exact import (
     frac_inverse,
     hnf,
     identity,
-    int_inverse,
     mat_mul,
     mat_vec,
     right_kernel,
@@ -134,11 +133,6 @@ def test_saturation_of_rows():
     assert sat == ((1, 0, 0),)
     sat = saturate_rows(((2, 2, 0), (0, 0, 3)))
     assert sat == ((1, 1, 0), (0, 0, 1))
-
-
-def test_int_inverse_unimodular():
-    u = ((1, 2), (0, 1))
-    assert mat_mul(u, int_inverse(u)) == identity(2)
 
 
 def test_floor_sqrt_frac():

@@ -1,10 +1,24 @@
+import itertools
 import random
+from math import gcd, prod
 
 import pytest
 
-from latglue.exact import identity, mat_mul, transpose
+from latglue import isometries
+from latglue.classify import case_symmetry_group
+from latglue.exact import (
+    IntVector,
+    floor_sqrt_frac,
+    frac_inverse,
+    gram_of_rows,
+    identity,
+    mat_mul,
+    transpose,
+)
 from latglue.isometries import (
     Isometry,
+    IsometryGroup,
+    Orbit,
     admits_order3,
     coinvariant_lattice,
     invariant_lattice,
@@ -16,9 +30,8 @@ from latglue.isometries import (
     reduced_binary_form,
     torsion_exponent_check,
     vectors_of_norm,
-    vectors_of_norm_boxed,
 )
-from latglue.lattices import IntegerLattice, LatticeError
+from latglue.lattices import IntegerLattice, LatticeError, closure
 
 S_GRAM = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
 
@@ -47,6 +60,24 @@ def random_definite_lattice(rng, max_rank=3):
             continue
         if lattice.signature()[1] == 0:
             return lattice
+
+
+def vectors_of_norm_boxed(lattice: IntegerLattice, norm: int) -> tuple[IntVector, ...]:
+    """Independent oracle: full scan of the dual-bound coordinate box."""
+    if norm < 0:
+        return ()
+    s_plus, s_minus = lattice.signature()
+    if s_minus != 0:
+        raise LatticeError("short-vector enumeration needs a positive definite lattice")
+    if norm == 0:
+        return ((0,) * lattice.rank,)
+    inv = frac_inverse(lattice.gram)
+    bounds = [floor_sqrt_frac(norm * inv[i][i]) for i in range(lattice.rank)]
+    hits = []
+    for v in itertools.product(*(range(-b, b + 1) for b in bounds)):
+        if lattice.norm(v) == norm:
+            hits.append(v)
+    return tuple(sorted(hits))
 
 
 def test_vectors_of_norm_examples(invariant):
@@ -86,12 +117,79 @@ def test_vectors_of_norm_rejects_indefinite():
     assert vectors_of_norm(IntegerLattice(((2,),)), 0) == ((0,),)
 
 
+def sheared(rng, lattice):
+    """The same lattice on a basis changed by up to three shears b_i += k*b_j."""
+    n = lattice.rank
+    basis = [list(row) for row in identity(n)]
+    for _ in range(rng.randint(0, 3) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        basis[i] = [a + k * b for a, b in zip(basis[i], basis[j])]
+    return IntegerLattice(gram_of_rows(basis, lattice.gram))
+
+
+def box_size(lattice, norm):
+    """Points the oracle scans; capped in the test so its full scan stays cheap."""
+    inv = frac_inverse(lattice.gram)
+    return prod(2 * floor_sqrt_frac(norm * inv[i][i]) + 1 for i in range(lattice.rank))
+
+
+# Bareiss rows with content > 1 ((4, 2), (6, 3, 0), (9, -3, 6), ...), pivots
+# d_i > 1 after dividing by the content, and negative off-diagonals, so the
+# floor/ceil ends of each level and the closed-form last level are exercised.
+EDGE_GRAMS = (
+    ((4, 2), (2, 4)),
+    ((4, 2), (2, 5)),
+    ((4, -2), (-2, 7)),
+    ((6, -3), (-3, 6)),
+    S_GRAM,
+    ((9, -3, 6), (-3, 9, -3), (6, -3, 12)),
+    ((6, 4, -2), (4, 6, 2), (-2, 2, 8)),
+    ((4, 2, 2, -2), (2, 4, 1, -1), (2, 1, 5, 0), (-2, -1, 0, 6)),
+    ((3,),),
+)
+
+
 def test_vectors_of_norm_against_box_oracle():
+    assert all(gcd(*gram[0]) > 1 for gram in EDGE_GRAMS[:-1])
+    cases = [(IntegerLattice(g), norm) for g in EDGE_GRAMS for norm in range(0, 61, 3)]
     rng = random.Random(17)
-    for _ in range(150):
-        lattice = random_definite_lattice(rng)
-        norm = rng.randint(0, 24)
-        assert vectors_of_norm(lattice, norm) == vectors_of_norm_boxed(lattice, norm)
+    while len(cases) < 600:
+        lattice = sheared(rng, random_definite_lattice(rng, max_rank=4))
+        norm = rng.randint(0, 60)
+        if box_size(lattice, norm) <= 6000:
+            cases.append((lattice, norm))
+    assert {lattice.rank for lattice, _ in cases} == {1, 2, 3, 4}
+    hits = 0
+    for lattice, norm in cases:
+        found = vectors_of_norm(lattice, norm)
+        assert found == vectors_of_norm_boxed(lattice, norm), (lattice.gram, norm)
+        hits += len(found) > 1
+    assert hits > 150
+
+
+def sum_of_four_squares_count(n):
+    """Vectors x in Z^4 with x.x = n: Jacobi's 8 * (sum of the divisors d of n with 4 not | d)."""
+    return 8 * sum(d for d in range(1, n + 1) if n % d == 0 and d % 4)
+
+
+def test_node_guard(monkeypatch):
+    big = 10**21
+    # the long basis vector is enumerated first (outer level): 4 vectors at once
+    lopsided = IntegerLattice(((big, 1), (1, 2)))
+    assert vectors_of_norm(lopsided, big) == ((-1, 0), (-1, 1), (1, -1), (1, 0))
+    assert orthogonal_group(lopsided).order() == 4
+    # equal diagonals: sorting cannot help, and the bound refuses the search
+    level = IntegerLattice(((big, big - 1), (big - 1, big)))
+    with pytest.raises(LatticeError, match=r"may visit \d+ nodes \(limit 1000000\)"):
+        vectors_of_norm(level, big)
+    # the bound for 2*I_4 at norm 200 is (2*isqrt(200*8 // 16) + 1)**3 = 9261
+    two_i4 = IntegerLattice(tuple(tuple(2 * int(i == j) for j in range(4)) for i in range(4)))
+    monkeypatch.setattr(isometries, "NODE_GUARD", 9260)
+    with pytest.raises(LatticeError, match="may visit 9261 nodes"):
+        vectors_of_norm(two_i4, 200)
+    monkeypatch.setattr(isometries, "NODE_GUARD", 9261)
+    assert len(vectors_of_norm(two_i4, 200)) == sum_of_four_squares_count(100)
 
 
 def test_orthogonal_group_order(invariant, full_group):
@@ -143,6 +241,41 @@ def test_full_group_orbits_merge_printed_rows(invariant, full_group):
     assert sorted(o.size for o in twenty_four) == [2, 6, 12]
     witness = orbit_witness(full_group, (1, 0, 0), (1, -1, 0))
     assert witness is not None and witness.apply((1, 0, 0)) == (1, -1, 0)
+
+
+def orbits_by_closure(group, vectors):
+    """Oracle: the earlier orbit partition, a BFS using every element as a generator."""
+    remaining = set(tuple(v) for v in vectors)
+    result = []
+    while remaining:
+        orbit = closure([min(remaining)], group.elements, lambda v, g: g.apply(v))
+        members = tuple(sorted(orbit))
+        result.append(Orbit(members[0], members))
+        remaining -= orbit
+    return tuple(sorted(result, key=lambda o: o.representative))
+
+
+def test_orbits_match_closure_oracle(invariant):
+    rng = random.Random(29)
+    groups = [case_symmetry_group(), orthogonal_group(invariant)]
+    while len(groups) < 40:
+        groups.append(orthogonal_group(sheared(rng, random_definite_lattice(rng, max_rank=4))))
+    compared = 0
+    for group in groups:
+        lattice = group.lattice
+        for norm in range(2, 25, 2):
+            vectors = vectors_of_norm(lattice, norm)
+            partial = rng.sample(vectors, len(vectors) // 3)
+            for given in (vectors, partial):
+                assert orbits(group, given) == orbits_by_closure(group, given)
+                compared += len(given)
+    assert compared > 2000
+
+
+def test_orbits_need_the_identity(invariant):
+    minus = tuple(tuple(-int(i == j) for j in range(3)) for i in range(3))
+    with pytest.raises(LatticeError, match="identity"):
+        orbits(IsometryGroup(invariant, (Isometry(invariant, minus),)), [(1, 0, 0)])
 
 
 def test_orbits_close_input(invariant, full_group):
