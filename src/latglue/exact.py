@@ -13,7 +13,7 @@ Conventions are pinned so that every caller sees deterministic output:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -57,17 +57,15 @@ def vec_content(v: Sequence[int]) -> int:
     return g
 
 
-def row_reduce(rows, ncols: int) -> tuple[list[int], Fraction]:
+def row_reduce(rows, ncols: int) -> list[int]:
     """Rational Gauss-Jordan elimination on the first ``ncols`` columns, in place.
 
     ``rows`` is a list of lists of Fractions; columns past ``ncols`` are
     carried along (an augmented block).  Afterwards the pivot rows come
     first, each pivot is 1 and is the only nonzero entry of its column.
-    Returns the pivot columns and the product of the pivots met, signed by
-    the row swaps (for a square matrix of full rank: its determinant).
+    Returns the pivot columns.
     """
     pivots: list[int] = []
-    det_factor = Fraction(1)
     r = 0
     for c in range(ncols):
         pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
@@ -75,9 +73,7 @@ def row_reduce(rows, ncols: int) -> tuple[list[int], Fraction]:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-            det_factor = -det_factor
         pivot = rows[r][c]
-        det_factor *= pivot
         rows[r] = [x / pivot for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
@@ -85,7 +81,7 @@ def row_reduce(rows, ncols: int) -> tuple[list[int], Fraction]:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return pivots, det_factor
+    return pivots
 
 
 def gram_of_rows(rows, gram):
@@ -93,15 +89,30 @@ def gram_of_rows(rows, gram):
     return mat_mul(mat_mul(rows, gram), transpose(rows))
 
 
-def det(a) -> Fraction | int:
-    """Exact determinant by rational Gauss-Jordan elimination."""
-    n = len(a)
-    pivots, result = row_reduce([[Fraction(x) for x in row] for row in a], n)
-    if len(pivots) < n:
-        return 0
-    if result.denominator == 1:
-        return int(result)
-    return result
+def det(a) -> int:
+    """Exact determinant of a square integer matrix by fraction-free (Bareiss) elimination.
+
+    After step k every entry below and right of the pivot is a (k+1)-minor,
+    so each division by the previous pivot is exact and only ints occur; a
+    zero pivot is swapped with a nonzero entry below it, flipping the sign.
+    """
+    m = [list(row) for row in a]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - f * top[j]) // prev
+        prev = pivot
+    return sign * prev
 
 
 def frac_inverse(a) -> FracMatrix:
@@ -109,7 +120,7 @@ def frac_inverse(a) -> FracMatrix:
     n = len(a)
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(a)]
-    if len(row_reduce(m, n)[0]) < n:
+    if len(row_reduce(m, n)) < n:
         raise ZeroDivisionError("matrix is singular")
     return freeze(row[n:] for row in m)
 
@@ -268,13 +279,6 @@ def solve_int(a, t) -> IntVector | None:
                 return None
             w[i] = ut[i] // di
     return mat_vec(v, tuple(w))
-
-
-def floor_sqrt_frac(x: Fraction) -> int:
-    """floor(sqrt(x)) for a nonnegative rational x."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    return isqrt(x.numerator * x.denominator) // x.denominator
 
 
 def lcm_denominator(rows) -> int:

@@ -12,7 +12,11 @@ large.
 The orthogonal group of a positive definite lattice is enumerated by
 matching basis vectors to candidate images of the right norm and pairwise
 pairings.  This is only meant for the small ranks the toolkit works at and
-is guarded accordingly.  Orbits are read off the group in one pass.
+is guarded accordingly.  The pairing filter proves the Gram identity, so
+the elements are built without checking it again, and each element's
+``order`` is computed on first use.  ``orthogonal_group`` remembers the
+last lattice it was asked about, so the reports on one lattice share one
+search.  Orbits are read off the group in one pass.
 
 Matrices act on column coordinate vectors; the columns of an isometry
 matrix are the images of the basis vectors.
@@ -21,7 +25,8 @@ matrix are the images of the basis vectors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -63,18 +68,28 @@ def matrix_order(matrix, limit: int = 10_000) -> int:
 
 @dataclass(frozen=True)
 class Isometry:
-    """Gram-preserving basis change, with its multiplicative order."""
+    """Gram-preserving basis change; its multiplicative ``order`` is computed on first use."""
 
     lattice: IntegerLattice
     matrix: IntMatrix
-    order: int = field(init=False)
 
     def __post_init__(self):
         matrix = freeze(self.matrix)
         object.__setattr__(self, "matrix", matrix)
         if not is_isometry_matrix(self.lattice, matrix):
             raise LatticeError("matrix does not preserve the Gram matrix")
-        object.__setattr__(self, "order", matrix_order(matrix))
+
+    @classmethod
+    def _unchecked(cls, lattice: IntegerLattice, matrix: IntMatrix) -> "Isometry":
+        """An isometry whose frozen ``matrix`` the caller has proved Gram-preserving."""
+        iso = object.__new__(cls)
+        object.__setattr__(iso, "lattice", lattice)
+        object.__setattr__(iso, "matrix", matrix)
+        return iso
+
+    @cached_property
+    def order(self) -> int:
+        return matrix_order(self.matrix)
 
     def apply(self, v: IntVector) -> IntVector:
         return mat_vec(self.matrix, v)
@@ -232,9 +247,6 @@ class IsometryGroup:
             }
         )
 
-    def element_orders(self) -> tuple[int, ...]:
-        return tuple(sorted({g.order for g in self.elements}))
-
     def has_element_of_order(self, k: int) -> bool:
         return any(g.order == k for g in self.elements)
 
@@ -284,14 +296,21 @@ def _isometries(a: IntegerLattice, b: IntegerLattice):
     yield from backtrack(0)
 
 
+@lru_cache(maxsize=1)
 def orthogonal_group(lattice: IntegerLattice) -> IsometryGroup:
-    """O(L) for a positive definite lattice of small rank, by backtracking."""
+    """O(L) for a positive definite lattice of small rank, by backtracking.
+
+    The last lattice's group is remembered, so ``lattice-info`` and orbit
+    reports on one lattice run one search; a guard error is raised afresh on
+    every call.  ``_isometries`` yields only Gram-preserving matrices, so the
+    elements skip Isometry's check.
+    """
     n = lattice.rank
     if n > RANK_GUARD:
         raise LatticeError(f"orthogonal group enumeration is guarded to rank <= {RANK_GUARD}")
     _bareiss_rows(lattice.gram, "group enumeration")
-    elements = tuple(Isometry(lattice, m) for m in sorted(_isometries(lattice, lattice)))
-    return IsometryGroup(lattice, elements)
+    matrices = sorted(_isometries(lattice, lattice))
+    return IsometryGroup(lattice, tuple(Isometry._unchecked(lattice, m) for m in matrices))
 
 
 def isometry_between(a: IntegerLattice, b: IntegerLattice):
@@ -309,7 +328,7 @@ def isometry_between(a: IntegerLattice, b: IntegerLattice):
         raise LatticeError("isometry testing needs positive definite lattices")
     matrix = next(_isometries(a, b), None)
     # The pairing filter already forces the full Gram identity (orthogonal_group
-    # checks it again in Isometry); keep the explicit check as a safety net.
+    # relies on it); keep the explicit check here as a safety net.
     if matrix is not None and gram_of_rows(transpose(matrix), a.gram) != b.gram:
         raise LatticeError("internal inconsistency: backtracking returned a non-isometry")
     return matrix

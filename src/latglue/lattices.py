@@ -30,7 +30,6 @@ from .exact import (
     IntVector,
     bilinear,
     det,
-    frac_inverse,
     freeze,
     gram_of_rows,
     hnf,
@@ -103,7 +102,7 @@ class IntegerLattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def determinant(self) -> int:
-        return int(det(self.gram))
+        return det(self.gram)
 
     def signature(self) -> tuple[int, int]:
         """(s+, s-) counted exactly via the pivots of rational LDL^T.
@@ -168,10 +167,6 @@ class IntegerLattice:
         for x in mat_vec(self.gram, v):
             g = gcd(g, x)
         return g
-
-    def dual_basis(self) -> tuple[FracVector, ...]:
-        """Rows of gram^-1; generates the dual lattice over Z."""
-        return frac_inverse(self.gram)
 
     # -- sublattices --------------------------------------------------
 
@@ -247,7 +242,7 @@ class Sublattice:
         ncols = self.rank
         rows = [[Fraction(self.basis[j][i]) for j in range(ncols)] + [Fraction(v[i])]
                 for i in range(self.ambient.rank)]
-        pivots, _ = row_reduce(rows, ncols)
+        pivots = row_reduce(rows, ncols)
         for i in range(len(pivots), len(rows)):
             if rows[i][-1] != 0:
                 raise LatticeError("vector does not lie in the span of the sublattice")
@@ -283,7 +278,7 @@ class Sublattice:
         """
         if self.rank != self.ambient.rank:
             raise LatticeError("index is defined for full-rank sublattices only")
-        ratio = Fraction(int(det(self.gram())), self.ambient.determinant())
+        ratio = Fraction(det(self.gram()), self.ambient.determinant())
         if ratio.denominator != 1 or ratio < 0:
             raise LatticeError("determinant ratio is not a positive integer")
         from math import isqrt

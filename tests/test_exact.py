@@ -6,7 +6,6 @@ from fractions import Fraction
 
 from latglue.exact import (
     det,
-    floor_sqrt_frac,
     frac_inverse,
     hnf,
     identity,
@@ -34,7 +33,69 @@ def test_det_examples():
     assert det(((0, 2, 1), (3, 1, 0), (1, 0, 1))) == -7
     assert det(((1, 2, 3), (2, 4, 6), (0, 1, 1))) == 0
     assert det(((0, 0), (0, 0))) == 0
-    assert det(((Fraction(1, 2), 0), (0, 1))) == Fraction(1, 2)
+    assert det(()) == 1
+
+
+def det_by_fractions(a):
+    """Oracle: the earlier determinant, the pivots of a rational Gauss-Jordan signed by its swaps."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    result = Fraction(1)
+    for c in range(len(rows)):
+        pr = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            result = -result
+        pivot = rows[c][c]
+        result *= pivot
+        rows[c] = [x / pivot for x in rows[c]]
+        for i in range(len(rows)):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return result
+
+
+def det_test_matrix(rng, n, kind):
+    bound = 10**21 if kind == "huge" else 9
+    a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        # the last row becomes a combination of the others (the zero row for n = 1)
+        coeffs = [rng.randint(-3, 3) for _ in a[:-1]]
+        a[-1] = [sum(c * row[j] for c, row in zip(coeffs, a)) for j in range(n)]
+    elif kind == "lead_zero":
+        # no pivot in the first row: the first step must swap
+        a[0][0] = 0
+        if n > 2:
+            a[1][0] = 0
+    elif kind == "late_zero" and n > 1:
+        # rows 0 and 1 agree up to a factor on the first two columns, so the
+        # second Bareiss pivot is 0 and a later row must be swapped in
+        a[0][0] = a[0][0] or 1
+        k = rng.choice((-2, -1, 1, 3))
+        a[1][0], a[1][1] = k * a[0][0], k * a[0][1]
+    return tuple(map(tuple, a))
+
+
+def test_det_against_fraction_and_sympy_oracles():
+    try:
+        from sympy import Matrix
+    except ImportError:
+        Matrix = None
+    rng = random.Random(41)
+    kinds = ("random", "singular", "lead_zero", "late_zero", "huge")
+    zeros = 0
+    cases = [(n, kind) for n in range(1, 7) for kind in kinds] * 8
+    for n, kind in cases:
+        a = det_test_matrix(rng, n, kind)
+        got = det(a)
+        assert type(got) is int
+        assert got == det_by_fractions(a), a
+        if Matrix is not None:
+            assert got == Matrix(a).det(), a
+        zeros += got == 0
+    assert len(cases) >= 200 and zeros >= 40
 
 
 def test_frac_inverse_round_trip():
@@ -134,9 +195,3 @@ def test_saturation_of_rows():
     sat = saturate_rows(((2, 2, 0), (0, 0, 3)))
     assert sat == ((1, 1, 0), (0, 0, 1))
 
-
-def test_floor_sqrt_frac():
-    assert floor_sqrt_frac(Fraction(0)) == 0
-    assert floor_sqrt_frac(Fraction(35, 4)) == 2
-    assert floor_sqrt_frac(Fraction(36, 4)) == 3
-    assert floor_sqrt_frac(Fraction(1, 3)) == 0

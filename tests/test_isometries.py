@@ -1,14 +1,13 @@
 import itertools
 import random
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
 from latglue import isometries
-from latglue.classify import case_symmetry_group
+from latglue.classify import case_symmetry_group, full_isometry_group
 from latglue.exact import (
     IntVector,
-    floor_sqrt_frac,
     frac_inverse,
     gram_of_rows,
     identity,
@@ -22,6 +21,7 @@ from latglue.isometries import (
     admits_order3,
     coinvariant_lattice,
     invariant_lattice,
+    is_isometry_matrix,
     isometry_between,
     matrix_order,
     orbit_witness,
@@ -32,6 +32,7 @@ from latglue.isometries import (
     vectors_of_norm,
 )
 from latglue.lattices import IntegerLattice, LatticeError, closure
+from latglue.report import lattice_info_report, orbit_report
 
 S_GRAM = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
 
@@ -62,6 +63,13 @@ def random_definite_lattice(rng, max_rank=3):
             return lattice
 
 
+def dual_bounds(lattice, norm):
+    """floor(sqrt(norm * (G^-1)_ii)): the largest |x_i| of a vector of this norm."""
+    inv = frac_inverse(lattice.gram)
+    return [isqrt(norm * inv[i][i].numerator // inv[i][i].denominator)
+            for i in range(lattice.rank)]
+
+
 def vectors_of_norm_boxed(lattice: IntegerLattice, norm: int) -> tuple[IntVector, ...]:
     """Independent oracle: full scan of the dual-bound coordinate box."""
     if norm < 0:
@@ -71,10 +79,8 @@ def vectors_of_norm_boxed(lattice: IntegerLattice, norm: int) -> tuple[IntVector
         raise LatticeError("short-vector enumeration needs a positive definite lattice")
     if norm == 0:
         return ((0,) * lattice.rank,)
-    inv = frac_inverse(lattice.gram)
-    bounds = [floor_sqrt_frac(norm * inv[i][i]) for i in range(lattice.rank)]
     hits = []
-    for v in itertools.product(*(range(-b, b + 1) for b in bounds)):
+    for v in itertools.product(*(range(-b, b + 1) for b in dual_bounds(lattice, norm))):
         if lattice.norm(v) == norm:
             hits.append(v)
     return tuple(sorted(hits))
@@ -130,8 +136,7 @@ def sheared(rng, lattice):
 
 def box_size(lattice, norm):
     """Points the oracle scans; capped in the test so its full scan stays cheap."""
-    inv = frac_inverse(lattice.gram)
-    return prod(2 * floor_sqrt_frac(norm * inv[i][i]) + 1 for i in range(lattice.rank))
+    return prod(2 * b + 1 for b in dual_bounds(lattice, norm))
 
 
 # Bareiss rows with content > 1 ((4, 2), (6, 3, 0), (9, -3, 6), ...), pivots
@@ -216,7 +221,68 @@ def test_element_orders(full_group):
     assert not full_group.has_element_of_order(4)
     assert full_group.has_element_of_order(6)
     assert full_group.has_element_of_order(1)
-    assert full_group.element_orders() == (1, 2, 3, 6)
+    assert {g.order for g in full_group.elements} == {1, 2, 3, 6}
+
+
+def test_group_elements_against_isometry_oracle(invariant):
+    """orthogonal_group builds its elements unchecked; re-check each one here."""
+    rng = random.Random(37)
+    groups = [full_isometry_group(), case_symmetry_group()]
+    while len(groups) < 34:
+        groups.append(orthogonal_group(sheared(rng, random_definite_lattice(rng, max_rank=4))))
+    assert {group.lattice.rank for group in groups} == {1, 2, 3, 4}
+    checked = 0
+    for group in groups:
+        lattice, size = group.lattice, group.order()
+        assert len({g.matrix for g in group.elements}) == size
+        for g in group.elements:
+            assert is_isometry_matrix(lattice, g.matrix), (lattice.gram, g.matrix)
+            assert g.order == matrix_order(g.matrix) and size % g.order == 0
+            checked += 1
+        # b_0 -> 2*b_0 quadruples the norm of b_0: the public constructor refuses it
+        stretch = tuple(tuple(2 if i == j == 0 else int(i == j) for j in range(lattice.rank))
+                        for i in range(lattice.rank))
+        with pytest.raises(LatticeError, match="does not preserve the Gram matrix"):
+            Isometry(lattice, stretch)
+    assert checked > 200
+    with pytest.raises(LatticeError, match="does not preserve the Gram matrix"):
+        Isometry(invariant, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def test_orthogonal_group_runs_once_per_lattice(monkeypatch):
+    orthogonal_group.cache_clear()
+    lattice = IntegerLattice(((4, 2, 1), (2, 6, 0), (1, 0, 8)))
+    searches = []
+    search = isometries._isometries
+
+    def counted(a, b):
+        searches.append(a.gram)
+        return search(a, b)
+
+    monkeypatch.setattr(isometries, "_isometries", counted)
+    group = orthogonal_group(lattice)
+    assert orthogonal_group(IntegerLattice(lattice.gram)) is group
+    info = lattice_info_report(lattice)
+    table = orbit_report(8, lattice)
+    assert searches == [lattice.gram]
+    assert info["isometry_group_order"] == table["group_order"] == group.order()
+    # another lattice takes the single slot; the first one is searched again
+    assert orthogonal_group(IntegerLattice(((2,),))).order() == 2
+    assert orthogonal_group(lattice) == group and len(searches) == 3
+
+
+def test_guard_errors_are_raised_on_every_call():
+    orthogonal_group.cache_clear()
+    lattice = IntegerLattice(((2, 1), (1, 2)))
+    group = orthogonal_group(lattice)
+    rank5 = IntegerLattice(tuple(tuple(2 * int(i == j) for j in range(5)) for i in range(5)))
+    indefinite = IntegerLattice(((2, 1), (1, -4)))
+    for bad, message in ((rank5, "guarded to rank <= 4"),
+                         (indefinite, "needs a positive definite lattice")):
+        for _ in range(2):
+            with pytest.raises(LatticeError, match=message):
+                orthogonal_group(bad)
+    assert orthogonal_group(lattice) is group
 
 
 def test_orbit_stabilizer(invariant, full_group):

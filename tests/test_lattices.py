@@ -4,7 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from latglue.exact import det, freeze, identity, mat_mul, mat_vec, transpose
+from latglue.exact import det, frac_inverse, freeze, mat_vec, transpose
 from latglue.lattices import (
     IntegerLattice,
     LatticeError,
@@ -56,18 +56,6 @@ def test_degenerate_rejected():
         IntegerLattice(((2, 1), (1, 2), (0, 0)))
     with pytest.raises(LatticeError):
         IntegerLattice(((1, 2), (3, 4)))  # not symmetric
-
-
-def test_dual_basis_examples(invariant):
-    assert IntegerLattice(((2,),)).dual_basis() == ((Fraction(1, 2),),)
-    dual = IntegerLattice(((6, 3), (3, 6))).dual_basis()
-    assert dual == (
-        (Fraction(6, 27), Fraction(-3, 27)),
-        (Fraction(-3, 27), Fraction(6, 27)),
-    )
-    assert IntegerLattice(identity(3)).dual_basis() == identity(3)
-    # D * gram == identity, exactly
-    assert mat_mul(invariant.dual_basis(), invariant.gram) == identity(3)
 
 
 def test_norms_and_pairings(invariant):
@@ -140,7 +128,7 @@ def test_pairing_matches_fraction_oracle():
     result_types = set()
     for lattice in lattices:
         n = lattice.rank
-        dual_t = transpose(lattice.dual_basis())
+        dual_t = transpose(frac_inverse(lattice.gram))
         vectors = [(0,) * n] + [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(4)]
         vectors += [mat_vec(dual_t, tuple(rng.randint(-3, 3) for _ in range(n)))
                     for _ in range(4)]
