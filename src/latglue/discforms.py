@@ -18,9 +18,12 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .exact import (
+    IntMatrix,
+    IntVector,
     bilinear,
     frac_inverse,
     freeze,
@@ -63,6 +66,10 @@ class DiscriminantGroup:
     is integral, because d_i * pair_gram[i][j] is.  Then
     q(x) = (x Q x^T mod 2e) / e and b(x, y) = (x Q y^T mod e) / e, where
     x Q y^T is ``exact.bilinear`` on the coefficient tuples.
+
+    Computed once per group, on first use: the isotropic subgroups of every
+    order (``isotropic_spans``) and the integer data of the induced maps
+    and overlattices (``cleared_lifts``, ``classes_gram``).
     """
 
     orders: tuple[int, ...]
@@ -150,6 +157,68 @@ class DiscriminantGroup:
             return (0,) * self.source.rank
         return mat_vec(transpose(self.lifts), x.coeffs)
 
+    @cached_property
+    def cleared_lifts(self) -> tuple[tuple[IntVector, ...], tuple[int, ...]]:
+        """(numerators, denominators) of the lifts, all integers.
+
+        Lift i is ``nums[i] / dens[i]``, over the lcm of its own
+        denominators; the lifts of one group (rebased ones especially, see
+        ``with_generators``) need not share a denominator.
+        """
+        if self.lifts is None:
+            raise GlueError("group has no lattice lifts")
+        dens = tuple(lcm_denominator([lift]) for lift in self.lifts)
+        nums = tuple(
+            tuple(int(x * den) for x in lift) for lift, den in zip(self.lifts, dens)
+        )
+        return nums, dens
+
+    @cached_property
+    def classes_gram(self) -> IntMatrix:
+        """classes * G: the class of a vector v is read off as (classes * G) v."""
+        if self.source is None or self.classes is None:
+            raise GlueError("group has no source lattice")
+        return mat_mul(self.classes, self.source.gram)
+
+    @cached_property
+    def isotropic_spans(self) -> dict[int, list[frozenset]]:
+        """Every isotropic subgroup, as a coefficient set, bucketed by order.
+
+        Subgroups are grown from the trivial one by adjoining an isotropic
+        element b-orthogonal to the generators chosen so far, one cyclic
+        subgroup at a time.  This reaches every isotropic H (its elements
+        are isotropic and pairwise orthogonal) and nothing else, because
+        q(x + y) = q(x) + q(y) + 2 b(x, y).  Spans are deduplicated; each
+        bucket is sorted by the subgroups' sorted elements.
+        """
+        orders, e, gram = self.orders, self.exponent, self.int_gram
+        zero = self.zero().coeffs
+
+        def add(x, y):
+            return tuple((a + b) % d for a, b, d in zip(x, y, orders))
+
+        cyclic: dict[frozenset, tuple] = {}
+        for c in itertools.product(*(range(d) for d in orders)):
+            if any(c) and bilinear(c, gram, c) % (2 * e) == 0:
+                cyclic.setdefault(frozenset(closure([zero], [c], add)), c)
+        trivial = frozenset([zero])
+        found: dict[frozenset, tuple] = {trivial: ()}
+        frontier = [trivial]
+        while frontier:
+            span = frontier.pop()
+            gens = found[span]
+            for line, g in cyclic.items():
+                if line <= span or any(bilinear(g, gram, h) % e for h in gens):
+                    continue
+                joined = frozenset(closure(span, [g], add))
+                if joined not in found:
+                    found[joined] = gens + (g,)
+                    frontier.append(joined)
+        buckets: dict[int, list[frozenset]] = {}
+        for span in sorted(found, key=sorted):
+            buckets.setdefault(len(span), []).append(span)
+        return buckets
+
     def element_from_dual_vector(self, v) -> "DiscElement":
         """Class of a dual vector given by rational source-lattice coordinates."""
         if self.source is None or self.classes is None:
@@ -181,10 +250,15 @@ def discriminant_group(lattice: IntegerLattice) -> DiscriminantGroup:
         raise LatticeError("discriminant quadratic form needs an even lattice")
     d, u, v = snf(lattice.gram)
     keep = [i for i in range(lattice.rank) if d[i][i] > 1]
-    lifts = freeze(tuple(Fraction(row[i], d[i][i]) for row in v) for i in keep)
+    orders = tuple(d[i][i] for i in keep)
+    cols = [tuple(row[i] for row in v) for i in keep]
+    pairs = gram_of_rows(cols, lattice.gram)  # integer pairings of the V e_i
     return DiscriminantGroup(
-        tuple(d[i][i] for i in keep), gram_of_rows(lifts, lattice.gram), lifts, lattice,
-        tuple(u[i] for i in keep),
+        orders,
+        tuple(tuple(Fraction(x, a * b) for x, b in zip(row, orders))
+              for row, a in zip(pairs, orders)),
+        tuple(tuple(Fraction(x, a) for x in col) for col, a in zip(cols, orders)),
+        lattice, tuple(u[i] for i in keep),
     )
 
 
@@ -265,7 +339,8 @@ class IsotropicSubgroup:
     """Subgroup of a discriminant group on which q vanishes identically.
 
     Isotropy is verified on every element of the generated subgroup, not
-    just the generators (q is quadratic, not linear).
+    just the generators (q is quadratic, not linear), in integers:
+    q(x) = 0 exactly when x Q x^T is divisible by 2e.
     """
 
     parent: DiscriminantGroup
@@ -275,9 +350,10 @@ class IsotropicSubgroup:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "_coeffs", span_elements(self.parent, self.generators))
+        group = self.parent
         for coeffs in self._coeffs:
-            value = self.parent.q(self.parent.element(coeffs))
-            if value != 0:
+            if bilinear(coeffs, group.int_gram, coeffs) % (2 * group.exponent):
+                value = group.q(group.element(coeffs))
                 raise GlueError(
                     f"subgroup is not isotropic: q({coeffs}) = {value}"
                 )
@@ -308,43 +384,13 @@ def _generating_set(group: DiscriminantGroup, subgroup: frozenset) -> tuple[Disc
 def enumerate_isotropic_subgroups(group: DiscriminantGroup, order: int) -> list[IsotropicSubgroup]:
     """All isotropic subgroups of the given order, sorted by their elements.
 
-    Subgroups are grown from the trivial one by adjoining an isotropic
-    element b-orthogonal to the generators chosen so far, one cyclic
-    subgroup at a time.  This reaches every isotropic H (its elements are
-    isotropic and pairwise orthogonal) and nothing else, because
-    q(x + y) = q(x) + q(y) + 2 b(x, y).  Spans are deduplicated, and only
-    spans whose order divides ``order`` are grown further.
+    The group grows all its isotropic subgroups in one pass, on the first
+    call (``DiscriminantGroup.isotropic_spans``); each call then keeps those
+    of the given order.  An order that does not divide |A_L| gives nothing.
     """
-    if order < 1 or group.order() % order:
-        return []
-    orders, e = group.orders, group.exponent
-    zero = group.zero().coeffs
-
-    def add(x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, orders))
-
-    cyclic: dict[frozenset, tuple] = {}
-    for c in itertools.product(*(range(d) for d in orders)):
-        if any(c) and bilinear(c, group.int_gram, c) % (2 * e) == 0:
-            cyclic.setdefault(frozenset(closure([zero], [c], add)), c)
-    trivial = frozenset([zero])
-    found: dict[frozenset, tuple] = {trivial: ()}
-    frontier = [trivial]
-    while frontier:
-        span = frontier.pop()
-        gens = found[span]
-        if len(span) == order:
-            continue
-        for line, g in cyclic.items():
-            if line <= span or any(bilinear(g, group.int_gram, h) % e for h in gens):
-                continue
-            joined = frozenset(closure(span, [g], add))
-            if order % len(joined) == 0 and joined not in found:
-                found[joined] = gens + (g,)
-                frontier.append(joined)
     return [
         IsotropicSubgroup(group, _generating_set(group, s))
-        for s in sorted((s for s in found if len(s) == order), key=sorted)
+        for s in group.isotropic_spans.get(order, ())
     ]
 
 
@@ -359,24 +405,25 @@ def overlattice_with_basis(h: IsotropicSubgroup):
         raise GlueError("overlattices need a lattice-backed group")
     lattice = group.source
     n = lattice.rank
-    rows = [list(row) for row in identity(n)]
-    for gen in h.generators:
-        rows.append(list(group.lift(gen)))
-    denom = lcm_denominator(rows)
-    cleared = freeze(tuple(int(x * denom) for x in row) for row in rows)
-    hh, _ = hnf(cleared)
-    basis = freeze(
-        tuple(Fraction(x, denom) for x in row) for row in hh if any(row)
-    )
-    if len(basis) != n:
+    # L and the generator lifts, all over the common denominator of the lifts
+    nums, dens = group.cleared_lifts
+    denom = lcm(*dens)
+    lifts_t = transpose([tuple(denom // den * x for x in num)
+                         for num, den in zip(nums, dens)])
+    cleared = [tuple(denom * x for x in row) for row in identity(n)]
+    cleared += [mat_vec(lifts_t, gen.coeffs) for gen in h.generators if any(gen.coeffs)]
+    hh = [row for row in hnf(cleared)[0] if any(row)]
+    if len(hh) != n:
         raise GlueError("overlattice basis has wrong rank")
-    gram = gram_of_rows(basis, lattice.gram)
-    if any(x.denominator != 1 for row in gram for x in row):
+    # the Gram of the cleared rows is denom^2 times the overlattice Gram
+    scaled = gram_of_rows(hh, lattice.gram)
+    square = denom * denom
+    if any(x % square for row in scaled for x in row):
         raise GlueError("overlattice pairing is not integral")
-    gram_int = freeze(tuple(int(x) for x in row) for row in gram)
-    result = IntegerLattice(gram_int)
+    result = IntegerLattice(freeze(tuple(x // square for x in row) for row in scaled))
     if not result.is_even:
         raise GlueError("overlattice of an isotropic subgroup must be even")
+    basis = freeze(tuple(Fraction(x, denom) for x in row) for row in hh)
     return result, basis
 
 
@@ -474,11 +521,6 @@ class FiniteAbelianMap:
             return None
         return self.domain.element(sol[:k_dom])
 
-    def fixes_subgroup(self, coeff_set: frozenset) -> bool:
-        return frozenset(
-            self.apply(self.domain.element(c)).coeffs for c in coeff_set
-        ) == coeff_set
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -508,24 +550,56 @@ class FiniteAbelianMap:
         return cls(domain, codomain, freeze(data["matrix"]))
 
 
-def induced_map(matrix, group: DiscriminantGroup) -> FiniteAbelianMap:
-    """Action of a source-lattice isometry on a lattice-backed group."""
+def _induced_matrix(matrix, group: DiscriminantGroup) -> IntMatrix:
+    """Unreduced integer matrix of the map a source-lattice isometry induces.
+
+    Column i is the class of M lift_i, read off its pairings:
+    (classes G) M nums_i / den_i, an exact division for an isometry M.
+    """
     if group.source is None or group.classes is None:
         raise GlueError("induced maps need a lattice-backed group")
+    nums, dens = group.cleared_lifts
     gram = group.source.gram
-    if any(x.denominator != 1 for row in matrix for x in row) or (
-        gram_of_rows(transpose(matrix), gram) != gram
+    if any(int(x) != x for row in matrix for x in row):
+        raise GlueError("matrix is not an isometry of the source lattice")
+    m = freeze(tuple(int(x) for x in row) for row in matrix)
+    n = len(gram)
+    if len(m) != n or any(len(row) != n for row in m) or (
+        gram_of_rows(transpose(m), gram) != gram
     ):
         raise GlueError("matrix is not an isometry of the source lattice")
-    # column i: the class of matrix * lift_i, read off its pairings
-    images = mat_mul(matrix, transpose(group.lifts))
-    return FiniteAbelianMap(group, group, mat_mul(mat_mul(group.classes, gram), images))
+    through = mat_mul(group.classes_gram, m)
+    cols = []
+    for num, den in zip(nums, dens):
+        col = []
+        for x in mat_vec(through, num):
+            quotient, rest = divmod(x, den)
+            if rest:
+                raise GlueError("induced map is not integral: the lifts and classes disagree")
+            col.append(quotient)
+        cols.append(col)
+    return transpose(cols)
+
+
+def induced_map(matrix, group: DiscriminantGroup) -> FiniteAbelianMap:
+    """Action of a source-lattice isometry on a lattice-backed group."""
+    return FiniteAbelianMap(group, group, _induced_matrix(matrix, group))
 
 
 def extends_to_overlattice(matrix, h: IsotropicSubgroup) -> bool:
-    """Extension criterion: the induced map must fix the glue subgroup setwise."""
-    bar = induced_map(matrix, h.parent)
-    return bar.fixes_subgroup(h.element_coeffs())
+    """Extension criterion: the induced map must fix the glue subgroup setwise.
+
+    Only the generators of H are mapped.  M is invertible over Z, so its
+    induced map is an automorphism of A_L and the image of H is a subgroup
+    of order |H|; once the generators' images lie in H, that image is H.
+    """
+    group = h.parent
+    images = _induced_matrix(matrix, group)
+    coeffs = h.element_coeffs()
+    return all(
+        tuple(x % d for x, d in zip(mat_vec(images, g.coeffs), group.orders)) in coeffs
+        for g in h.generators
+    )
 
 
 def extend_to_overlattice(matrix, h: IsotropicSubgroup):

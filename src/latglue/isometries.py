@@ -16,7 +16,8 @@ is guarded accordingly.  The pairing filter proves the Gram identity, so
 the elements are built without checking it again, and each element's
 ``order`` is computed on first use.  ``orthogonal_group`` remembers the
 last lattice it was asked about, so the reports on one lattice share one
-search.  Orbits are read off the group in one pass.
+search; the short-vector set-up of the last lattice is kept the same way.
+Orbits are read off the group in one pass.
 
 Matrices act on column coordinate vectors; the columns of an isometry
 matrix are the images of the basis vectors.
@@ -216,6 +217,16 @@ class _ShortVectors:
         return tuple(sorted(tuple(v[k] for k in self.slot) for v in found))
 
 
+@lru_cache(maxsize=1)
+def _short_vectors(lattice: IntegerLattice) -> _ShortVectors:
+    """The short-vector set-up of the last lattice, for ``_isometries`` and ``vectors_of_norm``.
+
+    An indefinite lattice is refused afresh on every call (``lru_cache``
+    does not keep exceptions), and ``vectors`` checks NODE_GUARD per norm.
+    """
+    return _ShortVectors(lattice)
+
+
 def vectors_of_norm(lattice: IntegerLattice, norm: int) -> tuple[IntVector, ...]:
     """All lattice vectors of the exact given norm, lexicographically sorted.
 
@@ -226,7 +237,7 @@ def vectors_of_norm(lattice: IntegerLattice, norm: int) -> tuple[IntVector, ...]
     """
     if norm < 0:
         return ()
-    return _ShortVectors(lattice).vectors(norm)
+    return _short_vectors(lattice).vectors(norm)
 
 
 @dataclass(frozen=True)
@@ -269,7 +280,7 @@ def _isometries(a: IntegerLattice, b: IntegerLattice):
     carries gram_a * v, so a pairing test is one dot product.
     """
     n = b.rank
-    short = _ShortVectors(a)
+    short = _short_vectors(a)
     by_norm = {}
     for norm in sorted({b.gram[i][i] for i in range(n)}):
         cands = short.vectors(norm)

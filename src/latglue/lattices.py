@@ -20,7 +20,7 @@ computation is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -79,6 +79,8 @@ class IntegerLattice:
     """Even or odd non-degenerate lattice given by its Gram matrix."""
 
     gram: IntMatrix
+    # det(gram), computed once to reject degenerate Grams
+    _det: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gram = freeze(self.gram)
@@ -90,7 +92,8 @@ class IntegerLattice:
             raise LatticeError("Gram entries must be integers")
         if gram != transpose(gram):
             raise LatticeError("Gram matrix must be symmetric")
-        if det(gram) == 0:
+        object.__setattr__(self, "_det", det(gram))
+        if self._det == 0:
             raise LatticeError("degenerate Gram matrix")
 
     @property
@@ -102,7 +105,7 @@ class IntegerLattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def determinant(self) -> int:
-        return det(self.gram)
+        return self._det
 
     def signature(self) -> tuple[int, int]:
         """(s+, s-) counted exactly via the pivots of rational LDL^T.

@@ -210,6 +210,32 @@ def test_non_isotropic_subgroup_rejected():
         IsotropicSubgroup(group, (group.generator(0),))
 
 
+def test_isotropy_is_checked_on_every_element():
+    """U(2): the classes of e/2 and f/2 are isotropic, their sum is not."""
+    group = discriminant_group(IntegerLattice(((0, 2), (2, 0))))
+    e_half = group.element_from_dual_vector((Q(1, 2), 0))
+    f_half = group.element_from_dual_vector((0, Q(1, 2)))
+    assert group.q(e_half) == group.q(f_half) == 0
+    assert IsotropicSubgroup(group, (e_half,)).order() == 2
+    with pytest.raises(GlueError, match=r"not isotropic: q\(.*\) = 1$"):
+        IsotropicSubgroup(group, (e_half, f_half))
+
+
+def fake_group(lattice, lift):
+    """Z/2 with q = 0 whose one generator lifts to ``lift``: inconsistent on purpose."""
+    return type(discriminant_group(lattice))((2,), ((Q(0),),), ((lift,),), lattice, ((1,),))
+
+
+def test_overlattice_checks_integrality_and_evenness():
+    # over <4>, a lift 1/4 pairs to 1/4 with itself and a lift 1/2 to 1
+    four = IntegerLattice(((4,),))
+    for lift, message in ((Q(1, 4), "not integral"), (Q(1, 2), "must be even")):
+        group = fake_group(four, lift)
+        h = IsotropicSubgroup(group, (group.generator(0),))
+        with pytest.raises(GlueError, match=message):
+            overlattice_with_basis(h)
+
+
 def test_overlattice_trivial_glue(invariant):
     group = discriminant_group(invariant)
     trivial = IsotropicSubgroup(group, ())
@@ -250,6 +276,26 @@ def test_induced_map_rejects_rational_isometries():
     group = discriminant_group(IntegerLattice(((2, 0), (0, 2))))
     with pytest.raises(GlueError, match="not an isometry"):
         induced_map(rotation, group)
+
+
+def test_induced_map_rejects_integer_non_isometries():
+    lattice = IntegerLattice(((4, 0), (0, -4)))
+    group = discriminant_group(lattice)
+    glue = IsotropicSubgroup(group, (group.element_from_dual_vector((Q(1, 4), Q(1, 4))),))
+    for shear in (((1, 1), (0, 1)), ((2, 0), (0, 1)), ((1, 0), (0, 1), (0, 0))):
+        with pytest.raises(GlueError, match="not an isometry"):
+            induced_map(shear, group)
+        with pytest.raises(GlueError, match="not an isometry"):
+            extends_to_overlattice(shear, glue)
+
+
+def test_induced_map_divides_exactly():
+    """A lift that is not a dual vector leaves a remainder, which is refused."""
+    eight = IntegerLattice(((8,),))
+    group = fake_group(eight, Q(1, 16))
+    with pytest.raises(GlueError, match="not integral"):
+        induced_map(identity(1), group)
+    assert induced_map(identity(1), fake_group(eight, Q(1, 2))).matrix == ((0,),)
 
 
 def test_induced_map_printed_values(pinned):

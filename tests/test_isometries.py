@@ -285,6 +285,36 @@ def test_guard_errors_are_raised_on_every_call():
     assert orthogonal_group(lattice) is group
 
 
+def test_short_vector_setup_once_per_lattice_and_refusals_repeat(monkeypatch):
+    orthogonal_group.cache_clear()
+    isometries._short_vectors.cache_clear()
+    setups = []
+
+    class Counted(isometries._ShortVectors):
+        def __init__(self, lattice):
+            setups.append(lattice.gram)
+            super().__init__(lattice)
+
+    monkeypatch.setattr(isometries, "_ShortVectors", Counted)
+    lattice = IntegerLattice(((4, 2, 1), (2, 6, 0), (1, 0, 8)))
+    lattice_info_report(lattice)
+    orbit_report(8, lattice)
+    assert vectors_of_norm(IntegerLattice(lattice.gram), 4) == ((-1, 0, 0), (1, 0, 0))
+    assert setups == [lattice.gram]
+    # refusals are raised afresh on every call, around a working call
+    big = 10**21
+    level = IntegerLattice(((big, big - 1), (big - 1, big)))
+    indefinite = IntegerLattice(((2, 1), (1, -4)))
+    for _ in range(2):
+        with pytest.raises(LatticeError, match="needs a positive definite lattice"):
+            vectors_of_norm(indefinite, 2)
+        with pytest.raises(LatticeError, match=r"may visit \d+ nodes"):
+            vectors_of_norm(level, big)
+        assert vectors_of_norm(level, 2) == ((-1, 1), (1, -1))
+    # a refused lattice is tried again but does not evict the kept set-up
+    assert setups == [lattice.gram, indefinite.gram, level.gram, indefinite.gram]
+
+
 def test_orbit_stabilizer(invariant, full_group):
     for norm in (6, 18, 24):
         for orbit in orbits(full_group, vectors_of_norm(invariant, norm)):

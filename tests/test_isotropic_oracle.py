@@ -9,8 +9,12 @@ only, and ``glue_extension_check`` compares two homomorphisms by their
 matrices; the oracles evaluate them on every element.  Classes of dual
 vectors are read off the Smith form (``DiscriminantGroup.classes``); the
 oracle solves sum_i c_i lift_i = v modulo L as a cleared integer system.
+The integer induced maps, the generator-only extension test and the
+integer overlattice Gram are checked against the ``Fraction`` formulas and
+the every-element test they replace.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -23,10 +27,12 @@ from latglue.discforms import (
     GlueError,
     discriminant_group,
     enumerate_isotropic_subgroups,
+    extends_to_overlattice,
     glue_extension_check,
     glue_subgroup,
     induced_map,
     is_anti_isometry,
+    overlattice_with_basis,
     preserves_form,
     pullback_form,
     span_elements,
@@ -36,8 +42,11 @@ from latglue.exact import (
     det,
     frac_inverse,
     freeze,
+    gram_of_rows,
+    hnf,
     identity,
     lcm_denominator,
+    mat_mul,
     mat_vec,
     solve_int,
     transpose,
@@ -352,3 +361,129 @@ def test_induced_map_and_glue_subgroup_match_cleared_solve(groups, rebased):
             assert glue.order() == abs(det(basis))
             glued += 1
     assert glued >= 20
+
+
+# sign changes of diag(-2, -6, 6) keep the first generator of some
+# two-generator isotropic subgroups and move the second one out
+SIGNS = IntegerLattice(((-2, 0, 0), (0, -6, 0), (0, 0, 6)))
+
+
+def induced_map_by_fractions(matrix, group):
+    """The rational formula: column i is the class of M lift_i, (classes G) M lift_i."""
+    gram = group.source.gram
+    if any(Fraction(x).denominator != 1 for row in matrix for x in row) or (
+        gram_of_rows(transpose(matrix), gram) != gram
+    ):
+        raise GlueError("matrix is not an isometry of the source lattice")
+    images = mat_mul(matrix, transpose(group.lifts))
+    return FiniteAbelianMap(group, group, mat_mul(mat_mul(group.classes, gram), images))
+
+
+def extends_by_every_element(matrix, h):
+    bar = induced_map_by_fractions(matrix, h.parent)
+    coeffs = h.element_coeffs()
+    return {bar(h.parent.element(c)).coeffs for c in coeffs} == coeffs
+
+
+def overlattice_by_fractions(h):
+    """Rational lifts, cleared once, HNF, and a Fraction Gram of the basis."""
+    group = h.parent
+    n = group.source.rank
+    rows = list(identity(n)) + [group.lift(g) for g in h.generators]
+    denom = lcm_denominator(rows)
+    hh, _ = hnf(freeze(tuple(int(x * denom) for x in row) for row in rows))
+    basis = freeze(tuple(Fraction(x, denom) for x in row) for row in hh if any(row))
+    return gram_of_rows(basis, group.source.gram), basis
+
+
+def sample_isometries(lattice):
+    """-1 and the identity; for rank <= 3 also O(L) (definite) or its signed permutations."""
+    n = lattice.rank
+    found = [identity(n), tuple(tuple(-x for x in row) for row in identity(n))]
+    if n > 3:
+        return found
+    if lattice.signature()[1] == 0:
+        found += [g.matrix for g in orthogonal_group(lattice).elements]
+    else:
+        for perm in itertools.permutations(range(n)):
+            for signs in itertools.product((1, -1), repeat=n):
+                m = tuple(tuple(signs[j] * (perm[j] == i) for j in range(n)) for i in range(n))
+                if gram_of_rows(transpose(m), lattice.gram) == lattice.gram:
+                    found.append(m)
+    return list(dict.fromkeys(found))
+
+
+@pytest.fixture(scope="module")
+def census(groups, rebased):
+    """Seeded groups, their rebased copies and diag(-2, -6, 6) twice, with sample isometries."""
+    rng = random.Random(307)
+    signs = discriminant_group(SIGNS)
+    extra = [(SIGNS, signs), (SIGNS, with_generators(signs, random_rebase(rng, signs)))]
+    return [
+        (lattice, group, sample_isometries(lattice))
+        for lattice, group in groups + rebased + extra
+    ]
+
+
+def all_isotropic(group):
+    return [h for order in divisors(group.order())
+            for h in enumerate_isotropic_subgroups(group, order)]
+
+
+def test_induced_map_matches_fraction_formula(census):
+    mixed = checked = 0
+    for lattice, group, isometries in census:
+        mixed += len(set(group.cleared_lifts[1])) > 1
+        for matrix in isometries:
+            assert induced_map(matrix, group) == induced_map_by_fractions(matrix, group)
+            checked += 1
+        n = lattice.rank
+        stretch = tuple(tuple(2 if i == j == 0 else int(i == j) for j in range(n))
+                        for i in range(n))
+        halved = ((Fraction(1, 2),) + stretch[0][1:],) + stretch[1:]
+        for bad in (stretch, halved):
+            with pytest.raises(GlueError, match="not an isometry"):
+                induced_map(bad, group)
+            with pytest.raises(GlueError, match="not an isometry"):
+                induced_map_by_fractions(bad, group)
+    assert any(group.order() == 1 for _lattice, group, _isos in census)
+    assert mixed >= 15 and checked >= 300
+
+
+def test_extension_by_generators_matches_every_element(census):
+    verdicts = []
+    for _lattice, group, isometries in census:
+        for h in all_isotropic(group):
+            for matrix in isometries:
+                expected = extends_by_every_element(matrix, h)
+                assert extends_to_overlattice(matrix, h) == expected
+                verdicts.append((expected, len(h.generators)))
+    assert (True, 2) in verdicts and (False, 2) in verdicts
+    assert sum(not ok for ok, _ in verdicts) >= 50
+
+
+def test_overlattice_gram_matches_fraction_gram(census):
+    nontrivial = 0
+    for lattice, group, _isometries in census:
+        for h in all_isotropic(group):
+            over, basis = overlattice_with_basis(h)
+            gram, expected_basis = overlattice_by_fractions(h)
+            assert basis == expected_basis
+            assert over.gram == gram
+            assert over.determinant() * h.order() ** 2 == lattice.determinant()
+            nontrivial += h.order() > 1
+    assert nontrivial >= 100
+
+
+def test_isotropic_subgroups_do_not_depend_on_the_divisor_order(census):
+    rng = random.Random(308)
+    for _lattice, group, _isometries in census:
+        orders = divisors(group.order())
+        shuffled = rng.sample(orders, len(orders))
+        listings = []
+        for sequence in (orders, orders[::-1], shuffled):
+            fresh = type(group)(group.orders, group.pair_gram, group.lifts, group.source,
+                                group.classes)
+            listings.append({d: enumerate_isotropic_subgroups(fresh, d) for d in sequence})
+        assert listings[0] == listings[1] == listings[2]
+        assert listings[0] == {d: enumerate_isotropic_subgroups(group, d) for d in orders}

@@ -28,6 +28,19 @@ def test_determinant_examples(invariant):
     assert IntegerLattice(((6, 3), (3, 6))).determinant() == 27
 
 
+def test_determinant_is_computed_once(monkeypatch):
+    from latglue import lattices
+
+    calls = []
+    monkeypatch.setattr(lattices, "det", lambda gram: calls.append(gram) or det(gram))
+    lattice = IntegerLattice(S_GRAM)
+    assert lattice.determinant() == lattice.determinant() == 162
+    assert calls == [S_GRAM]
+    # the kept value is no part of equality, hashing or the repr
+    assert lattice == IntegerLattice(S_GRAM) and hash(lattice) == hash(IntegerLattice(S_GRAM))
+    assert repr(lattice) == f"IntegerLattice(gram={S_GRAM!r})"
+
+
 def test_signature_examples(invariant):
     assert invariant.signature() == (3, 0)
     assert IntegerLattice(((0, 1), (1, 0))).signature() == (1, 1)
