@@ -20,10 +20,9 @@ than silently applied.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import os
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from math import gcd
 
 from .discforms import (
@@ -61,7 +60,7 @@ from .isometries import (
     orthogonal_group,
     vectors_of_norm,
 )
-from .lattices import IntegerLattice, LatticeError, Sublattice
+from .lattices import Frozen, IntegerLattice, LatticeError, Sublattice
 
 
 _VEC3 = (int, int, int)
@@ -123,9 +122,14 @@ def check_shape(value, shape, where: str = "golden data") -> None:
 def printed_tables() -> dict:
     """The shipped transcription of the printed reference tables (golden data).
 
-    Raises GlueError if the file is not JSON or does not fit GOLDEN_SHAPE.
+    Raises GlueError if the file is not UTF-8 JSON or does not fit GOLDEN_SHAPE.
     """
-    text = resources.files("latglue").joinpath("data/printed_tables.json").read_text("utf-8")
+    path = os.path.join(os.path.dirname(__file__), "data", "printed_tables.json")
+    with open(path, encoding="utf-8") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise GlueError(f"golden data is not UTF-8: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -226,34 +230,39 @@ def admissible_n(m: int) -> frozenset[int]:
 ORDER3_BLOCK: IntMatrix = ((-1, -1), (1, 0))
 
 
-@dataclass(frozen=True)
-class ClassificationCase:
+class ClassificationCase(Frozen):
     """One surviving polarization class with its full extension data."""
 
-    m: int
-    name: str
-    polarization: IntVector
-    orbit_rep: IntVector
-    orbit_size: int
-    witness: IntMatrix
-    n: int
-    t_basis: IntMatrix
-    t_gram: IntMatrix
-    index: int
-    phi: IntMatrix
-    order: int
-    gamma: IntMatrix
-    psi_bar: IntMatrix
-    divisibility: int
+    def __init__(
+        self, m: int, name: str, polarization: IntVector, orbit_rep: IntVector,
+        orbit_size: int, witness: IntMatrix, n: int, t_basis: IntMatrix, t_gram: IntMatrix,
+        index: int, phi: IntMatrix, order: int, gamma: IntMatrix, psi_bar: IntMatrix,
+        divisibility: int,
+    ):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "polarization", polarization)
+        object.__setattr__(self, "orbit_rep", orbit_rep)
+        object.__setattr__(self, "orbit_size", orbit_size)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t_basis", t_basis)
+        object.__setattr__(self, "t_gram", t_gram)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "psi_bar", psi_bar)
+        object.__setattr__(self, "divisibility", divisibility)
 
 
-@dataclass(frozen=True)
-class ExcludedCandidate:
-    m: int
-    name: str
-    representative: IntVector
-    norm: int
-    reason: str
+class ExcludedCandidate(Frozen):
+    def __init__(self, m: int, name: str, representative: IntVector, norm: int, reason: str):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "reason", reason)
 
 
 def _printed_gamma(m: int, name: str) -> IntMatrix:
@@ -517,8 +526,11 @@ def order6_closure(
             if phi.order != 6:
                 raise LatticeError(f"product isometry has order {phi.order}")
             result.append(
-                replace(
-                    c2, m=6, phi=product, order=6,
+                ClassificationCase(
+                    m=6, name=c2.name, polarization=c2.polarization,
+                    orbit_rep=c2.orbit_rep, orbit_size=c2.orbit_size, witness=c2.witness,
+                    n=c2.n, t_basis=c2.t_basis, t_gram=c2.t_gram, index=c2.index,
+                    phi=product, order=6,
                     **_glue_data(6, c2.name, product, c2.polarization),
                 )
             )

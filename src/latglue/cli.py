@@ -40,7 +40,11 @@ def _lattice_from_args(args) -> IntegerLattice | None:
         return IntegerLattice.from_json(args.gram)
     if getattr(args, "file", None):
         with open(args.file, "r", encoding="utf-8") as handle:
-            return IntegerLattice.from_json(handle.read())
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise LatticeError(f"{args.file} is not UTF-8: {exc}") from None
+        return IntegerLattice.from_json(text)
     return None
 
 
@@ -64,13 +68,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("json", "md"), default="json")
 
     p_info = sub.add_parser("lattice-info", help="invariants of a Gram matrix")
-    p_info.add_argument("--gram", help="inline JSON Gram matrix")
-    p_info.add_argument("--file", help="path to a JSON Gram matrix")
+    source = p_info.add_mutually_exclusive_group()
+    source.add_argument("--gram", help="inline JSON Gram matrix")
+    source.add_argument("--file", help="path to a JSON Gram matrix")
 
     p_orbits = sub.add_parser("orbits", help="orbit table for vectors of one norm")
     p_orbits.add_argument("--norm", type=int, required=True)
-    p_orbits.add_argument("--gram", help="inline JSON Gram matrix (default: the fixed lattice)")
-    p_orbits.add_argument("--file", help="path to a JSON Gram matrix")
+    source = p_orbits.add_mutually_exclusive_group()
+    source.add_argument("--gram", help="inline JSON Gram matrix (default: the fixed lattice)")
+    source.add_argument("--file", help="path to a JSON Gram matrix")
     p_orbits.add_argument(
         "--full-group",
         action="store_true",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -37,7 +36,7 @@ from .exact import (
     solve_int,
     transpose,
 )
-from .lattices import IntegerLattice, LatticeError, Sublattice, closure
+from .lattices import Frozen, IntegerLattice, LatticeError, Sublattice, closure
 
 
 class GlueError(ValueError):
@@ -48,8 +47,7 @@ def _reduce_mod(x: Fraction, modulus: int) -> Fraction:
     return x - (x / modulus).__floor__() * modulus
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(Frozen):
     """Finite abelian group with a Q/2Z-valued quadratic form.
 
     ``orders`` are the cyclic factor orders d1 | d2 | ... (all > 1);
@@ -70,43 +68,50 @@ class DiscriminantGroup:
     Computed once per group, on first use: the isotropic subgroups of every
     order (``isotropic_spans``) and the integer data of the induced maps
     and overlattices (``cleared_lifts``, ``classes_gram``).
+
+    Equality and the hash read ``orders``, ``pair_gram``, ``lifts`` and
+    ``source`` only, so two groups that differ in ``classes`` are equal.
     """
 
-    orders: tuple[int, ...]
-    pair_gram: tuple[tuple[Fraction, ...], ...]
-    lifts: tuple[tuple[Fraction, ...], ...] | None = None
-    source: IntegerLattice | None = None
-    classes: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False, compare=False)
-    exponent: int = field(init=False, repr=False, compare=False)
-    int_gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(int(d) for d in self.orders))
-        object.__setattr__(self, "pair_gram", freeze(self.pair_gram))
-        for name in ("lifts", "classes"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, freeze(getattr(self, name)))
-        k = len(self.orders)
-        if any(d <= 1 for d in self.orders):
+    def __init__(self, orders, pair_gram, lifts=None, source: IntegerLattice | None = None,
+                 classes=None):
+        orders = tuple(int(d) for d in orders)
+        pair_gram = freeze(pair_gram)
+        k = len(orders)
+        if any(d <= 1 for d in orders):
             raise GlueError("cyclic factor orders must exceed 1")
-        if any(self.orders[i + 1] % self.orders[i] for i in range(k - 1)):
+        if any(orders[i + 1] % orders[i] for i in range(k - 1)):
             raise GlueError("orders must form a divisibility chain d1 | d2 | ...")
-        if len(self.pair_gram) != k or any(len(row) != k for row in self.pair_gram):
+        if len(pair_gram) != k or any(len(row) != k for row in pair_gram):
             raise GlueError("pairing matrix shape must match the generator count")
-        if self.pair_gram != transpose(self.pair_gram):
+        if pair_gram != transpose(pair_gram):
             raise GlueError("pairing matrix must be symmetric")
-        for i, d in enumerate(self.orders):
-            if any((d * self.pair_gram[i][j]).denominator != 1 for j in range(k)):
+        for i, d in enumerate(orders):
+            if any((d * pair_gram[i][j]).denominator != 1 for j in range(k)):
                 raise GlueError("bilinear values are not well-defined modulo Z")
-            if (d * d * self.pair_gram[i][i]).denominator != 1 or (
-                d * d * self.pair_gram[i][i]
+            if (d * d * pair_gram[i][i]).denominator != 1 or (
+                d * d * pair_gram[i][i]
             ).numerator % 2:
                 raise GlueError("quadratic values are not well-defined modulo 2Z")
-        exponent = self.orders[-1] if k else 1
+        exponent = orders[-1] if k else 1
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "pair_gram", pair_gram)
+        object.__setattr__(self, "lifts", None if lifts is None else freeze(lifts))
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "classes", None if classes is None else freeze(classes))
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "int_gram", freeze(
-            tuple(int(exponent * x) for x in row) for row in self.pair_gram
+            tuple(int(exponent * x) for x in row) for row in pair_gram
         ))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.orders, self.pair_gram, self.lifts, self.source) == (
+            other.orders, other.pair_gram, other.lifts, other.source)
+
+    def __hash__(self):
+        return hash((self.orders, self.pair_gram, self.lifts, self.source))
 
     # -- structure ------------------------------------------------------
 
@@ -288,12 +293,20 @@ def with_generators(group: DiscriminantGroup, lifts) -> DiscriminantGroup:
     )
 
 
-@dataclass(frozen=True)
-class DiscElement:
+class DiscElement(Frozen):
     """Element of a DiscriminantGroup in canonical coefficients."""
 
-    parent: DiscriminantGroup
-    coeffs: tuple[int, ...]
+    def __init__(self, parent: DiscriminantGroup, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.coeffs) == (other.parent, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.parent, self.coeffs))
 
     def __add__(self, other: "DiscElement") -> "DiscElement":
         if self.parent is not other.parent and self.parent != other.parent:
@@ -334,8 +347,7 @@ def span_elements(parent: DiscriminantGroup, generators) -> frozenset:
     return frozenset(closure([parent.zero().coeffs], gens, add))
 
 
-@dataclass(frozen=True)
-class IsotropicSubgroup:
+class IsotropicSubgroup(Frozen):
     """Subgroup of a discriminant group on which q vanishes identically.
 
     Isotropy is verified on every element of the generated subgroup, not
@@ -343,20 +355,26 @@ class IsotropicSubgroup:
     q(x) = 0 exactly when x Q x^T is divisible by 2e.
     """
 
-    parent: DiscriminantGroup
-    generators: tuple[DiscElement, ...]
-    _coeffs: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "_coeffs", span_elements(self.parent, self.generators))
-        group = self.parent
-        for coeffs in self._coeffs:
-            if bilinear(coeffs, group.int_gram, coeffs) % (2 * group.exponent):
-                value = group.q(group.element(coeffs))
+    def __init__(self, parent: DiscriminantGroup, generators):
+        generators = tuple(generators)
+        span = span_elements(parent, generators)
+        for coeffs in span:
+            if bilinear(coeffs, parent.int_gram, coeffs) % (2 * parent.exponent):
+                value = parent.q(parent.element(coeffs))
                 raise GlueError(
                     f"subgroup is not isotropic: q({coeffs}) = {value}"
                 )
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_coeffs", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.generators) == (other.parent, other.generators)
+
+    def __hash__(self):
+        return hash((self.parent, self.generators))
 
     def element_coeffs(self) -> frozenset:
         return self._coeffs
@@ -448,37 +466,43 @@ def glue_subgroup(sub: Sublattice) -> IsotropicSubgroup:
     return IsotropicSubgroup(group, _generating_set(group, subgroup))
 
 
-@dataclass(frozen=True)
-class FiniteAbelianMap:
+class FiniteAbelianMap(Frozen):
     """Homomorphism between discriminant groups.
 
     ``matrix`` columns are the images of the domain generators, written in
     the codomain generators and reduced modulo the codomain orders.
     """
 
-    domain: DiscriminantGroup
-    codomain: DiscriminantGroup
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if any(int(x) != x for row in self.matrix for x in row):
+    def __init__(self, domain: DiscriminantGroup, codomain: DiscriminantGroup, matrix):
+        if any(int(x) != x for row in matrix for x in row):
             raise GlueError("map matrix entries must be integers")
         reduced = freeze(
-            tuple(int(x) % self.codomain.orders[i] for x in row)
-            for i, row in enumerate(self.matrix)
+            tuple(int(x) % codomain.orders[i] for x in row)
+            for i, row in enumerate(matrix)
         )
-        object.__setattr__(self, "matrix", reduced)
-        if len(reduced) != self.codomain.ngens or any(
-            len(row) != self.domain.ngens for row in reduced
+        if len(reduced) != codomain.ngens or any(
+            len(row) != domain.ngens for row in reduced
         ):
             raise GlueError("map matrix shape mismatch")
-        for j, d in enumerate(self.domain.orders):
-            image = self.codomain.element(tuple(row[j] for row in reduced))
+        for j, d in enumerate(domain.orders):
+            image = codomain.element(tuple(row[j] for row in reduced))
             if not (d * image).is_zero():
                 raise GlueError(
                     f"map is not well-defined: generator {j} of order {d} "
                     f"maps to an element of order {image.order()}"
                 )
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "matrix", reduced)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.domain, self.codomain, self.matrix) == (
+            other.domain, other.codomain, other.matrix)
+
+    def __hash__(self):
+        return hash((self.domain, self.codomain, self.matrix))
 
     def apply(self, x: DiscElement) -> DiscElement:
         if x.parent != self.domain:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -49,7 +48,7 @@ def bilinear(v, gram, w):
     return sum(vi * sum(map(mul, row, w)) for vi, row in zip(v, gram) if vi)
 
 
-def vec_content(v: Sequence[int]) -> int:
+def vec_content(v: IntVector | list[int]) -> int:
     """gcd of the entries (0 for the zero vector)."""
     g = 0
     for x in v:

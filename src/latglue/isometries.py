@@ -26,7 +26,6 @@ matrix are the images of the basis vectors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
@@ -42,7 +41,7 @@ from .exact import (
     transpose,
     vec_content,
 )
-from .lattices import IntegerLattice, LatticeError, Sublattice, closure
+from .lattices import Frozen, IntegerLattice, LatticeError, Sublattice, closure
 
 RANK_GUARD = 4
 CANDIDATE_GUARD = 10_000
@@ -67,18 +66,23 @@ def matrix_order(matrix, limit: int = 10_000) -> int:
     raise LatticeError("matrix order exceeds the search limit")
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(Frozen):
     """Gram-preserving basis change; its multiplicative ``order`` is computed on first use."""
 
-    lattice: IntegerLattice
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        matrix = freeze(self.matrix)
-        object.__setattr__(self, "matrix", matrix)
-        if not is_isometry_matrix(self.lattice, matrix):
+    def __init__(self, lattice: IntegerLattice, matrix: IntMatrix):
+        matrix = freeze(matrix)
+        if not is_isometry_matrix(lattice, matrix):
             raise LatticeError("matrix does not preserve the Gram matrix")
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lattice, self.matrix) == (other.lattice, other.matrix)
+
+    def __hash__(self):
+        return hash((self.lattice, self.matrix))
 
     @classmethod
     def _unchecked(cls, lattice: IntegerLattice, matrix: IntMatrix) -> "Isometry":
@@ -240,12 +244,20 @@ def vectors_of_norm(lattice: IntegerLattice, norm: int) -> tuple[IntVector, ...]
     return _short_vectors(lattice).vectors(norm)
 
 
-@dataclass(frozen=True)
-class IsometryGroup:
+class IsometryGroup(Frozen):
     """Complete list of isometries of a definite lattice."""
 
-    lattice: IntegerLattice
-    elements: tuple[Isometry, ...]
+    def __init__(self, lattice: IntegerLattice, elements: tuple[Isometry, ...]):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "elements", elements)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lattice, self.elements) == (other.lattice, other.elements)
+
+    def __hash__(self):
+        return hash((self.lattice, self.elements))
 
     def order(self) -> int:
         return len(self.elements)
@@ -345,10 +357,18 @@ def isometry_between(a: IntegerLattice, b: IntegerLattice):
     return matrix
 
 
-@dataclass(frozen=True)
-class Orbit:
-    representative: IntVector
-    members: tuple[IntVector, ...]
+class Orbit(Frozen):
+    def __init__(self, representative: IntVector, members: tuple[IntVector, ...]):
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.representative, self.members) == (other.representative, other.members)
+
+    def __hash__(self):
+        return hash((self.representative, self.members))
 
     @property
     def size(self) -> int:

@@ -20,7 +20,6 @@ computation is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -74,17 +73,24 @@ def is_primitive_vector(v) -> bool:
     return vec_content(v) == 1
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
-    """Even or odd non-degenerate lattice given by its Gram matrix."""
+class Frozen:
+    """Base of the immutable values: ``__init__`` sets each attribute once."""
 
-    gram: IntMatrix
-    # det(gram), computed once to reject degenerate Grams
-    _det: int = field(init=False, repr=False, compare=False)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __post_init__(self):
-        gram = freeze(self.gram)
-        object.__setattr__(self, "gram", gram)
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntegerLattice(Frozen):
+    """Even or odd non-degenerate lattice given by its Gram matrix.
+
+    Equality and the hash (kept from construction) read ``gram`` only.
+    """
+
+    def __init__(self, gram: IntMatrix):
+        gram = freeze(gram)
         n = len(gram)
         if n == 0 or any(len(row) != n for row in gram):
             raise LatticeError("Gram matrix must be square and nonempty")
@@ -92,9 +98,24 @@ class IntegerLattice:
             raise LatticeError("Gram entries must be integers")
         if gram != transpose(gram):
             raise LatticeError("Gram matrix must be symmetric")
-        object.__setattr__(self, "_det", det(gram))
-        if self._det == 0:
+        # det(gram), computed once to reject degenerate Grams
+        d = det(gram)
+        if d == 0:
             raise LatticeError("degenerate Gram matrix")
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_det", d)
+        object.__setattr__(self, "_hash", hash((gram,)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.gram == other.gram
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"IntegerLattice(gram={self.gram!r})"
 
     @property
     def rank(self) -> int:
@@ -203,21 +224,18 @@ class IntegerLattice:
         return cls(freeze(data))
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Frozen):
     """Sublattice of an ambient lattice, rows of ``basis`` in ambient coordinates."""
 
-    ambient: IntegerLattice
-    basis: IntMatrix
-
-    def __post_init__(self):
-        basis = freeze(self.basis)
-        object.__setattr__(self, "basis", basis)
-        if basis and any(len(row) != self.ambient.rank for row in basis):
+    def __init__(self, ambient: IntegerLattice, basis: IntMatrix):
+        basis = freeze(basis)
+        if basis and any(len(row) != ambient.rank for row in basis):
             raise LatticeError("generator length must match ambient rank")
         h, _ = hnf(basis) if basis else ((), ())
         if sum(1 for row in h if any(row)) != len(basis):
             raise LatticeError("generators must be linearly independent")
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def rank(self) -> int:

@@ -163,6 +163,18 @@ def test_lattice_info_from_file(capsys, tmp_path):
     assert code == 0 and json.loads(out)["determinant"] == 2
 
 
+@pytest.mark.parametrize("command", [["lattice-info"], ["orbits", "--norm", "2"]])
+def test_gram_and_file_exclude_each_other(capsys, tmp_path, command):
+    path = tmp_path / "gram.json"
+    path.write_text("[[2]]", encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--gram", "[[2]]", "--file", str(path)])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert err.startswith(f"usage: latglue {command[0]} ")
+    assert "argument --file: not allowed with argument --gram" in err
+
+
 def test_orbits_default_lattice(capsys):
     code, out, _ = run_cli(capsys, "orbits", "--norm", "6")
     assert code == 0
@@ -310,6 +322,14 @@ def test_adversarial_inputs_exit_cleanly(seed, tmp_path):
             exits.append(proc.returncode)
     assert 0 in exits and 2 in exits
 
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes("[[2]]".encode("utf-16"))  # starts with the bytes ff fe
+    for argv in (["lattice-info", "--file", str(not_utf8)],
+                 ["orbits", "--norm", "6", "--file", str(not_utf8)]):
+        proc, elapsed = cli_process(argv, package.parent)
+        assert_clean_exit(proc, elapsed, argv)
+        assert proc.returncode == 2 and "is not UTF-8" in proc.stderr, (argv, proc.stderr)
+
     copy = tmp_path / "latglue"
     shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
     golden = copy / "data" / "printed_tables.json"
@@ -319,6 +339,10 @@ def test_adversarial_inputs_exit_cleanly(seed, tmp_path):
         argv = ["verify-table", "cases"]
         proc, elapsed = cli_process(argv, tmp_path)
         assert_clean_exit(proc, elapsed, argv + [kind])
+    golden.write_bytes(pristine.encode("utf-16"))
+    proc, elapsed = cli_process(["verify-table", "cases"], tmp_path)
+    assert_clean_exit(proc, elapsed, ["verify-table", "cases", "utf-16"])
+    assert proc.returncode == 2 and "golden data is not UTF-8" in proc.stderr, proc.stderr
 
 
 def test_huge_entries_answer_or_refuse():
@@ -330,3 +354,28 @@ def test_huge_entries_answer_or_refuse():
     proc, _ = cli_process(["lattice-info", "--gram", level], package_root)
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and "nodes (limit 1000000)" in proc.stderr
+
+
+COSTLY_IMPORTS = ("dataclasses", "inspect", "importlib.resources", "typing")
+
+
+def test_cli_start_up_imports_stay_small():
+    """Importing and running the CLI loads none of the modules that dominate start-up.
+
+    Run under ``-S`` so that no site-packages ``.pth`` file imports them first.
+    """
+    src = Path(latglue.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "import latglue.cli\n"
+        f"costly = {COSTLY_IMPORTS!r}\n"
+        "print(sorted(m for m in costly if m in sys.modules))\n"
+        "latglue.cli.main(['verify-table', 'cases'])\n"
+        "sys.stderr.write(repr(sorted(m for m in costly if m in sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=CASE_BUDGET_S,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("[]\n") and proc.stderr == "[]", (proc.stdout[:200], proc.stderr)
