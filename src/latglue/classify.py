@@ -239,30 +239,15 @@ class ClassificationCase(Frozen):
         index: int, phi: IntMatrix, order: int, gamma: IntMatrix, psi_bar: IntMatrix,
         divisibility: int,
     ):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "polarization", polarization)
-        object.__setattr__(self, "orbit_rep", orbit_rep)
-        object.__setattr__(self, "orbit_size", orbit_size)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "t_basis", t_basis)
-        object.__setattr__(self, "t_gram", t_gram)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "psi_bar", psi_bar)
-        object.__setattr__(self, "divisibility", divisibility)
+        self._set(m=m, name=name, polarization=polarization, orbit_rep=orbit_rep,
+                  orbit_size=orbit_size, witness=witness, n=n, t_basis=t_basis, t_gram=t_gram,
+                  index=index, phi=phi, order=order, gamma=gamma, psi_bar=psi_bar,
+                  divisibility=divisibility)
 
 
 class ExcludedCandidate(Frozen):
     def __init__(self, m: int, name: str, representative: IntVector, norm: int, reason: str):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "norm", norm)
-        object.__setattr__(self, "reason", reason)
+        self._set(m=m, name=name, representative=representative, norm=norm, reason=reason)
 
 
 def _printed_gamma(m: int, name: str) -> IntMatrix:

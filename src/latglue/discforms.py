@@ -19,6 +19,7 @@ import json
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import attrgetter
 
 from .exact import (
     IntMatrix,
@@ -73,6 +74,8 @@ class DiscriminantGroup(Frozen):
     ``source`` only, so two groups that differ in ``classes`` are equal.
     """
 
+    _key = attrgetter("orders", "pair_gram", "lifts", "source")
+
     def __init__(self, orders, pair_gram, lifts=None, source: IntegerLattice | None = None,
                  classes=None):
         orders = tuple(int(d) for d in orders)
@@ -94,24 +97,10 @@ class DiscriminantGroup(Frozen):
             ).numerator % 2:
                 raise GlueError("quadratic values are not well-defined modulo 2Z")
         exponent = orders[-1] if k else 1
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "pair_gram", pair_gram)
-        object.__setattr__(self, "lifts", None if lifts is None else freeze(lifts))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "classes", None if classes is None else freeze(classes))
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "int_gram", freeze(
-            tuple(int(exponent * x) for x in row) for row in pair_gram
-        ))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.orders, self.pair_gram, self.lifts, self.source) == (
-            other.orders, other.pair_gram, other.lifts, other.source)
-
-    def __hash__(self):
-        return hash((self.orders, self.pair_gram, self.lifts, self.source))
+        self._set(orders=orders, pair_gram=pair_gram,
+                  lifts=None if lifts is None else freeze(lifts), source=source,
+                  classes=None if classes is None else freeze(classes), exponent=exponent,
+                  int_gram=freeze(tuple(int(exponent * x) for x in row) for row in pair_gram))
 
     # -- structure ------------------------------------------------------
 
@@ -126,6 +115,9 @@ class DiscriminantGroup(Frozen):
         return DiscElement(self, (0,) * self.ngens)
 
     def element(self, coeffs) -> "DiscElement":
+        k = len(self.orders)
+        if len(coeffs) != k:
+            raise GlueError(f"coefficient length {len(coeffs)} does not match {k} generators")
         return DiscElement(self, tuple(int(c) % d for c, d in zip(coeffs, self.orders)))
 
     def generator(self, i: int) -> "DiscElement":
@@ -296,17 +288,10 @@ def with_generators(group: DiscriminantGroup, lifts) -> DiscriminantGroup:
 class DiscElement(Frozen):
     """Element of a DiscriminantGroup in canonical coefficients."""
 
+    _key = attrgetter("parent", "coeffs")
+
     def __init__(self, parent: DiscriminantGroup, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.parent, self.coeffs) == (other.parent, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.parent, self.coeffs))
+        self._set(parent=parent, coeffs=coeffs)
 
     def __add__(self, other: "DiscElement") -> "DiscElement":
         if self.parent is not other.parent and self.parent != other.parent:
@@ -317,9 +302,6 @@ class DiscElement(Frozen):
 
     def __neg__(self) -> "DiscElement":
         return self.parent.element(tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other: "DiscElement") -> "DiscElement":
-        return self + (-other)
 
     def __rmul__(self, k: int) -> "DiscElement":
         return self.parent.element(tuple(k * a for a in self.coeffs))
@@ -355,6 +337,8 @@ class IsotropicSubgroup(Frozen):
     q(x) = 0 exactly when x Q x^T is divisible by 2e.
     """
 
+    _key = attrgetter("parent", "generators")
+
     def __init__(self, parent: DiscriminantGroup, generators):
         generators = tuple(generators)
         span = span_elements(parent, generators)
@@ -364,17 +348,7 @@ class IsotropicSubgroup(Frozen):
                 raise GlueError(
                     f"subgroup is not isotropic: q({coeffs}) = {value}"
                 )
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "_coeffs", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.parent, self.generators) == (other.parent, other.generators)
-
-    def __hash__(self):
-        return hash((self.parent, self.generators))
+        self._set(parent=parent, generators=generators, _coeffs=span)
 
     def element_coeffs(self) -> frozenset:
         return self._coeffs
@@ -473,17 +447,14 @@ class FiniteAbelianMap(Frozen):
     the codomain generators and reduced modulo the codomain orders.
     """
 
+    _key = attrgetter("domain", "codomain", "matrix")
+
     def __init__(self, domain: DiscriminantGroup, codomain: DiscriminantGroup, matrix):
+        if len(matrix) != codomain.ngens or any(len(row) != domain.ngens for row in matrix):
+            raise GlueError("map matrix shape mismatch")
         if any(int(x) != x for row in matrix for x in row):
             raise GlueError("map matrix entries must be integers")
-        reduced = freeze(
-            tuple(int(x) % codomain.orders[i] for x in row)
-            for i, row in enumerate(matrix)
-        )
-        if len(reduced) != codomain.ngens or any(
-            len(row) != domain.ngens for row in reduced
-        ):
-            raise GlueError("map matrix shape mismatch")
+        reduced = freeze(tuple(int(x) % d for x in row) for d, row in zip(codomain.orders, matrix))
         for j, d in enumerate(domain.orders):
             image = codomain.element(tuple(row[j] for row in reduced))
             if not (d * image).is_zero():
@@ -491,18 +462,7 @@ class FiniteAbelianMap(Frozen):
                     f"map is not well-defined: generator {j} of order {d} "
                     f"maps to an element of order {image.order()}"
                 )
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "matrix", reduced)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.domain, self.codomain, self.matrix) == (
-            other.domain, other.codomain, other.matrix)
-
-    def __hash__(self):
-        return hash((self.domain, self.codomain, self.matrix))
+        self._set(domain=domain, codomain=codomain, matrix=reduced)
 
     def apply(self, x: DiscElement) -> DiscElement:
         if x.parent != self.domain:
@@ -562,16 +522,31 @@ class FiniteAbelianMap(Frozen):
         are supplied, the endpoints are rebuilt with zero pairing data
         (composition and solving work, form values do not).
         """
-        data = json.loads(text)
-        orders_dom = tuple(int(d) for d in data["orders_dom"])
-        orders_cod = tuple(int(d) for d in data["orders_cod"])
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GlueError(f"invalid JSON: {exc}") from exc
+        keys = ("orders_dom", "orders_cod", "matrix")
+        if not isinstance(data, dict) or any(key not in data for key in keys):
+            raise GlueError(f"expected a JSON object with keys {', '.join(keys)}")
+        orders_dom = _int_list(data["orders_dom"], "orders_dom")
+        orders_cod = _int_list(data["orders_cod"], "orders_cod")
+        if not isinstance(data["matrix"], list):
+            raise GlueError("matrix must be a list of rows")
+        matrix = tuple(_int_list(row, "each matrix row") for row in data["matrix"])
         if domain is None:
             domain = bare_group(orders_dom)
         if codomain is None:
             codomain = bare_group(orders_cod)
         if domain.orders != orders_dom or codomain.orders != orders_cod:
             raise GlueError("serialized orders do not match the given groups")
-        return cls(domain, codomain, freeze(data["matrix"]))
+        return cls(domain, codomain, matrix)
+
+
+def _int_list(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise GlueError(f"{what} must be a list of exact integers")
+    return tuple(value)
 
 
 def _induced_matrix(matrix, group: DiscriminantGroup) -> IntMatrix:

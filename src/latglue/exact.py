@@ -13,7 +13,7 @@ Conventions are pinned so that every caller sees deterministic output:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -281,8 +281,6 @@ def solve_int(a, t) -> IntVector | None:
 
 
 def lcm_denominator(rows) -> int:
-    from math import lcm
-
     d = 1
     for row in rows:
         for x in row:

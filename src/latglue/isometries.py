@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import attrgetter, mul
 
 from .exact import (
     IntMatrix,
@@ -38,6 +38,7 @@ from .exact import (
     identity,
     mat_mul,
     mat_vec,
+    right_kernel,
     transpose,
     vec_content,
 )
@@ -69,27 +70,19 @@ def matrix_order(matrix, limit: int = 10_000) -> int:
 class Isometry(Frozen):
     """Gram-preserving basis change; its multiplicative ``order`` is computed on first use."""
 
+    _key = attrgetter("lattice", "matrix")
+
     def __init__(self, lattice: IntegerLattice, matrix: IntMatrix):
         matrix = freeze(matrix)
         if not is_isometry_matrix(lattice, matrix):
             raise LatticeError("matrix does not preserve the Gram matrix")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lattice, self.matrix) == (other.lattice, other.matrix)
-
-    def __hash__(self):
-        return hash((self.lattice, self.matrix))
+        self._set(lattice=lattice, matrix=matrix)
 
     @classmethod
     def _unchecked(cls, lattice: IntegerLattice, matrix: IntMatrix) -> "Isometry":
         """An isometry whose frozen ``matrix`` the caller has proved Gram-preserving."""
         iso = object.__new__(cls)
-        object.__setattr__(iso, "lattice", lattice)
-        object.__setattr__(iso, "matrix", matrix)
+        iso._set(lattice=lattice, matrix=matrix)
         return iso
 
     @cached_property
@@ -247,17 +240,10 @@ def vectors_of_norm(lattice: IntegerLattice, norm: int) -> tuple[IntVector, ...]
 class IsometryGroup(Frozen):
     """Complete list of isometries of a definite lattice."""
 
+    _key = attrgetter("lattice", "elements")
+
     def __init__(self, lattice: IntegerLattice, elements: tuple[Isometry, ...]):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "elements", elements)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lattice, self.elements) == (other.lattice, other.elements)
-
-    def __hash__(self):
-        return hash((self.lattice, self.elements))
+        self._set(lattice=lattice, elements=elements)
 
     def order(self) -> int:
         return len(self.elements)
@@ -358,17 +344,10 @@ def isometry_between(a: IntegerLattice, b: IntegerLattice):
 
 
 class Orbit(Frozen):
+    _key = attrgetter("representative", "members")
+
     def __init__(self, representative: IntVector, members: tuple[IntVector, ...]):
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "members", members)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.representative, self.members) == (other.representative, other.members)
-
-    def __hash__(self):
-        return hash((self.representative, self.members))
+        self._set(representative=representative, members=members)
 
     @property
     def size(self) -> int:
@@ -420,10 +399,7 @@ def invariant_lattice(lattice: IntegerLattice, generators) -> Sublattice:
     for m in mats:
         for i in range(n):
             stacked.append(tuple(m[i][j] - eye[i][j] for j in range(n)))
-    from .exact import right_kernel
-
-    kernel = right_kernel(freeze(stacked))
-    return Sublattice(lattice, kernel)
+    return Sublattice(lattice, right_kernel(freeze(stacked)))
 
 
 def coinvariant_lattice(lattice: IntegerLattice, generators) -> Sublattice:

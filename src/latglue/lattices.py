@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from operator import attrgetter
 
 from .exact import (
     FracVector,
@@ -35,6 +36,7 @@ from .exact import (
     identity,
     mat_mul,
     mat_vec,
+    right_kernel,
     row_reduce,
     saturate_rows,
     solve_int,
@@ -74,7 +76,20 @@ def is_primitive_vector(v) -> bool:
 
 
 class Frozen:
-    """Base of the immutable values: ``__init__`` sets each attribute once."""
+    """Base of the immutable values.
+
+    ``__init__`` validates its arguments and stores the fields once with
+    ``_set``; assignment and deletion raise afterwards.  A compared class
+    declares ``_key = operator.attrgetter(...)`` over the fields equality
+    reads: two values of the same class are equal, and hash equally,
+    exactly when their keys are.  With ``_key = None`` a value is equal
+    only to itself and hashes by identity.
+    """
+
+    _key = None
+
+    def _set(self, **fields):
+        self.__dict__.update(fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -82,12 +97,24 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return self is other if key is None else key(self) == key(other)
+
+    def __hash__(self):
+        key = self._key
+        return object.__hash__(self) if key is None else hash(key(self))
+
 
 class IntegerLattice(Frozen):
     """Even or odd non-degenerate lattice given by its Gram matrix.
 
     Equality and the hash (kept from construction) read ``gram`` only.
     """
+
+    _key = attrgetter("gram")
 
     def __init__(self, gram: IntMatrix):
         gram = freeze(gram)
@@ -102,14 +129,7 @@ class IntegerLattice(Frozen):
         d = det(gram)
         if d == 0:
             raise LatticeError("degenerate Gram matrix")
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_det", d)
-        object.__setattr__(self, "_hash", hash((gram,)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.gram == other.gram
+        self._set(gram=gram, _det=d, _hash=hash((gram,)))
 
     def __hash__(self):
         return self._hash
@@ -234,8 +254,7 @@ class Sublattice(Frozen):
         h, _ = hnf(basis) if basis else ((), ())
         if sum(1 for row in h if any(row)) != len(basis):
             raise LatticeError("generators must be linearly independent")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
+        self._set(ambient=ambient, basis=basis)
 
     @property
     def rank(self) -> int:
@@ -286,10 +305,7 @@ class Sublattice(Frozen):
         if not self.basis:
             return self.ambient.full()
         conditions = mat_mul(self.basis, self.ambient.gram)
-        from .exact import right_kernel
-
-        kernel = right_kernel(conditions)
-        return Sublattice(self.ambient, kernel)
+        return Sublattice(self.ambient, right_kernel(conditions))
 
     def index(self) -> int:
         """Index in the ambient lattice (full-rank sublattices only).
@@ -302,8 +318,6 @@ class Sublattice(Frozen):
         ratio = Fraction(det(self.gram()), self.ambient.determinant())
         if ratio.denominator != 1 or ratio < 0:
             raise LatticeError("determinant ratio is not a positive integer")
-        from math import isqrt
-
         n = int(ratio)
         root = isqrt(n)
         if root * root != n:

@@ -132,6 +132,11 @@ def test_element_from_dual_vector_rejects_wrong_lengths(disc):
         disc.element_from_dual_vector((Q(1, 3), 0))
     with pytest.raises(GlueError, match="not in the dual lattice"):
         disc.element_from_dual_vector((Q(1, 5), 0, 0))
+    # coefficients on Z3 x Z3 x Z18 are neither truncated nor padded
+    assert disc.orders == (3, 3, 18)
+    for coeffs in ((1,), (1, 0, 0, 5), ()):
+        with pytest.raises(GlueError, match=f"length {len(coeffs)} does not match 3 generators"):
+            disc.element(coeffs)
 
 
 def test_class_lookup_needs_the_quotient_map(disc):
@@ -402,12 +407,34 @@ def test_map_serialization_round_trip(pinned):
     assert attached == gamma
     with pytest.raises(GlueError):
         FiniteAbelianMap.from_json(text, domain=pinned)
+    malformed = {
+        "not JSON": "{orders_dom",
+        "a non-object": "[[3, 3, 9], [3, 3, 18]]",
+        "a missing key": '{"orders_dom": [3, 3, 9], "matrix": []}',
+        "string orders": text.replace("[3, 3, 9]", '["3", "x", 9]'),
+        "float orders": text.replace("[3, 3, 9]", "[3, 3, 9.5]"),
+        "boolean orders": text.replace("[3, 3, 9]", "[true, 3, 9]"),
+        "scalar orders": text.replace("[3, 3, 9]", "9"),
+        "a scalar matrix": text.replace('[[0, 1, 0], [1, 0, 0], [0, 0, 2]]', "1"),
+        "a scalar row": text.replace("[0, 0, 2]", "2"),
+        "a string entry": text.replace("[0, 0, 2]", '[0, 0, "2"]'),
+        "a short row": text.replace("[0, 0, 2]", "[0, 0]"),
+    }
+    for what, bad in malformed.items():
+        assert bad != text, what
+        with pytest.raises(GlueError) as info:
+            FiniteAbelianMap.from_json(bad)
+        assert "\n" not in str(info.value), what
 
 
 def test_map_well_definedness_enforced(pinned):
     # sending an order-3 generator to an order-18 element is not a map
     with pytest.raises(GlueError):
         FiniteAbelianMap(pinned, pinned, ((0, 0, 0), (0, 1, 0), (1, 0, 1)))
+    # the shape is checked before row i is reduced modulo codomain.orders[i]
+    for matrix in (identity(3) + ((0, 0, 1),), identity(3)[:2], ((1, 0), (0, 1), (0, 0))):
+        with pytest.raises(GlueError, match="map matrix shape mismatch"):
+            FiniteAbelianMap(pinned, pinned, matrix)
 
 
 def test_glue_extension_check_and_solver(pinned):

@@ -1,7 +1,8 @@
 """The immutable value classes: fields are set once, equality reads the fields.
 
 Every class refuses assignment and deletion of any attribute; the compared
-classes are equal, and hash equally, exactly when their compared fields are.
+classes are equal, and hash equally, exactly when their compared fields are,
+and the others are equal only to themselves.
 """
 
 import pytest
@@ -11,11 +12,19 @@ from latglue.discforms import (
     DiscElement,
     DiscriminantGroup,
     FiniteAbelianMap,
+    IsotropicSubgroup,
     discriminant_group,
     enumerate_isotropic_subgroups,
 )
 from latglue.exact import identity
-from latglue.isometries import Isometry, Orbit, orbits, orthogonal_group, vectors_of_norm
+from latglue.isometries import (
+    Isometry,
+    IsometryGroup,
+    Orbit,
+    orbits,
+    orthogonal_group,
+    vectors_of_norm,
+)
 from latglue.lattices import IntegerLattice
 
 S_GRAM = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
@@ -73,6 +82,12 @@ def equal_pairs():
     a2, other = IntegerLattice(gram), IntegerLattice(((2, 0), (0, 2)))
     group = discriminant_group(IntegerLattice(S_GRAM))
     again = discriminant_group(IntegerLattice(S_GRAM))
+    sub, trivial = enumerate_isotropic_subgroups(group, 3)[0], IsotropicSubgroup(group, ())
+    o_l = orthogonal_group(IntegerLattice(S_GRAM))
+    o_l_again = IsometryGroup(
+        IntegerLattice(S_GRAM),
+        tuple(Isometry(IntegerLattice(S_GRAM), g.matrix) for g in o_l.elements),
+    )
     return [
         (IntegerLattice(gram), a2, other),
         (group, again, discriminant_group(IntegerLattice(((6, 3), (3, 6))))),
@@ -82,6 +97,11 @@ def equal_pairs():
          Isometry(IntegerLattice(S_GRAM), identity(3))),
         (Orbit((0, 1), ((0, 1), (1, 0))), Orbit((0, 1), ((0, 1), (1, 0))),
          Orbit((0, 1), ((0, 1),))),
+        (sub, IsotropicSubgroup(again, [again.element(g.coeffs) for g in sub.generators]),
+         trivial),
+        (FiniteAbelianMap(group, group, identity(3)), FiniteAbelianMap(again, again, identity(3)),
+         FiniteAbelianMap(group, group, ((1, 0, 0), (0, 1, 0), (0, 0, 5)))),
+        (o_l, o_l_again, IsometryGroup(o_l.lattice, o_l.elements[:-1])),
     ]
 
 
@@ -92,6 +112,16 @@ def test_equal_inputs_give_equal_values_and_hashes(a, b, c):
     assert a != c and not a == c
     assert len({a, b, c}) == 2
     assert a != object()
+
+
+@pytest.mark.parametrize("name", ("Sublattice", "ClassificationCase", "ExcludedCandidate"))
+def test_uncompared_values_are_equal_only_to_themselves(values, name):
+    value = values[name]
+    twin = type(value)(**vars(value))
+    assert vars(twin) == vars(value)
+    assert value == value and hash(value) == hash(value)
+    assert value != twin and not value == twin
+    assert len({value, twin, value}) == 2
 
 
 def test_discriminant_group_equality_ignores_classes():
