@@ -34,7 +34,7 @@ from .exact import (
     mat_mul,
     mat_vec,
     snf,
-    solve_int,
+    solve_smith,
     transpose,
 )
 from .lattices import Frozen, IntegerLattice, LatticeError, Sublattice, closure
@@ -72,9 +72,18 @@ class DiscriminantGroup(Frozen):
 
     Equality and the hash read ``orders``, ``pair_gram``, ``lifts`` and
     ``source`` only, so two groups that differ in ``classes`` are equal.
+    The hash is computed on first use and kept, so hashing an element
+    costs a tuple hash, not a walk over the ``Fraction`` matrices.
     """
 
     _key = attrgetter("orders", "pair_gram", "lifts", "source")
+
+    @cached_property
+    def _hash(self) -> int:
+        return super().__hash__()
+
+    def __hash__(self):
+        return self._hash
 
     def __init__(self, orders, pair_gram, lifts=None, source: IntegerLattice | None = None,
                  classes=None):
@@ -273,11 +282,12 @@ def with_generators(group: DiscriminantGroup, lifts) -> DiscriminantGroup:
     orders = tuple(e.order() for e in elems)
     if prod(orders) != group.order():
         raise GlueError("given vectors do not freely generate the group")
-    if len(span_elements(group, elems)) != group.order():
-        raise GlueError("given vectors do not generate the group")
-    # new coefficients -> canonical ones is a bijection; invert it on the
-    # canonical generators and compose with the canonical quotient map
+    # new coefficients -> canonical ones: as |domain| == |group|, injective
+    # means bijective; invert it on the canonical generators and compose
+    # with the canonical quotient map
     onto = FiniteAbelianMap(bare_group(orders), group, transpose([e.coeffs for e in elems]))
+    if not onto.is_injective():
+        raise GlueError("given vectors do not generate the group")
     inverse = transpose([onto.solve(group.generator(i)).coeffs for i in range(group.ngens)])
     return DiscriminantGroup(
         orders, gram_of_rows(lifts_t, lattice.gram), lifts_t, lattice,
@@ -445,6 +455,12 @@ class FiniteAbelianMap(Frozen):
 
     ``matrix`` columns are the images of the domain generators, written in
     the codomain generators and reduced modulo the codomain orders.
+
+    The image is (M Z^k + D Z^l) / D Z^l for M = ``matrix`` and D the
+    diagonal of the codomain orders, so the Smith form of [M | D] has
+    |codomain| / |image| = d_1 * ... * d_l (Cohen, GTM 138, section 2.4).
+    That one Smith form, computed on first use, decides ``is_injective``
+    (|image| == |domain|) and solves M x = t mod D for every ``solve``.
     """
 
     _key = attrgetter("domain", "codomain", "matrix")
@@ -480,30 +496,25 @@ class FiniteAbelianMap(Frozen):
             inner.domain, self.codomain, mat_mul(self.matrix, inner.matrix)
         )
 
-    def image_coeffs(self) -> frozenset:
-        """The image, as the subgroup spanned by the images of the generators."""
-        return span_elements(self.codomain, transpose(self.matrix))
+    @cached_property
+    def _smith(self):
+        """snf([M | D]): the map's matrix next to the codomain's relations."""
+        orders = self.codomain.orders
+        return snf(tuple(row + tuple(d * x for x in unit)
+                         for row, d, unit in zip(self.matrix, orders, identity(len(orders)))))
 
     def is_injective(self) -> bool:
-        return len(self.image_coeffs()) == self.domain.order()
+        d = self._smith[0]
+        return self.codomain.order() == self.domain.order() * prod(d[i][i] for i in range(len(d)))
 
     def solve(self, target: DiscElement) -> DiscElement | None:
         """One preimage of ``target`` under the map, or None."""
         if target.parent != self.codomain:
             raise GlueError("target is not in the codomain")
-        k_dom = self.domain.ngens
-        rows = []
-        for i in range(self.codomain.ngens):
-            row = list(self.matrix[i])
-            row.extend(
-                self.codomain.orders[i] if j == i else 0
-                for j in range(self.codomain.ngens)
-            )
-            rows.append(tuple(row))
-        sol = solve_int(freeze(rows), target.coeffs)
-        if sol is None:
-            return None
-        return self.domain.element(sol[:k_dom])
+        if not self.codomain.ngens:  # 0 x k: the Smith form has no room for the unknowns
+            return self.domain.zero()
+        sol = solve_smith(self._smith, target.coeffs)
+        return None if sol is None else self.domain.element(sol[:self.domain.ngens])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -696,13 +707,15 @@ def pullback_form(
     """
     if codomain.source is None:
         raise GlueError("pullback needs a lattice-backed codomain")
-    image_lifts = [
-        codomain.lift(codomain.element(tuple(row[j] for row in matrix)))
-        for j in range(len(domain_orders))
-    ]
-    pair = gram_of_rows(image_lifts, codomain.source.gram)
-    negated = tuple(tuple(-x for x in row) for row in pair)
-    return DiscriminantGroup(tuple(domain_orders), negated)
+    # pair_gram is the Gram of the lifts, so the image lifts pair as
+    # C^T pair_gram C = C^T Q C / e, for C the reduced image columns
+    cols = [codomain.element(tuple(row[j] for row in matrix)).coeffs
+            for j in range(len(domain_orders))]
+    q, e = codomain.int_gram, codomain.exponent
+    return DiscriminantGroup(
+        tuple(domain_orders),
+        tuple(tuple(Fraction(-bilinear(x, q, y), e) for y in cols) for x in cols),
+    )
 
 
 def forms_isometric(a: DiscriminantGroup, b: DiscriminantGroup):

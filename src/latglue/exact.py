@@ -263,9 +263,17 @@ def saturate_rows(a) -> IntMatrix:
 
 def solve_int(a, t) -> IntVector | None:
     """One integer solution x of a*x = t (columns unknowns), or None."""
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    d, u, v = snf(a)
+    return solve_smith(snf(a), t)
+
+
+def solve_smith(smith, t) -> IntVector | None:
+    """``solve_int`` for a matrix given by its Smith form (D, U, V) = snf(a).
+
+    With U a V = D the system becomes D w = U t, solved entry by entry, and
+    x = V w; one Smith form serves any number of right-hand sides.
+    """
+    d, u, v = smith
+    nrows, ncols = len(d), len(v)
     ut = mat_vec(u, t)
     w = [0] * ncols
     for i in range(nrows):

@@ -331,7 +331,7 @@ def test_induced_map_preserves_forms(pinned, invariant):
 def test_with_generators_rejects_bad_sets(disc):
     # a non-generating set: twice the same order-3 class
     f1 = (Q(2, 3), Q(-1, 3), Q(-1, 3))
-    with pytest.raises(GlueError):
+    with pytest.raises(GlueError, match="do not generate the group"):
         with_generators(disc, (f1, f1, (Q(2, 9), Q(-1, 9), Q(-1, 6))))
     # wrong length / not in the dual
     with pytest.raises(GlueError):

@@ -15,6 +15,7 @@ from latglue.exact import (
     saturate_rows,
     snf,
     solve_int,
+    solve_smith,
 )
 
 
@@ -178,14 +179,17 @@ def test_kernel_and_solve():
         a = random_matrix(rng, nrows, ncols, 6)
         for row in right_kernel(a):
             assert mat_vec(a, row) == (0,) * nrows
-        x0 = tuple(rng.randint(-5, 5) for _ in range(ncols))
-        target = mat_vec(a, x0)
-        x = solve_int(a, target)
-        assert x is not None and mat_vec(a, x) == target
+        smith = snf(a)  # one Smith form serves every right-hand side
+        for _ in range(3):
+            x0 = tuple(rng.randint(-5, 5) for _ in range(ncols))
+            target = mat_vec(a, x0)
+            for x in (solve_int(a, target), solve_smith(smith, target)):
+                assert x is not None and mat_vec(a, x) == target
 
 
 def test_solve_reports_unsolvable():
     assert solve_int(((2, 0), (0, 2)), (1, 0)) is None
+    assert solve_smith(snf(((2, 0), (0, 2))), (1, 0)) is None
     assert solve_int(((1, 1),), (5,)) is not None
 
 

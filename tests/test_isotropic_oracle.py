@@ -6,9 +6,16 @@ pairwise orthogonal isotropic generators; the oracle builds every subgroup
 form data) and keeps those on which q vanishes at every element.
 ``preserves_form`` and ``is_anti_isometry`` check the forms on generators
 only, and ``glue_extension_check`` compares two homomorphisms by their
-matrices; the oracles evaluate them on every element.  Classes of dual
-vectors are read off the Smith form (``DiscriminantGroup.classes``); the
-oracle solves sum_i c_i lift_i = v modulo L as a cleared integer system.
+matrices; the oracles evaluate them on every element and decide
+injectivity by listing the spanned image (``injective_by_spanning``), not
+by the Smith form they check.  ``FiniteAbelianMap.is_injective`` and
+``solve`` read one Smith form of [M | D]; on random maps between groups of
+different shapes they are checked against that listed image and against
+a brute-force preimage search, and ``pullback_form`` (integer Q = e *
+pair_gram) against minus the Gram of the ``Fraction`` lifts
+(``pullback_by_fractions``).  Classes of dual vectors are read off the
+Smith form (``DiscriminantGroup.classes``); the oracle solves
+sum_i c_i lift_i = v modulo L as a cleared integer system.
 The integer induced maps, the generator-only extension test and the
 integer overlattice Gram are checked against the ``Fraction`` formulas and
 the every-element test they replace.
@@ -23,8 +30,10 @@ import pytest
 
 from latglue.classify import classify, gluing_map, invariant_discriminant, printed_tables
 from latglue.discforms import (
+    DiscriminantGroup,
     FiniteAbelianMap,
     GlueError,
+    bare_group,
     discriminant_group,
     enumerate_isotropic_subgroups,
     extends_to_overlattice,
@@ -139,9 +148,14 @@ def test_unusable_orders_give_nothing(groups):
         assert enumerate_isotropic_subgroups(group, non_divisor) == []
 
 
+def injective_by_spanning(f):
+    """The image spanned element by element has |domain| elements."""
+    return len(span_elements(f.codomain, transpose(f.matrix))) == f.domain.order()
+
+
 def preserves_form_by_enumeration(auto):
     group = auto.domain
-    if not auto.is_injective():
+    if not injective_by_spanning(auto):
         return False
     elems = list(group.elements())
     gens = [group.generator(i) for i in range(group.ngens)]
@@ -151,7 +165,7 @@ def preserves_form_by_enumeration(auto):
 
 
 def is_anti_isometry_by_enumeration(gamma):
-    if not gamma.is_injective():
+    if not injective_by_spanning(gamma):
         raise GlueError("gluing morphism is not injective")
     dom, cod = gamma.domain, gamma.codomain
     gens = [dom.generator(i) for i in range(dom.ngens)]
@@ -163,21 +177,21 @@ def is_anti_isometry_by_enumeration(gamma):
     )
 
 
-def random_endomorphism(rng, group, keep_q):
-    """A random endomorphism: generator i goes to an element killed by d_i.
+def random_map(rng, domain, codomain, keep_q=False):
+    """A random homomorphism: generator i goes to an element killed by d_i.
 
     With ``keep_q`` that element also has the generator's q value, so that
     only the b values on generator pairs can tell a form isometry apart.
     """
-    elems = list(group.elements())
+    elems = list(codomain.elements())
     cols = []
-    for i, d in enumerate(group.orders):
+    for i, d in enumerate(domain.orders):
         pool = [y for y in elems if (d * y).is_zero()]
         if keep_q:
-            want = group.q(group.generator(i))
-            pool = [y for y in pool if group.q(y) == want]
+            want = domain.q(domain.generator(i))
+            pool = [y for y in pool if codomain.q(y) == want]
         cols.append(rng.choice(pool).coeffs)
-    return FiniteAbelianMap(group, group, tuple(zip(*cols)))
+    return FiniteAbelianMap(domain, codomain, transpose(cols) or ((),) * codomain.ngens)
 
 
 def test_preserves_form_matches_enumeration(groups):
@@ -186,7 +200,7 @@ def test_preserves_form_matches_enumeration(groups):
     for lattice, group in groups:
         if group.order() == 1:
             continue
-        maps = [random_endomorphism(rng, group, k % 2) for k in range(8)]
+        maps = [random_map(rng, group, group, k % 2) for k in range(8)]
         if lattice.rank <= 3 and lattice.signature()[1] == 0:
             maps += [induced_map(g.matrix, group) for g in orthogonal_group(lattice).elements]
         for auto in maps:
@@ -205,9 +219,9 @@ def test_is_anti_isometry_matches_enumeration(groups):
             continue
         domain = pullback_form(group, identity(group.ngens), group.orders)
         for k in range(8):
-            sigma = random_endomorphism(rng, group, k % 2)
+            sigma = random_map(rng, group, group, k % 2)
             gamma = FiniteAbelianMap(domain, group, sigma.matrix)
-            if not gamma.is_injective():
+            if not injective_by_spanning(gamma):
                 with pytest.raises(GlueError):
                     is_anti_isometry(gamma)
                 with pytest.raises(GlueError):
@@ -218,6 +232,82 @@ def test_is_anti_isometry_matches_enumeration(groups):
             assert is_anti_isometry(gamma) == expected
             verdicts.add(expected)
     assert verdicts == {True, False, None}
+
+
+# group structures that no seeded lattice has, as extra domains
+SMALL_ORDERS = ((2,), (3,), (2, 2), (2, 4), (3, 9), (2, 2, 2))
+
+
+@pytest.fixture(scope="module")
+def random_maps(groups):
+    """Seeded maps between groups of different shapes, trivial ones included."""
+    rng = random.Random(309)
+    codomains = [group for _lattice, group in groups] + [bare_group(())]
+    domains = codomains + [bare_group(orders) for orders in SMALL_ORDERS]
+    maps = []
+    for codomain in codomains:
+        for domain in rng.sample(domains, 6) + [bare_group(()), bare_group((2,))]:
+            maps += [random_map(rng, domain, codomain) for _ in range(2)]
+    return maps
+
+
+def test_is_injective_matches_spanned_image(random_maps):
+    """The Smith-form image order against the image listed element by element."""
+    seen = set()
+    for f in random_maps:
+        expected = injective_by_spanning(f)
+        assert f.is_injective() == expected
+        shape = ("square" if f.domain.ngens == f.codomain.ngens else "non-square",
+                 "trivial domain" if f.domain.order() == 1 else
+                 "trivial codomain" if f.codomain.order() == 1 else "")
+        seen.add((expected, shape))
+    for shape in ("square", "non-square"):
+        assert (True, (shape, "")) in seen and (False, (shape, "")) in seen
+    assert (True, ("non-square", "trivial domain")) in seen
+    assert (False, ("non-square", "trivial codomain")) in seen
+
+
+def test_solve_finds_a_preimage_exactly_when_one_exists(random_maps):
+    solved = unsolvable = 0
+    for f in random_maps:
+        image = {f(x) for x in f.domain.elements()}
+        for target in f.codomain.elements():
+            pre = f.solve(target)
+            assert (pre is not None) == (target in image)
+            if pre is None:
+                unsolvable += 1
+            else:
+                assert f(pre) == target
+                solved += 1
+    assert solved >= 800 and unsolvable >= 4000
+
+
+def pullback_by_fractions(codomain, matrix, domain_orders):
+    """Minus the Gram of the Fraction lifts of the image columns."""
+    lifts = [codomain.lift(codomain.element(tuple(row[j] for row in matrix)))
+             for j in range(len(domain_orders))]
+    return tuple(tuple(-x for x in row) for row in gram_of_rows(lifts, codomain.source.gram))
+
+
+def test_pullback_form_matches_fraction_formula(groups, rebased):
+    rng = random.Random(310)
+    checked = trivial = 0
+    for _lattice, group in groups + rebased:
+        shapes = [group.orders, rng.choice(SMALL_ORDERS), ()]
+        for domain in map(bare_group, shapes):
+            f = random_map(rng, domain, group)
+            # unreduced entries: the pullback reads the columns modulo the orders
+            matrix = tuple(tuple(x + rng.randint(-2, 2) * d for x in row)
+                           for row, d in zip(f.matrix, group.orders))
+            pulled = pullback_form(group, matrix, domain.orders)
+            expected = pullback_by_fractions(group, matrix, domain.orders)
+            assert pulled.pair_gram == expected
+            assert pulled == DiscriminantGroup(domain.orders, expected)
+            checked += 1
+            trivial += group.order() == 1 and domain.order() > 1
+    with pytest.raises(GlueError, match="lattice-backed codomain"):
+        pullback_form(bare_group((3,)), identity(1), (3,))
+    assert checked >= 250 and trivial >= 1
 
 
 def glue_extension_check_by_enumeration(phi_bar, psi_bar, gamma):
