@@ -43,10 +43,11 @@ from .discforms import (
 from .exact import (
     IntMatrix,
     IntVector,
-    frac_inverse,
+    adjugate,
     freeze,
     gram_of_rows,
     mat_mul,
+    mat_vec,
     transpose,
     vec_content,
 )
@@ -138,10 +139,6 @@ def printed_tables() -> dict:
     return data
 
 
-def _parse_frac_vector(strings) -> tuple[Fraction, ...]:
-    return tuple(Fraction(s) for s in strings)
-
-
 @lru_cache(maxsize=1)
 def invariant_lattice_fixed() -> IntegerLattice:
     return IntegerLattice(freeze(printed_tables()["invariant_gram"]))
@@ -151,7 +148,7 @@ def invariant_lattice_fixed() -> IntegerLattice:
 def invariant_discriminant() -> DiscriminantGroup:
     """A of the invariant lattice, on the pinned dual generators f1, f2, f3."""
     lattice = invariant_lattice_fixed()
-    lifts = [_parse_frac_vector(v) for v in printed_tables()["dual_generator_lifts"]]
+    lifts = [tuple(map(Fraction, v)) for v in printed_tables()["dual_generator_lifts"]]
     return with_generators(discriminant_group(lattice), lifts)
 
 
@@ -257,6 +254,17 @@ def _printed_gamma(m: int, name: str) -> IntMatrix:
     raise LatticeError(f"no printed gluing data for m={m}, L={name}")
 
 
+@lru_cache(maxsize=None)
+def _gluing(matrix: IntMatrix, orders: tuple[int, ...]) -> FiniteAbelianMap:
+    """The map along ``matrix`` from its pulled-back group of the given orders.
+
+    Cached on the matrix and the orders it was read with: each printed gluing,
+    and the Smith form behind ``is_injective``, is built once per process.
+    """
+    codomain = invariant_discriminant()
+    return FiniteAbelianMap(pullback_form(codomain, matrix, orders), codomain, matrix)
+
+
 def coinvariant_form(gamma_matrix: IntMatrix) -> DiscriminantGroup:
     """Quadratic form on the coinvariant discriminant group (orders 3,3,9).
 
@@ -265,7 +273,7 @@ def coinvariant_form(gamma_matrix: IntMatrix) -> DiscriminantGroup:
     form along the given gluing matrix.
     """
     orders = tuple(printed_tables()["coinvariant_discriminant_orders"])
-    return pullback_form(invariant_discriminant(), gamma_matrix, orders)
+    return _gluing(freeze(gamma_matrix), orders).domain
 
 
 @lru_cache(maxsize=1)
@@ -280,11 +288,10 @@ def gluing_map(m: int, name: str) -> FiniteAbelianMap:
 
     The domain carries the pulled-back form, so the map is an anti-isometry
     onto its image by construction; injectivity and well-definedness are
-    still verified.
+    still verified, on the row as it reads now.
     """
-    matrix = _printed_gamma(m, name)
-    domain = coinvariant_form(matrix)
-    gamma = FiniteAbelianMap(domain, invariant_discriminant(), matrix)
+    orders = tuple(printed_tables()["coinvariant_discriminant_orders"])
+    gamma = _gluing(_printed_gamma(m, name), orders)
     if not gamma.is_injective():
         raise GlueError(f"printed gluing for m={m}, L={name} is not injective")
     return gamma
@@ -324,18 +331,16 @@ def extend_block_isometry(
     rows = t_sub.basis + (tuple(polarization),)
     full_sub = Sublattice(ambient, rows)
     k = t_sub.rank
-    phi_t = tuple(
-        tuple(
-            (block[i][j] if i < k and j < k else int(i == j))
-            for j in range(k + 1)
-        )
-        for i in range(k + 1)
-    )
-    # A vector with (T, L)-coordinates y has ambient coordinates R^T y,
-    # so the ambient action is R^T . phi_t . (R^T)^-1.
+    phi_t = tuple(tuple(block[i][j] if i < k and j < k else int(i == j) for j in range(k + 1))
+                  for i in range(k + 1))
+    # A vector with (T, L)-coordinates y has ambient coordinates R^T y, so the
+    # ambient action is R^T . phi_t . (R^T)^-1 = R^T . phi_t . adj(R^T) / det(R^T),
+    # integral exactly when det(R^T) divides every entry.
     basis_t = transpose(rows)
-    conj = mat_mul(mat_mul(basis_t, phi_t), frac_inverse(basis_t))
-    integral = all(x.denominator == 1 for row in conj for x in row)
+    adj = adjugate(basis_t)
+    d = sum(x * row[0] for x, row in zip(basis_t[0], adj))  # (R^T . adj)[0][0]
+    scaled = mat_mul(mat_mul(basis_t, phi_t), adj)
+    integral = all(x % d == 0 for row in scaled for x in row)
 
     glue = None
     if full_sub.index() > 1:
@@ -352,8 +357,7 @@ def extend_block_isometry(
             )
     elif not integral:
         raise GlueError("block isometry does not extend over the trivial glue")
-    matrix = freeze(tuple(int(x) for x in row) for row in conj)
-    return matrix, glue
+    return freeze(tuple(x // d for x in row) for row in scaled), glue
 
 
 def ambient_divisibility(polarization: IntVector, gamma: FiniteAbelianMap) -> int:
@@ -361,17 +365,16 @@ def ambient_divisibility(polarization: IntVector, gamma: FiniteAbelianMap) -> in
 
     Equals the gcd of the pairings of L with the invariant lattice together
     with lifts of the glued image of the coinvariant discriminant group.
+    Codomain lift i is nums_i / dens_i, so L pairs with it as the exact quotient
+    (G L) . nums_i / dens_i; an image with coefficients c pairs as sum_i c_i that.
     """
     lattice = invariant_lattice_fixed()
-    group = gamma.codomain
-    g = lattice.divisibility(polarization)
-    for i in range(gamma.domain.ngens):
-        image = gamma.apply(gamma.domain.generator(i))
-        pairing = lattice.pairing(polarization, group.lift(image))
-        if pairing.denominator != 1:
-            raise GlueError("polarization does not pair integrally with the glue")
-        g = gcd(g, pairing)
-    return g
+    nums, dens = gamma.codomain.cleared_lifts
+    cleared = mat_vec(nums, mat_vec(lattice.gram, polarization))
+    if any(x % den for x, den in zip(cleared, dens)):
+        raise GlueError("polarization does not pair integrally with the glue")
+    pairings = [x // den for x, den in zip(cleared, dens)]
+    return gcd(lattice.divisibility(polarization), *mat_vec(transpose(gamma.matrix), pairings))
 
 
 def _glue_data(m: int, name: str, phi: IntMatrix, polarization: IntVector) -> dict:

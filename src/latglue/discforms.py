@@ -44,10 +44,6 @@ class GlueError(ValueError):
     """Raised when a gluing/extension precondition fails."""
 
 
-def _reduce_mod(x: Fraction, modulus: int) -> Fraction:
-    return x - (x / modulus).__floor__() * modulus
-
-
 class DiscriminantGroup(Frozen):
     """Finite abelian group with a Q/2Z-valued quadratic form.
 
@@ -155,13 +151,6 @@ class DiscriminantGroup(Frozen):
         return Fraction(bilinear(x.coeffs, self.int_gram, y.coeffs) % e, e)
 
     # -- lattice-backed extras -------------------------------------------
-
-    def lift(self, x: "DiscElement") -> tuple[Fraction, ...]:
-        if self.lifts is None:
-            raise GlueError("group has no lattice lifts")
-        if not self.lifts:  # the trivial group has no generator lifts to add up
-            return (0,) * self.source.rank
-        return mat_vec(transpose(self.lifts), x.coeffs)
 
     @cached_property
     def cleared_lifts(self) -> tuple[tuple[IntVector, ...], tuple[int, ...]]:
@@ -630,16 +619,17 @@ def _forms_match(gamma: FiniteAbelianMap, sign: int) -> bool:
 
     Checked on the generators (q) and on generator pairs (b) only: since
     q(kx) = k^2 q(x) and q(x + y) = q(x) + q(y) + 2 b(x, y), these values
-    fix both forms on the whole group.
+    fix both forms on the whole group.  In integers, with exponents e, f and
+    matrices Q, P of domain and codomain and y_i the image of generator i,
+    (y_i P y_j) e - sign Q[i][j] f must vanish mod 2ef if i == j (q), else mod ef (b).
     """
     dom, cod = gamma.domain, gamma.codomain
-    gens = [dom.generator(i) for i in range(dom.ngens)]
-    images = [gamma.apply(g) for g in gens]
-    for i, (x, y) in enumerate(zip(gens, images)):
-        if cod.q(y) != _reduce_mod(sign * dom.q(x), 2):
-            return False
-        for j in range(i + 1, len(gens)):
-            if cod.b(y, images[j]) != _reduce_mod(sign * dom.b(x, gens[j]), 1):
+    e, f, q, p = dom.exponent, cod.exponent, dom.int_gram, cod.int_gram
+    images = [tuple(row[i] for row in gamma.matrix) for i in range(dom.ngens)]
+    for i, y in enumerate(images):
+        for j in range(i, len(images)):
+            diff = bilinear(y, p, images[j]) * e - sign * q[i][j] * f
+            if diff % ((2 if i == j else 1) * e * f):
                 return False
     return True
 
@@ -722,36 +712,34 @@ def forms_isometric(a: DiscriminantGroup, b: DiscriminantGroup):
     """Group automorphism matrix carrying form a to form b, or None.
 
     Backtracking over generator images; feasible for the small groups this
-    artifact works with.
+    artifact works with.  Equal orders mean one exponent e, so the forms
+    compare as integers: q as x Q x^T mod 2e and b as x Q y^T mod e.  The
+    order and q of every element of b are tabulated once, before the search.
     """
     if a.orders != b.orders:
         return None
-    elems = list(b.elements())
-    chosen: list[DiscElement] = []
+    e, qa, qb = a.exponent, a.int_gram, b.int_gram
+    table = [(lcm(*(d // gcd(x, d) for x, d in zip(c, b.orders))),
+              bilinear(c, qb, c) % (2 * e), c)
+             for c in itertools.product(*(range(d) for d in b.orders))]
+    chosen: list[tuple[int, ...]] = []
 
     def candidates(i):
-        gen = a.generator(i)
-        want_q = a.q(gen)
-        want_order = gen.order()
-        for e in elems:
-            if e.order() != want_order or b.q(e) != want_q:
-                continue
-            if any(
-                b.b(e, chosen[j]) != a.b(gen, a.generator(j))
-                for j in range(len(chosen))
+        want = (a.orders[i], qa[i][i] % (2 * e))
+        for order, q, c in table:
+            if (order, q) == want and all(
+                (bilinear(c, qb, h) - qa[i][j]) % e == 0 for j, h in enumerate(chosen)
             ):
-                continue
-            yield e
+                yield c
 
     def backtrack(i):
         if i == a.ngens:
-            matrix = transpose([e.coeffs for e in chosen])
-            candidate = FiniteAbelianMap(a, b, matrix)
-            if candidate.is_injective():
+            matrix = transpose(chosen)
+            if FiniteAbelianMap(a, b, matrix).is_injective():
                 return matrix
             return None
-        for e in candidates(i):
-            chosen.append(e)
+        for c in candidates(i):
+            chosen.append(c)
             result = backtrack(i + 1)
             if result is not None:
                 return result

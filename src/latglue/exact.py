@@ -114,6 +114,15 @@ def det(a) -> int:
     return sign * prev
 
 
+def adjugate(a) -> IntMatrix:
+    """Integer adjugate by cofactors: a . adjugate(a) == det(a) . I."""
+    return tuple(
+        tuple((-1) ** (i + j) * det([r[:i] + r[i + 1:] for k, r in enumerate(a) if k != j])
+              for j in range(len(a)))
+        for i in range(len(a))
+    )
+
+
 def frac_inverse(a) -> FracMatrix:
     """Inverse of a nonsingular square matrix, as Fractions."""
     n = len(a)

@@ -1,4 +1,5 @@
 import json
+from math import gcd
 
 import pytest
 
@@ -300,3 +301,42 @@ def test_golden_shape_check_names_the_bad_field():
         corrupt(data)
         with pytest.raises(GlueError, match=message):
             check_shape(data, GOLDEN_SHAPE)
+
+
+def test_divisor_norms_give_exactly_the_classified_cases():
+    """n | det * m^2 / g, with det and the norm gcd g read off the lattice.
+
+    det(L) det(T) = det(L_inv) [L_inv : L + T]^2 with the glue index dividing
+    m, so a polarization of norm g n with an order-m action has n | det m^2 / g
+    (27 m^2 here).  Running classify's filters over all those divisors finds
+    the same cases as the hand-set ``admissible_n``.
+    """
+    from latglue.classify import build_extension
+    from latglue.exact import vec_content
+    from latglue.isometries import admits_order3, orbits, vectors_of_norm
+    from latglue.lattices import Sublattice
+
+    lattice = invariant_lattice_fixed()
+    gram = lattice.gram
+    norm_gcd = 0
+    for i in range(3):
+        for j in range(i, 3):
+            norm_gcd = gcd(norm_gcd, gram[i][j] * (1 if i == j else 2))
+    assert (lattice.determinant(), norm_gcd) == (162, 6)
+    for m in (2, 3):
+        bound = lattice.determinant() * m * m // norm_gcd
+        found = []
+        for n in (n for n in range(1, bound + 1) if bound % n == 0):
+            vectors = vectors_of_norm(lattice, norm_gcd * n)
+            for orbit in orbits(case_symmetry_group(), [v for v in vectors if vec_content(v) == 1]):
+                rep = max(orbit.members)
+                t_sub = lattice.span((rep,)).orthogonal_complement()
+                index = Sublattice(lattice, t_sub.basis + (rep,)).index()
+                if index not in (1, m) or m == 3 and not admits_order3(t_sub.lattice()):
+                    continue
+                found.append(build_extension(m, orbit, t_sub, index))
+        def fields(cases):
+            return [vars(c) for c in sorted(cases, key=lambda c: (c.n, c.polarization))]
+
+        assert fields(found) == fields(classify(m)[0])
+        assert len(found) == {2: 5, 3: 1}[m]

@@ -108,6 +108,42 @@ def test_inconsistent_golden_data_is_input_error(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_corrupted_gluing_after_a_clean_run_is_still_an_input_error(capsys, monkeypatch):
+    """Cached gluings are keyed on the matrix and orders read now, not on (m, name)."""
+    import latglue.classify as classify_mod
+    import latglue.report as report_mod
+
+    code, _, err = run_cli(capsys, "verify-table", "cases")
+    assert code == 0 and err == ""
+    pristine = classify_mod.printed_tables()
+    row = pristine["table2"][0]
+    assert classify_mod.gluing_map(row["m"], row["name"]) is classify_mod.gluing_map(
+        row["m"], row["name"])
+    cached = classify_mod.coinvariant_form([list(r) for r in row["gamma"]])
+    assert cached is classify_mod.gluing_map(row["m"], row["name"]).domain
+
+    def corrupt(path, value):
+        data = json.loads(json.dumps(pristine))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return data
+
+    for corrupted in (
+        corrupt(("table2", 0, "gamma"), [[0, 0, 0], [0, 0, 0], [0, 0, 0]]),
+        corrupt(("table2", 0, "gamma", 2, 2), row["gamma"][2][2] + 3),
+        corrupt(("coinvariant_discriminant_orders",), [3, 3, 3]),
+    ):
+        monkeypatch.setattr(classify_mod, "printed_tables", lambda: corrupted)
+        monkeypatch.setattr(report_mod, "printed_tables", lambda: corrupted)
+        code, out, err = run_cli(capsys, "verify-table", "cases")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    monkeypatch.undo()
+    assert run_cli(capsys, "verify-table", "cases")[0] == 0
+
+
 def test_lattice_info(capsys):
     code, out, _ = run_cli(
         capsys, "lattice-info", "--gram", "[[6,3,0],[3,6,0],[0,0,6]]"

@@ -115,14 +115,14 @@ def test_map_rejects_non_integral_entries():
     assert FiniteAbelianMap(z4, z4, ((Q(10, 2),),)).matrix == ((1,),)
 
 
-def test_lift_sums_the_generator_lifts(pinned):
-    x = pinned.element((1, 2, 5))
-    want = tuple(F_LIFTS[0][j] + 2 * F_LIFTS[1][j] + 5 * F_LIFTS[2][j] for j in range(3))
-    assert pinned.lift(x) == want
-    # the trivial group (here of U) has no generator lifts; its zero lifts to 0
+def test_cleared_lifts_are_the_generator_lifts_over_their_own_denominators(pinned):
+    nums, dens = pinned.cleared_lifts
+    assert dens == (3, 3, 18)
+    assert tuple(tuple(Q(x, d) for x in num) for num, d in zip(nums, dens)) == F_LIFTS
+    # the trivial group (here of U) has no generator lifts
     trivial = discriminant_group(IntegerLattice(((0, 1), (1, 0))))
     assert trivial.order() == 1
-    assert trivial.lift(trivial.zero()) == (0, 0)
+    assert trivial.cleared_lifts == ((), ())
 
 
 def test_element_from_dual_vector_rejects_wrong_lengths(disc):

@@ -62,7 +62,7 @@ from latglue.exact import (
 )
 from latglue.isometries import orthogonal_group
 from latglue.lattices import IntegerLattice
-from test_properties import all_subgroups
+from test_properties import all_subgroups, fraction_lift
 
 D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
 
@@ -284,7 +284,7 @@ def test_solve_finds_a_preimage_exactly_when_one_exists(random_maps):
 
 def pullback_by_fractions(codomain, matrix, domain_orders):
     """Minus the Gram of the Fraction lifts of the image columns."""
-    lifts = [codomain.lift(codomain.element(tuple(row[j] for row in matrix)))
+    lifts = [fraction_lift(codomain, codomain.element(tuple(row[j] for row in matrix)))
              for j in range(len(domain_orders))]
     return tuple(tuple(-x for x in row) for row in gram_of_rows(lifts, codomain.source.gram))
 
@@ -479,7 +479,7 @@ def overlattice_by_fractions(h):
     """Rational lifts, cleared once, HNF, and a Fraction Gram of the basis."""
     group = h.parent
     n = group.source.rank
-    rows = list(identity(n)) + [group.lift(g) for g in h.generators]
+    rows = list(identity(n)) + [fraction_lift(group, g) for g in h.generators]
     denom = lcm_denominator(rows)
     hh, _ = hnf(freeze(tuple(int(x * denom) for x in row) for row in rows))
     basis = freeze(tuple(Fraction(x, denom) for x in row) for row in hh if any(row))

@@ -17,7 +17,7 @@ from latglue.discforms import (
     overlattice_with_basis,
     span_elements,
 )
-from latglue.exact import det, freeze, hnf, mat_mul, transpose
+from latglue.exact import det, freeze, hnf, mat_mul, mat_vec, transpose
 from latglue.isometries import (
     admits_order3,
     coinvariant_lattice,
@@ -85,6 +85,13 @@ def overlattice_key(lattice, rows):
     return tuple(row for row in h if any(row))
 
 
+def fraction_lift(group, x):
+    """sum_i x_i lift_i in Fractions; the trivial group lifts its zero to 0."""
+    if not group.lifts:
+        return (0,) * group.source.rank
+    return mat_vec(transpose(group.lifts), x.coeffs)
+
+
 def brute_force_even_overlattices(lattice, group):
     """All even finite-index overlattices, WITHOUT using the quadratic form.
 
@@ -96,7 +103,7 @@ def brute_force_even_overlattices(lattice, group):
     keys = set()
     for subgroup, gens in all_subgroups(group).items():
         rows = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-        rows += [group.lift(group.element(c)) for c in gens]
+        rows += [fraction_lift(group, group.element(c)) for c in gens]
         scale = abs(lattice.determinant())
         cleared = freeze(tuple(int(x * scale) for x in row) for row in rows)
         h, _ = hnf(cleared)
