@@ -1,9 +1,11 @@
 """Exact linear algebra over Z and Q.
 
-Everything here works on tuples-of-tuples of Python ints (or Fractions for
-the rational routines); no floating point is used anywhere.  Lattice
-pairings and discriminant forms share one v*G*w^T kernel, ``bilinear``.
-Conventions are pinned so that every caller sees deterministic output:
+Everything here works on tuples-of-tuples of Python ints; ``frac_inverse``
+takes and returns Fractions but clears denominators first, so every
+elimination loop (``det``, ``ldl_rows``, ``hnf``, ``snf``) is an integer
+one, and no floating point is used anywhere.  Lattice pairings and
+discriminant forms share one v*G*w^T kernel, ``bilinear``.  Conventions
+are pinned so that every caller sees deterministic output:
 
 * Hermite normal form is row-style with positive pivots and entries above
   a pivot reduced into [0, pivot).
@@ -56,33 +58,6 @@ def vec_content(v: IntVector | list[int]) -> int:
     return g
 
 
-def row_reduce(rows, ncols: int) -> list[int]:
-    """Rational Gauss-Jordan elimination on the first ``ncols`` columns, in place.
-
-    ``rows`` is a list of lists of Fractions; columns past ``ncols`` are
-    carried along (an augmented block).  Afterwards the pivot rows come
-    first, each pivot is 1 and is the only nonzero entry of its column.
-    Returns the pivot columns.
-    """
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        pivot = rows[r][c]
-        rows[r] = [x / pivot for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
 def gram_of_rows(rows, gram):
     """Pairing matrix rows * gram * rows^T of row vectors under a Gram matrix."""
     return mat_mul(mat_mul(rows, gram), transpose(rows))
@@ -114,6 +89,43 @@ def det(a) -> int:
     return sign * prev
 
 
+def ldl_rows(gram) -> list[list[int]]:
+    """Fraction-free (Bareiss) LDL^T of a nonsingular symmetric integer matrix (Cohen, 2.2).
+
+    Row k is row k of the matrix after k elimination steps, from the
+    diagonal on; its first entry D_{k+1} is the leading principal minor of
+    size k + 1, and Q(x) = sum_k t_k^2 / (D_k * D_{k+1}) with D_0 = 1 and
+    t_k = sum_{j>=k} row_k[j - k] * x_j.  A zero pivot k is dodged by a
+    change of basis: a swap with a later nonzero diagonal entry, else adding
+    a later row and column j (the pivot becomes 2 * a[k][j]); positive
+    definite input is never moved.  A singular matrix raises ZeroDivisionError.
+    """
+    n = len(gram)
+    a = [list(row) for row in gram]
+    prev = 1
+    for k in range(n):
+        if not a[k][k]:
+            j = next((j for j in range(k + 1, n) if a[j][j]), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j]), None)
+                if j is None:
+                    raise ZeroDivisionError("matrix is singular")
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                for row in a:
+                    row[k] += row[j]
+        pivot, top = a[k][k], a[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - f * top[j]) // prev
+        prev = pivot
+    return [row[k:] for k, row in enumerate(a)]
+
+
 def adjugate(a) -> IntMatrix:
     """Integer adjugate by cofactors: a . adjugate(a) == det(a) . I."""
     return tuple(
@@ -124,13 +136,17 @@ def adjugate(a) -> IntMatrix:
 
 
 def frac_inverse(a) -> FracMatrix:
-    """Inverse of a nonsingular square matrix, as Fractions."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    if len(row_reduce(m, n)) < n:
+    """Inverse of a nonsingular square matrix of ints or Fractions, as Fractions.
+
+    With a = b/e for the integer matrix b and e the lcm of the denominators,
+    a^-1 = e adj(b) / det(b); a singular matrix raises ZeroDivisionError.
+    """
+    e = lcm_denominator(a)
+    b = [[x.numerator * (e // x.denominator) for x in row] for row in a]
+    d = det(b)
+    if not d:
         raise ZeroDivisionError("matrix is singular")
-    return freeze(row[n:] for row in m)
+    return freeze((Fraction(e * x, d) for x in row) for row in adjugate(b))
 
 
 def hnf(a) -> tuple[IntMatrix, IntMatrix]:
@@ -263,11 +279,8 @@ def saturate_rows(a) -> IntMatrix:
     if not a:
         return ()
     ker = right_kernel(a)
-    if not ker:
-        h, _ = hnf(identity(len(a[0])))
-        return h
-    sat = right_kernel(ker)
-    return sat
+    # full rank: the saturation is Z^n, whose HNF basis is the identity
+    return right_kernel(ker) if ker else identity(len(a[0]))
 
 
 def solve_int(a, t) -> IntVector | None:
@@ -298,8 +311,5 @@ def solve_smith(smith, t) -> IntVector | None:
 
 
 def lcm_denominator(rows) -> int:
-    d = 1
-    for row in rows:
-        for x in row:
-            d = lcm(d, Fraction(x).denominator)
-    return d
+    """lcm of the denominators of the entries of int/Fraction rows (1 if there are none)."""
+    return lcm(*(x.denominator for row in rows for x in row))

@@ -3,11 +3,11 @@
 Short vectors come from an all-integer Fincke-Pohst enumeration (Fincke &
 Pohst 1985; Cohen, *A Course in Computational Algebraic Number Theory*,
 2.7).  One set-up per lattice sorts the basis by ascending diagonal and
-runs a fraction-free (Bareiss) LDL^T, so that M*Q(x) = sum_i c_i * t_i^2
-with integers M, c_i and t_i = sum_{j>=i} u_ij * x_j.  The descent then
-uses ``isqrt`` and floor division only, solves its last level in closed
-form, and is refused up front (``NODE_GUARD``) when its node bound is too
-large.
+reads the fraction-free (Bareiss) LDL^T of ``exact.ldl_rows``, so that
+M*Q(x) = sum_i c_i * t_i^2 with integers M, c_i and t_i = sum_{j>=i}
+u_ij * x_j.  The descent then uses ``isqrt`` and floor division only,
+solves its last level in closed form, and is refused up front
+(``NODE_GUARD``) when its node bound is too large.
 
 The orthogonal group of a positive definite lattice is enumerated by
 matching basis vectors to candidate images of the right norm and pairwise
@@ -33,9 +33,11 @@ from operator import attrgetter, mul
 from .exact import (
     IntMatrix,
     IntVector,
+    det,
     freeze,
     gram_of_rows,
     identity,
+    ldl_rows,
     mat_mul,
     mat_vec,
     right_kernel,
@@ -104,28 +106,14 @@ class Isometry(Frozen):
 
 
 def _bareiss_rows(gram, task: str = "short-vector enumeration") -> list[list[int]]:
-    """Fraction-free (Bareiss) LDL^T of a symmetric integer matrix.
+    """``ldl_rows`` of a Gram matrix whose leading minors must all be positive.
 
-    Row k is row k of the matrix after k elimination steps, from the
-    diagonal on; its first entry D_{k+1} is the leading principal minor of
-    size k + 1, and Q(x) = sum_k t_k^2 / (D_k * D_{k+1}) with D_0 = 1 and
-    t_k = sum_{j>=k} row_k[j - k] * x_j.  Raises LatticeError ("<task> needs
-    a positive definite lattice") at the first pivot <= 0, i.e. unless the
-    form is positive definite.
+    Otherwise, i.e. unless the form is positive definite (Sylvester), raises
+    LatticeError "<task> needs a positive definite lattice".
     """
-    n = len(gram)
-    a = [list(row) for row in gram]
-    rows = []
-    prev = 1
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot <= 0:
-            raise LatticeError(f"{task} needs a positive definite lattice")
-        rows.append(a[k][k:])
-        for i in range(k + 1, n):
-            for j in range(i, n):
-                a[i][j] = (pivot * a[i][j] - a[k][i] * a[k][j]) // prev
-        prev = pivot
+    rows = ldl_rows(gram)
+    if any(row[0] <= 0 for row in rows):
+        raise LatticeError(f"{task} needs a positive definite lattice")
     return rows
 
 
@@ -164,8 +152,7 @@ class _ShortVectors:
         self.det = minors[-1]
         # adj(G)_jj for the levels j >= 1, i.e. the determinants of the minors
         self.cofactors = [
-            _bareiss_rows([[x for c, x in enumerate(row) if c != j]
-                           for r, row in enumerate(g) if r != j])[-1][0]
+            det([[x for c, x in enumerate(row) if c != j] for r, row in enumerate(g) if r != j])
             for j in range(1, n)
         ]
 
@@ -228,7 +215,7 @@ def vectors_of_norm(lattice: IntegerLattice, norm: int) -> tuple[IntVector, ...]
     """All lattice vectors of the exact given norm, lexicographically sorted.
 
     A negative norm has no vectors; otherwise the lattice must be positive
-    definite (a Bareiss pivot <= 0 raises LatticeError), and an enumeration
+    definite (a leading minor <= 0 raises LatticeError), and an enumeration
     whose node bound exceeds NODE_GUARD raises LatticeError instead of
     running.
     """

@@ -28,16 +28,18 @@ from .exact import (
     FracVector,
     IntMatrix,
     IntVector,
+    adjugate,
     bilinear,
     det,
     freeze,
     gram_of_rows,
     hnf,
     identity,
+    lcm_denominator,
+    ldl_rows,
     mat_mul,
     mat_vec,
     right_kernel,
-    row_reduce,
     saturate_rows,
     solve_int,
     transpose,
@@ -149,43 +151,15 @@ class IntegerLattice(Frozen):
         return self._det
 
     def signature(self) -> tuple[int, int]:
-        """(s+, s-) counted exactly via the pivots of rational LDL^T.
+        """(s+, s-) counted exactly from the leading minors of ``ldl_rows``.
 
-        A zero pivot is dodged by a symmetric swap with a nonzero diagonal
-        entry, or if the whole remaining diagonal vanishes by mixing in a
-        row (then the new diagonal entry is twice an off-diagonal one).
+        The pivots of LDL^T are D_{k+1} / D_k, so s- is the number of sign
+        changes in 1, D_1, ..., D_n (Jacobi); ``ldl_rows`` dodges zero
+        minors by congruences, which keep the signature.
         """
-        n = self.rank
-        m = [[Fraction(x) for x in row] for row in self.gram]
-        pos = neg = 0
-        for k in range(n):
-            if m[k][k] == 0:
-                j = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
-                if j is not None:
-                    m[k], m[j] = m[j], m[k]
-                    for row in m:
-                        row[k], row[j] = row[j], row[k]
-                else:
-                    j = next((j for j in range(k + 1, n) if m[j][k] != 0), None)
-                    if j is None:
-                        raise LatticeError("degenerate block in signature computation")
-                    for c in range(n):
-                        m[k][c] += m[j][c]
-                    for r in range(n):
-                        m[r][k] += m[r][j]
-            pivot = m[k][k]
-            if pivot > 0:
-                pos += 1
-            else:
-                neg += 1
-            # Schur complement on indices > k; symmetry is preserved.
-            for r in range(k + 1, n):
-                factor = m[r][k] / pivot
-                if factor:
-                    for c in range(k + 1, n):
-                        m[r][c] -= factor * m[k][c]
-                    m[r][k] = Fraction(0)
-        return pos, neg
+        minors = [1] + [row[0] for row in ldl_rows(self.gram)]
+        neg = sum((a < 0) != (b < 0) for a, b in zip(minors, minors[1:]))
+        return self.rank - neg, neg
 
     # -- bilinear form ------------------------------------------------
 
@@ -276,20 +250,20 @@ class Sublattice(Frozen):
     def coordinates_of(self, v) -> FracVector:
         """Coordinates of an ambient (rational) vector in the sublattice basis.
 
-        The vector must lie in the Q-span of the sublattice.
+        The vector must lie in the Q-span (else LatticeError).  With B the
+        basis rows and v = w/e, w integral, x = adj(BB^T) B w / (e det(BB^T))
+        is the only candidate, and B^T x = v is checked in integers.
         """
         self.ambient._check_length(v)
-        ncols = self.rank
-        rows = [[Fraction(self.basis[j][i]) for j in range(ncols)] + [Fraction(v[i])]
-                for i in range(self.ambient.rank)]
-        pivots = row_reduce(rows, ncols)
-        for i in range(len(pivots), len(rows)):
-            if rows[i][-1] != 0:
-                raise LatticeError("vector does not lie in the span of the sublattice")
-        sol = [Fraction(0)] * ncols
-        for idx, c in enumerate(pivots):
-            sol[c] = rows[idx][-1]
-        return tuple(sol)
+        basis = self.basis
+        e = lcm_denominator((v,))
+        w = [x.numerator * (e // x.denominator) for x in v]
+        bbt = mat_mul(basis, transpose(basis))
+        d = det(bbt)
+        y = mat_vec(adjugate(bbt), mat_vec(basis, w))
+        if any(sum(yk * row[i] for yk, row in zip(y, basis)) != d * x for i, x in enumerate(w)):
+            raise LatticeError("vector does not lie in the span of the sublattice")
+        return tuple(Fraction(yk, e * d) for yk in y)
 
     def saturation(self) -> "Sublattice":
         """Primitive closure (span over Q intersected with the ambient lattice)."""
@@ -315,12 +289,10 @@ class Sublattice(Frozen):
         """
         if self.rank != self.ambient.rank:
             raise LatticeError("index is defined for full-rank sublattices only")
-        ratio = Fraction(det(self.gram()), self.ambient.determinant())
-        if ratio.denominator != 1 or ratio < 0:
+        n, rest = divmod(det(self.gram()), self.ambient.determinant())
+        if rest or n < 0:
             raise LatticeError("determinant ratio is not a positive integer")
-        n = int(ratio)
         root = isqrt(n)
         if root * root != n:
             raise LatticeError(f"determinant ratio {n} is not a perfect square")
         return root
-

@@ -58,6 +58,41 @@ def det_by_fractions(a):
     return result
 
 
+def gauss_jordan(rows, ncols):
+    """Oracle: the earlier rational Gauss-Jordan on the first ``ncols`` columns, in place.
+
+    ``rows`` is a list of lists of Fractions; columns past ``ncols`` are
+    carried along.  Afterwards the pivot rows come first, each pivot is 1
+    and the only nonzero entry of its column.  Returns the pivot columns.
+    """
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot = rows[r][c]
+        rows[r] = [x / pivot for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def inverse_by_fractions(a):
+    """Oracle: the earlier ``frac_inverse``, Gauss-Jordan on [a | I]; None if a is singular."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    if len(gauss_jordan(m, n)) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in m)
+
+
 def det_test_matrix(rng, n, kind):
     bound = 10**21 if kind == "huge" else 9
     a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
@@ -102,10 +137,36 @@ def test_det_against_fraction_and_sympy_oracles():
 def test_frac_inverse_round_trip():
     g = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
     assert mat_mul(g, frac_inverse(g)) == identity(3)
+    assert frac_inverse(g) == inverse_by_fractions(g)
     swapped = ((0, 1), (1, 0))
     assert frac_inverse(swapped) == swapped
+    assert frac_inverse(()) == ()
     with pytest.raises(ZeroDivisionError):
         frac_inverse(((1, 2), (2, 4)))
+
+
+def test_frac_inverse_against_gauss_jordan():
+    """Integer and non-integral Fraction matrices, singular ones included."""
+    rng = random.Random(43)
+    singular = fractional = 0
+    for n in range(1, 6):
+        for _ in range(30):
+            kind = rng.choice(("random", "singular", "lead_zero"))
+            a = det_test_matrix(rng, n, kind)
+            if rng.random() < 0.5:
+                a = tuple(tuple(Fraction(x, rng.randint(1, 12)) for x in row) for row in a)
+                fractional += any(x.denominator != 1 for row in a for x in row)
+            expected = inverse_by_fractions(a)
+            if expected is None:
+                singular += 1
+                with pytest.raises(ZeroDivisionError):
+                    frac_inverse(a)
+                continue
+            got = frac_inverse(a)
+            assert got == expected, a
+            assert all(type(x) is Fraction for row in got for x in row)
+            assert mat_mul(a, got) == identity(n)
+    assert singular >= 20 and fractional >= 50
 
 
 def test_hnf_shape_and_transform():

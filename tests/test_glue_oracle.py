@@ -2,9 +2,11 @@
 
 Each oracle below is the earlier rational computation, kept verbatim in
 spirit: ``forms_match_by_fractions`` compares ``Fraction`` values of q and b
-reduced mod 2 and mod 1; ``extend_by_fractions`` conjugates the block by
-``frac_inverse`` and checks denominators; ``ambient_divisibility_by_fractions``
-pairs the polarization with ``Fraction`` lifts of the glued generators; and
+reduced mod 2 and mod 1; ``extend_by_fractions`` conjugates the block by the
+Gauss-Jordan ``inverse_by_fractions`` (not ``frac_inverse``, which runs on
+the same ``adjugate`` as the integer path) and checks denominators;
+``ambient_divisibility_by_fractions`` pairs the polarization with
+``Fraction`` lifts of the glued generators; and
 ``forms_isometric_by_fractions`` backtracks on ``Fraction`` form values.  The
 integer versions must give the same verdicts, matrices and numbers.
 """
@@ -36,7 +38,7 @@ from latglue.discforms import (
     forms_isometric,
     pullback_form,
 )
-from latglue.exact import adjugate, det, frac_inverse, freeze, identity, mat_mul, transpose
+from latglue.exact import adjugate, det, freeze, identity, mat_mul, transpose
 from latglue.exact import vec_content
 from latglue.isometries import orbits, orthogonal_group, vectors_of_norm
 from latglue.lattices import Sublattice
@@ -46,6 +48,7 @@ from test_isotropic_oracle import (  # noqa: F401  (module-scoped fixtures)
     random_map,
     rebased,
 )
+from test_exact import inverse_by_fractions
 from test_properties import fraction_lift
 
 
@@ -101,7 +104,7 @@ def extend_by_fractions(t_sub, polarization, block):
     phi_t = tuple(tuple(block[i][j] if i < k and j < k else int(i == j) for j in range(k + 1))
                   for i in range(k + 1))
     basis_t = transpose(rows)
-    conj = mat_mul(mat_mul(basis_t, phi_t), frac_inverse(basis_t))
+    conj = mat_mul(mat_mul(basis_t, phi_t), inverse_by_fractions(basis_t))
     if any(x.denominator != 1 for row in conj for x in row):
         return None
     return freeze(tuple(int(x) for x in row) for row in conj)

@@ -8,7 +8,6 @@ from latglue import isometries
 from latglue.classify import case_symmetry_group, full_isometry_group
 from latglue.exact import (
     IntVector,
-    frac_inverse,
     gram_of_rows,
     identity,
     mat_mul,
@@ -33,6 +32,7 @@ from latglue.isometries import (
 )
 from latglue.lattices import IntegerLattice, LatticeError, closure
 from latglue.report import lattice_info_report, orbit_report
+from test_exact import inverse_by_fractions
 
 S_GRAM = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
 
@@ -65,7 +65,7 @@ def random_definite_lattice(rng, max_rank=3):
 
 def dual_bounds(lattice, norm):
     """floor(sqrt(norm * (G^-1)_ii)): the largest |x_i| of a vector of this norm."""
-    inv = frac_inverse(lattice.gram)
+    inv = inverse_by_fractions(lattice.gram)
     return [isqrt(norm * inv[i][i].numerator // inv[i][i].denominator)
             for i in range(lattice.rank)]
 

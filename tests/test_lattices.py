@@ -1,10 +1,11 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from fractions import Fraction
 
-from latglue.exact import det, frac_inverse, freeze, mat_vec, transpose
+from latglue.exact import det, frac_inverse, freeze, identity, ldl_rows, mat_mul, mat_vec, transpose
 from latglue.lattices import (
     IntegerLattice,
     LatticeError,
@@ -12,6 +13,7 @@ from latglue.lattices import (
     closure,
     is_primitive_vector,
 )
+from test_exact import gauss_jordan
 
 S_GRAM = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
 E, F, H = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -41,25 +43,166 @@ def test_determinant_is_computed_once(monkeypatch):
     assert repr(lattice) == f"IntegerLattice(gram={S_GRAM!r})"
 
 
+def direct_sum(*grams):
+    n = sum(len(g) for g in grams)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for g in grams:
+        for i, row in enumerate(g):
+            out[at + i][at:at + len(row)] = row
+        at += len(g)
+    return freeze(out)
+
+
+U = ((0, 1), (1, 0))
+A2_NEG = ((-2, 1), (1, -2))
+
+
 def test_signature_examples(invariant):
     assert invariant.signature() == (3, 0)
     assert IntegerLattice(((0, 1), (1, 0))).signature() == (1, 1)
     assert IntegerLattice(((-2,),)).signature() == (0, 1)
+    assert IntegerLattice(direct_sum(U, U, ((-2,),))).signature() == (2, 3)
+    assert IntegerLattice(direct_sum(A2_NEG, U)).signature() == (1, 3)
+    assert IntegerLattice(direct_sum(U, A2_NEG)).signature() == (1, 3)
 
 
-def test_signature_random_sum(invariant):
-    rng = random.Random(5)
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        gram = [[0] * n for _ in range(n)]
-        for i in range(n):
+def signature_by_fractions(gram):
+    """Oracle: the earlier signature, the pivot signs of a rational LDL^T.
+
+    A zero pivot is dodged by a symmetric swap with a nonzero diagonal
+    entry, or if the whole remaining diagonal vanishes by mixing in a row.
+    """
+    n = len(gram)
+    m = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = 0
+    for k in range(n):
+        if m[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if j is not None:
+                m[k], m[j] = m[j], m[k]
+                for row in m:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next(j for j in range(k + 1, n) if m[j][k] != 0)
+                for c in range(n):
+                    m[k][c] += m[j][c]
+                for r in range(n):
+                    m[r][k] += m[r][j]
+        pivot = m[k][k]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(k + 1, n):
+            factor = m[r][k] / pivot
+            if factor:
+                for c in range(k + 1, n):
+                    m[r][c] -= factor * m[k][c]
+                m[r][k] = Fraction(0)
+    return pos, neg
+
+
+def bareiss_rows_unpivoted(gram):
+    """Oracle: the earlier short-vector set-up, a Bareiss LDL^T that never pivots."""
+    n = len(gram)
+    a = [list(row) for row in gram]
+    rows = []
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        rows.append(a[k][k:])
+        for i in range(k + 1, n):
             for j in range(i, n):
-                gram[i][j] = gram[j][i] = rng.randint(-6, 6)
-        frozen = tuple(map(tuple, gram))
-        if det(frozen) == 0:
+                a[i][j] = (pivot * a[i][j] - a[k][i] * a[k][j]) // prev
+        prev = pivot
+    return rows
+
+
+def form_of_rows(rows):
+    """The Gram matrix whose form is sum_k t_k^2 / (D_k * D_{k+1}), read off LDL^T rows."""
+    n = len(rows)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    prev = 1
+    for k, row in enumerate(rows):
+        u = [0] * k + list(row)
+        for i in range(n):
+            for j in range(n):
+                m[i][j] += Fraction(u[i] * u[j], prev * row[0])
+        prev = row[0]
+    return m
+
+
+def signature_by_descartes(charpoly, gram):
+    """Oracle: s+ is the number of sign changes in the coefficients of the
+    characteristic polynomial (Descartes' rule, exact here: a real symmetric
+    matrix has only real eigenvalues, and a non-degenerate one none at 0)."""
+    coeffs = [c for c in charpoly(gram) if c]
+    pos = sum((a < 0) != (b < 0) for a, b in zip(coeffs, coeffs[1:]))
+    return pos, len(gram) - pos
+
+
+def signature_test_gram(rng, n, kind):
+    """A symmetric n x n integer matrix; "sparse" has a mostly zero diagonal."""
+    if kind == "definite":
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        sign = rng.choice((1, -1))
+        return freeze((sign * x for x in row) for row in mat_mul(b, transpose(b)))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = rng.randint(-6, 6)
+        if kind == "sparse" and rng.random() < 0.85:
+            gram[i][i] = 0
+    return freeze(gram)
+
+
+def test_signature_random_sum():
+    """Integer signature against the Fraction LDL^T (and sympy), and the rows of ``ldl_rows``.
+
+    On every Gram the last pivot of ``ldl_rows`` is the determinant; on a
+    positive definite one its rows are those of the unpivoted Bareiss set-up,
+    and where a pivot had to move they still describe an integral form.
+    """
+    try:
+        from sympy import ZZ
+        from sympy.polys.matrices import DomainMatrix
+    except ImportError:
+        charpoly = None
+    else:
+        def charpoly(gram):
+            return DomainMatrix.from_list([list(row) for row in gram], ZZ).charpoly()
+    rng = random.Random(5)
+    seen = Counter()
+    while seen["gram"] < 1000:
+        n = rng.randint(1, 8)
+        gram = signature_test_gram(rng, n, rng.choice(("sparse", "sparse", "random", "definite")))
+        if det(gram) == 0:
             continue
-        s_plus, s_minus = IntegerLattice(frozen).signature()
-        assert s_plus + s_minus == n
+        seen["gram"] += 1
+        seen["diagonal"] += n
+        seen["zero diagonal"] += sum(1 for i in range(n) if gram[i][i] == 0)
+        expected = signature_by_fractions(gram)
+        assert IntegerLattice(gram).signature() == expected, gram
+        if charpoly is not None:
+            assert signature_by_descartes(charpoly, gram) == expected, gram
+        rows = ldl_rows(gram)
+        assert rows[-1][0] == det(gram), gram
+        if expected[1] == 0:
+            assert rows == bareiss_rows_unpivoted(gram), gram
+            seen["positive definite"] += 1
+        seen["indefinite"] += 0 < expected[1] < n
+        # the leading minors D_k of the Gram itself: a zero one forces a pivot
+        # move, and the rows then belong to an integral Gram of the same det
+        minors = [det([row[:k] for row in gram[:k]]) for k in range(1, n + 1)]
+        if 0 in minors:
+            moved = form_of_rows(rows)
+            assert all(x.denominator == 1 for row in moved for x in row), gram
+            assert det([[int(x) for x in row] for row in moved]) == det(gram), gram
+            seen["moved"] += 1
+    assert seen["zero diagonal"] >= 0.4 * seen["diagonal"], seen
+    assert seen["positive definite"] >= 100 and seen["indefinite"] >= 400, seen
+    assert seen["moved"] >= 300, seen
 
 
 def test_degenerate_rejected():
@@ -244,6 +387,22 @@ def test_index_squared_is_det_ratio(invariant):
         checked += 1
 
 
+def test_index_rejects_inconsistent_determinants(invariant, monkeypatch):
+    """The two messages for a det(sub)/det(ambient) that no sublattice can have."""
+    from latglue import lattices
+
+    full = invariant.full()
+    for fake, message in (
+        (163, "determinant ratio is not a positive integer"),
+        (-162, "determinant ratio is not a positive integer"),
+        (2 * 162, "determinant ratio 2 is not a perfect square"),
+    ):
+        monkeypatch.setattr(lattices, "det", lambda gram, fake=fake: fake)
+        with pytest.raises(LatticeError) as info:
+            full.index()
+        assert str(info.value) == message
+
+
 def test_index_requires_full_rank(invariant):
     with pytest.raises(LatticeError):
         invariant.span((E,)).index()
@@ -272,6 +431,58 @@ def test_sublattice_membership(invariant):
     assert coords == (Fraction(3), Fraction(-1))
     with pytest.raises(LatticeError):
         sub.coordinates_of((1, 0, 0))
+
+
+def solve_by_fractions(basis, v):
+    """Oracle: the earlier ``coordinates_of``, Gauss-Jordan on [B^T | v]; None off the span."""
+    r = len(basis)
+    rows = [[Fraction(b[i]) for b in basis] + [Fraction(x)] for i, x in enumerate(v)]
+    pivots = gauss_jordan(rows, r)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * r
+    for idx, c in enumerate(pivots):
+        sol[c] = rows[idx][-1]
+    return tuple(sol)
+
+
+def test_coordinates_of_against_gauss_jordan():
+    """Seeded sublattices of every rank 0..n, integer, rational and off-span targets."""
+    rng = random.Random(10)
+    seen = Counter()
+    for n in range(1, 6):
+        ambient = IntegerLattice(identity(n))
+        for r in range(n + 1):
+            for _ in range(6):
+                basis = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(r))
+                try:
+                    sub = Sublattice(ambient, basis)
+                except LatticeError:
+                    continue
+                ints = [rng.randint(-5, 5) for _ in range(r)]
+                fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(r)]
+                targets = {
+                    "integer": tuple(sum((c * b[i] for c, b in zip(ints, basis)), 0)
+                                     for i in range(n)),
+                    "rational": tuple(sum((c * b[i] for c, b in zip(fracs, basis)), Fraction(0))
+                                      for i in range(n)),
+                    "random": tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                                    for _ in range(n)),
+                }
+                for kind, v in targets.items():
+                    expected = solve_by_fractions(basis, v)
+                    if expected is None:
+                        seen["off span"] += 1
+                        with pytest.raises(LatticeError, match="does not lie in the span"):
+                            sub.coordinates_of(v)
+                        continue
+                    got = sub.coordinates_of(v)
+                    assert got == expected and all(type(x) is Fraction for x in got), (basis, v)
+                    seen[kind, r == 0] += 1
+    assert seen["integer", True] == seen["rational", True] == 5 * 6
+    assert min(seen["integer", False], seen["rational", False]) >= 80, seen
+    assert seen["random", False] >= 25, seen
+    assert seen["off span"] >= 80, seen
 
 
 def test_closure_orbit_and_limit():
