@@ -133,7 +133,7 @@ def printed_tables() -> dict:
             raise GlueError(f"golden data is not UTF-8: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # too deep, or past the int-digit limit
         raise GlueError(f"golden data is not valid JSON: {exc}") from None
     check_shape(data, GOLDEN_SHAPE)
     return data
@@ -247,13 +247,6 @@ class ExcludedCandidate(Frozen):
         self._set(m=m, name=name, representative=representative, norm=norm, reason=reason)
 
 
-def _printed_gamma(m: int, name: str) -> IntMatrix:
-    for row in printed_tables()["table2"]:
-        if row["m"] == m and row["name"] == name:
-            return freeze(row["gamma"])
-    raise LatticeError(f"no printed gluing data for m={m}, L={name}")
-
-
 @lru_cache(maxsize=None)
 def _gluing(matrix: IntMatrix, orders: tuple[int, ...]) -> FiniteAbelianMap:
     """The map along ``matrix`` from its pulled-back group of the given orders.
@@ -265,33 +258,21 @@ def _gluing(matrix: IntMatrix, orders: tuple[int, ...]) -> FiniteAbelianMap:
     return FiniteAbelianMap(pullback_form(codomain, matrix, orders), codomain, matrix)
 
 
-def coinvariant_form(gamma_matrix: IntMatrix) -> DiscriminantGroup:
-    """Quadratic form on the coinvariant discriminant group (orders 3,3,9).
-
-    No Gram matrix for the coinvariant lattice is part of the input data;
-    its form is defined here as minus the pullback of the invariant-side
-    form along the given gluing matrix.
-    """
-    orders = tuple(printed_tables()["coinvariant_discriminant_orders"])
-    return _gluing(freeze(gamma_matrix), orders).domain
-
-
-@lru_cache(maxsize=1)
-def reference_coinvariant_form() -> DiscriminantGroup:
-    """The pullback along the first printed gluing row, used as reference."""
-    first = printed_tables()["table2"][0]
-    return coinvariant_form(freeze(first["gamma"]))
-
-
 def gluing_map(m: int, name: str) -> FiniteAbelianMap:
     """Printed gluing morphism as a map from the coinvariant group.
 
-    The domain carries the pulled-back form, so the map is an anti-isometry
-    onto its image by construction; injectivity and well-definedness are
-    still verified, on the row as it reads now.
+    No Gram matrix for the coinvariant lattice is part of the input data:
+    the domain, of the orders ``coinvariant_discriminant_orders``, carries
+    minus the pullback of the invariant-side form along the printed matrix.
+    So the map is an anti-isometry onto its image by construction;
+    injectivity and well-definedness are still verified, on the row as it
+    reads now.
     """
-    orders = tuple(printed_tables()["coinvariant_discriminant_orders"])
-    gamma = _gluing(_printed_gamma(m, name), orders)
+    data = printed_tables()
+    row = next((r for r in data["table2"] if r["m"] == m and r["name"] == name), None)
+    if row is None:
+        raise LatticeError(f"no printed gluing data for m={m}, L={name}")
+    gamma = _gluing(freeze(row["gamma"]), tuple(data["coinvariant_discriminant_orders"]))
     if not gamma.is_injective():
         raise GlueError(f"printed gluing for m={m}, L={name} is not injective")
     return gamma

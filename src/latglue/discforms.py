@@ -524,8 +524,8 @@ class FiniteAbelianMap(Frozen):
         """
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GlueError(f"invalid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # too deep, or past the int-digit limit
+            raise GlueError(f"invalid JSON: {exc}") from None
         keys = ("orders_dom", "orders_cod", "matrix")
         if not isinstance(data, dict) or any(key not in data for key in keys):
             raise GlueError(f"expected a JSON object with keys {', '.join(keys)}")

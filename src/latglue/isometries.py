@@ -54,6 +54,14 @@ CANDIDATE_GUARD = 10_000
 NODE_GUARD = 1_000_000
 
 
+def _decimal(n: int) -> str:
+    """``str(n)``, or a power of ten below n > 0 when n is past Python's int-digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"more than 10^{(n.bit_length() - 1) * 30102 // 100000}"  # log10(2) > 0.30102
+
+
 def is_isometry_matrix(lattice: IntegerLattice, matrix) -> bool:
     return gram_of_rows(transpose(freeze(matrix)), lattice.gram) == lattice.gram
 
@@ -168,7 +176,7 @@ class _ShortVectors:
         bound = self.node_bound(norm)
         if bound > NODE_GUARD:
             raise LatticeError(
-                f"short-vector enumeration of norm {norm} may visit {bound} nodes "
+                f"short-vector enumeration of norm {norm} may visit {_decimal(bound)} nodes "
                 f"(limit {NODE_GUARD})"
             )
         pivots, tails, coeffs = self.pivots, self.tails, self.coeffs

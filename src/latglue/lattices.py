@@ -204,8 +204,8 @@ class IntegerLattice(Frozen):
         """Parse a Gram matrix given as ``[[...]]`` or ``{"gram": [[...]]}``."""
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise LatticeError(f"invalid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # too deep, or past the int-digit limit
+            raise LatticeError(f"invalid JSON: {exc}") from None
         if isinstance(data, dict):
             data = data.get("gram")
         if not isinstance(data, list):

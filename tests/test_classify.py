@@ -11,7 +11,6 @@ from latglue.classify import (
     case_symmetry_group,
     check_shape,
     classify,
-    coinvariant_form,
     full_isometry_group,
     gluing_map,
     invariant_discriminant,
@@ -181,18 +180,18 @@ def test_gluings_are_injective_anti_isometries():
 
 def test_pullback_forms_mutually_isometric():
     rows = printed_tables()["table2"]
-    reference = coinvariant_form(freeze(rows[0]["gamma"]))
+    reference = gluing_map(rows[0]["m"], rows[0]["name"]).domain
     assert reference.orders == (3, 3, 9)
     for row in rows[1:]:
-        other = coinvariant_form(freeze(row["gamma"]))
+        other = gluing_map(row["m"], row["name"]).domain
         assert forms_isometric(other, reference) is not None
 
 
 def test_pullback_forms_not_all_equal_on_the_nose():
     """Different printed gluings induce isometric but distinct matrices."""
     rows = printed_tables()["table2"]
-    reference = coinvariant_form(freeze(rows[0]["gamma"]))
-    second = coinvariant_form(freeze(rows[1]["gamma"]))
+    reference = gluing_map(rows[0]["m"], rows[0]["name"]).domain
+    second = gluing_map(rows[1]["m"], rows[1]["name"]).domain
     g3 = reference.generator(2)
     assert reference.q(g3) != second.q(second.generator(2))
 

@@ -93,6 +93,23 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     assert code == 1
 
 
+def test_allowlist_entry_excuses_only_its_printed_value(capsys, monkeypatch):
+    """A further change to an allowlisted printed cell is a mismatch, not allowlisted."""
+    import latglue.classify as classify_mod
+    import latglue.report as report_mod
+
+    corrupted = json.loads(json.dumps(classify_mod.printed_tables()))
+    corrupted["table2"][4]["psi_bar"] = [[7, 7, 7], [7, 7, 7], [7, 7, 7]]
+    monkeypatch.setattr(classify_mod, "printed_tables", lambda: corrupted)
+    monkeypatch.setattr(report_mod, "printed_tables", lambda: corrupted)
+    report = verify_cases_report()
+    assert report["status"] == "mismatch"
+    cell = next(c for c in report["cells"] if c["cell"] == "row 4 (L=2e-f, m=2): psi_bar")
+    assert cell["status"] == "mismatch" and "allowlist_id" not in cell
+    code, _, _ = run_cli(capsys, "verify-table", "cases")
+    assert code == 1
+
+
 def test_inconsistent_golden_data_is_input_error(capsys, monkeypatch):
     """A non-injective printed gluing is an input error (exit 2), not a crash."""
     import latglue.classify as classify_mod
@@ -119,8 +136,6 @@ def test_corrupted_gluing_after_a_clean_run_is_still_an_input_error(capsys, monk
     row = pristine["table2"][0]
     assert classify_mod.gluing_map(row["m"], row["name"]) is classify_mod.gluing_map(
         row["m"], row["name"])
-    cached = classify_mod.coinvariant_form([list(r) for r in row["gamma"]])
-    assert cached is classify_mod.gluing_map(row["m"], row["name"]).domain
 
     def corrupt(path, value):
         data = json.loads(json.dumps(pristine))
@@ -322,13 +337,23 @@ def adversarial_grams(rng):
     big = 10**21
     yield json.dumps([[big, 1], [1, 2]])
     yield json.dumps([[big, big - 1], [big - 1, big]])
+    yield "[" * 2000 + "]" * 2000  # deeper than the JSON decoder's recursion limit
+    yield f"[[{rng.randint(1, 9)}{'0' * 4999}]]"  # past Python's int-digit limit
 
 
 def corrupt_golden(rng, text, kind):
-    """A seeded corruption of the golden JSON: truncated, a number changed or a key dropped."""
+    """A seeded corruption of the golden JSON.
+
+    Truncated, a number changed or a key dropped in a case row, or a printed
+    isometry generator scaled so that it no longer preserves the Gram matrix.
+    """
     if kind == "truncate":
         return text[: rng.randrange(1, len(text))]
     data = json.loads(text)
+    if kind == "generator":
+        rho = data["isometry_generators_row_convention"][rng.choice(["rho1", "rho2", "rho3"])]
+        rho[rng.randrange(3)] = [2 * x for x in rho[rng.randrange(3)]]
+        return json.dumps(data)
     row = rng.choice(data["table2"])
     if kind == "number":
         cell = rng.choice(["phi", "gamma", "psi_bar"])
@@ -370,15 +395,20 @@ def test_adversarial_inputs_exit_cleanly(seed, tmp_path):
     shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
     golden = copy / "data" / "printed_tables.json"
     pristine = golden.read_text("utf-8")
-    for kind in ("truncate", "number", "drop"):
+    for kind in ("truncate", "number", "drop", "generator"):
         golden.write_text(corrupt_golden(rng, pristine, kind), "utf-8")
         argv = ["verify-table", "cases"]
         proc, elapsed = cli_process(argv, tmp_path)
         assert_clean_exit(proc, elapsed, argv + [kind])
+    assert proc.returncode == 2 and "printed generator rho" in proc.stderr, proc.stderr
     golden.write_bytes(pristine.encode("utf-16"))
     proc, elapsed = cli_process(["verify-table", "cases"], tmp_path)
     assert_clean_exit(proc, elapsed, ["verify-table", "cases", "utf-16"])
     assert proc.returncode == 2 and "golden data is not UTF-8" in proc.stderr, proc.stderr
+    golden.write_text("[" * 2000 + "]" * 2000, "utf-8")
+    proc, elapsed = cli_process(["verify-table", "cases"], tmp_path)
+    assert_clean_exit(proc, elapsed, ["verify-table", "cases", "deep"])
+    assert proc.returncode == 2 and "golden data is not valid JSON" in proc.stderr, proc.stderr
 
 
 def test_huge_entries_answer_or_refuse():
@@ -390,6 +420,16 @@ def test_huge_entries_answer_or_refuse():
     proc, _ = cli_process(["lattice-info", "--gram", level], package_root)
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and "nodes (limit 1000000)" in proc.stderr
+    # a 6,001-digit determinant and a node bound of over 6,000 digits are past
+    # Python's int-digit limit: both refuse in one line instead of printing
+    huge = 2 * 10**3000
+    proc, _ = cli_process(["lattice-info", "--gram", f"[[{huge}, 1], [1, {huge}]]"], package_root)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    two_i4 = json.dumps([[2 * (i == j) for j in range(4)] for i in range(4)])
+    proc, _ = cli_process(["orbits", "--norm", "9" * 4000, "--gram", two_i4], package_root)
+    assert proc.returncode == 2 and proc.stderr.count("\n") == 1
+    assert "may visit more than 10^6000 nodes (limit 1000000)" in proc.stderr, proc.stderr[-200:]
 
 
 COSTLY_IMPORTS = ("dataclasses", "inspect", "importlib.resources", "typing")

@@ -419,6 +419,8 @@ def test_map_serialization_round_trip(pinned):
         "a scalar row": text.replace("[0, 0, 2]", "2"),
         "a string entry": text.replace("[0, 0, 2]", '[0, 0, "2"]'),
         "a short row": text.replace("[0, 0, 2]", "[0, 0]"),
+        "nesting past the decoder's recursion limit": "[" * 2000 + "]" * 2000,
+        "an entry past the int-digit limit": text.replace("[0, 0, 2]", f"[0, 0, 2{'0' * 4999}]"),
     }
     for what, bad in malformed.items():
         assert bad != text, what

@@ -21,13 +21,11 @@ import pytest
 from latglue.classify import (
     ambient_divisibility,
     case_symmetry_group,
-    coinvariant_form,
     extend_block_isometry,
     gluing_map,
     invariant_discriminant,
     invariant_lattice_fixed,
     printed_tables,
-    reference_coinvariant_form,
 )
 from latglue.discforms import (
     DiscriminantGroup,
@@ -230,9 +228,9 @@ def scaled(group, unit):
 
 def test_forms_isometric_matches_fraction_search(groups, rebased):
     """Printed pullbacks, rebased groups, negated and unit-scaled forms."""
-    reference = reference_coinvariant_form()
-    pairs = [(coinvariant_form(freeze(row["gamma"])), reference)
-             for row in printed_tables()["table2"]]
+    rows = printed_tables()["table2"]
+    reference = gluing_map(rows[0]["m"], rows[0]["name"]).domain
+    pairs = [(gluing_map(row["m"], row["name"]).domain, reference) for row in rows]
     pairs += [(reference, negated(reference)), (reference, scaled(reference, 2))]
     originals = {group.source: group for _lattice, group in groups}
     for _lattice, group in rebased[::2]:
