@@ -444,5 +444,7 @@ def verify_markdown(report: dict) -> str:
 def render_json(report: dict) -> str:
     try:
         return json.dumps(report, indent=2) + "\n"
-    except ValueError as exc:  # an integer past Python's int-digit limit
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # not Python's int-digit limit
+            raise
         raise LatticeError(f"cannot print the report: {exc}") from None

@@ -75,39 +75,31 @@ def test_verify_tables_pass(capsys):
 
 
 def test_verify_detects_corruption(capsys, monkeypatch):
-    """A corrupted golden matrix must produce a mismatch cell and exit 1."""
+    """A corrupted golden matrix must produce a mismatch cell and exit 1.
+
+    That holds also for a further change to an allowlisted printed cell: an
+    entry excuses only the printed value it declares.
+    """
     import latglue.classify as classify_mod
+    import latglue.report as report_mod
 
     pristine = classify_mod.printed_tables()
-    corrupted = json.loads(json.dumps(pristine))
-    corrupted["table2"][0]["phi"][0][0] = 7
-    monkeypatch.setattr(classify_mod, "printed_tables", lambda: corrupted)
-    import latglue.report as report_mod
-
-    monkeypatch.setattr(report_mod, "printed_tables", lambda: corrupted)
-    report = verify_cases_report()
-    assert report["status"] == "mismatch"
-    bad = [c for c in report["cells"] if c["status"] == "mismatch"]
-    assert any("isometry" in c["cell"] for c in bad)
-    code, _, _ = run_cli(capsys, "verify-table", "cases")
-    assert code == 1
-
-
-def test_allowlist_entry_excuses_only_its_printed_value(capsys, monkeypatch):
-    """A further change to an allowlisted printed cell is a mismatch, not allowlisted."""
-    import latglue.classify as classify_mod
-    import latglue.report as report_mod
-
-    corrupted = json.loads(json.dumps(classify_mod.printed_tables()))
-    corrupted["table2"][4]["psi_bar"] = [[7, 7, 7], [7, 7, 7], [7, 7, 7]]
-    monkeypatch.setattr(classify_mod, "printed_tables", lambda: corrupted)
-    monkeypatch.setattr(report_mod, "printed_tables", lambda: corrupted)
-    report = verify_cases_report()
-    assert report["status"] == "mismatch"
-    cell = next(c for c in report["cells"] if c["cell"] == "row 4 (L=2e-f, m=2): psi_bar")
-    assert cell["status"] == "mismatch" and "allowlist_id" not in cell
-    code, _, _ = run_cli(capsys, "verify-table", "cases")
-    assert code == 1
+    phi = json.loads(json.dumps(pristine["table2"][0]["phi"]))
+    phi[0][0] = 7
+    for row, key, value, cell_name in (
+        (0, "phi", phi, "isometry"),
+        (4, "psi_bar", [[7, 7, 7], [7, 7, 7], [7, 7, 7]], "row 4 (L=2e-f, m=2): psi_bar"),
+    ):
+        corrupted = json.loads(json.dumps(pristine))
+        corrupted["table2"][row][key] = value
+        monkeypatch.setattr(classify_mod, "printed_tables", lambda: corrupted)
+        monkeypatch.setattr(report_mod, "printed_tables", lambda: corrupted)
+        report = verify_cases_report()
+        assert report["status"] == "mismatch"
+        bad = [c for c in report["cells"] if c["status"] == "mismatch"]
+        assert any(cell_name in c["cell"] and "allowlist_id" not in c for c in bad)
+        code, _, _ = run_cli(capsys, "verify-table", "cases")
+        assert code == 1
 
 
 def test_inconsistent_golden_data_is_input_error(capsys, monkeypatch):
@@ -308,6 +300,10 @@ def test_classify_report_excluded_reasons():
 # -- adversarial inputs, each run as a fresh CLI process ----------------------
 
 CASE_BUDGET_S = 10.0
+# Nested deeper than any supported interpreter lets the JSON decoder go (the
+# C recursion limit is 10,000 on Python 3.13), yet under the 128 KiB that
+# Linux allows one command-line argument.
+DEEP_JSON = "[" * 50_000 + "]" * 50_000
 
 
 def cli_process(argv, package_root):
@@ -337,7 +333,7 @@ def adversarial_grams(rng):
     big = 10**21
     yield json.dumps([[big, 1], [1, 2]])
     yield json.dumps([[big, big - 1], [big - 1, big]])
-    yield "[" * 2000 + "]" * 2000  # deeper than the JSON decoder's recursion limit
+    yield DEEP_JSON
     yield f"[[{rng.randint(1, 9)}{'0' * 4999}]]"  # past Python's int-digit limit
 
 
@@ -380,6 +376,7 @@ def test_adversarial_inputs_exit_cleanly(seed, tmp_path):
         for argv in (["lattice-info", "--gram", gram], ["orbits", "--norm", "2", "--gram", gram]):
             proc, elapsed = cli_process(argv, package.parent)
             assert_clean_exit(proc, elapsed, argv)
+            assert gram is not DEEP_JSON or "invalid JSON" in proc.stderr, (argv[0], proc.stderr)
             exits.append(proc.returncode)
     assert 0 in exits and 2 in exits
 
@@ -405,7 +402,7 @@ def test_adversarial_inputs_exit_cleanly(seed, tmp_path):
     proc, elapsed = cli_process(["verify-table", "cases"], tmp_path)
     assert_clean_exit(proc, elapsed, ["verify-table", "cases", "utf-16"])
     assert proc.returncode == 2 and "golden data is not UTF-8" in proc.stderr, proc.stderr
-    golden.write_text("[" * 2000 + "]" * 2000, "utf-8")
+    golden.write_text(DEEP_JSON, "utf-8")
     proc, elapsed = cli_process(["verify-table", "cases"], tmp_path)
     assert_clean_exit(proc, elapsed, ["verify-table", "cases", "deep"])
     assert proc.returncode == 2 and "golden data is not valid JSON" in proc.stderr, proc.stderr
@@ -430,6 +427,11 @@ def test_huge_entries_answer_or_refuse():
     proc, _ = cli_process(["orbits", "--norm", "9" * 4000, "--gram", two_i4], package_root)
     assert proc.returncode == 2 and proc.stderr.count("\n") == 1
     assert "may visit more than 10^6000 nodes (limit 1000000)" in proc.stderr, proc.stderr[-200:]
+    # only the int-digit limit is an input error; any other ValueError is a bug
+    circular = {}
+    circular["self"] = circular
+    with pytest.raises(ValueError, match="^Circular reference"):
+        render_json(circular)
 
 
 COSTLY_IMPORTS = ("dataclasses", "inspect", "importlib.resources", "typing")

@@ -419,14 +419,17 @@ def test_map_serialization_round_trip(pinned):
         "a scalar row": text.replace("[0, 0, 2]", "2"),
         "a string entry": text.replace("[0, 0, 2]", '[0, 0, "2"]'),
         "a short row": text.replace("[0, 0, 2]", "[0, 0]"),
-        "nesting past the decoder's recursion limit": "[" * 2000 + "]" * 2000,
+        "nesting past the decoder's recursion limit": "[" * 50_000 + "]" * 50_000,
         "an entry past the int-digit limit": text.replace("[0, 0, 2]", f"[0, 0, 2{'0' * 4999}]"),
     }
+    unparsable = {"not JSON", "nesting past the decoder's recursion limit",
+                  "an entry past the int-digit limit"}
     for what, bad in malformed.items():
         assert bad != text, what
         with pytest.raises(GlueError) as info:
             FiniteAbelianMap.from_json(bad)
         assert "\n" not in str(info.value), what
+        assert str(info.value).startswith("invalid JSON") == (what in unparsable), what
 
 
 def test_map_well_definedness_enforced(pinned):
