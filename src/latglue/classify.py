@@ -45,7 +45,6 @@ from .exact import (
     IntVector,
     adjugate,
     freeze,
-    gram_of_rows,
     mat_mul,
     mat_vec,
     transpose,
@@ -224,9 +223,6 @@ def admissible_n(m: int) -> frozenset[int]:
     raise LatticeError("admissible norms are defined for m = 2 or 3")
 
 
-ORDER3_BLOCK: IntMatrix = ((-1, -1), (1, 0))
-
-
 class ClassificationCase(Frozen):
     """One surviving polarization class with its full extension data."""
 
@@ -281,18 +277,15 @@ def gluing_map(m: int, name: str) -> FiniteAbelianMap:
 def order_isometry_block(m: int, t_lattice: IntegerLattice) -> IntMatrix:
     """Order-m block acting on the complement basis (identity on L).
 
-    For m = 2 this is -1; for m = 3 the fixed rotation matrix is used when
-    it preserves the Gram matrix (it does for the one surviving case), and
-    otherwise the smallest order-3 element of O(T) is taken.
+    For m = 2 this is -1; for m = 3 it is the first order-3 element of
+    O(T), the group ``admits_order3`` has just searched.  Where the rotation
+    ((-1, -1), (1, 0)) preserves T's Gram matrix, the order-3 elements are
+    it and its square, and it sorts first.
     """
     if m == 2:
         return ((-1, 0), (0, -1))
     if m == 3:
-        g = t_lattice.gram
-        if gram_of_rows(transpose(ORDER3_BLOCK), g) == g:
-            return ORDER3_BLOCK
-        group = orthogonal_group(t_lattice)
-        for elem in group.elements:
+        for elem in orthogonal_group(t_lattice).elements:
             if elem.order == 3:
                 return elem.matrix
         raise LatticeError("complement admits no order-3 isometry")
@@ -432,11 +425,12 @@ def classify(m: int) -> tuple[tuple[ClassificationCase, ...], tuple[ExcludedCand
         vectors = vectors_of_norm(lattice, norm)
         primitive = [v for v in vectors if vec_content(v) == 1]
         imprimitive = [v for v in vectors if vec_content(v) != 1]
+
+        def exclude(rep, reason):
+            excluded.append(ExcludedCandidate(m, vector_name(rep), rep, norm, reason))
+
         for orbit in orbits(sym, imprimitive):
-            rep = max(orbit.members)
-            excluded.append(
-                ExcludedCandidate(m, vector_name(rep), rep, norm, "not primitive")
-            )
+            exclude(max(orbit.members), "not primitive")
         for orbit in orbits(sym, primitive):
             rep = max(orbit.members)
             t_sub = lattice.span((rep,)).orthogonal_complement()
@@ -446,27 +440,11 @@ def classify(m: int) -> tuple[tuple[ClassificationCase, ...], tuple[ExcludedCand
             index = full_sub.index()
             if index not in (1, m):
                 expected = 162 * m * m // norm
-                excluded.append(
-                    ExcludedCandidate(
-                        m,
-                        vector_name(rep),
-                        rep,
-                        norm,
-                        f"det(T_X) = {t_det} != {expected} forced by glue index {m}"
-                        f" (actual index {index})",
-                    )
-                )
+                exclude(rep, f"det(T_X) = {t_det} != {expected} forced by glue index {m}"
+                             f" (actual index {index})")
                 continue
             if m == 3 and not admits_order3(t_sub.lattice()):
-                excluded.append(
-                    ExcludedCandidate(
-                        m,
-                        vector_name(rep),
-                        rep,
-                        norm,
-                        "complement admits no order-3 isometry",
-                    )
-                )
+                exclude(rep, "complement admits no order-3 isometry")
                 continue
             cases.append(build_extension(m, orbit, t_sub, index))
     order_key = {"h": 0, "e-f": 1, "e": 2, "e+f": 3, "2e-f": 4}

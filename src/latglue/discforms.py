@@ -62,24 +62,18 @@ class DiscriminantGroup(Frozen):
     q(x) = (x Q x^T mod 2e) / e and b(x, y) = (x Q y^T mod e) / e, where
     x Q y^T is ``exact.bilinear`` on the coefficient tuples.
 
-    Computed once per group, on first use: the isotropic subgroups of every
-    order (``isotropic_spans``) and the integer data of the induced maps
-    and overlattices (``cleared_lifts``, ``classes_gram``).
+    Computed once per group, on first use: the generators of the isotropic
+    subgroups of every order (``isotropic_generators``) and the integer
+    data of the induced maps and overlattices (``cleared_lifts``,
+    ``classes_gram``).
 
-    Equality and the hash read ``orders``, ``pair_gram``, ``lifts`` and
-    ``source`` only, so two groups that differ in ``classes`` are equal.
-    The hash is computed on first use and kept, so hashing an element
-    costs a tuple hash, not a walk over the ``Fraction`` matrices.
+    Equality and the hash (``Frozen``'s) read ``orders``, ``pair_gram``,
+    ``lifts`` and ``source`` only, so two groups that differ in ``classes``
+    are equal.  The subgroup growth and the induced maps key their sets on
+    coefficient tuples, so no group hash is kept.
     """
 
     _key = attrgetter("orders", "pair_gram", "lifts", "source")
-
-    @cached_property
-    def _hash(self) -> int:
-        return super().__hash__()
-
-    def __hash__(self):
-        return self._hash
 
     def __init__(self, orders, pair_gram, lifts=None, source: IntegerLattice | None = None,
                  classes=None):
@@ -176,14 +170,16 @@ class DiscriminantGroup(Frozen):
         return mat_mul(self.classes, self.source.gram)
 
     @cached_property
-    def isotropic_spans(self) -> dict[int, list[frozenset]]:
-        """Every isotropic subgroup, as a coefficient set, bucketed by order.
+    def isotropic_generators(self) -> dict[int, list[tuple]]:
+        """Every isotropic subgroup, as the generators that grew it, bucketed by order.
 
         Subgroups are grown from the trivial one by adjoining an isotropic
         element b-orthogonal to the generators chosen so far, one cyclic
         subgroup at a time.  This reaches every isotropic H (its elements
         are isotropic and pairwise orthogonal) and nothing else, because
-        q(x + y) = q(x) + q(y) + 2 b(x, y).  Spans are deduplicated; each
+        q(x + y) = q(x) + q(y) + 2 b(x, y).  Spans are deduplicated, and
+        each keeps the coefficient tuples first adjoined to reach it: one
+        for a cyclic subgroup, none in the span of those before.  Each
         bucket is sorted by the subgroups' sorted elements.
         """
         orders, e, gram = self.orders, self.exponent, self.int_gram
@@ -209,9 +205,9 @@ class DiscriminantGroup(Frozen):
                 if joined not in found:
                     found[joined] = gens + (g,)
                     frontier.append(joined)
-        buckets: dict[int, list[frozenset]] = {}
+        buckets: dict[int, list[tuple]] = {}
         for span in sorted(found, key=sorted):
-            buckets.setdefault(len(span), []).append(span)
+            buckets.setdefault(len(span), []).append(found[span])
         return buckets
 
     def element_from_dual_vector(self, v) -> "DiscElement":
@@ -359,29 +355,17 @@ class IsotropicSubgroup(Frozen):
         return len(self.element_coeffs())
 
 
-def _generating_set(group: DiscriminantGroup, subgroup: frozenset) -> tuple[DiscElement, ...]:
-    gens: list[DiscElement] = []
-    span = {group.zero().coeffs}
-    for coeffs in sorted(subgroup, key=lambda c: (group.element(c).order(), c)):
-        if coeffs in span:
-            continue
-        gens.append(group.element(coeffs))
-        span = set(span_elements(group, gens))
-        if len(span) == len(subgroup):
-            break
-    return tuple(gens)
-
-
 def enumerate_isotropic_subgroups(group: DiscriminantGroup, order: int) -> list[IsotropicSubgroup]:
     """All isotropic subgroups of the given order, sorted by their elements.
 
     The group grows all its isotropic subgroups in one pass, on the first
-    call (``DiscriminantGroup.isotropic_spans``); each call then keeps those
-    of the given order.  An order that does not divide |A_L| gives nothing.
+    call (``DiscriminantGroup.isotropic_generators``); each call then builds
+    those of the given order on the generators that grew them.  An order
+    that does not divide |A_L| gives nothing.
     """
     return [
-        IsotropicSubgroup(group, _generating_set(group, s))
-        for s in group.isotropic_spans.get(order, ())
+        IsotropicSubgroup(group, [group.element(c) for c in gens])
+        for gens in group.isotropic_generators.get(order, ())
     ]
 
 
@@ -426,7 +410,8 @@ def glue_subgroup(sub: Sublattice) -> IsotropicSubgroup:
     """Image of the ambient lattice in A_T for a full-rank sublattice T.
 
     This is the subgroup H with ambient = pi^{-1}(H); the ambient lattice
-    being even makes H isotropic.
+    being even makes H isotropic.  Its generators are the classes of the
+    ambient basis vectors, zero ones included.
     """
     ambient = sub.ambient
     if sub.rank != ambient.rank:
@@ -435,8 +420,7 @@ def glue_subgroup(sub: Sublattice) -> IsotropicSubgroup:
     # column i of B G holds the pairings of the i-th ambient basis vector
     # with the rows of the basis B of T
     images = mat_mul(group.classes, mat_mul(sub.basis, ambient.gram))
-    subgroup = span_elements(group, transpose(images))
-    return IsotropicSubgroup(group, _generating_set(group, subgroup))
+    return IsotropicSubgroup(group, [group.element(c) for c in transpose(images)])
 
 
 class FiniteAbelianMap(Frozen):

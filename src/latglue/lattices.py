@@ -113,7 +113,7 @@ class Frozen:
 class IntegerLattice(Frozen):
     """Even or odd non-degenerate lattice given by its Gram matrix.
 
-    Equality and the hash (kept from construction) read ``gram`` only.
+    Equality and the hash (``Frozen``'s) read ``gram`` only.
     """
 
     _key = attrgetter("gram")
@@ -131,10 +131,7 @@ class IntegerLattice(Frozen):
         d = det(gram)
         if d == 0:
             raise LatticeError("degenerate Gram matrix")
-        self._set(gram=gram, _det=d, _hash=hash((gram,)))
-
-    def __hash__(self):
-        return self._hash
+        self._set(gram=gram, _det=d)
 
     def __repr__(self):
         return f"IntegerLattice(gram={self.gram!r})"

@@ -228,14 +228,15 @@ def test_classify_rejects_bad_m():
 
 
 def test_order3_block_fallback_search():
-    """On a non-reduced basis the pinned rotation fails and O(T) is searched."""
-    from latglue.classify import ORDER3_BLOCK, order_isometry_block
+    """On a non-reduced basis the hexagonal rotation fails; O(T) still has an order-3 block."""
+    from latglue.classify import order_isometry_block
     from latglue.exact import mat_mul, transpose
     from latglue.isometries import matrix_order
     from latglue.lattices import IntegerLattice
 
+    rotation = ((-1, -1), (1, 0))
     gram = ((2, 3), (3, 6))  # hexagonal lattice written on a skew basis
-    assert mat_mul(mat_mul(transpose(ORDER3_BLOCK), gram), ORDER3_BLOCK) != gram
+    assert mat_mul(mat_mul(transpose(rotation), gram), rotation) != gram
     block = order_isometry_block(3, IntegerLattice(gram))
     assert matrix_order(block) == 3
     assert mat_mul(mat_mul(transpose(block), gram), block) == gram
@@ -243,6 +244,19 @@ def test_order3_block_fallback_search():
         order_isometry_block(3, IntegerLattice(((2, 0), (0, 4))))
     with pytest.raises(LatticeError):
         order_isometry_block(5, IntegerLattice(((2, 1), (1, 2))))
+
+
+def test_order3_block_is_the_rotation_wherever_it_applies():
+    """The first order-3 element of O(T) is the hexagonal rotation whenever that preserves T."""
+    from latglue.classify import order_isometry_block
+    from latglue.exact import mat_mul, transpose
+    from latglue.lattices import IntegerLattice
+
+    rotation = ((-1, -1), (1, 0))
+    for a in range(1, 13):  # the rotation preserves exactly the multiples of A2
+        gram = ((2 * a, a), (a, 2 * a))
+        assert mat_mul(mat_mul(transpose(rotation), gram), rotation) == gram
+        assert order_isometry_block(3, IntegerLattice(gram)) == rotation
 
 
 def test_index_one_only_on_the_h_orbit():

@@ -456,6 +456,9 @@ def test_induced_map_and_glue_subgroup_match_cleared_solve(groups, rebased):
 # sign changes of diag(-2, -6, 6) keep the first generator of some
 # two-generator isotropic subgroups and move the second one out
 SIGNS = IntegerLattice(((-2, 0, 0), (0, -6, 0), (0, 0, 6)))
+# A_L = Z2 x Z8 x Z24: an order-8 subgroup on two generators that one of
+# the 16 isometries fixes and another moves
+OCTAVES = IntegerLattice(((6, 0, 0), (0, 8, 0), (0, 0, 8)))
 
 
 def induced_map_by_fractions(matrix, group):
@@ -505,10 +508,11 @@ def sample_isometries(lattice):
 
 @pytest.fixture(scope="module")
 def census(groups, rebased):
-    """Seeded groups, their rebased copies and diag(-2, -6, 6) twice, with sample isometries."""
+    """Seeded and rebased groups, diag(-2, -6, 6) twice and diag(6, 8, 8), with isometries."""
     rng = random.Random(307)
     signs = discriminant_group(SIGNS)
-    extra = [(SIGNS, signs), (SIGNS, with_generators(signs, random_rebase(rng, signs)))]
+    extra = [(SIGNS, signs), (SIGNS, with_generators(signs, random_rebase(rng, signs))),
+             (OCTAVES, discriminant_group(OCTAVES))]
     return [
         (lattice, group, sample_isometries(lattice))
         for lattice, group in groups + rebased + extra
@@ -538,6 +542,21 @@ def test_induced_map_matches_fraction_formula(census):
                 induced_map_by_fractions(bad, group)
     assert any(group.order() == 1 for _lattice, group, _isos in census)
     assert mixed >= 15 and checked >= 300
+
+
+def test_each_generator_leaves_the_span_of_the_ones_before(census):
+    """The growth keeps the generators it adjoined: one for a cyclic subgroup, none redundant."""
+    cyclic = non_cyclic = 0
+    for _lattice, group, _isometries in census:
+        for h in all_isotropic(group):
+            for k, g in enumerate(h.generators):
+                assert g.coeffs not in span_elements(group, h.generators[:k])
+            if h.order() > 1 and max(x.order() for x in h.elements()) == h.order():
+                assert len(h.generators) == 1
+                cyclic += 1
+            else:
+                non_cyclic += h.order() > 1
+    assert cyclic >= 100 and non_cyclic >= 20
 
 
 def test_extension_by_generators_matches_every_element(census):
