@@ -16,7 +16,6 @@ from .discforms import (
     IsotropicSubgroup,
     discriminant_group,
     enumerate_isotropic_subgroups,
-    extend_to_overlattice,
     extends_to_overlattice,
     forms_isometric,
     glue_extension_check,
@@ -34,17 +33,13 @@ from .isometries import (
     Isometry,
     IsometryGroup,
     admits_order3,
-    coinvariant_lattice,
-    invariant_lattice,
-    isometry_between,
     orbit_witness,
     orbits,
     orthogonal_group,
     reduced_binary_form,
-    torsion_exponent_check,
     vectors_of_norm,
 )
-from .lattices import IntegerLattice, LatticeError, Sublattice, is_primitive_vector
+from .lattices import IntegerLattice, LatticeError, Sublattice
 
 __all__ = [
     "DiscElement",
@@ -58,19 +53,14 @@ __all__ = [
     "LatticeError",
     "Sublattice",
     "admits_order3",
-    "coinvariant_lattice",
     "discriminant_group",
     "enumerate_isotropic_subgroups",
-    "extend_to_overlattice",
     "extends_to_overlattice",
     "forms_isometric",
     "glue_extension_check",
     "glue_subgroup",
     "induced_map",
-    "invariant_lattice",
     "is_anti_isometry",
-    "is_primitive_vector",
-    "isometry_between",
     "orbit_witness",
     "orbits",
     "orthogonal_group",
@@ -80,7 +70,6 @@ __all__ = [
     "pullback_form",
     "reduced_binary_form",
     "solve_psi_bar",
-    "torsion_exponent_check",
     "vectors_of_norm",
     "with_generators",
 ]

@@ -36,9 +36,9 @@ EXIT_USAGE = 2
 
 
 def _lattice_from_args(args) -> IntegerLattice | None:
-    if getattr(args, "gram", None):
+    if args.gram is not None:
         return IntegerLattice.from_json(args.gram)
-    if getattr(args, "file", None):
+    if args.file is not None:
         with open(args.file, "r", encoding="utf-8") as handle:
             try:
                 text = handle.read()

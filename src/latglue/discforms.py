@@ -9,7 +9,7 @@ fixes the matching subgroup.  This module implements that dictionary plus
 homomorphisms between such groups (gluing morphisms and their relatives),
 entirely in exact arithmetic.
 
-Values of q are reduced into [0, 2), values of b into [0, 1).
+Values of q are reduced into [0, 2).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .exact import (
     IntMatrix,
     IntVector,
     bilinear,
-    frac_inverse,
     freeze,
     gram_of_rows,
     hnf,
@@ -135,14 +134,6 @@ class DiscriminantGroup(Frozen):
             raise GlueError("elements belong to different groups")
         e = self.exponent
         return Fraction(bilinear(x.coeffs, self.int_gram, x.coeffs) % (2 * e), e)
-
-    def b(self, x: "DiscElement", y: "DiscElement") -> Fraction:
-        """Bilinear form value in [0, 1)."""
-        for z in (x, y):
-            if z.parent is not self and z.parent != self:
-                raise GlueError("elements belong to different groups")
-        e = self.exponent
-        return Fraction(bilinear(x.coeffs, self.int_gram, y.coeffs) % e, e)
 
     # -- lattice-backed extras -------------------------------------------
 
@@ -583,19 +574,6 @@ def extends_to_overlattice(matrix, h: IsotropicSubgroup) -> bool:
         tuple(x % d for x, d in zip(mat_vec(images, g.coeffs), group.orders)) in coeffs
         for g in h.generators
     )
-
-
-def extend_to_overlattice(matrix, h: IsotropicSubgroup):
-    """Extended isometry matrix on the canonical overlattice basis."""
-    if not extends_to_overlattice(matrix, h):
-        raise GlueError("isometry does not fix the glue subgroup")
-    _lattice, basis = overlattice_with_basis(h)
-    basis_t = transpose(basis)
-    inv = frac_inverse(basis_t)
-    extended = mat_mul(mat_mul(inv, matrix), basis_t)
-    if any(x.denominator != 1 for row in extended for x in row):
-        raise GlueError("extension is not integral")
-    return freeze(tuple(int(x) for x in row) for row in extended)
 
 
 def _forms_match(gamma: FiniteAbelianMap, sign: int) -> bool:

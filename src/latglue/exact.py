@@ -274,15 +274,6 @@ def right_kernel(a) -> IntMatrix:
     return tuple(row for row in h if any(row))
 
 
-def saturate_rows(a) -> IntMatrix:
-    """HNF basis of the saturation (Q-span intersect Z^n) of the row space."""
-    if not a:
-        return ()
-    ker = right_kernel(a)
-    # full rank: the saturation is Z^n, whose HNF basis is the identity
-    return right_kernel(ker) if ker else identity(len(a[0]))
-
-
 def solve_int(a, t) -> IntVector | None:
     """One integer solution x of a*x = t (columns unknowns), or None."""
     return solve_smith(snf(a), t)

@@ -1,4 +1,4 @@
-"""Orthogonal groups of small definite lattices, orbits, fixed lattices.
+"""Orthogonal groups of small definite lattices, and orbits.
 
 Short vectors come from an all-integer Fincke-Pohst enumeration (Fincke &
 Pohst 1985; Cohen, *A Course in Computational Algebraic Number Theory*,
@@ -25,7 +25,6 @@ matrix are the images of the basis vectors.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import attrgetter, mul
@@ -40,11 +39,10 @@ from .exact import (
     ldl_rows,
     mat_mul,
     mat_vec,
-    right_kernel,
     transpose,
     vec_content,
 )
-from .lattices import Frozen, IntegerLattice, LatticeError, Sublattice, closure
+from .lattices import Frozen, IntegerLattice, LatticeError, closure
 
 RANK_GUARD = 4
 CANDIDATE_GUARD = 10_000
@@ -101,16 +99,6 @@ class Isometry(Frozen):
 
     def apply(self, v: IntVector) -> IntVector:
         return mat_vec(self.matrix, v)
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        return Isometry(self.lattice, mat_mul(self.matrix, other.matrix))
-
-    def inverse(self) -> "Isometry":
-        # matrix^(order-1) is the inverse
-        inv = identity(len(self.matrix))
-        for _ in range(self.order - 1):
-            inv = mat_mul(inv, self.matrix)
-        return Isometry(self.lattice, inv)
 
 
 def _bareiss_rows(gram, task: str = "short-vector enumeration") -> list[list[int]]:
@@ -243,14 +231,6 @@ class IsometryGroup(Frozen):
     def order(self) -> int:
         return len(self.elements)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "gram": [list(row) for row in self.lattice.gram],
-                "elements": [[list(row) for row in g.matrix] for g in self.elements],
-            }
-        )
-
     def has_element_of_order(self, k: int) -> bool:
         return any(g.order == k for g in self.elements)
 
@@ -317,27 +297,6 @@ def orthogonal_group(lattice: IntegerLattice) -> IsometryGroup:
     return IsometryGroup(lattice, tuple(Isometry._unchecked(lattice, m) for m in matrices))
 
 
-def isometry_between(a: IntegerLattice, b: IntegerLattice):
-    """Matrix M with M^T * gram_a * M = gram_b, or None.
-
-    Columns give the a-coordinates of the image of b's basis, i.e. an
-    isometry from b onto a.
-    """
-    if a.rank != b.rank or a.determinant() != b.determinant():
-        return None
-    sa = a.signature()
-    if sa != b.signature():
-        return None
-    if sa[1] != 0:
-        raise LatticeError("isometry testing needs positive definite lattices")
-    matrix = next(_isometries(a, b), None)
-    # The pairing filter already forces the full Gram identity (orthogonal_group
-    # relies on it); keep the explicit check here as a safety net.
-    if matrix is not None and gram_of_rows(transpose(matrix), a.gram) != b.gram:
-        raise LatticeError("internal inconsistency: backtracking returned a non-isometry")
-    return matrix
-
-
 class Orbit(Frozen):
     _key = attrgetter("representative", "members")
 
@@ -379,53 +338,10 @@ def orbit_witness(group: IsometryGroup, source: IntVector, target: IntVector):
     return None
 
 
-def invariant_lattice(lattice: IntegerLattice, generators) -> Sublattice:
-    """Fixed sublattice of the group generated by the given isometries.
-
-    Computed as the saturated kernel of the stacked (g - 1) maps; for an
-    empty generator list this is the whole lattice.
-    """
-    mats = [g.matrix if isinstance(g, Isometry) else freeze(g) for g in generators]
-    n = lattice.rank
-    if not mats:
-        return lattice.full()
-    stacked = []
-    eye = identity(n)
-    for m in mats:
-        for i in range(n):
-            stacked.append(tuple(m[i][j] - eye[i][j] for j in range(n)))
-    return Sublattice(lattice, right_kernel(freeze(stacked)))
-
-
-def coinvariant_lattice(lattice: IntegerLattice, generators) -> Sublattice:
-    """Orthogonal complement of the invariant lattice; primitive by construction."""
-    inv = invariant_lattice(lattice, generators)
-    if inv.rank == 0:
-        return lattice.full()
-    if inv.rank == lattice.rank:
-        return Sublattice(lattice, ())
-    return inv.orthogonal_complement()
-
-
 def group_generated_by(lattice: IntegerLattice, generators) -> tuple[IntMatrix, ...]:
     """Closure of a generator list under multiplication (finite groups only)."""
     gens = [freeze(g.matrix if isinstance(g, Isometry) else g) for g in generators]
     return tuple(sorted(closure([identity(lattice.rank)], gens, mat_mul, limit=100_000)))
-
-
-def torsion_exponent_check(lattice: IntegerLattice, generators) -> bool:
-    """Quotient by (invariant + coinvariant) must be killed by the group order."""
-    inv = invariant_lattice(lattice, generators)
-    coinv = coinvariant_lattice(lattice, generators)
-    order = len(group_generated_by(lattice, generators))
-    rows = inv.basis + coinv.basis
-    if len(rows) != lattice.rank:
-        return False
-    sub = Sublattice(lattice, rows)
-    return all(
-        sub.contains(tuple(order * int(i == j) for j in range(lattice.rank)))
-        for i in range(lattice.rank)
-    )
 
 
 def reduced_binary_form(gram: IntMatrix) -> tuple[int, int, int]:

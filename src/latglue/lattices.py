@@ -40,10 +40,7 @@ from .exact import (
     mat_mul,
     mat_vec,
     right_kernel,
-    saturate_rows,
-    solve_int,
     transpose,
-    vec_content,
 )
 
 
@@ -68,13 +65,6 @@ def closure(start, gens, step, limit=None) -> set:
                     raise LatticeError(f"closure exceeds {limit} elements")
                 frontier.append(nxt)
     return seen
-
-
-def is_primitive_vector(v) -> bool:
-    """True iff the gcd of the coordinates is 1."""
-    if not any(v):
-        raise LatticeError("the zero vector is neither primitive nor imprimitive")
-    return vec_content(v) == 1
 
 
 class Frozen:
@@ -237,13 +227,6 @@ class Sublattice(Frozen):
     def lattice(self) -> IntegerLattice:
         return IntegerLattice(self.gram())
 
-    def contains(self, v: IntVector) -> bool:
-        self.ambient._check_length(v)
-        if not self.basis:
-            return not any(v)
-        cols = transpose(self.basis)
-        return solve_int(cols, v) is not None
-
     def coordinates_of(self, v) -> FracVector:
         """Coordinates of an ambient (rational) vector in the sublattice basis.
 
@@ -261,12 +244,6 @@ class Sublattice(Frozen):
         if any(sum(yk * row[i] for yk, row in zip(y, basis)) != d * x for i, x in enumerate(w)):
             raise LatticeError("vector does not lie in the span of the sublattice")
         return tuple(Fraction(yk, e * d) for yk in y)
-
-    def saturation(self) -> "Sublattice":
-        """Primitive closure (span over Q intersected with the ambient lattice)."""
-        if not self.basis:
-            return self
-        return Sublattice(self.ambient, saturate_rows(self.basis))
 
     def orthogonal_complement(self) -> "Sublattice":
         """Primitive sublattice of all ambient vectors pairing to 0 with this one.

@@ -20,16 +20,11 @@ from latglue.classify import (
 )
 from latglue.discforms import glue_extension_check, induced_map, solve_psi_bar
 from latglue.exact import freeze, mat_mul, transpose
-from latglue.isometries import (
-    isometry_between,
-    matrix_order,
-    orbit_witness,
-    orbits,
-    vectors_of_norm,
-)
+from latglue.isometries import matrix_order, orbit_witness, orbits, vectors_of_norm
 from latglue.lattices import IntegerLattice
 
 import test_properties
+from oracles import isometry_between
 
 
 def criterion(number, description):

@@ -218,6 +218,15 @@ def test_gram_and_file_exclude_each_other(capsys, tmp_path, command):
     assert "argument --file: not allowed with argument --gram" in err
 
 
+@pytest.mark.parametrize("command", [["lattice-info"], ["orbits", "--norm", "6"]])
+@pytest.mark.parametrize("option", ["--gram", "--file"])
+def test_empty_gram_or_file_is_an_input_error(capsys, command, option):
+    """An empty --gram or --file is read (and refused), not taken as absent."""
+    code, out, err = run_cli(capsys, *command, option, "")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_orbits_default_lattice(capsys):
     code, out, _ = run_cli(capsys, "orbits", "--norm", "6")
     assert code == 0

@@ -12,7 +12,6 @@ from latglue.exact import (
     mat_mul,
     mat_vec,
     right_kernel,
-    saturate_rows,
     snf,
     solve_int,
     solve_smith,
@@ -255,8 +254,7 @@ def test_solve_reports_unsolvable():
 
 
 def test_saturation_of_rows():
-    sat = saturate_rows(((2, 0, 0),))
-    assert sat == ((1, 0, 0),)
-    sat = saturate_rows(((2, 2, 0), (0, 0, 3)))
-    assert sat == ((1, 1, 0), (0, 0, 1))
+    """The integer kernel of the integer kernel is the saturated row space, in HNF."""
+    assert right_kernel(right_kernel(((2, 0, 0),))) == ((1, 0, 0),)
+    assert right_kernel(right_kernel(((2, 2, 0), (0, 0, 3)))) == ((1, 1, 0), (0, 0, 1))
 

