@@ -287,6 +287,8 @@ def solve_smith(smith, t) -> IntVector | None:
     """
     d, u, v = smith
     nrows, ncols = len(d), len(v)
+    if len(t) != nrows:
+        raise ValueError(f"right-hand side has {len(t)} entries for {nrows} rows")
     ut = mat_vec(u, t)
     w = [0] * ncols
     for i in range(nrows):

@@ -10,14 +10,19 @@ solves its last level in closed form, and is refused up front
 (``NODE_GUARD``) when its node bound is too large.
 
 The orthogonal group of a positive definite lattice is enumerated by
-matching basis vectors to candidate images of the right norm and pairwise
-pairings.  This is only meant for the small ranks the toolkit works at and
-is guarded accordingly.  The pairing filter proves the Gram identity, so
-the elements are built without checking it again, and each element's
-``order`` is computed on first use.  ``orthogonal_group`` remembers the
-last lattice it was asked about, so the reports on one lattice share one
-search; the short-vector set-up of the last lattice is kept the same way.
-Orbits are read off the group in one pass.
+matching basis vectors to candidate images of the right norm, forward
+checked against the pairings, with -M found together with M.  This is
+only meant for the small ranks the toolkit works at and is guarded
+accordingly.  The pairing filter proves the Gram identity, so the elements
+are built without checking it again, and each element's ``order`` is
+computed on first use.  ``orthogonal_group`` remembers the last lattice it
+was asked about, so the reports on one lattice share one search; the
+short-vector set-up of the last lattice, with each norm it enumerated, is
+kept the same way.  Orbits are read off the group in one pass.
+
+>>> a2 = IntegerLattice(((2, 1), (1, 2)))
+>>> orthogonal_group(a2).order(), len(vectors_of_norm(a2, 2))
+(12, 6)
 
 Matrices act on column coordinate vectors; the columns of an isometry
 matrix are the images of the basis vectors.
@@ -120,9 +125,10 @@ class _ShortVectors:
     outer levels take the long basis vectors), and the Bareiss rows, divided
     by their contents, give M*Q(x) = sum_i c_i * t_i^2 with integers M, c_i
     and t_i = d_i * x_i + sum_{j>i} u_ij * x_j (``pivots`` d_i, ``tails``
-    u_ij, ``coeffs`` c_i, ``scale`` M).  After that ``vectors`` works in
+    u_ij, ``coeffs`` c_i, ``scale`` M).  After that ``_vectors`` works in
     ints only: ``isqrt`` and floor division per level, a closed-form last
-    level.
+    level.  ``vectors`` checks NODE_GUARD on every call and keeps each
+    norm's result in ``by_norm``, so a lattice enumerates a norm once.
     """
 
     def __init__(self, lattice: IntegerLattice):
@@ -151,6 +157,7 @@ class _ShortVectors:
             det([[x for c, x in enumerate(row) if c != j] for r, row in enumerate(g) if r != j])
             for j in range(1, n)
         ]
+        self.by_norm: dict[int, tuple[IntVector, ...]] = {}
 
     def node_bound(self, norm: int) -> int:
         """Level-1 nodes of ``vectors(norm)``: prod_{j>=1} (2*isqrt(norm*adj_jj // det) + 1)."""
@@ -158,15 +165,21 @@ class _ShortVectors:
 
     def vectors(self, norm: int) -> tuple[IntVector, ...]:
         """All vectors of the given norm >= 0, sorted, in the lattice's own basis."""
-        n = len(self.slot)
         if norm == 0:
-            return ((0,) * n,)
+            return ((0,) * len(self.slot),)
         bound = self.node_bound(norm)
         if bound > NODE_GUARD:
             raise LatticeError(
                 f"short-vector enumeration of norm {norm} may visit {_decimal(bound)} nodes "
                 f"(limit {NODE_GUARD})"
             )
+        if norm not in self.by_norm:
+            self.by_norm[norm] = self._vectors(norm)
+        return self.by_norm[norm]
+
+    def _vectors(self, norm: int) -> tuple[IntVector, ...]:
+        """The Fincke-Pohst descent behind ``vectors``, for a norm > 0 within NODE_GUARD."""
+        n = len(self.slot)
         pivots, tails, coeffs = self.pivots, self.tails, self.coeffs
         y = [0] * n
         found: list[IntVector] = []
@@ -202,7 +215,8 @@ def _short_vectors(lattice: IntegerLattice) -> _ShortVectors:
     """The short-vector set-up of the last lattice, for ``_isometries`` and ``vectors_of_norm``.
 
     An indefinite lattice is refused afresh on every call (``lru_cache``
-    does not keep exceptions), and ``vectors`` checks NODE_GUARD per norm.
+    does not keep exceptions); ``vectors`` checks NODE_GUARD per call and
+    then reads the set-up's per-norm dict, which never holds an error.
     """
     return _ShortVectors(lattice)
 
@@ -245,12 +259,14 @@ class IsometryGroup(Frozen):
 
 
 def _isometries(a: IntegerLattice, b: IntegerLattice):
-    """Every matrix M with M^T * gram_a * M = gram_b, in backtracking order.
+    """Every matrix M with M^T * gram_a * M = gram_b, each exactly once.
 
-    Column i of M is an a-vector of norm b.gram[i][i]; a candidate is kept
-    only if it pairs with the columns chosen before as b's basis does.  One
-    short-vector set-up serves every distinct norm, and each candidate
-    carries gram_a * v, so a pairing test is one dot product.
+    Column i of M is an a-vector of norm b.gram[i][i], carrying gram_a * v.
+    When column i takes v, each later column j keeps the candidates w with
+    (gram_a * v) . w == b.gram[i][j] (forward checking); a branch ends once
+    a list is empty.  -M is an isometry with M and v != -v, so column 0
+    only takes the v > -v (first nonzero entry positive), and each hit is
+    yielded with its negative.
     """
     n = b.rank
     short = _short_vectors(a)
@@ -260,24 +276,26 @@ def _isometries(a: IntegerLattice, b: IntegerLattice):
         if len(cands) > CANDIDATE_GUARD:
             raise LatticeError("too many candidate images for basis vectors")
         by_norm[norm] = [(v, mat_vec(a.gram, v)) for v in cands]
-    candidates = [by_norm[b.gram[i][i]] for i in range(n)]
-    images: list[IntVector] = []
-    paired: list[IntVector] = []
+    first = [c for c in by_norm[b.gram[0][0]] if c[0] > tuple(-x for x in c[0])]
+    images = [None] * n
 
-    def backtrack(i: int):
+    def backtrack(i: int, lists):
         if i == n:
             yield transpose(images)
+            yield transpose([tuple(-x for x in v) for v in images])
             return
         target = b.gram[i]
-        for v, gv in candidates[i]:
-            if all(sum(map(mul, gw, v)) == target[j] for j, gw in enumerate(paired)):
-                images.append(v)
-                paired.append(gv)
-                yield from backtrack(i + 1)
-                images.pop()
-                paired.pop()
+        for v, gv in lists[0]:
+            images[i] = v
+            later = []
+            for j, cands in enumerate(lists[1:], i + 1):
+                later.append([c for c in cands if sum(map(mul, gv, c[0])) == target[j]])
+                if not later[-1]:
+                    break
+            else:
+                yield from backtrack(i + 1, later)
 
-    yield from backtrack(0)
+    yield from backtrack(0, [first] + [by_norm[b.gram[i][i]] for i in range(1, n)])
 
 
 @lru_cache(maxsize=1)

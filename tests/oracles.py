@@ -8,8 +8,16 @@ helper the tests need and the commands do not.
 
 from fractions import Fraction
 
-from latglue.exact import freeze, gram_of_rows, identity, right_kernel, solve_int, transpose
-from latglue.isometries import Isometry, _isometries
+from latglue.exact import (
+    freeze,
+    gram_of_rows,
+    identity,
+    mat_vec,
+    right_kernel,
+    solve_int,
+    transpose,
+)
+from latglue.isometries import Isometry, _isometries, vectors_of_norm
 from latglue.lattices import IntegerLattice, LatticeError, Sublattice
 
 
@@ -39,6 +47,35 @@ def isometry_between(a: IntegerLattice, b: IntegerLattice):
     matrix = next(_isometries(a, b), None)
     assert matrix is None or gram_of_rows(transpose(matrix), a.gram) == b.gram
     return matrix
+
+
+def isometries_plain(a: IntegerLattice, b: IntegerLattice) -> list:
+    """Every M with M^T * gram_a * M = gram_b, sorted, by plain backtracking.
+
+    Column i runs over the a-vectors of norm b.gram[i][i], and each one is
+    tested against every column chosen before it: no forward checking and
+    no pairing of M with -M, so every isometry is found on its own.
+    """
+    n = b.rank
+    candidates = [[(v, mat_vec(a.gram, v)) for v in vectors_of_norm(a, b.gram[i][i])]
+                  for i in range(n)]
+    images, paired, found = [], [], []
+
+    def backtrack(i: int):
+        if i == n:
+            found.append(transpose(images))
+            return
+        target = b.gram[i]
+        for v, gv in candidates[i]:
+            if all(sum(x * y for x, y in zip(gw, v)) == target[j] for j, gw in enumerate(paired)):
+                images.append(v)
+                paired.append(gv)
+                backtrack(i + 1)
+                images.pop()
+                paired.pop()
+
+    backtrack(0)
+    return sorted(found)
 
 
 def invariant_lattice(lattice: IntegerLattice, generators) -> Sublattice:

@@ -253,6 +253,17 @@ def test_solve_reports_unsolvable():
     assert solve_int(((1, 1),), (5,)) is not None
 
 
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    # one row, two entries: the extra entry must not be dropped
+    with pytest.raises(ValueError, match="has 2 entries for 1 rows"):
+        solve_int(((1, 0),), (1, 5))
+    # no rows at all: the entries must not vanish into an empty solution
+    with pytest.raises(ValueError, match="has 2 entries for 0 rows"):
+        solve_int((), (1, 0))
+    with pytest.raises(ValueError, match="has 1 entries for 2 rows"):
+        solve_smith(snf(((2, 0), (0, 2))), (1,))
+
+
 def test_saturation_of_rows():
     """The integer kernel of the integer kernel is the saturated row space, in HNF."""
     assert right_kernel(right_kernel(((2, 0, 0),))) == ((1, 0, 0),)

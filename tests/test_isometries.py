@@ -29,7 +29,14 @@ from latglue.isometries import (
 from latglue.lattices import IntegerLattice, LatticeError, closure
 from latglue.report import lattice_info_report, orbit_report
 
-from oracles import coinvariant_lattice, in_span, invariant_lattice, isometry_between, saturation
+from oracles import (
+    coinvariant_lattice,
+    in_span,
+    invariant_lattice,
+    isometries_plain,
+    isometry_between,
+    saturation,
+)
 from test_exact import inverse_by_fractions
 
 S_GRAM = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
@@ -193,6 +200,44 @@ def test_node_guard(monkeypatch):
         vectors_of_norm(two_i4, 200)
     monkeypatch.setattr(isometries, "NODE_GUARD", 9261)
     assert len(vectors_of_norm(two_i4, 200)) == sum_of_four_squares_count(100)
+    # the norm is kept after that call, but a lowered guard still refuses it
+    monkeypatch.setattr(isometries, "NODE_GUARD", 9260)
+    with pytest.raises(LatticeError, match="may visit 9261 nodes"):
+        vectors_of_norm(two_i4, 200)
+
+
+A2 = ((2, -1), (-1, 2))
+# the simple roots e1-e2, e2-e3, e3-e4, e3+e4 of D4 in Z^4
+D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+
+
+def test_isometries_match_plain_oracle():
+    """_isometries pairs M with -M and forward-checks; the oracle does neither."""
+    rng = random.Random(41)
+    bases = [IntegerLattice(g) for g in (((2,),), A2, D4, S_GRAM)]
+    bases += [sheared(rng, IntegerLattice(g)) for g in (A2, D4, S_GRAM)]
+    while len(bases) < 36:
+        bases.append(sheared(rng, random_definite_lattice(rng, max_rank=4)))
+    assert {a.rank for a in bases} == {1, 2, 3, 4}
+    pairs = [(a, a) for a in bases] + [(a, sheared(rng, a)) for a in bases]
+    # not isometric: 2*I_2 has orthogonal norm-2 vectors and A2 has none, and
+    # the random partners of the same rank differ in determinant
+    pairs.append((IntegerLattice(A2), IntegerLattice(((2, 0), (0, 2)))))
+    for a in bases[:20]:
+        while True:
+            b = random_definite_lattice(rng, max_rank=4)
+            if b.rank == a.rank and b.determinant() != a.determinant():
+                pairs.append((a, b))
+                break
+    found = empty = 0
+    for a, b in pairs:
+        matrices = list(isometries._isometries(a, b))
+        assert len(set(matrices)) == len(matrices), (a.gram, b.gram)
+        assert sorted(matrices) == isometries_plain(a, b), (a.gram, b.gram)
+        found += len(matrices)
+        empty += not matrices and a.determinant() != b.determinant()
+    assert orthogonal_group(IntegerLattice(D4)).order() == 1152  # the Weyl group of F4
+    assert found > 4000 and empty >= 15
 
 
 def test_orthogonal_group_order(invariant, full_group):
@@ -311,6 +356,27 @@ def test_short_vector_setup_once_per_lattice_and_refusals_repeat(monkeypatch):
         assert vectors_of_norm(level, 2) == ((-1, 1), (1, -1))
     # a refused lattice is tried again but does not evict the kept set-up
     assert setups == [lattice.gram, indefinite.gram, level.gram, indefinite.gram]
+
+
+def test_orbit_report_reuses_the_searched_norms(monkeypatch):
+    orthogonal_group.cache_clear()
+    isometries._short_vectors.cache_clear()
+    enumerated = []
+    enumerate_norm = isometries._ShortVectors._vectors
+
+    def counted(self, norm):
+        enumerated.append(norm)
+        return enumerate_norm(self, norm)
+
+    monkeypatch.setattr(isometries._ShortVectors, "_vectors", counted)
+    lattice = IntegerLattice(((4, 2, 1), (2, 6, 0), (1, 0, 8)))
+    table = orbit_report(6, lattice)
+    assert enumerated == [4, 6, 8]
+    assert sum(o["size"] for o in table["orbits"]) == len(vectors_of_norm(lattice, 6))
+    lattice_info_report(lattice)
+    orbit_report(10, lattice)
+    orbit_report(10, lattice)
+    assert enumerated == [4, 6, 8, 10]
 
 
 def test_orbit_stabilizer(invariant, full_group):
