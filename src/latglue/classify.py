@@ -15,6 +15,9 @@ which is the symmetry the printed case tables use; the full orthogonal
 group of order 24 identifies more candidates (e with e-f, e+f with
 2e-f), and those merges are computed too and surfaced in reports rather
 than silently applied.
+
+>>> sorted(admissible_n(2))
+[1, 3, 4]
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .discforms import (
     DiscriminantGroup,
     FiniteAbelianMap,
     GlueError,
-    IsotropicSubgroup,
     discriminant_group,
     extends_to_overlattice,
     glue_extension_check,
@@ -44,6 +46,7 @@ from .exact import (
     IntMatrix,
     IntVector,
     adjugate,
+    det,
     freeze,
     mat_mul,
     mat_vec,
@@ -161,9 +164,9 @@ def case_symmetry_group() -> IsometryGroup:
     """Stabilizer of the axis pair {+-e, +-f} inside the full group (order 8)."""
     axis = {(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)}
     full = full_isometry_group()
-    return full.subgroup_where(
-        lambda g: g.apply((1, 0, 0)) in axis and g.apply((0, 1, 0)) in axis
-    )
+    return IsometryGroup(full.lattice, tuple(
+        g for g in full.elements if g.apply((1, 0, 0)) in axis and g.apply((0, 1, 0)) in axis
+    ))
 
 
 def vector_name(v: IntVector) -> str:
@@ -198,26 +201,11 @@ def admissible_orders() -> frozenset[int]:
     return frozenset(m for m in totient_ok if group.has_element_of_order(m))
 
 
-def _binary_form_exists(k: int) -> bool:
-    """Is k = 4ac - b^2 solvable with a reduced positive form (-a < b <= a <= c)?"""
-    a = 1
-    while 3 * a * a <= k:
-        for b in range(-a + 1, a + 1):
-            rem = k + b * b
-            if rem % (4 * a) == 0 and rem // (4 * a) >= a:
-                return True
-        a += 1
-    return False
-
-
 def admissible_n(m: int) -> frozenset[int]:
     """Norms L^2 = 6n compatible with an order-m action and the glue index."""
     if m == 2:
-        hits = set()
-        for n in range(1, 13):
-            if 12 % n == 0 and _binary_form_exists(12 // n):
-                hits.add(n)
-        return frozenset(hits)
+        # a positive form with 4ac - b^2 = k > 0 exists iff -k = 0, 1 mod 4; e.g. (1, k%2, ceil(k/4))
+        return frozenset(n for n in range(1, 13) if 12 % n == 0 and 12 // n % 4 in (0, 3))
     if m == 3:
         return frozenset(n for n in (1, 9) if any(n * a * a == 9 for a in (1, 2, 3)))
     raise LatticeError("admissible norms are defined for m = 2 or 3")
@@ -294,16 +282,15 @@ def order_isometry_block(m: int, t_lattice: IntegerLattice) -> IntMatrix:
 
 def extend_block_isometry(
     t_sub: Sublattice, polarization: IntVector, block: IntMatrix
-) -> tuple[IntMatrix, IsotropicSubgroup | None]:
+) -> IntMatrix:
     """Extend block (on T) + identity (on L) across the glue to the ambient.
 
-    Returns the integer matrix on the ambient basis.  For index > 1 the
-    extension criterion (the induced map fixes the glue subgroup) is
-    cross-checked against direct integrality of the conjugated matrix.
+    Returns the integer matrix on the ambient basis.  The glue index is
+    |det R|, R the rows of T's basis and L; for index > 1 the extension
+    criterion (the induced map fixes the glue subgroup) is cross-checked
+    against direct integrality of the conjugated matrix.
     """
-    ambient = t_sub.ambient
     rows = t_sub.basis + (tuple(polarization),)
-    full_sub = Sublattice(ambient, rows)
     k = t_sub.rank
     phi_t = tuple(tuple(block[i][j] if i < k and j < k else int(i == j) for j in range(k + 1))
                   for i in range(k + 1))
@@ -311,14 +298,14 @@ def extend_block_isometry(
     # ambient action is R^T . phi_t . (R^T)^-1 = R^T . phi_t . adj(R^T) / det(R^T),
     # integral exactly when det(R^T) divides every entry.
     basis_t = transpose(rows)
-    adj = adjugate(basis_t)
-    d = sum(x * row[0] for x, row in zip(basis_t[0], adj))  # (R^T . adj)[0][0]
-    scaled = mat_mul(mat_mul(basis_t, phi_t), adj)
+    d = det(basis_t)
+    if d == 0:
+        raise LatticeError("generators must be linearly independent")
+    scaled = mat_mul(mat_mul(basis_t, phi_t), adjugate(basis_t))
     integral = all(x % d == 0 for row in scaled for x in row)
 
-    glue = None
-    if full_sub.index() > 1:
-        glue = glue_subgroup(full_sub)
+    if abs(d) > 1:
+        glue = glue_subgroup(Sublattice(t_sub.ambient, rows))
         fixes = extends_to_overlattice(phi_t, glue)
         if fixes != integral:
             raise LatticeError(
@@ -331,7 +318,7 @@ def extend_block_isometry(
             )
     elif not integral:
         raise GlueError("block isometry does not extend over the trivial glue")
-    return freeze(tuple(x // d for x in row) for row in scaled), glue
+    return freeze(tuple(x // d for x in row) for row in scaled)
 
 
 def ambient_divisibility(polarization: IntVector, gamma: FiniteAbelianMap) -> int:
@@ -378,7 +365,7 @@ def build_extension(
     polarization = max(orbit.members)
     name = vector_name(polarization)
     block = order_isometry_block(m, t_sub.lattice())
-    phi_matrix, _glue = extend_block_isometry(t_sub, polarization, block)
+    phi_matrix = extend_block_isometry(t_sub, polarization, block)
     phi = Isometry(lattice, phi_matrix)
     if phi.apply(polarization) != polarization:
         raise LatticeError("extension does not fix the polarization")
@@ -434,8 +421,7 @@ def classify(m: int) -> tuple[tuple[ClassificationCase, ...], tuple[ExcludedCand
         for orbit in orbits(sym, primitive):
             rep = max(orbit.members)
             t_sub = lattice.span((rep,)).orthogonal_complement()
-            t_gram = t_sub.gram()
-            t_det = t_gram[0][0] * t_gram[1][1] - t_gram[0][1] * t_gram[1][0]
+            t_det = det(t_sub.gram())
             full_sub = Sublattice(lattice, t_sub.basis + (rep,))
             index = full_sub.index()
             if index not in (1, m):

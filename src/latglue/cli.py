@@ -91,39 +91,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "classify":
-            report = classify_report(args.m)
-            if args.format == "md":
-                sys.stdout.write(classify_markdown(report))
-            else:
-                sys.stdout.write(render_json(report))
-            return EXIT_OK
-        if args.command == "verify-table":
+            report, markdown = classify_report(args.m), classify_markdown
+        elif args.command == "verify-table":
             report = (
                 verify_orbits_report() if args.which == "orbits" else verify_cases_report()
             )
-            if args.format == "md":
-                sys.stdout.write(verify_markdown(report))
-            else:
-                sys.stdout.write(render_json(report))
-            return EXIT_OK if report["status"] != "mismatch" else EXIT_MISMATCH
-        if args.command == "lattice-info":
+            markdown = verify_markdown
+        elif args.command == "lattice-info":
             lattice = _lattice_from_args(args)
             if lattice is None:
                 parser.error("lattice-info needs --gram or --file")
-            sys.stdout.write(render_json(lattice_info_report(lattice)))
-            return EXIT_OK
-        if args.command == "orbits":
+            report, markdown = lattice_info_report(lattice), None
+        else:
             lattice = _lattice_from_args(args)
             report = orbit_report(args.norm, lattice, full_group=args.full_group)
-            if args.format == "md":
-                sys.stdout.write(orbit_markdown(report))
-            else:
-                sys.stdout.write(render_json(report))
-            return EXIT_OK
+            markdown = orbit_markdown
+        sys.stdout.write(
+            markdown(report) if markdown and args.format == "md" else render_json(report)
+        )
     except (LatticeError, GlueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    return EXIT_USAGE
+    return EXIT_MISMATCH if report.get("status") == "mismatch" else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -248,15 +248,6 @@ class IsometryGroup(Frozen):
     def has_element_of_order(self, k: int) -> bool:
         return any(g.order == k for g in self.elements)
 
-    def subgroup_where(self, predicate) -> "IsometryGroup":
-        """The elements satisfying ``predicate``, which must cut out a subgroup.
-
-        Nothing checks closure here, but ``orbits`` reads an orbit off the
-        elements in one pass and is only right when they form a group.
-        """
-        kept = tuple(g for g in self.elements if predicate(g))
-        return IsometryGroup(self.lattice, kept)
-
 
 def _isometries(a: IntegerLattice, b: IntegerLattice):
     """Every matrix M with M^T * gram_a * M = gram_b, each exactly once.

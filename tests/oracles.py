@@ -116,3 +116,18 @@ def in_span(sub: Sublattice, v) -> bool:
     if not sub.basis:
         return not any(v)
     return solve_int(transpose(sub.basis), v) is not None
+
+
+def binary_form_exists(k: int) -> bool:
+    """Is k = 4ac - b^2 solvable with a reduced positive form (-a < b <= a <= c)?
+
+    A search over a <= sqrt(k/3), the bound every reduced form meets.
+    """
+    a = 1
+    while 3 * a * a <= k:
+        for b in range(-a + 1, a + 1):
+            rem = k + b * b
+            if rem % (4 * a) == 0 and rem // (4 * a) >= a:
+                return True
+        a += 1
+    return False

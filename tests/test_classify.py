@@ -26,6 +26,8 @@ from latglue.exact import freeze, mat_mul, transpose
 from latglue.isometries import matrix_order
 from latglue.lattices import LatticeError
 
+import oracles
+
 
 def test_totient_filter():
     assert [m for m in range(2, 7) if totient(m) <= 2] == [2, 3, 4, 6]
@@ -43,6 +45,14 @@ def test_admissible_n():
     assert admissible_n(3) == frozenset({1, 9})
     with pytest.raises(LatticeError):
         admissible_n(5)
+
+
+def test_admissible_n_congruence_matches_the_binary_form_search():
+    """A positive form with 4ac - b^2 = k exists iff k > 0 and -k = 0, 1 mod 4."""
+    for k in range(2001):
+        assert oracles.binary_form_exists(k) == (k > 0 and k % 4 in (0, 3))
+    assert admissible_n(2) == {n for n in range(1, 13)
+                               if 12 % n == 0 and oracles.binary_form_exists(12 // n)}
 
 
 def test_case_symmetry_group_order():

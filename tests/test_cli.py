@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -297,6 +298,19 @@ def test_reports_are_byte_stable():
     assert render_json(verify_orbits_report()) == render_json(verify_orbits_report())
     assert render_json(orbit_report(18)) == render_json(orbit_report(18))
     assert classify_markdown(classify_report(3)) == classify_markdown(classify_report(3))
+
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text("utf-8")
+)["golden"]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_command_bytes(capsys, command):
+    """Each recorded benchmark command, in process: same stdout sha256, same exit code."""
+    code, out, _ = run_cli(capsys, *command.split())
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[command]["stdout_sha256"]
+    assert code == GOLDEN[command]["rc"]
 
 
 def test_classify_report_excluded_reasons():

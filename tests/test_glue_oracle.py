@@ -18,6 +18,7 @@ from math import gcd
 
 import pytest
 
+import latglue.classify as classify_module
 from latglue.classify import (
     ambient_divisibility,
     case_symmetry_group,
@@ -34,12 +35,13 @@ from latglue.discforms import (
     _forms_match,
     bare_group,
     forms_isometric,
+    glue_subgroup,
     pullback_form,
 )
 from latglue.exact import adjugate, det, freeze, identity, mat_mul, transpose
 from latglue.exact import vec_content
 from latglue.isometries import orbits, orthogonal_group, vectors_of_norm
-from latglue.lattices import Sublattice
+from latglue.lattices import LatticeError, Sublattice
 
 import oracles
 from test_isotropic_oracle import (  # noqa: F401  (module-scoped fixtures)
@@ -120,8 +122,18 @@ def test_adjugate_times_matrix_is_the_determinant():
             assert mat_mul(a, adjugate(a)) == scalar == mat_mul(adjugate(a), a)
 
 
-def test_extend_block_isometry_matches_fraction_formula():
-    """Every O(T) element on every primitive orbit of norm <= 54."""
+def test_extend_block_isometry_matches_fraction_formula(monkeypatch):
+    """Every O(T) element on every primitive orbit of norm <= 54.
+
+    The glue criterion runs exactly when the index |det R| exceeds 1.
+    """
+    glue_calls = []
+
+    def counted_glue_subgroup(sub):
+        glue_calls.append(sub)
+        return glue_subgroup(sub)
+
+    monkeypatch.setattr(classify_module, "glue_subgroup", counted_glue_subgroup)
     lattice = invariant_lattice_fixed()
     sym = case_symmetry_group()
     verdicts = Counter()
@@ -132,19 +144,26 @@ def test_extend_block_isometry_matches_fraction_formula():
             t_sub = lattice.span((rep,)).orthogonal_complement()
             index = Sublattice(lattice, t_sub.basis + (rep,)).index()
             for g in orthogonal_group(t_sub.lattice()).elements:
+                glue_calls.clear()
                 expected = extend_by_fractions(t_sub, rep, g.matrix)
                 if expected is None:
                     with pytest.raises(GlueError, match="does not extend"):
                         extend_block_isometry(t_sub, rep, g.matrix)
                 else:
-                    matrix, glue = extend_block_isometry(t_sub, rep, g.matrix)
-                    assert matrix == expected
-                    assert (glue is None) == (index == 1)
+                    assert extend_block_isometry(t_sub, rep, g.matrix) == expected
+                assert len(glue_calls) == (index > 1)
                 verdicts[expected is not None, index > 1] += 1
     assert verdicts[True, False] >= 5
     assert verdicts[True, True] >= 20 and verdicts[False, True] >= 20
     # a unimodular R^T conjugates every block integrally
     assert verdicts[False, False] == 0
+
+
+def test_extend_block_isometry_rejects_a_polarization_in_the_span_of_t():
+    lattice = invariant_lattice_fixed()
+    t_sub = lattice.span(((1, 0, 0),)).orthogonal_complement()
+    with pytest.raises(LatticeError, match="generators must be linearly independent"):
+        extend_block_isometry(t_sub, t_sub.basis[0], ((-1, 0), (0, -1)))
 
 
 def ambient_divisibility_by_fractions(polarization, gamma):
