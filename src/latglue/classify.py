@@ -471,17 +471,16 @@ def order6_closure(
 
 
 def order_bound_report() -> dict:
-    """The arithmetic of the maximal extension order."""
-    data = printed_tables()
-    g0 = data["symplectic_group_order"]
-    orders = sorted(admissible_orders())
+    """g0 times the largest order m whose classification found a case (1 if none did)."""
+    g0 = printed_tables()["symplectic_group_order"]
     cases2, _ = classify(2)
     cases3, _ = classify(3)
-    cases6 = order6_closure(cases2, cases3)
+    counts = {"2": len(cases2), "3": len(cases3), "6": len(order6_closure(cases2, cases3))}
+    max_order = max((int(m) for m, count in counts.items() if count), default=1)
     return {
         "symplectic_group_order": g0,
-        "admissible_orders": orders,
-        "max_order": max(orders),
-        "bound": g0 * max(orders),
-        "case_counts": {"2": len(cases2), "3": len(cases3), "6": len(cases6)},
+        "admissible_orders": sorted(admissible_orders()),
+        "max_order": max_order,
+        "bound": g0 * max_order,
+        "case_counts": counts,
     }

@@ -10,12 +10,19 @@ homomorphisms between such groups (gluing morphisms and their relatives),
 entirely in exact arithmetic.
 
 Values of q are reduced into [0, 2).
+
+>>> A = discriminant_group(IntegerLattice(((8,),)))
+>>> A.orders
+(8,)
+>>> A.q(A.generator(0))
+Fraction(1, 8)
+>>> [h.order() for h in enumerate_isotropic_subgroups(A, 2)]
+[2]
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -116,6 +123,8 @@ class DiscriminantGroup(Frozen):
         k = len(self.orders)
         if len(coeffs) != k:
             raise GlueError(f"coefficient length {len(coeffs)} does not match {k} generators")
+        if any(int(c) != c for c in coeffs):
+            raise GlueError("coefficients must be integers")
         return DiscElement(self, tuple(int(c) % d for c, d in zip(coeffs, self.orders)))
 
     def generator(self, i: int) -> "DiscElement":
@@ -214,10 +223,9 @@ class DiscriminantGroup(Frozen):
 
 
 def bare_group(orders) -> DiscriminantGroup:
-    """Group structure only (zero pairing data), for deserialized maps."""
+    """Group structure only (zero pairing data), as in ``with_generators``' rebasing map."""
     k = len(orders)
-    zero = tuple(tuple(Fraction(0) for _ in range(k)) for _ in range(k))
-    return DiscriminantGroup(tuple(orders), zero)
+    return DiscriminantGroup(tuple(orders), ((Fraction(0),) * k,) * k)
 
 
 def discriminant_group(lattice: IntegerLattice) -> DiscriminantGroup:
@@ -286,9 +294,6 @@ class DiscElement(Frozen):
             tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __neg__(self) -> "DiscElement":
-        return self.parent.element(tuple(-a for a in self.coeffs))
-
     def __rmul__(self, k: int) -> "DiscElement":
         return self.parent.element(tuple(k * a for a in self.coeffs))
 
@@ -304,10 +309,11 @@ class DiscElement(Frozen):
 
 
 def span_elements(parent: DiscriminantGroup, generators) -> frozenset:
-    """Coefficient tuples of the subgroup generated by the given elements."""
+    """Coefficient tuples of the subgroup the given elements of ``parent`` generate."""
     orders = parent.orders
-    gens = [parent.element(g.coeffs if isinstance(g, DiscElement) else g).coeffs
-            for g in generators]
+    if any(g.parent is not parent and g.parent != parent for g in generators):
+        raise GlueError("elements belong to different groups")
+    gens = [g.coeffs for g in generators]
 
     def add(x, y):
         return tuple((a + b) % d for a, b, d in zip(x, y, orders))
@@ -449,9 +455,6 @@ class FiniteAbelianMap(Frozen):
             raise GlueError("element is not in the domain")
         return self.codomain.element(mat_vec(self.matrix, x.coeffs))
 
-    def __call__(self, x: DiscElement) -> DiscElement:
-        return self.apply(x)
-
     def compose(self, inner: "FiniteAbelianMap") -> "FiniteAbelianMap":
         """self after inner."""
         if inner.codomain != self.domain:
@@ -479,49 +482,6 @@ class FiniteAbelianMap(Frozen):
             return self.domain.zero()
         sol = solve_smith(self._smith, target.coeffs)
         return None if sol is None else self.domain.element(sol[:self.domain.ngens])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "orders_dom": list(self.domain.orders),
-                "orders_cod": list(self.codomain.orders),
-                "matrix": [list(row) for row in self.matrix],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str, domain=None, codomain=None) -> "FiniteAbelianMap":
-        """Rebuild a map from the wire format.
-
-        The wire format carries only the group orders; unless real groups
-        are supplied, the endpoints are rebuilt with zero pairing data
-        (composition and solving work, form values do not).
-        """
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # too deep, or past the int-digit limit
-            raise GlueError(f"invalid JSON: {exc}") from None
-        keys = ("orders_dom", "orders_cod", "matrix")
-        if not isinstance(data, dict) or any(key not in data for key in keys):
-            raise GlueError(f"expected a JSON object with keys {', '.join(keys)}")
-        orders_dom = _int_list(data["orders_dom"], "orders_dom")
-        orders_cod = _int_list(data["orders_cod"], "orders_cod")
-        if not isinstance(data["matrix"], list):
-            raise GlueError("matrix must be a list of rows")
-        matrix = tuple(_int_list(row, "each matrix row") for row in data["matrix"])
-        if domain is None:
-            domain = bare_group(orders_dom)
-        if codomain is None:
-            codomain = bare_group(orders_cod)
-        if domain.orders != orders_dom or codomain.orders != orders_cod:
-            raise GlueError("serialized orders do not match the given groups")
-        return cls(domain, codomain, matrix)
-
-
-def _int_list(value, what: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(type(x) is int for x in value):
-        raise GlueError(f"{what} must be a list of exact integers")
-    return tuple(value)
 
 
 def _induced_matrix(matrix, group: DiscriminantGroup) -> IntMatrix:

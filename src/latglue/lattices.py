@@ -181,10 +181,7 @@ class IntegerLattice(Frozen):
     def full(self) -> "Sublattice":
         return Sublattice(self, identity(self.rank))
 
-    # -- serialization ------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({"gram": [list(row) for row in self.gram]})
+    # -- parsing ------------------------------------------------------
 
     @classmethod
     def from_json(cls, text: str) -> "IntegerLattice":

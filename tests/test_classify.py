@@ -25,6 +25,7 @@ from latglue.discforms import GlueError, forms_isometric, is_anti_isometry
 from latglue.exact import freeze, mat_mul, transpose
 from latglue.isometries import matrix_order
 from latglue.lattices import LatticeError
+from latglue.report import verify_cases_report
 
 import oracles
 
@@ -230,6 +231,17 @@ def test_order_bound_report():
     assert report["bound"] == 174960
     assert report["admissible_orders"] == [2, 3, 6]
     assert report["case_counts"] == {"2": 5, "3": 1, "6": 1}
+
+
+def test_order_bound_reads_the_cases(monkeypatch):
+    """With no order-6 case the bound drops to 29160 * 3, and the cell says so."""
+    monkeypatch.setattr("latglue.classify.order6_closure", lambda cases2, cases3: ())
+    report = order_bound_report()
+    assert report["max_order"] == 3
+    assert report["bound"] == 87480
+    cells = {cell["cell"]: cell for cell in verify_cases_report()["cells"]}
+    assert cells["order bound"]["status"] == "mismatch"
+    assert cells["order bound"]["computed"] == 87480
 
 
 def test_classify_rejects_bad_m():

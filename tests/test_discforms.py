@@ -103,6 +103,14 @@ def test_forms_reject_elements_of_another_group():
         group.q(stranger)
 
 
+def test_element_rejects_non_integral_coefficients():
+    group = discriminant_group(IntegerLattice(((8,),)))
+    for bad in (Q(1, 2), 2.7):
+        with pytest.raises(GlueError, match="coefficients must be integers"):
+            group.element((bad,))
+    assert group.element((Q(3, 1),)).coeffs == (3,)
+
+
 def test_map_rejects_non_integral_entries():
     z4 = bare_group((4,))
     with pytest.raises(GlueError, match="must be integers"):
@@ -211,6 +219,17 @@ def test_non_isotropic_subgroup_rejected():
         IsotropicSubgroup(group, (group.generator(0),))
 
 
+def test_subgroup_rejects_elements_of_another_group():
+    """4 in Z16 (q = 1) must not be read as 4 in Z8 (q = 0)."""
+    z8 = discriminant_group(IntegerLattice(((8,),)))
+    z16 = discriminant_group(IntegerLattice(((16,),)))
+    stranger = z16.element((4,))
+    assert z16.q(stranger) == 1
+    with pytest.raises(GlueError, match="elements belong to different groups"):
+        IsotropicSubgroup(z8, [stranger])
+    assert IsotropicSubgroup(z8, [z8.element((4,))]).order() == 2
+
+
 def test_isotropy_is_checked_on_every_element():
     """U(2): the classes of e/2 and f/2 are isotropic, their sum is not."""
     group = discriminant_group(IntegerLattice(((0, 2), (2, 0))))
@@ -268,7 +287,7 @@ def test_induced_map_identity_and_negation(pinned):
     neg = induced_map(minus, pinned)
     for i in range(3):
         gen = pinned.generator(i)
-        assert neg.apply(gen) == -gen
+        assert neg.apply(gen) == (-1) * gen
 
 
 def test_induced_map_rejects_rational_isometries():
@@ -375,50 +394,6 @@ def test_is_anti_isometry_trivial_domain():
     target = discriminant_group(IntegerLattice(((2,),)))
     trivial = FiniteAbelianMap(unimodular, target, ((),))
     assert is_anti_isometry(trivial)
-
-
-def test_map_serialization_round_trip(pinned):
-    gamma_matrix = ((0, 1, 0), (1, 0, 0), (0, 0, 2))
-    domain = pullback_form(pinned, gamma_matrix, (3, 3, 9))
-    gamma = FiniteAbelianMap(domain, pinned, gamma_matrix)
-    text = gamma.to_json()
-    import json
-
-    payload = json.loads(text)
-    assert payload == {
-        "orders_dom": [3, 3, 9],
-        "orders_cod": [3, 3, 18],
-        "matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 2]],
-    }
-    rebuilt = FiniteAbelianMap.from_json(text)
-    assert rebuilt.matrix == gamma.matrix
-    attached = FiniteAbelianMap.from_json(text, domain=domain, codomain=pinned)
-    assert attached == gamma
-    with pytest.raises(GlueError):
-        FiniteAbelianMap.from_json(text, domain=pinned)
-    malformed = {
-        "not JSON": "{orders_dom",
-        "a non-object": "[[3, 3, 9], [3, 3, 18]]",
-        "a missing key": '{"orders_dom": [3, 3, 9], "matrix": []}',
-        "string orders": text.replace("[3, 3, 9]", '["3", "x", 9]'),
-        "float orders": text.replace("[3, 3, 9]", "[3, 3, 9.5]"),
-        "boolean orders": text.replace("[3, 3, 9]", "[true, 3, 9]"),
-        "scalar orders": text.replace("[3, 3, 9]", "9"),
-        "a scalar matrix": text.replace('[[0, 1, 0], [1, 0, 0], [0, 0, 2]]', "1"),
-        "a scalar row": text.replace("[0, 0, 2]", "2"),
-        "a string entry": text.replace("[0, 0, 2]", '[0, 0, "2"]'),
-        "a short row": text.replace("[0, 0, 2]", "[0, 0]"),
-        "nesting past the decoder's recursion limit": "[" * 50_000 + "]" * 50_000,
-        "an entry past the int-digit limit": text.replace("[0, 0, 2]", f"[0, 0, 2{'0' * 4999}]"),
-    }
-    unparsable = {"not JSON", "nesting past the decoder's recursion limit",
-                  "an entry past the int-digit limit"}
-    for what, bad in malformed.items():
-        assert bad != text, what
-        with pytest.raises(GlueError) as info:
-            FiniteAbelianMap.from_json(bad)
-        assert "\n" not in str(info.value), what
-        assert str(info.value).startswith("invalid JSON") == (what in unparsable), what
 
 
 def test_map_well_definedness_enforced(pinned):

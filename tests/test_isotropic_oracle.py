@@ -152,7 +152,8 @@ def test_unusable_orders_give_nothing(groups):
 
 def injective_by_spanning(f):
     """The image spanned element by element has |domain| elements."""
-    return len(span_elements(f.codomain, transpose(f.matrix))) == f.domain.order()
+    images = [f.codomain.element(c) for c in transpose(f.matrix)]
+    return len(span_elements(f.codomain, images)) == f.domain.order()
 
 
 def preserves_form_by_enumeration(auto):
@@ -161,8 +162,8 @@ def preserves_form_by_enumeration(auto):
         return False
     elems = list(group.elements())
     gens = [group.generator(i) for i in range(group.ngens)]
-    return all(group.q(auto(x)) == group.q(x) for x in elems) and all(
-        b(group, auto(x), auto(g)) == b(group, x, g) for x in elems for g in gens
+    return all(group.q(auto.apply(x)) == group.q(x) for x in elems) and all(
+        b(group, auto.apply(x), auto.apply(g)) == b(group, x, g) for x in elems for g in gens
     )
 
 
@@ -172,9 +173,9 @@ def is_anti_isometry_by_enumeration(gamma):
     dom, cod = gamma.domain, gamma.codomain
     gens = [dom.generator(i) for i in range(dom.ngens)]
     return all(
-        (dom.q(x) + cod.q(gamma(x))) % 2 == 0 for x in dom.elements()
+        (dom.q(x) + cod.q(gamma.apply(x))) % 2 == 0 for x in dom.elements()
     ) and all(
-        (b(dom, x, g) + b(cod, gamma(x), gamma(g))) % 1 == 0
+        (b(dom, x, g) + b(cod, gamma.apply(x), gamma.apply(g))) % 1 == 0
         for x in dom.elements() for g in gens
     )
 
@@ -272,14 +273,14 @@ def test_is_injective_matches_spanned_image(random_maps):
 def test_solve_finds_a_preimage_exactly_when_one_exists(random_maps):
     solved = unsolvable = 0
     for f in random_maps:
-        image = {f(x) for x in f.domain.elements()}
+        image = {f.apply(x) for x in f.domain.elements()}
         for target in f.codomain.elements():
             pre = f.solve(target)
             assert (pre is not None) == (target in image)
             if pre is None:
                 unsolvable += 1
             else:
-                assert f(pre) == target
+                assert f.apply(pre) == target
                 solved += 1
     assert solved >= 800 and unsolvable >= 4000
 
@@ -477,7 +478,7 @@ def induced_map_by_fractions(matrix, group):
 def extends_by_every_element(matrix, h):
     bar = induced_map_by_fractions(matrix, h.parent)
     coeffs = h.element_coeffs()
-    return {bar(h.parent.element(c)).coeffs for c in coeffs} == coeffs
+    return {bar.apply(h.parent.element(c)).coeffs for c in coeffs} == coeffs
 
 
 def overlattice_by_fractions(h):
