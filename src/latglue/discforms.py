@@ -51,61 +51,71 @@ class GlueError(ValueError):
 
 
 class DiscriminantGroup(Frozen):
-    """Finite abelian group with a Q/2Z-valued quadratic form.
+    """Finite abelian group with a Q/2Z-valued quadratic form, stored in integers.
 
-    ``orders`` are the cyclic factor orders d1 | d2 | ... (all > 1);
-    ``pair_gram`` is the rational matrix of pairings of the generators,
-    whose diagonal read mod 2Z gives q and whose off-diagonal entries read
-    mod Z give b.  Lattice-backed groups also carry rational ``lifts`` of
-    the generators (coordinates in the source lattice basis) and the
-    integer k x n matrix ``classes``, the quotient map: a dual vector v has
-    integral pairings G v with the source basis, and its class has the
-    coefficients ``classes`` * G v (reduced modulo the orders).
+    ``orders`` are the cyclic factor orders d1 | d2 | ... (all > 1).  With
+    ``exponent`` e (the largest order, 1 for the trivial group) ``int_gram``
+    Q is e times the pairing matrix of the generators, so
+    q(x) = (x Q x^T mod 2e) / e and b(x, y) = (x Q y^T mod e) / e, with
+    x Q y^T by ``exact.bilinear`` on coefficient tuples.  Lattice-backed
+    groups also store their generator lifts (source-lattice coordinates) as
+    ``cleared_lifts`` = (nums, dens), lift i = nums[i] / dens[i] over the
+    lcm of its own denominators, and the integer k x n quotient map
+    ``classes``: a dual vector v has integral pairings G v with the source
+    basis and the class ``classes`` * G v (reduced modulo the orders).
 
-    The forms are evaluated in integers: with ``exponent`` e (the largest
-    order, 1 for the trivial group) the matrix ``int_gram`` Q = e * pair_gram
-    is integral, because d_i * pair_gram[i][j] is.  Then
-    q(x) = (x Q x^T mod 2e) / e and b(x, y) = (x Q y^T mod e) / e, where
-    x Q y^T is ``exact.bilinear`` on the coefficient tuples.
+    The constructor converts a rational ``pair_gram`` (diagonal mod 2Z is
+    q, off-diagonal mod Z is b) and rational ``lifts`` once, and
+    ``discriminant_group`` fills the integer fields from a Smith form; both
+    run the same integer checks.  Built on first read: the Fractions
+    ``pair_gram`` = Q / e and ``lifts``, ``isotropic_generators``,
+    ``classes_gram`` and ``element_table``.
 
-    Computed once per group, on first use: the generators of the isotropic
-    subgroups of every order (``isotropic_generators``) and the integer
-    data of the induced maps and overlattices (``cleared_lifts``,
-    ``classes_gram``).
-
-    Equality and the hash (``Frozen``'s) read ``orders``, ``pair_gram``,
-    ``lifts`` and ``source`` only, so two groups that differ in ``classes``
-    are equal.  The subgroup growth and the induced maps key their sets on
-    coefficient tuples, so no group hash is kept.
+    Equality and the hash (``Frozen``'s) read ``orders``, ``int_gram``, the
+    integer lifts and ``source``, which match ``pair_gram`` and ``lifts``
+    one to one, so two groups that differ in ``classes`` are equal.
     """
 
-    _key = attrgetter("orders", "pair_gram", "lifts", "source")
+    _key = attrgetter("orders", "int_gram", "_cleared", "source")
 
     def __init__(self, orders, pair_gram, lifts=None, source: IntegerLattice | None = None,
                  classes=None):
-        orders = tuple(int(d) for d in orders)
-        pair_gram = freeze(pair_gram)
+        if any(int(d) != d for d in orders):
+            raise GlueError("cyclic factor orders must be integers")
+        orders, pair_gram = tuple(int(d) for d in orders), freeze(pair_gram)
+        lifts = None if lifts is None else freeze(lifts)
+        if any(not isinstance(x, int | Fraction) for row in pair_gram + (lifts or ()) for x in row):
+            raise GlueError("pairing and lift entries must be integers or Fractions")
+        # the scale clearing every pairing is the exponent, unless a check is to fail
+        scale = lcm(orders[-1] if orders else 1, lcm_denominator(pair_gram))
+        dens = tuple(lcm_denominator([lift]) for lift in lifts or ())
+        self._store(orders, freeze(tuple(x.numerator * (scale // x.denominator) for x in row)
+                                   for row in pair_gram), scale,
+                    None if lifts is None else (
+                        freeze(tuple(x.numerator * (den // x.denominator) for x in lift)
+                               for lift, den in zip(lifts, dens)), dens),
+                    source, classes)
+
+    def _store(self, orders, gram, scale, cleared, source, classes):
+        """Check and set the fields, from ``gram`` = ``scale`` * pairings (e | scale)."""
         k = len(orders)
         if any(d <= 1 for d in orders):
             raise GlueError("cyclic factor orders must exceed 1")
         if any(orders[i + 1] % orders[i] for i in range(k - 1)):
             raise GlueError("orders must form a divisibility chain d1 | d2 | ...")
-        if len(pair_gram) != k or any(len(row) != k for row in pair_gram):
+        if len(gram) != k or any(len(row) != k for row in gram):
             raise GlueError("pairing matrix shape must match the generator count")
-        if pair_gram != transpose(pair_gram):
+        if gram != transpose(gram):
             raise GlueError("pairing matrix must be symmetric")
         for i, d in enumerate(orders):
-            if any((d * pair_gram[i][j]).denominator != 1 for j in range(k)):
+            if any(d * x % scale for x in gram[i]):
                 raise GlueError("bilinear values are not well-defined modulo Z")
-            if (d * d * pair_gram[i][i]).denominator != 1 or (
-                d * d * pair_gram[i][i]
-            ).numerator % 2:
+            if d * d * gram[i][i] % (2 * scale):
                 raise GlueError("quadratic values are not well-defined modulo 2Z")
         exponent = orders[-1] if k else 1
-        self._set(orders=orders, pair_gram=pair_gram,
-                  lifts=None if lifts is None else freeze(lifts), source=source,
-                  classes=None if classes is None else freeze(classes), exponent=exponent,
-                  int_gram=freeze(tuple(int(exponent * x) for x in row) for row in pair_gram))
+        self._set(orders=orders, exponent=exponent, _cleared=cleared, source=source,
+                  int_gram=freeze(tuple(x // (scale // exponent) for x in row) for row in gram),
+                  classes=None if classes is None else freeze(classes))
 
     # -- structure ------------------------------------------------------
 
@@ -147,20 +157,22 @@ class DiscriminantGroup(Frozen):
     # -- lattice-backed extras -------------------------------------------
 
     @cached_property
-    def cleared_lifts(self) -> tuple[tuple[IntVector, ...], tuple[int, ...]]:
-        """(numerators, denominators) of the lifts, all integers.
+    def pair_gram(self):
+        """The rational pairing matrix Q / e of the generators."""
+        return freeze(tuple(Fraction(x, self.exponent) for x in row) for row in self.int_gram)
 
-        Lift i is ``nums[i] / dens[i]``, over the lcm of its own
-        denominators; the lifts of one group (rebased ones especially, see
-        ``with_generators``) need not share a denominator.
-        """
-        if self.lifts is None:
+    @cached_property
+    def lifts(self):
+        """The rational generator lifts nums[i] / dens[i], or None."""
+        return None if self._cleared is None else freeze(
+            tuple(Fraction(x, den) for x in num) for num, den in zip(*self._cleared))
+
+    @property
+    def cleared_lifts(self) -> tuple[tuple[IntVector, ...], tuple[int, ...]]:
+        """(nums, dens) of the lifts, in integers; one group's lifts need not share dens."""
+        if self._cleared is None:
             raise GlueError("group has no lattice lifts")
-        dens = tuple(lcm_denominator([lift]) for lift in self.lifts)
-        nums = tuple(
-            tuple(int(x * den) for x in lift) for lift, den in zip(self.lifts, dens)
-        )
-        return nums, dens
+        return self._cleared
 
     @cached_property
     def classes_gram(self) -> IntMatrix:
@@ -184,14 +196,9 @@ class DiscriminantGroup(Frozen):
         """
         orders, e, gram = self.orders, self.exponent, self.int_gram
         zero = self.zero().coeffs
-
-        def add(x, y):
-            return tuple((a + b) % d for a, b, d in zip(x, y, orders))
-
         cyclic: dict[frozenset, tuple] = {}
-        for c in itertools.product(*(range(d) for d in orders)):
-            if any(c) and bilinear(c, gram, c) % (2 * e) == 0:
-                cyclic.setdefault(frozenset(closure([zero], [c], add)), c)
+        for c in _isotropic_coeffs(orders, gram, e)[1:]:  # [0] is zero
+            cyclic.setdefault(_span(orders, [zero], [c]), c)
         trivial = frozenset([zero])
         found: dict[frozenset, tuple] = {trivial: ()}
         frontier = [trivial]
@@ -201,7 +208,7 @@ class DiscriminantGroup(Frozen):
             for line, g in cyclic.items():
                 if line <= span or any(bilinear(g, gram, h) % e for h in gens):
                     continue
-                joined = frozenset(closure(span, [g], add))
+                joined = _span(orders, span, [g])
                 if joined not in found:
                     found[joined] = gens + (g,)
                     frontier.append(joined)
@@ -209,6 +216,14 @@ class DiscriminantGroup(Frozen):
         for span in sorted(found, key=sorted):
             buckets.setdefault(len(span), []).append(found[span])
         return buckets
+
+    @cached_property
+    def element_table(self) -> tuple[tuple[int, int, tuple], ...]:
+        """(order, x Q x^T mod 2e, x) for every element x, in lexicographic order."""
+        orders, e = self.orders, self.exponent
+        return tuple((lcm(*(d // gcd(x, d) for x, d in zip(c, orders))),
+                      bilinear(c, self.int_gram, c) % (2 * e), c)
+                     for c in itertools.product(*(range(d) for d in orders)))
 
     def element_from_dual_vector(self, v) -> "DiscElement":
         """Class of a dual vector given by rational source-lattice coordinates."""
@@ -220,6 +235,24 @@ class DiscriminantGroup(Frozen):
         if any(p.denominator != 1 for p in pairings):
             raise GlueError("vector is not in the dual lattice")
         return self.element(mat_vec(self.classes, pairings))
+
+
+def _isotropic_coeffs(orders, gram, e) -> list[tuple]:
+    """Coefficient tuples x with x Q x^T = 0 mod 2e, in lexicographic order.
+
+    x Q x^T is carried down the coordinates: fixing x_i adds
+    x_i (2 w_i + x_i Q_ii), for w the pairing row x Q of the prefix.
+    """
+    if not orders:
+        return [()]
+    level = [((), 0, (0,) * len(orders))]
+    for i, (d, row) in enumerate(zip(orders[:-1], gram)):
+        level = [(x + (c,), value + c * (2 * w[i] + c * row[i]),
+                  tuple(a + c * b for a, b in zip(w, row)))
+                 for x, value, w in level for c in range(d)]
+    last = gram[-1][-1]
+    return [x + (c,) for x, value, w in level for c in range(orders[-1])
+            if (value + c * (2 * w[-1] + c * last)) % (2 * e) == 0]
 
 
 def bare_group(orders) -> DiscriminantGroup:
@@ -234,22 +267,22 @@ def discriminant_group(lattice: IntegerLattice) -> DiscriminantGroup:
     The cyclic decomposition comes from the Smith normal form U G V = D of
     the Gram matrix G.  U carries the pairings G Z^n of L onto D Z^n, so the
     rows of U with d_i > 1 are the quotient map ``classes``, and the i-th
-    canonical generator lifts to G^-1 U^-1 e_i = V e_i / d_i.
+    canonical generator lifts to G^-1 U^-1 e_i = V e_i / d_i, in lowest
+    terms as V is unimodular.  Q_ij = e (V e_i) G (V e_j) / (d_i d_j) divides exactly.
     """
     if not lattice.is_even:
         raise LatticeError("discriminant quadratic form needs an even lattice")
     d, u, v = snf(lattice.gram)
     keep = [i for i in range(lattice.rank) if d[i][i] > 1]
     orders = tuple(d[i][i] for i in keep)
-    cols = [tuple(row[i] for row in v) for i in keep]
+    e = orders[-1] if orders else 1
+    cols = tuple(tuple(row[i] for row in v) for i in keep)
     pairs = gram_of_rows(cols, lattice.gram)  # integer pairings of the V e_i
-    return DiscriminantGroup(
-        orders,
-        tuple(tuple(Fraction(x, a * b) for x, b in zip(row, orders))
-              for row, a in zip(pairs, orders)),
-        tuple(tuple(Fraction(x, a) for x in col) for col, a in zip(cols, orders)),
-        lattice, tuple(u[i] for i in keep),
-    )
+    group = DiscriminantGroup.__new__(DiscriminantGroup)  # the fields are integral already
+    group._store(orders, tuple(tuple(e * x // (a * b) for x, b in zip(row, orders))
+                               for row, a in zip(pairs, orders)),
+                 e, (cols, orders), lattice, tuple(u[i] for i in keep))
+    return group
 
 
 def with_generators(group: DiscriminantGroup, lifts) -> DiscriminantGroup:
@@ -310,15 +343,17 @@ class DiscElement(Frozen):
 
 def span_elements(parent: DiscriminantGroup, generators) -> frozenset:
     """Coefficient tuples of the subgroup the given elements of ``parent`` generate."""
-    orders = parent.orders
+    if not all(isinstance(g, DiscElement) for g in generators):
+        raise GlueError("generators must be elements of the group")
     if any(g.parent is not parent and g.parent != parent for g in generators):
         raise GlueError("elements belong to different groups")
-    gens = [g.coeffs for g in generators]
+    return _span(parent.orders, [parent.zero().coeffs], [g.coeffs for g in generators])
 
-    def add(x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, orders))
 
-    return frozenset(closure([parent.zero().coeffs], gens, add))
+def _span(orders, start, gens) -> frozenset:
+    """Closure of the coefficient tuples ``start`` under adding ``gens`` modulo ``orders``."""
+    return frozenset(closure(start, gens, lambda x, y: tuple(
+        (a + b) % d for a, b, d in zip(x, y, orders))))
 
 
 class IsotropicSubgroup(Frozen):
@@ -484,11 +519,12 @@ class FiniteAbelianMap(Frozen):
         return None if sol is None else self.domain.element(sol[:self.domain.ngens])
 
 
-def _induced_matrix(matrix, group: DiscriminantGroup) -> IntMatrix:
+def _induced_matrix(matrix, group: DiscriminantGroup, used) -> IntMatrix:
     """Unreduced integer matrix of the map a source-lattice isometry induces.
 
     Column i is the class of M lift_i, read off its pairings:
     (classes G) M nums_i / den_i, an exact division for an isometry M.
+    Only the columns in ``used`` are computed (the others are 0); M is checked in any case.
     """
     if group.source is None or group.classes is None:
         raise GlueError("induced maps need a lattice-backed group")
@@ -502,33 +538,35 @@ def _induced_matrix(matrix, group: DiscriminantGroup) -> IntMatrix:
         gram_of_rows(transpose(m), gram) != gram
     ):
         raise GlueError("matrix is not an isometry of the source lattice")
-    through = mat_mul(group.classes_gram, m)
     cols = []
-    for num, den in zip(nums, dens):
-        col = []
-        for x in mat_vec(through, num):
-            quotient, rest = divmod(x, den)
-            if rest:
-                raise GlueError("induced map is not integral: the lifts and classes disagree")
-            col.append(quotient)
+    for i, (num, den) in enumerate(zip(nums, dens)):
+        col = [0] * len(nums)
+        if i in used:
+            for r, x in enumerate(mat_vec(group.classes_gram, mat_vec(m, num))):
+                col[r], rest = divmod(x, den)
+                if rest:
+                    raise GlueError("induced map is not integral: the lifts and classes disagree")
         cols.append(col)
     return transpose(cols)
 
 
 def induced_map(matrix, group: DiscriminantGroup) -> FiniteAbelianMap:
     """Action of a source-lattice isometry on a lattice-backed group."""
-    return FiniteAbelianMap(group, group, _induced_matrix(matrix, group))
+    return FiniteAbelianMap(group, group, _induced_matrix(matrix, group, range(group.ngens)))
 
 
 def extends_to_overlattice(matrix, h: IsotropicSubgroup) -> bool:
     """Extension criterion: the induced map must fix the glue subgroup setwise.
 
-    Only the generators of H are mapped.  M is invertible over Z, so its
-    induced map is an automorphism of A_L and the image of H is a subgroup
-    of order |H|; once the generators' images lie in H, that image is H.
+    M is checked to be an isometry on every call; then only the generators
+    of H are mapped, through the induced columns they use (none for the
+    trivial subgroup).  M is invertible over Z, so its induced map is an
+    automorphism of A_L and the image of H is a subgroup of order |H|; once
+    the generators' images lie in H, that image is H.
     """
     group = h.parent
-    images = _induced_matrix(matrix, group)
+    used = {i for g in h.generators for i, c in enumerate(g.coeffs) if c}
+    images = _induced_matrix(matrix, group, used)
     coeffs = h.element_coeffs()
     return all(
         tuple(x % d for x, d in zip(mat_vec(images, g.coeffs), group.orders)) in coeffs
@@ -636,14 +674,12 @@ def forms_isometric(a: DiscriminantGroup, b: DiscriminantGroup):
     Backtracking over generator images; feasible for the small groups this
     artifact works with.  Equal orders mean one exponent e, so the forms
     compare as integers: q as x Q x^T mod 2e and b as x Q y^T mod e.  The
-    order and q of every element of b are tabulated once, before the search.
+    order and q of every element of b are tabulated once per group
+    (``DiscriminantGroup.element_table``).
     """
     if a.orders != b.orders:
         return None
-    e, qa, qb = a.exponent, a.int_gram, b.int_gram
-    table = [(lcm(*(d // gcd(x, d) for x, d in zip(c, b.orders))),
-              bilinear(c, qb, c) % (2 * e), c)
-             for c in itertools.product(*(range(d) for d in b.orders))]
+    e, qa, qb, table = a.exponent, a.int_gram, b.int_gram, b.element_table
     chosen: list[tuple[int, ...]] = []
 
     def candidates(i):

@@ -6,9 +6,12 @@ matrix, where the library's form checks read the integer one) or a
 helper the tests need and the commands do not.
 """
 
+import itertools
 from fractions import Fraction
 
+from latglue.discforms import induced_map
 from latglue.exact import (
+    bilinear,
     freeze,
     gram_of_rows,
     identity,
@@ -18,7 +21,7 @@ from latglue.exact import (
     transpose,
 )
 from latglue.isometries import Isometry, _isometries, vectors_of_norm
-from latglue.lattices import IntegerLattice, LatticeError, Sublattice
+from latglue.lattices import IntegerLattice, LatticeError, Sublattice, closure
 
 
 def b(group, x, y) -> Fraction:
@@ -28,6 +31,71 @@ def b(group, x, y) -> Fraction:
         xi * gram[i][j] * yj for i, xi in enumerate(x.coeffs) for j, yj in enumerate(y.coeffs)
     )
     return Fraction(total) % 1
+
+
+def form_error_by_fractions(orders, pair_gram):
+    """The message the rational checks of a cyclic order chain and pairing matrix raise, or None.
+
+    These are the ``Fraction`` checks ``DiscriminantGroup`` ran before it
+    validated in integers, in the same order.
+    """
+    k, pair_gram = len(orders), freeze(pair_gram)
+    if any(d <= 1 for d in orders):
+        return "cyclic factor orders must exceed 1"
+    if any(orders[i + 1] % orders[i] for i in range(k - 1)):
+        return "orders must form a divisibility chain d1 | d2 | ..."
+    if len(pair_gram) != k or any(len(row) != k for row in pair_gram):
+        return "pairing matrix shape must match the generator count"
+    if pair_gram != transpose(pair_gram):
+        return "pairing matrix must be symmetric"
+    for i, d in enumerate(orders):
+        if any((d * Fraction(pair_gram[i][j])).denominator != 1 for j in range(k)):
+            return "bilinear values are not well-defined modulo Z"
+        value = d * d * Fraction(pair_gram[i][i])
+        if value.denominator != 1 or value.numerator % 2:
+            return "quadratic values are not well-defined modulo 2Z"
+    return None
+
+
+def isotropic_generators_by_product(group) -> dict:
+    """``DiscriminantGroup.isotropic_generators`` from one ``bilinear`` call per element.
+
+    The same growth, but the isotropic elements are found by evaluating
+    x Q x^T on every tuple of ``itertools.product`` in turn.
+    """
+    orders, e, gram = group.orders, group.exponent, group.int_gram
+    zero = group.zero().coeffs
+
+    def add(x, y):
+        return tuple((a + b) % d for a, b, d in zip(x, y, orders))
+
+    cyclic = {}
+    for c in itertools.product(*(range(d) for d in orders)):
+        if any(c) and bilinear(c, gram, c) % (2 * e) == 0:
+            cyclic.setdefault(frozenset(closure([zero], [c], add)), c)
+    trivial = frozenset([zero])
+    found = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        span = frontier.pop()
+        gens = found[span]
+        for line, g in cyclic.items():
+            if line <= span or any(bilinear(g, gram, h) % e for h in gens):
+                continue
+            joined = frozenset(closure(span, [g], add))
+            if joined not in found:
+                found[joined] = gens + (g,)
+                frontier.append(joined)
+    buckets = {}
+    for span in sorted(found, key=sorted):
+        buckets.setdefault(len(span), []).append(found[span])
+    return buckets
+
+
+def extends_by_induced_map(matrix, h) -> bool:
+    """The extension test on the whole induced map: every generator of H maps into H."""
+    bar = induced_map(matrix, h.parent)
+    return all(bar.apply(g).coeffs in h.element_coeffs() for g in h.generators)
 
 
 def isometry_between(a: IntegerLattice, b: IntegerLattice):

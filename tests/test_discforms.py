@@ -4,6 +4,7 @@ import pytest
 from fractions import Fraction as Q
 
 from latglue.discforms import (
+    DiscriminantGroup,
     FiniteAbelianMap,
     GlueError,
     IsotropicSubgroup,
@@ -11,6 +12,7 @@ from latglue.discforms import (
     discriminant_group,
     enumerate_isotropic_subgroups,
     extends_to_overlattice,
+    forms_isometric,
     glue_extension_check,
     glue_subgroup,
     induced_map,
@@ -24,7 +26,7 @@ from latglue.discforms import (
 from latglue.exact import identity
 from latglue.lattices import IntegerLattice, LatticeError
 
-from oracles import b, isometry_between
+from oracles import b, form_error_by_fractions, isometry_between
 
 S_GRAM = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
 F_LIFTS = (
@@ -109,6 +111,66 @@ def test_element_rejects_non_integral_coefficients():
         with pytest.raises(GlueError, match="coefficients must be integers"):
             group.element((bad,))
     assert group.element((Q(3, 1),)).coeffs == (3,)
+
+
+def test_form_checks_match_the_fraction_checks():
+    """The integer checks raise the message the Fraction checks raised, on valid and invalid data."""
+    rng = random.Random(2001)
+    chains = [(), (2,), (3,), (4,), (2, 2), (2, 4), (3, 9), (2, 2, 6), (1,), (0,), (3, 2), (4, 6)]
+    seen = {}
+    for _ in range(3000):
+        orders = rng.choice(chains)
+        k = len(orders) + (rng.random() < 0.05)
+        e = max((*orders, 1))
+        gram = [[Q(rng.randint(-2 * e, 2 * e), rng.choice((1, 2, e, 2 * e, e * e, 3 * e * e)))
+                 for _ in range(k)] for _ in range(k)]
+        if rng.random() < 0.9:
+            gram = [[gram[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+        expected = form_error_by_fractions(orders, gram)
+        seen[expected] = seen.get(expected, 0) + 1
+        if expected is None:
+            group = DiscriminantGroup(orders, gram)
+            assert group.pair_gram == tuple(map(tuple, gram))
+            assert group.int_gram == tuple(tuple(int(e * x) for x in row) for row in gram)
+        else:
+            with pytest.raises(GlueError) as raised:
+                DiscriminantGroup(orders, gram)
+            assert str(raised.value) == expected
+    assert len(seen) == 7 and min(seen.values()) >= 20
+    # quadratic fails in row 0 before bilinear in row 1: the checks keep their order
+    doubly = ((Q(1, 3), 0), (0, Q(1, 27)))
+    assert form_error_by_fractions((3, 9), doubly).startswith("quadratic")
+    with pytest.raises(GlueError, match="quadratic"):
+        DiscriminantGroup((3, 9), doubly)
+
+
+def test_group_rejects_non_integer_orders_and_entries():
+    half = ((Q(1, 2),),)
+    for orders in ((2.5,), (Q(5, 2),)):  # 2.5 was truncated to 2
+        with pytest.raises(GlueError, match="cyclic factor orders must be integers"):
+            DiscriminantGroup(orders, half)
+    lattice = IntegerLattice(((4, 0), (0, 2)))
+    for gram, lifts in ((((0.5,),), None), (half, ((Q(1, 4), 0.5),)), (half, (("1/4", 0),))):
+        with pytest.raises(GlueError, match="pairing and lift entries must be integers or Fractions"):
+            DiscriminantGroup((2,), gram, lifts, lattice)
+    # integral Fractions and ints are read as the integers they are
+    group = DiscriminantGroup((Q(4, 2),), ((1,),))
+    assert group.orders == (2,) and group.int_gram == ((2,),)
+    assert group == DiscriminantGroup((2,), ((Q(2, 2),),))
+
+
+def test_subgroup_rejects_generators_that_are_not_elements():
+    group = discriminant_group(IntegerLattice(((8,),)))
+    for generators in ([(4,)], [group.element((4,)), 4]):
+        with pytest.raises(GlueError, match="generators must be elements of the group"):
+            IsotropicSubgroup(group, generators)
+
+
+def test_element_table_is_built_once_and_lists_every_element(disc):
+    e = disc.exponent
+    table = disc.element_table
+    assert table == tuple((x.order(), int(disc.q(x) * e), x.coeffs) for x in disc.elements())
+    assert forms_isometric(disc, disc) is not None and disc.element_table is table
 
 
 def test_map_rejects_non_integral_entries():

@@ -18,7 +18,13 @@ Smith form (``DiscriminantGroup.classes``); the oracle solves
 sum_i c_i lift_i = v modulo L as a cleared integer system.
 The integer induced maps, the generator-only extension test and the
 integer overlattice Gram are checked against the ``Fraction`` formulas and
-the every-element test they replace.
+the every-element test they replace.  The incremental isotropy scan is
+checked against one ``bilinear`` call per element
+(``isotropic_generators_by_product``), the extension test, which computes
+only the induced columns H's generators use, against the whole induced
+map (``extends_by_induced_map``), and the integer fields that
+``discriminant_group`` fills from the Smith form against the group the
+public constructor builds from its ``Fraction`` data.
 """
 
 import itertools
@@ -63,7 +69,7 @@ from latglue.exact import (
 from latglue.isometries import orthogonal_group
 from latglue.lattices import IntegerLattice
 
-from oracles import b
+from oracles import b, extends_by_induced_map, isotropic_generators_by_product
 from test_properties import all_subgroups, fraction_lift
 
 D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
@@ -599,3 +605,62 @@ def test_isotropic_subgroups_do_not_depend_on_the_divisor_order(census):
             listings.append({d: enumerate_isotropic_subgroups(fresh, d) for d in sequence})
         assert listings[0] == listings[1] == listings[2]
         assert listings[0] == {d: enumerate_isotropic_subgroups(group, d) for d in orders}
+
+
+def test_isotropy_scan_matches_the_product_scan(groups, rebased):
+    """Same generator tuples, in the same order and buckets, as one bilinear call per element."""
+    fractional = [
+        bare_group((3, 3)),  # q = 0: every element is isotropic
+        DiscriminantGroup((3,), ((Fraction(2, 3),),)),
+        DiscriminantGroup((2, 4), ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 4)))),
+        DiscriminantGroup((2, 2, 6), ((0, Fraction(1, 2), 0), (Fraction(1, 2), 0, 0),
+                                      (0, 0, Fraction(1, 6)))),
+        DiscriminantGroup((5, 5), ((Fraction(2, 5), 0), (0, Fraction(8, 5)))),
+    ]
+    ngens = set()
+    for group in [g for _lattice, g in groups + rebased] + fractional:
+        grown = group.isotropic_generators
+        assert list(grown.items()) == list(isotropic_generators_by_product(group).items())
+        ngens.add(group.ngens)
+    assert {0, 1, 2, 3} <= ngens
+    assert len(fractional[0].isotropic_generators[3]) == 4
+
+
+def test_extension_matches_the_whole_induced_map(census):
+    trivial = verdicts = 0
+    for _lattice, group, isometries in census:
+        for h in all_isotropic(group):
+            for matrix in isometries:
+                assert extends_to_overlattice(matrix, h) == extends_by_induced_map(matrix, h)
+                verdicts += 1
+            trivial += h.order() == 1
+    assert trivial == len(census) and verdicts >= 1000
+
+
+def test_trivial_subgroup_still_checks_the_isometry(census):
+    for lattice, group, _isometries in census:
+        h = enumerate_isotropic_subgroups(group, 1)[0]
+        assert h.generators == ()
+        n = lattice.rank
+        stretch = tuple(tuple(2 if i == j == 0 else int(i == j) for j in range(n))
+                        for i in range(n))
+        halved = ((Fraction(1, 2),) + stretch[0][1:],) + stretch[1:]
+        wide = tuple(row + (0,) for row in identity(n))
+        for bad in (stretch, halved, wide, identity(n)[:-1] or ((),)):
+            with pytest.raises(GlueError, match="not an isometry of the source lattice"):
+                extends_to_overlattice(bad, h)
+        assert extends_to_overlattice(identity(n), h)
+
+
+def test_discriminant_group_equals_its_public_rebuild(census):
+    """The integer fields filled from the Smith form are those the Fraction constructor derives."""
+    for lattice, group, _isometries in census:
+        fresh = discriminant_group(lattice)
+        for g in (fresh, group):
+            rebuilt = DiscriminantGroup(g.orders, g.pair_gram, g.lifts, g.source, g.classes)
+            assert rebuilt == g and hash(rebuilt) == hash(g)
+            assert rebuilt.cleared_lifts == g.cleared_lifts
+            assert (rebuilt.int_gram, rebuilt.exponent) == (g.int_gram, g.exponent)
+            assert rebuilt.pair_gram == g.pair_gram and rebuilt.lifts == g.lifts
+        nums, dens = fresh.cleared_lifts
+        assert all(gcd(den, *num) == 1 for num, den in zip(nums, dens))
