@@ -43,6 +43,7 @@ from .exact import (
     solve_smith,
     transpose,
 )
+from .isometries import is_isometry_matrix
 from .lattices import Frozen, IntegerLattice, LatticeError, Sublattice, closure
 
 
@@ -406,19 +407,25 @@ def overlattice_with_basis(h: IsotropicSubgroup):
 
     Returns (lattice, basis) where ``basis`` rows are rational coordinates
     of the new basis in the source-lattice basis, in canonical HNF form.
+    H = 0 gives the source lattice itself (if even) and the identity basis, without an HNF.
     """
     group = h.parent
     if group.source is None:
         raise GlueError("overlattices need a lattice-backed group")
     lattice = group.source
     n = lattice.rank
-    # L and the generator lifts, all over the common denominator of the lifts
     nums, dens = group.cleared_lifts
+    gens = [gen.coeffs for gen in h.generators if any(gen.coeffs)]
+    if not gens:
+        if not lattice.is_even:
+            raise GlueError("overlattice of an isotropic subgroup must be even")
+        return lattice, freeze(map(Fraction, row) for row in identity(n))
+    # L and the generator lifts, all over the common denominator of the lifts
     denom = lcm(*dens)
     lifts_t = transpose([tuple(denom // den * x for x in num)
                          for num, den in zip(nums, dens)])
     cleared = [tuple(denom * x for x in row) for row in identity(n)]
-    cleared += [mat_vec(lifts_t, gen.coeffs) for gen in h.generators if any(gen.coeffs)]
+    cleared += [mat_vec(lifts_t, coeffs) for coeffs in gens]
     hh = [row for row in hnf(cleared)[0] if any(row)]
     if len(hh) != n:
         raise GlueError("overlattice basis has wrong rank")
@@ -529,14 +536,11 @@ def _induced_matrix(matrix, group: DiscriminantGroup, used) -> IntMatrix:
     if group.source is None or group.classes is None:
         raise GlueError("induced maps need a lattice-backed group")
     nums, dens = group.cleared_lifts
-    gram = group.source.gram
-    if any(int(x) != x for row in matrix for x in row):
-        raise GlueError("matrix is not an isometry of the source lattice")
-    m = freeze(tuple(int(x) for x in row) for row in matrix)
-    n = len(gram)
-    if len(m) != n or any(len(row) != n for row in m) or (
-        gram_of_rows(transpose(m), gram) != gram
-    ):
+    try:
+        m = tuple(tuple(map(int, row)) for row in matrix)
+    except (TypeError, ValueError, OverflowError):
+        m = None
+    if m is None or m != tuple(map(tuple, matrix)) or not is_isometry_matrix(group.source, m):
         raise GlueError("matrix is not an isometry of the source lattice")
     cols = []
     for i, (num, den) in enumerate(zip(nums, dens)):

@@ -39,7 +39,6 @@ from .exact import (
     IntVector,
     det,
     freeze,
-    gram_of_rows,
     identity,
     ldl_rows,
     mat_mul,
@@ -66,7 +65,22 @@ def _decimal(n: int) -> str:
 
 
 def is_isometry_matrix(lattice: IntegerLattice, matrix) -> bool:
-    return gram_of_rows(transpose(freeze(matrix)), lattice.gram) == lattice.gram
+    """M^T G M == G for the Gram matrix G; False for any M that is not n x n.
+
+    G is symmetric (``IntegerLattice`` checks that), so G c_j is formed once per
+    column c_j of M, and c_i . (G c_j) == G_ij is tested for i <= j only, up to the first mismatch.
+    """
+    gram = lattice.gram
+    n = len(gram)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        return False
+    cols = list(zip(*matrix))
+    for j, col in enumerate(cols):
+        image = [sum(map(mul, row, col)) for row in gram]
+        for i in range(j + 1):
+            if sum(map(mul, cols[i], image)) != gram[i][j]:
+                return False
+    return True
 
 
 def matrix_order(matrix, limit: int = 10_000) -> int:

@@ -98,6 +98,14 @@ def extends_by_induced_map(matrix, h) -> bool:
     return all(bar.apply(g).coeffs in h.element_coeffs() for g in h.generators)
 
 
+def is_isometry_by_gram_of_rows(lattice: IntegerLattice, matrix) -> bool:
+    """M^T G M == G by two whole matrix products, after an explicit n x n shape guard."""
+    n = lattice.rank
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        return False
+    return gram_of_rows(transpose(freeze(matrix)), lattice.gram) == lattice.gram
+
+
 def isometry_between(a: IntegerLattice, b: IntegerLattice):
     """Matrix M with M^T * gram_a * M = gram_b, or None (positive definite lattices).
 

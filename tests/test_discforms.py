@@ -316,6 +316,10 @@ def test_overlattice_checks_integrality_and_evenness():
         h = IsotropicSubgroup(group, (group.generator(0),))
         with pytest.raises(GlueError, match=message):
             overlattice_with_basis(h)
+    # H = 0 gives the source lattice itself, so an odd source is refused as well
+    odd = DiscriminantGroup((2,), ((Q(0),),), ((Q(1, 2),),), IntegerLattice(((3,),)), ((1,),))
+    with pytest.raises(GlueError, match="must be even"):
+        overlattice_with_basis(IsotropicSubgroup(odd, ()))
 
 
 def test_overlattice_trivial_glue(invariant):

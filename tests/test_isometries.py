@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 from math import gcd, isqrt, prod
 
 import pytest
@@ -8,6 +10,7 @@ from latglue import isometries
 from latglue.classify import case_symmetry_group, full_isometry_group
 from latglue.exact import (
     IntVector,
+    freeze,
     gram_of_rows,
     identity,
     mat_mul,
@@ -33,6 +36,7 @@ from oracles import (
     coinvariant_lattice,
     in_span,
     invariant_lattice,
+    is_isometry_by_gram_of_rows,
     isometries_plain,
     isometry_between,
     saturation,
@@ -292,6 +296,35 @@ def test_group_elements_against_isometry_oracle(invariant):
         Isometry(invariant, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
 
 
+def test_isometry_check_matches_gram_of_rows_oracle():
+    """Elements of O(L), one-entry changes of them, Fraction entries and wrong shapes."""
+    rng = random.Random(211)
+    verdicts = Counter()
+    for _ in range(40):
+        lattice = sheared(rng, random_definite_lattice(rng, max_rank=4))
+        elements = [g.matrix for g in orthogonal_group(lattice).elements]
+        for m in rng.sample(elements, min(5, len(elements))):
+            rows = [list(row) for row in m]
+            rows[rng.randrange(lattice.rank)][rng.randrange(lattice.rank)] += rng.choice((-1, 1, 2))
+            halved = [list(map(Fraction, row)) for row in m]
+            halved[0][0] += Fraction(1, 2)
+            stretch = tuple(tuple(2 * x if c == 0 else x for c, x in enumerate(row)) for row in m)
+            candidates = (
+                m, freeze(rows), stretch, freeze(map(Fraction, row) for row in m), freeze(halved),
+                m + m[:1], tuple(row + (0,) for row in m), m[:-1],
+                m[:-1] + (m[-1][:-1],), m[:-1] + (m[-1] + (0,),),
+            )
+            for matrix in candidates:
+                expected = is_isometry_by_gram_of_rows(lattice, matrix)
+                assert is_isometry_matrix(lattice, matrix) == expected, (lattice.gram, matrix)
+                verdicts[expected] += 1
+    two = IntegerLattice(((2, 0), (0, 2)))
+    for matrix in (((1, 0), (0, 1), (9, 9)), ((1, 0), (0,)), ((0, 1, 0), (1, 0, 0))):
+        assert not is_isometry_by_gram_of_rows(two, matrix)
+        assert not is_isometry_matrix(two, matrix)
+    assert verdicts[True] >= 200 and verdicts[False] >= 1000
+
+
 def test_orthogonal_group_runs_once_per_lattice(monkeypatch):
     orthogonal_group.cache_clear()
     lattice = IntegerLattice(((4, 2, 1), (2, 6, 0), (1, 0, 8)))
@@ -502,6 +535,9 @@ def test_isometry_order_and_validation(invariant):
     with pytest.raises(LatticeError):
         Isometry(invariant, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
     assert matrix_order(identity(3)) == 1
+    # a 3 x 2 matrix whose top 2 x 2 block is the identity is no isometry of a rank-2 lattice
+    with pytest.raises(LatticeError, match="does not preserve the Gram matrix"):
+        Isometry(IntegerLattice(((2, 0), (0, 2))), ((1, 0), (0, 1), (9, 9)))
 
 
 def test_isometry_between():

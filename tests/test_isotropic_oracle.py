@@ -646,9 +646,13 @@ def test_trivial_subgroup_still_checks_the_isometry(census):
                         for i in range(n))
         halved = ((Fraction(1, 2),) + stretch[0][1:],) + stretch[1:]
         wide = tuple(row + (0,) for row in identity(n))
-        for bad in (stretch, halved, wide, identity(n)[:-1] or ((),)):
+        # entries int() refuses: TypeError (None, [1]), ValueError ('x'), OverflowError (inf)
+        odd = [((x,) + identity(n)[0][1:],) + identity(n)[1:] for x in (None, [1], "x", float("inf"))]
+        for bad in (stretch, halved, wide, identity(n)[:-1] or ((),), *odd):
             with pytest.raises(GlueError, match="not an isometry of the source lattice"):
                 extends_to_overlattice(bad, h)
+            with pytest.raises(GlueError, match="not an isometry of the source lattice"):
+                induced_map(bad, group)
         assert extends_to_overlattice(identity(n), h)
 
 
