@@ -5,9 +5,10 @@ Starting from the fixed rank-3 invariant lattice with Gram matrix
 arithmetic, which primitive polarizations L admit an isometry of order
 m in {2, 3, 6} fixing L and acting with full order on the rank-2
 complement T = L^perp: the admissible orders, the admissible norms
-L^2 = 6n, the surviving (L, T) pairs, the extension of each isometry
-across the finite-index glue, the induced data on the discriminant
-groups, and the divisibility of L in the full ambient lattice.
+L^2 = 6n, the surviving (L, T) pairs, each case's isometry (an element
+of O(L_inv) of order m whose fixed lattice is ZL, checked against the
+glue extension criterion), the induced data on the discriminant groups,
+and the divisibility of L in the full ambient lattice.
 
 Candidate polarizations are grouped under the subgroup of the orthogonal
 group that stabilizes the coordinate-axis pair {+-e, +-f} (order 8),
@@ -262,65 +263,6 @@ def gluing_map(m: int, name: str) -> FiniteAbelianMap:
     return gamma
 
 
-def order_isometry_block(m: int, t_lattice: IntegerLattice) -> IntMatrix:
-    """Order-m block acting on the complement basis (identity on L).
-
-    For m = 2 this is -1; for m = 3 it is the first order-3 element of
-    O(T), the group ``admits_order3`` has just searched.  Where the rotation
-    ((-1, -1), (1, 0)) preserves T's Gram matrix, the order-3 elements are
-    it and its square, and it sorts first.
-    """
-    if m == 2:
-        return ((-1, 0), (0, -1))
-    if m == 3:
-        for elem in orthogonal_group(t_lattice).elements:
-            if elem.order == 3:
-                return elem.matrix
-        raise LatticeError("complement admits no order-3 isometry")
-    raise LatticeError("blocks are built for m = 2 or 3 only")
-
-
-def extend_block_isometry(
-    t_sub: Sublattice, polarization: IntVector, block: IntMatrix
-) -> IntMatrix:
-    """Extend block (on T) + identity (on L) across the glue to the ambient.
-
-    Returns the integer matrix on the ambient basis.  The glue index is
-    |det R|, R the rows of T's basis and L; for index > 1 the extension
-    criterion (the induced map fixes the glue subgroup) is cross-checked
-    against direct integrality of the conjugated matrix.
-    """
-    rows = t_sub.basis + (tuple(polarization),)
-    k = t_sub.rank
-    phi_t = tuple(tuple(block[i][j] if i < k and j < k else int(i == j) for j in range(k + 1))
-                  for i in range(k + 1))
-    # A vector with (T, L)-coordinates y has ambient coordinates R^T y, so the
-    # ambient action is R^T . phi_t . (R^T)^-1 = R^T . phi_t . adj(R^T) / det(R^T),
-    # integral exactly when det(R^T) divides every entry.
-    basis_t = transpose(rows)
-    d = det(basis_t)
-    if d == 0:
-        raise LatticeError("generators must be linearly independent")
-    scaled = mat_mul(mat_mul(basis_t, phi_t), adjugate(basis_t))
-    integral = all(x % d == 0 for row in scaled for x in row)
-
-    if abs(d) > 1:
-        glue = glue_subgroup(Sublattice(t_sub.ambient, rows))
-        fixes = extends_to_overlattice(phi_t, glue)
-        if fixes != integral:
-            raise LatticeError(
-                "extension criterion disagrees with direct integrality"
-            )
-        if not fixes:
-            raise GlueError(
-                f"isometry does not extend: induced map moves the glue subgroup "
-                f"of order {glue.order()}"
-            )
-    elif not integral:
-        raise GlueError("block isometry does not extend over the trivial glue")
-    return freeze(tuple(x // d for x in row) for row in scaled)
-
-
 def ambient_divisibility(polarization: IntVector, gamma: FiniteAbelianMap) -> int:
     """Divisibility of L inside the full ambient lattice, via the gluing.
 
@@ -360,18 +302,34 @@ def _glue_data(m: int, name: str, phi: IntMatrix, polarization: IntVector) -> di
 def build_extension(
     m: int, orbit: Orbit, t_sub: Sublattice, index: int
 ) -> ClassificationCase:
-    """Fill in isometry, gluing, psi_bar and divisibility for one orbit."""
+    """Fill in isometry, gluing, psi_bar and divisibility for one orbit.
+
+    The isometry phi is the first element of O(L_inv), in its sort order, of
+    order m that fixes L and fixes no vector of T; GlueError if there is none.
+    Written on the basis R of T and L it is phi_t = adj(R^T) phi R^T / det(R^T),
+    and for glue index > 1 phi_t must fix the glue subgroup of T + ZL
+    (Nikulin's extension criterion), else LatticeError.
+    """
     lattice = invariant_lattice_fixed()
     polarization = max(orbit.members)
     name = vector_name(polarization)
-    block = order_isometry_block(m, t_sub.lattice())
-    phi_matrix = extend_block_isometry(t_sub, polarization, block)
-    phi = Isometry(lattice, phi_matrix)
-    if phi.apply(polarization) != polarization:
-        raise LatticeError("extension does not fix the polarization")
-    if phi.order != m:
-        raise LatticeError(f"extension has order {phi.order}, expected {m}")
-    glue = _glue_data(m, name, phi_matrix, polarization)
+    sub = Sublattice(t_sub.ambient, t_sub.basis + (polarization,))
+    basis_t = transpose(sub.basis)
+    d, adj = det(basis_t), adjugate(basis_t)
+    k = t_sub.rank
+    for phi in full_isometry_group().elements:
+        if phi.order != m or phi.apply(polarization) != polarization:
+            continue
+        # phi preserves T + ZL, so d divides every entry of adj(R^T) phi R^T
+        phi_t = freeze(tuple(x // d for x in row)
+                       for row in mat_mul(mat_mul(adj, phi.matrix), basis_t))
+        if det(tuple(tuple(phi_t[i][j] - (i == j) for j in range(k)) for i in range(k))):
+            break
+    else:
+        raise GlueError(f"no order-{m} isometry of the invariant lattice fixes exactly Z{name}")
+    if abs(d) > 1 and not extends_to_overlattice(phi_t, glue_subgroup(sub)):
+        raise LatticeError("isometry of the invariant lattice fails the glue extension criterion")
+    glue = _glue_data(m, name, phi.matrix, polarization)
     witness = orbit_witness(case_symmetry_group(), orbit.representative, polarization)
     norm = lattice.norm(polarization)
     return ClassificationCase(
@@ -385,8 +343,8 @@ def build_extension(
         t_basis=t_sub.basis,
         t_gram=t_sub.gram(),
         index=index,
-        phi=phi_matrix,
-        order=phi.order,
+        phi=phi.matrix,
+        order=m,
         **glue,
     )
 
@@ -425,7 +383,7 @@ def classify(m: int) -> tuple[tuple[ClassificationCase, ...], tuple[ExcludedCand
             full_sub = Sublattice(lattice, t_sub.basis + (rep,))
             index = full_sub.index()
             if index not in (1, m):
-                expected = 162 * m * m // norm
+                expected = lattice.determinant() * m * m // norm
                 exclude(rep, f"det(T_X) = {t_det} != {expected} forced by glue index {m}"
                              f" (actual index {index})")
                 continue

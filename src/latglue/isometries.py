@@ -95,12 +95,14 @@ def matrix_order(matrix, limit: int = 10_000) -> int:
 
 
 class Isometry(Frozen):
-    """Gram-preserving basis change; its multiplicative ``order`` is computed on first use."""
+    """Gram-preserving integer basis change; its ``order`` is computed on first use."""
 
     _key = attrgetter("lattice", "matrix")
 
     def __init__(self, lattice: IntegerLattice, matrix: IntMatrix):
         matrix = freeze(matrix)
+        if any(x % 1 for row in matrix for x in row):
+            raise LatticeError("matrix entries must be integers")
         if not is_isometry_matrix(lattice, matrix):
             raise LatticeError("matrix does not preserve the Gram matrix")
         self._set(lattice=lattice, matrix=matrix)

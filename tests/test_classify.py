@@ -1,13 +1,16 @@
 import json
+from collections import Counter
 from math import gcd
 
 import pytest
 
+import latglue.classify as classify_module
 from latglue.classify import (
     GOLDEN_SHAPE,
     admissible_n,
     admissible_orders,
     ambient_divisibility,
+    build_extension,
     case_symmetry_group,
     check_shape,
     classify,
@@ -21,10 +24,10 @@ from latglue.classify import (
     totient,
     vector_name,
 )
-from latglue.discforms import GlueError, forms_isometric, is_anti_isometry
+from latglue.discforms import GlueError, forms_isometric, glue_subgroup, is_anti_isometry
 from latglue.exact import freeze, mat_mul, transpose
-from latglue.isometries import matrix_order
-from latglue.lattices import LatticeError
+from latglue.isometries import matrix_order, orbits
+from latglue.lattices import LatticeError, Sublattice
 from latglue.report import verify_cases_report
 
 import oracles
@@ -249,36 +252,71 @@ def test_classify_rejects_bad_m():
         classify(5)
 
 
-def test_order3_block_fallback_search():
-    """On a non-reduced basis the hexagonal rotation fails; O(T) still has an order-3 block."""
-    from latglue.classify import order_isometry_block
-    from latglue.exact import mat_mul, transpose
-    from latglue.isometries import matrix_order
-    from latglue.lattices import IntegerLattice
-
-    rotation = ((-1, -1), (1, 0))
-    gram = ((2, 3), (3, 6))  # hexagonal lattice written on a skew basis
-    assert mat_mul(mat_mul(transpose(rotation), gram), rotation) != gram
-    block = order_isometry_block(3, IntegerLattice(gram))
-    assert matrix_order(block) == 3
-    assert mat_mul(mat_mul(transpose(block), gram), block) == gram
-    with pytest.raises(LatticeError):
-        order_isometry_block(3, IntegerLattice(((2, 0), (0, 4))))
-    with pytest.raises(LatticeError):
-        order_isometry_block(5, IntegerLattice(((2, 1), (1, 2))))
+def _fixing_exactly(m, polarization):
+    """Elements of O(L_inv) of order m whose fixed lattice is Z polarization, in sort order."""
+    lattice = invariant_lattice_fixed()
+    line = {(tuple(polarization),), (tuple(-x for x in polarization),)}
+    return [g for g in full_isometry_group().elements
+            if g.order == m and oracles.invariant_lattice(lattice, (g,)).basis in line]
 
 
-def test_order3_block_is_the_rotation_wherever_it_applies():
-    """The first order-3 element of O(T) is the hexagonal rotation whenever that preserves T."""
-    from latglue.classify import order_isometry_block
-    from latglue.exact import mat_mul, transpose
-    from latglue.lattices import IntegerLattice
+def _case_input(m, polarization):
+    """The (m, orbit, T, index) arguments ``classify`` passes ``build_extension`` for L."""
+    lattice = invariant_lattice_fixed()
+    (orbit,) = orbits(case_symmetry_group(), [polarization])
+    rep = max(orbit.members)
+    t_sub = lattice.span((rep,)).orthogonal_complement()
+    return m, orbit, t_sub, Sublattice(lattice, t_sub.basis + (rep,)).index()
 
-    rotation = ((-1, -1), (1, 0))
-    for a in range(1, 13):  # the rotation preserves exactly the multiples of A2
-        gram = ((2 * a, a), (a, 2 * a))
-        assert mat_mul(mat_mul(transpose(rotation), gram), rotation) == gram
-        assert order_isometry_block(3, IntegerLattice(gram)) == rotation
+
+def test_phi_is_the_first_element_fixing_exactly_l():
+    """Pin the choice rule on the golden rows.
+
+    Each m = 2 row has one order-2 element with fixed lattice ZL; the m = 3
+    row has g and g^2 and prints the first.  The m = 6 row has two and prints
+    phi_2 phi_3, the second, which ``order6_closure`` builds as the product.
+    """
+    counts = {2: 1, 3: 2, 6: 2}
+    for row in printed_tables()["table2"]:
+        m, printed = row["m"], freeze(row["phi"])
+        found = _fixing_exactly(m, tuple(row["L"]))
+        assert len(found) == counts[m], row["label"]
+        assert found[0 if m < 6 else 1].matrix == printed
+        if m == 3:
+            assert found[1].matrix == mat_mul(printed, printed)
+        if m < 6:
+            assert build_extension(*_case_input(m, tuple(row["L"]))).phi == printed
+
+
+def test_nikulin_check_runs_exactly_when_the_index_exceeds_one(monkeypatch):
+    glue_calls = []
+
+    def counted_glue_subgroup(sub):
+        glue_calls.append(sub)
+        return glue_subgroup(sub)
+
+    monkeypatch.setattr(classify_module, "glue_subgroup", counted_glue_subgroup)
+    cases = classify(2)[0] + classify(3)[0]
+    checked = Counter()
+    for case in cases:
+        glue_calls.clear()
+        assert vars(build_extension(*_case_input(case.m, case.polarization))) == vars(case)
+        assert len(glue_calls) == (case.index > 1)
+        checked[case.index > 1] += 1
+    assert checked == {True: 4, False: 2}
+    monkeypatch.setattr(classify_module, "extends_to_overlattice", lambda matrix, h: False)
+    for case in cases:
+        if case.index == 1:
+            assert build_extension(*_case_input(case.m, case.polarization)).phi == case.phi
+            continue
+        with pytest.raises(LatticeError, match="glue extension criterion"):
+            build_extension(*_case_input(case.m, case.polarization))
+
+
+def test_no_order3_isometry_fixes_exactly_e():
+    assert _fixing_exactly(3, (1, 0, 0)) == []
+    with pytest.raises(GlueError, match="no order-3 isometry .* fixes exactly Ze$"):
+        build_extension(*_case_input(3, (1, 0, 0)))
 
 
 def test_index_one_only_on_the_h_orbit():

@@ -4,7 +4,8 @@ Each oracle below is the earlier rational computation, kept verbatim in
 spirit: ``forms_match_by_fractions`` compares ``Fraction`` values of q and b
 reduced mod 2 and mod 1; ``extend_by_fractions`` conjugates the block by the
 Gauss-Jordan ``inverse_by_fractions`` (not ``frac_inverse``, which runs on
-the same ``adjugate`` as the integer path) and checks denominators;
+the same ``adjugate`` as ``build_extension``) and checks denominators,
+which the glue extension criterion must match;
 ``ambient_divisibility_by_fractions`` pairs the polarization with
 ``Fraction`` lifts of the glued generators; and
 ``forms_isometric_by_fractions`` backtracks on ``Fraction`` form values.  The
@@ -18,11 +19,11 @@ from math import gcd
 
 import pytest
 
-import latglue.classify as classify_module
 from latglue.classify import (
     ambient_divisibility,
+    build_extension,
     case_symmetry_group,
-    extend_block_isometry,
+    full_isometry_group,
     gluing_map,
     invariant_discriminant,
     invariant_lattice_fixed,
@@ -34,13 +35,14 @@ from latglue.discforms import (
     GlueError,
     _forms_match,
     bare_group,
+    extends_to_overlattice,
     forms_isometric,
     glue_subgroup,
     pullback_form,
 )
-from latglue.exact import adjugate, det, freeze, identity, mat_mul, transpose
+from latglue.exact import adjugate, det, freeze, identity, mat_mul, mat_vec, transpose
 from latglue.exact import vec_content
-from latglue.isometries import orbits, orthogonal_group, vectors_of_norm
+from latglue.isometries import Orbit, orbits, orthogonal_group, vectors_of_norm
 from latglue.lattices import LatticeError, Sublattice
 
 import oracles
@@ -99,14 +101,18 @@ def test_forms_match_matches_fraction_formula(groups):
             assert seen[sign, verdict, True] >= 5, (sign, verdict)
 
 
+def block_plus_one(block, k):
+    """The block on T's k basis vectors, extended by 1 on L."""
+    return tuple(tuple(block[i][j] if i < k and j < k else int(i == j) for j in range(k + 1))
+                 for i in range(k + 1))
+
+
 def extend_by_fractions(t_sub, polarization, block):
     """R^T . phi_t . (R^T)^-1 in Fractions, or None when it is not integral."""
     rows = t_sub.basis + (tuple(polarization),)
-    k = t_sub.rank
-    phi_t = tuple(tuple(block[i][j] if i < k and j < k else int(i == j) for j in range(k + 1))
-                  for i in range(k + 1))
     basis_t = transpose(rows)
-    conj = mat_mul(mat_mul(basis_t, phi_t), inverse_by_fractions(basis_t))
+    conj = mat_mul(mat_mul(basis_t, block_plus_one(block, t_sub.rank)),
+                   inverse_by_fractions(basis_t))
     if any(x.denominator != 1 for row in conj for x in row):
         return None
     return freeze(tuple(int(x) for x in row) for row in conj)
@@ -122,19 +128,15 @@ def test_adjugate_times_matrix_is_the_determinant():
             assert mat_mul(a, adjugate(a)) == scalar == mat_mul(adjugate(a), a)
 
 
-def test_extend_block_isometry_matches_fraction_formula(monkeypatch):
+def test_extend_block_isometry_matches_fraction_formula():
     """Every O(T) element on every primitive orbit of norm <= 54.
 
-    The glue criterion runs exactly when the index |det R| exceeds 1.
+    Nikulin's criterion (block + 1 fixes the glue subgroup of T + ZL) holds
+    exactly when the conjugated block is integral, and then the extension
+    is an element of O(L_inv) fixing L.
     """
-    glue_calls = []
-
-    def counted_glue_subgroup(sub):
-        glue_calls.append(sub)
-        return glue_subgroup(sub)
-
-    monkeypatch.setattr(classify_module, "glue_subgroup", counted_glue_subgroup)
     lattice = invariant_lattice_fixed()
+    group = {g.matrix for g in full_isometry_group().elements}
     sym = case_symmetry_group()
     verdicts = Counter()
     for norm in range(2, 55, 2):
@@ -142,17 +144,15 @@ def test_extend_block_isometry_matches_fraction_formula(monkeypatch):
         for orbit in orbits(sym, primitive):
             rep = max(orbit.members)
             t_sub = lattice.span((rep,)).orthogonal_complement()
-            index = Sublattice(lattice, t_sub.basis + (rep,)).index()
+            sub = Sublattice(lattice, t_sub.basis + (rep,))
+            glue = glue_subgroup(sub)
             for g in orthogonal_group(t_sub.lattice()).elements:
-                glue_calls.clear()
                 expected = extend_by_fractions(t_sub, rep, g.matrix)
-                if expected is None:
-                    with pytest.raises(GlueError, match="does not extend"):
-                        extend_block_isometry(t_sub, rep, g.matrix)
-                else:
-                    assert extend_block_isometry(t_sub, rep, g.matrix) == expected
-                assert len(glue_calls) == (index > 1)
-                verdicts[expected is not None, index > 1] += 1
+                fixes = extends_to_overlattice(block_plus_one(g.matrix, t_sub.rank), glue)
+                assert fixes == (expected is not None)
+                if expected is not None:
+                    assert expected in group and mat_vec(expected, rep) == rep
+                verdicts[expected is not None, sub.index() > 1] += 1
     assert verdicts[True, False] >= 5
     assert verdicts[True, True] >= 20 and verdicts[False, True] >= 20
     # a unimodular R^T conjugates every block integrally
@@ -162,8 +162,9 @@ def test_extend_block_isometry_matches_fraction_formula(monkeypatch):
 def test_extend_block_isometry_rejects_a_polarization_in_the_span_of_t():
     lattice = invariant_lattice_fixed()
     t_sub = lattice.span(((1, 0, 0),)).orthogonal_complement()
+    inside = t_sub.basis[0]
     with pytest.raises(LatticeError, match="generators must be linearly independent"):
-        extend_block_isometry(t_sub, t_sub.basis[0], ((-1, 0), (0, -1)))
+        build_extension(2, Orbit(inside, (inside,)), t_sub, 1)
 
 
 def ambient_divisibility_by_fractions(polarization, gamma):

@@ -540,6 +540,17 @@ def test_isometry_order_and_validation(invariant):
         Isometry(IntegerLattice(((2, 0), (0, 2))), ((1, 0), (0, 1), (9, 9)))
 
 
+def test_isometry_refuses_a_non_integral_matrix():
+    """A rational rotation preserves 2 I_2 but does not map the lattice to itself."""
+    two = IntegerLattice(((2, 0), (0, 2)))
+    rotation = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
+    assert is_isometry_matrix(two, rotation)
+    for matrix in (rotation, ((0.5, 0), (0, 1)), ((1, Fraction(1, 2)), (0, 1))):
+        with pytest.raises(LatticeError, match="matrix entries must be integers"):
+            Isometry(two, matrix)
+    assert Isometry(two, ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))).order == 4
+
+
 def test_isometry_between():
     a = IntegerLattice(((18, 0), (0, 6)))
     b = IntegerLattice(((6, 0), (0, 18)))
