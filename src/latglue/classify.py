@@ -8,7 +8,8 @@ complement T = L^perp: the admissible orders, the admissible norms
 L^2 = 6n, the surviving (L, T) pairs, each case's isometry (an element
 of O(L_inv) of order m whose fixed lattice is ZL, checked against the
 glue extension criterion), the induced data on the discriminant groups,
-and the divisibility of L in the full ambient lattice.
+and the divisibility of L in the full ambient lattice.  Each found case and
+each excluded candidate is one frozen ``Row`` of exactly the printed keys.
 
 Candidate polarizations are grouped under the subgroup of the orthogonal
 group that stabilizes the coordinate-axis pair {+-e, +-f} (order 8),
@@ -49,6 +50,7 @@ from .exact import (
     adjugate,
     det,
     freeze,
+    gram_of_rows,
     mat_mul,
     mat_vec,
     transpose,
@@ -212,24 +214,15 @@ def admissible_n(m: int) -> frozenset[int]:
     raise LatticeError("admissible norms are defined for m = 2 or 3")
 
 
-class ClassificationCase(Frozen):
-    """One surviving polarization class with its full extension data."""
+class Row(Frozen):
+    """A report row, its fields the printed keys in order: ``vars(row)`` is the row.
 
-    def __init__(
-        self, m: int, name: str, polarization: IntVector, orbit_rep: IntVector,
-        orbit_size: int, witness: IntMatrix, n: int, t_basis: IntMatrix, t_gram: IntMatrix,
-        index: int, phi: IntMatrix, order: int, gamma: IntMatrix, psi_bar: IntMatrix,
-        divisibility: int,
-    ):
-        self._set(m=m, name=name, polarization=polarization, orbit_rep=orbit_rep,
-                  orbit_size=orbit_size, witness=witness, n=n, t_basis=t_basis, t_gram=t_gram,
-                  index=index, phi=phi, order=order, gamma=gamma, psi_bar=psi_bar,
-                  divisibility=divisibility)
+    A case has L, name, n, T_gram, T_basis, index, phi, order, gamma, psi_bar,
+    div, orbit_rep, orbit_size, witness; an excluded candidate L, name, norm, reason.
+    """
 
-
-class ExcludedCandidate(Frozen):
-    def __init__(self, m: int, name: str, representative: IntVector, norm: int, reason: str):
-        self._set(m=m, name=name, representative=representative, norm=norm, reason=reason)
+    def __init__(self, **fields):
+        self._set(**fields)
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +276,7 @@ def ambient_divisibility(polarization: IntVector, gamma: FiniteAbelianMap) -> in
 def _glue_data(m: int, name: str, phi: IntMatrix, polarization: IntVector) -> dict:
     """Gluing, solved psi_bar and ambient divisibility for an extension phi.
 
-    The keys are the matching ClassificationCase fields.
+    The keys are the matching fields of a case ``Row``.
     """
     gamma = gluing_map(m, name)
     phi_bar = induced_map(phi, invariant_discriminant())
@@ -295,28 +288,26 @@ def _glue_data(m: int, name: str, phi: IntMatrix, polarization: IntVector) -> di
     return {
         "gamma": gamma.matrix,
         "psi_bar": psi_bar.matrix,
-        "divisibility": ambient_divisibility(polarization, gamma),
+        "div": ambient_divisibility(polarization, gamma),
     }
 
 
-def build_extension(
-    m: int, orbit: Orbit, t_sub: Sublattice, index: int
-) -> ClassificationCase:
-    """Fill in isometry, gluing, psi_bar and divisibility for one orbit.
+def build_extension(m: int, orbit: Orbit, sub: Sublattice) -> Row:
+    """The case row of one orbit; ``sub`` is T + ZL on T's basis rows, then L.
 
     The isometry phi is the first element of O(L_inv), in its sort order, of
     order m that fixes L and fixes no vector of T; GlueError if there is none.
-    Written on the basis R of T and L it is phi_t = adj(R^T) phi R^T / det(R^T),
-    and for glue index > 1 phi_t must fix the glue subgroup of T + ZL
+    Written on those rows R it is phi_t = adj(R^T) phi R^T / det(R^T), and for
+    glue index |det(R^T)| > 1 phi_t must fix the glue subgroup of T + ZL
     (Nikulin's extension criterion), else LatticeError.
     """
     lattice = invariant_lattice_fixed()
     polarization = max(orbit.members)
     name = vector_name(polarization)
-    sub = Sublattice(t_sub.ambient, t_sub.basis + (polarization,))
+    t_basis = sub.basis[:-1]
     basis_t = transpose(sub.basis)
     d, adj = det(basis_t), adjugate(basis_t)
-    k = t_sub.rank
+    k = len(t_basis)
     for phi in full_isometry_group().elements:
         if phi.order != m or phi.apply(polarization) != polarization:
             continue
@@ -329,28 +320,17 @@ def build_extension(
         raise GlueError(f"no order-{m} isometry of the invariant lattice fixes exactly Z{name}")
     if abs(d) > 1 and not extends_to_overlattice(phi_t, glue_subgroup(sub)):
         raise LatticeError("isometry of the invariant lattice fails the glue extension criterion")
-    glue = _glue_data(m, name, phi.matrix, polarization)
     witness = orbit_witness(case_symmetry_group(), orbit.representative, polarization)
-    norm = lattice.norm(polarization)
-    return ClassificationCase(
-        m=m,
-        name=name,
-        polarization=polarization,
-        orbit_rep=orbit.representative,
-        orbit_size=orbit.size,
-        witness=witness.matrix,
-        n=norm // 6,
-        t_basis=t_sub.basis,
-        t_gram=t_sub.gram(),
-        index=index,
-        phi=phi.matrix,
-        order=m,
-        **glue,
+    return Row(
+        L=polarization, name=name, n=lattice.norm(polarization) // 6,
+        T_gram=freeze(gram_of_rows(t_basis, lattice.gram)), T_basis=t_basis, index=abs(d),
+        phi=phi.matrix, order=m, **_glue_data(m, name, phi.matrix, polarization),
+        orbit_rep=orbit.representative, orbit_size=orbit.size, witness=witness.matrix,
     )
 
 
-def classify(m: int) -> tuple[tuple[ClassificationCase, ...], tuple[ExcludedCandidate, ...]]:
-    """All surviving polarization classes for an order-m action.
+def classify(m: int) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
+    """The case rows and excluded-candidate rows for an order-m action.
 
     For m in {2, 3} this runs the full derivation; m = 6 is the closure of
     the other two (see order6_closure).
@@ -363,8 +343,8 @@ def classify(m: int) -> tuple[tuple[ClassificationCase, ...], tuple[ExcludedCand
         raise LatticeError("classification is defined for m in {2, 3, 6}")
     lattice = invariant_lattice_fixed()
     sym = case_symmetry_group()
-    cases: list[ClassificationCase] = []
-    excluded: list[ExcludedCandidate] = []
+    cases: list[Row] = []
+    excluded: list[Row] = []
     for n in sorted(admissible_n(m)):
         norm = 6 * n
         vectors = vectors_of_norm(lattice, norm)
@@ -372,43 +352,41 @@ def classify(m: int) -> tuple[tuple[ClassificationCase, ...], tuple[ExcludedCand
         imprimitive = [v for v in vectors if vec_content(v) != 1]
 
         def exclude(rep, reason):
-            excluded.append(ExcludedCandidate(m, vector_name(rep), rep, norm, reason))
+            excluded.append(Row(L=rep, name=vector_name(rep), norm=norm, reason=reason))
 
         for orbit in orbits(sym, imprimitive):
             exclude(max(orbit.members), "not primitive")
         for orbit in orbits(sym, primitive):
             rep = max(orbit.members)
             t_sub = lattice.span((rep,)).orthogonal_complement()
-            t_det = det(t_sub.gram())
-            full_sub = Sublattice(lattice, t_sub.basis + (rep,))
-            index = full_sub.index()
+            sub = Sublattice(lattice, t_sub.basis + (rep,))
+            index = sub.index()
             if index not in (1, m):
                 expected = lattice.determinant() * m * m // norm
-                exclude(rep, f"det(T_X) = {t_det} != {expected} forced by glue index {m}"
-                             f" (actual index {index})")
+                exclude(rep, f"det(T_X) = {det(t_sub.gram())} != {expected} forced by glue"
+                             f" index {m} (actual index {index})")
                 continue
             if m == 3 and not admits_order3(t_sub.lattice()):
                 exclude(rep, "complement admits no order-3 isometry")
                 continue
-            cases.append(build_extension(m, orbit, t_sub, index))
+            cases.append(build_extension(m, orbit, sub))
     order_key = {"h": 0, "e-f": 1, "e": 2, "e+f": 3, "2e-f": 4}
-    cases.sort(key=lambda c: (c.n, order_key.get(c.name, 99), c.polarization))
+    cases.sort(key=lambda c: (c.n, order_key.get(c.name, 99), c.L))
     return tuple(cases), tuple(excluded)
 
 
-def order6_closure(
-    cases2: tuple[ClassificationCase, ...], cases3: tuple[ClassificationCase, ...]
-) -> tuple[ClassificationCase, ...]:
-    """Order-6 cases: polarizations carrying both an order-2 and order-3 action.
+def order6_closure(cases2: tuple[Row, ...], cases3: tuple[Row, ...]) -> tuple[Row, ...]:
+    """Order-6 case rows: polarizations carrying both an order-2 and order-3 action.
 
     Matching is on (orbit of L, Gram of the complement); the order-6
-    isometry is the product of the two commuting extensions.
+    isometry is the product of the two commuting extensions.  Each row is a
+    copy of the order-2 row with phi, order and the glue data replaced.
     """
     lattice = invariant_lattice_fixed()
     result = []
     for c2 in cases2:
         for c3 in cases3:
-            if c2.orbit_rep != c3.orbit_rep or c2.t_gram != c3.t_gram:
+            if c2.orbit_rep != c3.orbit_rep or c2.T_gram != c3.T_gram:
                 continue
             product = mat_mul(c2.phi, c3.phi)
             if mat_mul(c3.phi, c2.phi) != product:
@@ -416,15 +394,8 @@ def order6_closure(
             phi = Isometry(lattice, product)
             if phi.order != 6:
                 raise LatticeError(f"product isometry has order {phi.order}")
-            result.append(
-                ClassificationCase(
-                    m=6, name=c2.name, polarization=c2.polarization,
-                    orbit_rep=c2.orbit_rep, orbit_size=c2.orbit_size, witness=c2.witness,
-                    n=c2.n, t_basis=c2.t_basis, t_gram=c2.t_gram, index=c2.index,
-                    phi=product, order=6,
-                    **_glue_data(6, c2.name, product, c2.polarization),
-                )
-            )
+            glue = _glue_data(6, c2.name, product, c2.L)
+            result.append(Row(**{**vars(c2), "phi": product, "order": 6, **glue}))
     return tuple(result)
 
 

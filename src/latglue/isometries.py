@@ -340,9 +340,13 @@ def orbits(group: IsometryGroup, vectors) -> tuple[Orbit, ...]:
     one pass over the elements per orbit, from the smallest vector left.
     Each orbit is closed under the group even if the input was not; the
     representative is the lexicographically smallest member and orbits are
-    sorted by representative.
+    sorted by representative.  A vector whose length is not the rank
+    raises LatticeError.
     """
-    remaining = set(tuple(v) for v in vectors)
+    remaining = set()
+    for v in vectors:
+        group.lattice._check_length(v)
+        remaining.add(tuple(v))
     result = []
     while remaining:
         start = min(remaining)
@@ -356,7 +360,9 @@ def orbits(group: IsometryGroup, vectors) -> tuple[Orbit, ...]:
 
 
 def orbit_witness(group: IsometryGroup, source: IntVector, target: IntVector):
-    """A group element g with g(source) = target, or None."""
+    """A group element g with g(source) = target, or None; LatticeError on a wrong length."""
+    group.lattice._check_length(source)
+    group.lattice._check_length(target)
     for g in group.elements:
         if g.apply(source) == tuple(target):
             return g

@@ -13,7 +13,6 @@ import json
 from fractions import Fraction
 
 from .classify import (
-    ClassificationCase,
     admissible_orders,
     case_symmetry_group,
     classify,
@@ -51,40 +50,14 @@ def _mat(m) -> list:
     return [list(row) for row in m]
 
 
-def case_to_dict(case: ClassificationCase) -> dict:
-    return {
-        "L": list(case.polarization),
-        "name": case.name,
-        "n": case.n,
-        "T_gram": _mat(case.t_gram),
-        "T_basis": _mat(case.t_basis),
-        "index": case.index,
-        "phi": _mat(case.phi),
-        "order": case.order,
-        "gamma": _mat(case.gamma),
-        "psi_bar": _mat(case.psi_bar),
-        "div": case.divisibility,
-        "orbit_rep": list(case.orbit_rep),
-        "orbit_size": case.orbit_size,
-        "witness": _mat(case.witness),
-    }
-
-
 def classify_report(m: int) -> dict:
+    """The case and excluded rows of ``classify``, each a copy of its record's fields."""
     cases, excluded = classify(m)
     return {
         "command": f"classify --m {m}",
         "m": m,
-        "cases": [case_to_dict(c) for c in cases],
-        "excluded": [
-            {
-                "L": list(e.representative),
-                "name": e.name,
-                "norm": e.norm,
-                "reason": e.reason,
-            }
-            for e in excluded
-        ],
+        "cases": [dict(vars(c)) for c in cases],
+        "excluded": [dict(vars(e)) for e in excluded],
         "assumptions": ASSUMPTIONS,
         "notes": list(printed_tables()["notes"]),
     }
@@ -359,7 +332,7 @@ def verify_cases_report() -> dict:
         cells.append(
             _cell(
                 f"{label}: complement span",
-                _mat(case.t_basis),
+                _mat(case.T_basis),
                 _mat(hnf(printed_t)[0][: len(printed_t)]),
             )
         )
@@ -396,7 +369,7 @@ def verify_cases_report() -> dict:
             _cell(f"{label}: psi_bar", _mat(case.psi_bar), row["psi_bar"], allow_id)
         )
         cells.append(
-            _cell(f"{label}: divisibility", case.divisibility, row["divisibility"])
+            _cell(f"{label}: divisibility", case.div, row["divisibility"])
         )
 
     # The claimed glue generator of the existence walkthrough: its q value

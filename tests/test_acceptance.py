@@ -89,7 +89,7 @@ def test_criterion_4_order_two_classification():
         ("h", 1), ("e-f", 2), ("e", 2), ("e+f", 2), ("2e-f", 2),
     ]
     dets = [
-        c.t_gram[0][0] * c.t_gram[1][1] - c.t_gram[0][1] * c.t_gram[1][0]
+        c.T_gram[0][0] * c.T_gram[1][1] - c.T_gram[0][1] * c.T_gram[1][0]
         for c in cases
     ]
     assert dets == [27, 108, 108, 36, 36]
@@ -104,9 +104,9 @@ def test_criterion_5_order_three_classification():
     cases, excluded = classify(3)
     assert len(cases) == 1
     case = cases[0]
-    assert case.polarization == (0, 0, 1)
+    assert case.L == (0, 0, 1)
     assert isometry_between(
-        IntegerLattice(case.t_gram), IntegerLattice(((6, 3), (3, 6)))
+        IntegerLattice(case.T_gram), IntegerLattice(((6, 3), (3, 6)))
     ) is not None
     assert case.index == 1
     norm54 = [e for e in excluded if e.norm == 54]

@@ -77,7 +77,7 @@ def test_classify_two_gives_five_cases():
     assert [c.name for c in cases] == ["h", "e-f", "e", "e+f", "2e-f"]
     assert [c.index for c in cases] == [1, 2, 2, 2, 2]
     dets = [
-        c.t_gram[0][0] * c.t_gram[1][1] - c.t_gram[0][1] * c.t_gram[1][0]
+        c.T_gram[0][0] * c.T_gram[1][1] - c.T_gram[0][1] * c.T_gram[1][0]
         for c in cases
     ]
     assert dets == [27, 108, 108, 36, 36]
@@ -101,7 +101,7 @@ def test_classify_three_single_case():
     assert len(cases) == 1
     case = cases[0]
     assert case.name == "h"
-    assert case.t_gram == ((6, 3), (3, 6))
+    assert case.T_gram == ((6, 3), (3, 6))
     assert case.index == 1
     assert case.order == 3
     non_primitive = {e.name for e in excluded if e.reason == "not primitive"}
@@ -112,13 +112,15 @@ def test_classify_three_single_case():
 def test_classify_six_closure():
     cases2, _ = classify(2)
     cases3, _ = classify(3)
+    before = [dict(vars(c)) for c in cases2 + cases3]
     cases6 = order6_closure(cases2, cases3)
+    assert [vars(c) for c in cases2 + cases3] == before
     assert len(cases6) == 1
     case = cases6[0]
     assert case.name == "h"
     assert case.order == 6
     assert case.phi == ((1, 1, 0), (-1, 0, 0), (0, 0, 1))
-    assert case.divisibility == 2
+    assert case.div == 2
     assert order6_closure((), ()) == ()
     without_h = tuple(c for c in cases2 if c.name != "h")
     assert order6_closure(without_h, cases3) == ()
@@ -148,9 +150,9 @@ def test_phi_fixes_polarization_and_gram():
             phi = case.phi
             assert mat_mul(mat_mul(transpose(phi), lattice.gram), phi) == lattice.gram
             image = tuple(
-                sum(phi[i][j] * case.polarization[j] for j in range(3)) for i in range(3)
+                sum(phi[i][j] * case.L[j] for j in range(3)) for i in range(3)
             )
-            assert image == case.polarization
+            assert image == case.L
             assert matrix_order(phi) == case.order
 
 
@@ -176,7 +178,7 @@ def test_divisibilities():
     for m in (2, 3, 6):
         cases, _ = classify(m)
         for case in cases:
-            assert case.divisibility == expected[(m, case.name)]
+            assert case.div == expected[(m, case.name)]
 
 
 def test_ambient_divisibility_direct():
@@ -217,7 +219,7 @@ def test_case_identity_merges_under_full_group():
     cases2, _ = classify(2)
     by_name = {c.name: c for c in cases2}
     full = full_isometry_group()
-    witness = orbit_witness(full, by_name["e"].polarization, by_name["e-f"].polarization)
+    witness = orbit_witness(full, by_name["e"].L, by_name["e-f"].L)
     assert witness is not None
 
 
@@ -261,12 +263,12 @@ def _fixing_exactly(m, polarization):
 
 
 def _case_input(m, polarization):
-    """The (m, orbit, T, index) arguments ``classify`` passes ``build_extension`` for L."""
+    """The (m, orbit, T + ZL) arguments ``classify`` passes ``build_extension`` for L."""
     lattice = invariant_lattice_fixed()
     (orbit,) = orbits(case_symmetry_group(), [polarization])
     rep = max(orbit.members)
     t_sub = lattice.span((rep,)).orthogonal_complement()
-    return m, orbit, t_sub, Sublattice(lattice, t_sub.basis + (rep,)).index()
+    return m, orbit, Sublattice(lattice, t_sub.basis + (rep,))
 
 
 def test_phi_is_the_first_element_fixing_exactly_l():
@@ -296,21 +298,21 @@ def test_nikulin_check_runs_exactly_when_the_index_exceeds_one(monkeypatch):
         return glue_subgroup(sub)
 
     monkeypatch.setattr(classify_module, "glue_subgroup", counted_glue_subgroup)
-    cases = classify(2)[0] + classify(3)[0]
+    cases = [(m, case) for m in (2, 3) for case in classify(m)[0]]
     checked = Counter()
-    for case in cases:
+    for m, case in cases:
         glue_calls.clear()
-        assert vars(build_extension(*_case_input(case.m, case.polarization))) == vars(case)
+        assert vars(build_extension(*_case_input(m, case.L))) == vars(case)
         assert len(glue_calls) == (case.index > 1)
         checked[case.index > 1] += 1
     assert checked == {True: 4, False: 2}
     monkeypatch.setattr(classify_module, "extends_to_overlattice", lambda matrix, h: False)
-    for case in cases:
+    for m, case in cases:
         if case.index == 1:
-            assert build_extension(*_case_input(case.m, case.polarization)).phi == case.phi
+            assert build_extension(*_case_input(m, case.L)).phi == case.phi
             continue
         with pytest.raises(LatticeError, match="glue extension criterion"):
-            build_extension(*_case_input(case.m, case.polarization))
+            build_extension(*_case_input(m, case.L))
 
 
 def test_no_order3_isometry_fixes_exactly_e():
@@ -326,12 +328,12 @@ def test_index_one_only_on_the_h_orbit():
     for m in (2, 3):
         cases, _ = classify(m)
         for case in cases:
-            sub = Sublattice(lattice, case.t_basis + (case.polarization,))
+            sub = Sublattice(lattice, case.T_basis + (case.L,))
             assert sub.index() == case.index
             assert case.index in (1, m)
             if case.index == 1:
                 assert case.n == 1
-                assert case.polarization in ((0, 0, 1), (0, 0, -1))
+                assert case.L in ((0, 0, 1), (0, 0, -1))
 
 
 def test_hexagonal_form_never_represents_two():
@@ -404,12 +406,12 @@ def test_divisor_norms_give_exactly_the_classified_cases():
             for orbit in orbits(case_symmetry_group(), [v for v in vectors if vec_content(v) == 1]):
                 rep = max(orbit.members)
                 t_sub = lattice.span((rep,)).orthogonal_complement()
-                index = Sublattice(lattice, t_sub.basis + (rep,)).index()
-                if index not in (1, m) or m == 3 and not admits_order3(t_sub.lattice()):
+                sub = Sublattice(lattice, t_sub.basis + (rep,))
+                if sub.index() not in (1, m) or m == 3 and not admits_order3(t_sub.lattice()):
                     continue
-                found.append(build_extension(m, orbit, t_sub, index))
+                found.append(build_extension(m, orbit, sub))
         def fields(cases):
-            return [vars(c) for c in sorted(cases, key=lambda c: (c.n, c.polarization))]
+            return [vars(c) for c in sorted(cases, key=lambda c: (c.n, c.L))]
 
         assert fields(found) == fields(classify(m)[0])
         assert len(found) == {2: 5, 3: 1}[m]

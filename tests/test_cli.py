@@ -320,6 +320,20 @@ def test_classify_report_excluded_reasons():
     assert report["assumptions"]
 
 
+def test_classify_report_rows_are_copies_of_the_records(monkeypatch):
+    """Each row equals its record's fields, and changing the row leaves the record as it was."""
+    import latglue.classify as classify_mod
+
+    records = classify_mod.classify(3)
+    monkeypatch.setattr("latglue.report.classify", lambda m: records)
+    report = classify_report(3)
+    rows = report["cases"] + report["excluded"]
+    assert rows and rows == [vars(r) for r in records[0] + records[1]]
+    for row, record in zip(rows, records[0] + records[1]):
+        row["name"] = "changed"
+        assert record.name != "changed"
+
+
 # -- adversarial inputs, each run as a fresh CLI process ----------------------
 
 CASE_BUDGET_S = 10.0

@@ -164,7 +164,7 @@ def test_extend_block_isometry_rejects_a_polarization_in_the_span_of_t():
     t_sub = lattice.span(((1, 0, 0),)).orthogonal_complement()
     inside = t_sub.basis[0]
     with pytest.raises(LatticeError, match="generators must be linearly independent"):
-        build_extension(2, Orbit(inside, (inside,)), t_sub, 1)
+        build_extension(2, Orbit(inside, (inside,)), Sublattice(lattice, t_sub.basis + (inside,)))
 
 
 def ambient_divisibility_by_fractions(polarization, gamma):

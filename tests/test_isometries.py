@@ -477,6 +477,23 @@ def test_orbits_close_input(invariant, full_group):
     assert len(result) == 1 and result[0].members == ((0, 0, -1), (0, 0, 1))
 
 
+def test_orbits_refuse_a_vector_of_the_wrong_length():
+    group = orthogonal_group(IntegerLattice(A2))
+    with pytest.raises(LatticeError, match="^vector length 1 does not match rank 2$"):
+        orbits(group, [(1,)])
+    with pytest.raises(LatticeError, match="^vector length 3 does not match rank 2$"):
+        orbits(group, [(1, 0), (1, 0, 5)])
+
+
+def test_orbit_witness_refuses_a_vector_of_the_wrong_length():
+    group = orthogonal_group(IntegerLattice(A2))
+    with pytest.raises(LatticeError, match="^vector length 3 does not match rank 2$"):
+        orbit_witness(group, (1, 0, 5), (1, 0))
+    with pytest.raises(LatticeError, match="^vector length 1 does not match rank 2$"):
+        orbit_witness(group, (1, 0), (1,))
+    assert orbit_witness(group, (1, 0), (0, 1)).apply((1, 0)) == (0, 1)
+
+
 def test_invariant_coinvariant(invariant):
     assert invariant_lattice(invariant, ()).rank == 3
     minus = tuple(tuple(-int(i == j) for j in range(3)) for i in range(3))

@@ -329,7 +329,7 @@ def glue_extension_check_by_enumeration(phi_bar, psi_bar, gamma):
 
 def test_glue_extension_check_matches_enumeration():
     """Derived, printed and mutated psi_bar on all seven printed rows."""
-    cases = {(c.m, c.name): c for m in (2, 3, 6) for c in classify(m)[0]}
+    cases = {(m, c.name): c for m in (2, 3, 6) for c in classify(m)[0]}
     rows = printed_tables()["table2"]
     assert len(rows) == 7
     verdicts = []

@@ -33,7 +33,11 @@ SWAP = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 
 @pytest.fixture(scope="module")
 def values():
-    """One instance of each value class, by name."""
+    """One instance of each value class, by name.
+
+    The last three are ``Row`` records of ``classify``: an order-2 case, an
+    excluded candidate and an order-6 case; the names say which kind of row.
+    """
     lattice = IntegerLattice(S_GRAM)
     group = discriminant_group(lattice)
     cases2, excluded = classify(2)
