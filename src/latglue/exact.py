@@ -198,64 +198,68 @@ def snf(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form.
 
     Returns (D, U, V) with U*a*V = D, U and V unimodular, and D diagonal
-    with nonnegative entries satisfying d1 | d2 | ... .
+    with nonnegative entries satisfying d1 | d2 | ... .  Each step moves the
+    first entry of least absolute value (in row-major order) of the block
+    that is left to its corner, then clears its row and column by division
+    with remainder.
     """
     d = [list(row) for row in a]
     nrows = len(d)
     ncols = len(d[0]) if d else 0
     u = [list(row) for row in identity(nrows)]
     v = [list(row) for row in identity(ncols)]
-
-    def row_op(i, j, q):  # row i -= q * row j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col i -= q * col j
-        for row in d:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
     k = 0
     while k < min(nrows, ncols):
-        # Find a pivot of least absolute value in the remaining block.
-        entries = [(abs(d[i][j]), i, j) for i in range(k, nrows)
-                   for j in range(k, ncols) if d[i][j] != 0]
-        if not entries:
+        least = 0
+        for i in range(k, nrows):
+            row = d[i]
+            for j in range(k, ncols):
+                x = abs(row[j])
+                if x and (x < least or not least):
+                    least, pi, pj = x, i, j
+                    if x == 1:  # nothing is less: the first 1 ends the scan
+                        break
+            if least == 1:
+                break
+        if not least:
             break
-        _, pi, pj = min(entries)
-        swap_rows(k, pi)
-        swap_cols(k, pj)
+        if pi != k:
+            d[k], d[pi] = d[pi], d[k]
+            u[k], u[pi] = u[pi], u[k]
+        if pj != k:
+            for row in d:
+                row[k], row[pj] = row[pj], row[k]
+            for row in v:
+                row[k], row[pj] = row[pj], row[k]
+        top, utop = d[k], u[k]
+        p = top[k]
         dirty = False
         for i in range(k + 1, nrows):
-            if d[i][k] != 0:
-                row_op(i, k, d[i][k] // d[k][k])
+            if d[i][k]:  # row i -= q * row k
+                q = d[i][k] // p
+                d[i] = [x - q * y for x, y in zip(d[i], top)]
+                u[i] = [x - q * y for x, y in zip(u[i], utop)]
                 dirty = dirty or d[i][k] != 0
         for j in range(k + 1, ncols):
-            if d[k][j] != 0:
-                col_op(j, k, d[k][j] // d[k][k])
-                dirty = dirty or d[k][j] != 0
+            if top[j]:  # column j -= q * column k
+                q = top[j] // p
+                for row in d:
+                    row[j] -= q * row[k]
+                for row in v:
+                    row[j] -= q * row[k]
+                dirty = dirty or top[j] != 0
         if dirty:
             continue
         # Enforce divisibility: d[k][k] must divide everything below-right.
-        bad = next(((i, j) for i in range(k + 1, nrows) for j in range(k + 1, ncols)
-                    if d[i][j] % d[k][k] != 0), None)
+        bad = next((i for i in range(k + 1, nrows)
+                    if any(d[i][j] % p for j in range(k + 1, ncols))), None)
         if bad is not None:
-            row_op(k, bad[0], -1)
+            d[k] = [x + y for x, y in zip(top, d[bad])]
+            u[k] = [x + y for x, y in zip(utop, u[bad])]
             continue
-        if d[k][k] < 0:
-            d[k] = [-x for x in d[k]]
-            u[k] = [-x for x in u[k]]
+        if p < 0:
+            d[k] = [-x for x in top]
+            u[k] = [-x for x in utop]
         k += 1
     return freeze(d), freeze(u), freeze(v)
 

@@ -7,11 +7,15 @@ reads the fraction-free (Bareiss) LDL^T of ``exact.ldl_rows``, so that
 M*Q(x) = sum_i c_i * t_i^2 with integers M, c_i and t_i = sum_{j>=i}
 u_ij * x_j.  The descent then uses ``isqrt`` and floor division only,
 solves its last level in closed form, and is refused up front
-(``NODE_GUARD``) when its node bound is too large.
+(``NODE_GUARD``) when its node bound is too large.  It walks one half-space
+only (the nonzero coordinate of the outermost level positive) and adds the negatives at
+the end, so each pair +-v is found once.
 
 The orthogonal group of a positive definite lattice is enumerated by
 matching basis vectors to candidate images of the right norm, forward
-checked against the pairings, with -M found together with M.  This is
+checked against the pairings, with -M found together with M.  The column
+with the fewest candidates is searched first, and G*v is computed only for
+the vectors a column takes, once per search.  This is
 only meant for the small ranks the toolkit works at and is guarded
 accordingly.  The pairing filter proves the Gram identity, so the elements
 are built without checking it again, and each element's ``order`` is
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
+from numbers import Real
 from operator import attrgetter, mul
 
 from .exact import (
@@ -101,7 +106,7 @@ class Isometry(Frozen):
 
     def __init__(self, lattice: IntegerLattice, matrix: IntMatrix):
         matrix = freeze(matrix)
-        if any(x % 1 for row in matrix for x in row):
+        if any(not isinstance(x, Real) or x % 1 for row in matrix for x in row):
             raise LatticeError("matrix entries must be integers")
         if not is_isometry_matrix(lattice, matrix):
             raise LatticeError("matrix does not preserve the Gram matrix")
@@ -143,8 +148,11 @@ class _ShortVectors:
     and t_i = d_i * x_i + sum_{j>i} u_ij * x_j (``pivots`` d_i, ``tails``
     u_ij, ``coeffs`` c_i, ``scale`` M).  After that ``_vectors`` works in
     ints only: ``isqrt`` and floor division per level, a closed-form last
-    level.  ``vectors`` checks NODE_GUARD on every call and keeps each
-    norm's result in ``by_norm``, so a lattice enumerates a norm once.
+    level.  While every coordinate above level i is 0 it takes y_i >= 0
+    only (and +t only at the closed-form level), so it finds one of each
+    pair +-v and appends the negatives before sorting.  ``vectors`` checks
+    NODE_GUARD on every call and keeps each norm's result in ``by_norm``,
+    so a lattice enumerates a norm once.
     """
 
     def __init__(self, lattice: IntegerLattice):
@@ -200,7 +208,8 @@ class _ShortVectors:
         y = [0] * n
         found: list[IntVector] = []
 
-        def descend(i: int, rem: int):
+        def descend(i: int, rem: int, top: bool):
+            # top: every y_j with j > i is 0, so shift is 0 and y_i >= 0 suffices
             d, c = pivots[i], coeffs[i]
             shift = sum(map(mul, tails[i], y[i + 1:]))
             if i == 0:
@@ -210,19 +219,20 @@ class _ShortVectors:
                 t = isqrt(rem // c)
                 if t * t * c != rem:
                     return
-                for root in {t, -t}:
+                for root in (t,) if top else {t, -t}:
                     if (root - shift) % d == 0:
                         y[0] = (root - shift) // d
                         found.append(tuple(y))
                 return
             t = isqrt(rem // c)
-            for yi in range(-((t + shift) // d), (t - shift) // d + 1):
+            for yi in range(0 if top else -((t + shift) // d), (t - shift) // d + 1):
                 y[i] = yi
                 u = d * yi + shift
-                descend(i - 1, rem - c * u * u)
+                descend(i - 1, rem - c * u * u, top and not yi)
             y[i] = 0
 
-        descend(n - 1, self.scale * norm)
+        descend(n - 1, self.scale * norm, True)
+        found += [tuple(-x for x in v) for v in found]
         return tuple(sorted(tuple(v[k] for k in self.slot) for v in found))
 
 
@@ -268,41 +278,51 @@ class IsometryGroup(Frozen):
 def _isometries(a: IntegerLattice, b: IntegerLattice):
     """Every matrix M with M^T * gram_a * M = gram_b, each exactly once.
 
-    Column i of M is an a-vector of norm b.gram[i][i], carrying gram_a * v.
-    When column i takes v, each later column j keeps the candidates w with
-    (gram_a * v) . w == b.gram[i][j] (forward checking); a branch ends once
-    a list is empty.  -M is an isometry with M and v != -v, so column 0
-    only takes the v > -v (first nonzero entry positive), and each hit is
-    yielded with its negative.
+    Column i of M is an a-vector of norm b.gram[i][i].  The columns are
+    searched in order of candidate count, fewest first, ties by index.
+    When column i takes v, each column j searched later keeps the
+    candidates w with (gram_a * v) . w == b.gram[i][j] (forward checking);
+    a branch ends once a list is empty.  gram_a * v is computed once per
+    vector a column takes, in a dict local to the call, and never for the
+    last column searched.  -M is an isometry with M and v != -v, so the
+    first column searched only takes the v > -v (first nonzero entry
+    positive), and each hit is yielded with its negative.
     """
     n = b.rank
     short = _short_vectors(a)
     by_norm = {}
     for norm in sorted({b.gram[i][i] for i in range(n)}):
-        cands = short.vectors(norm)
-        if len(cands) > CANDIDATE_GUARD:
+        by_norm[norm] = short.vectors(norm)
+        if len(by_norm[norm]) > CANDIDATE_GUARD:
             raise LatticeError("too many candidate images for basis vectors")
-        by_norm[norm] = [(v, mat_vec(a.gram, v)) for v in cands]
-    first = [c for c in by_norm[b.gram[0][0]] if c[0] > tuple(-x for x in c[0])]
+    cands = [by_norm[b.gram[i][i]] for i in range(n)]
+    cols = sorted(range(n), key=lambda i: (len(cands[i]), i))
+    first = [v for v in cands[cols[0]] if v > tuple(-x for x in v)]
     images = [None] * n
+    pairing = {}
 
-    def backtrack(i: int, lists):
-        if i == n:
+    def backtrack(k: int, lists):
+        if k == n:
             yield transpose(images)
             yield transpose([tuple(-x for x in v) for v in images])
             return
+        i, rest = cols[k], cols[k + 1:]
         target = b.gram[i]
-        for v, gv in lists[0]:
+        for v in lists[0]:
             images[i] = v
             later = []
-            for j, cands in enumerate(lists[1:], i + 1):
-                later.append([c for c in cands if sum(map(mul, gv, c[0])) == target[j]])
+            if rest:
+                gv = pairing.get(v)
+                if gv is None:
+                    gv = pairing[v] = mat_vec(a.gram, v)
+            for j, ws in zip(rest, lists[1:]):
+                later.append([w for w in ws if sum(map(mul, gv, w)) == target[j]])
                 if not later[-1]:
                     break
             else:
-                yield from backtrack(i + 1, later)
+                yield from backtrack(k + 1, later)
 
-    yield from backtrack(0, [first] + [by_norm[b.gram[i][i]] for i in range(1, n)])
+    yield from backtrack(0, [first] + [cands[j] for j in cols[1:]])
 
 
 @lru_cache(maxsize=1)

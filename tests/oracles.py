@@ -154,6 +154,74 @@ def isometries_plain(a: IntegerLattice, b: IntegerLattice) -> list:
     return sorted(found)
 
 
+def snf_by_closures(a):
+    """``exact.snf`` as first written: four helper closures and a list of pivot candidates.
+
+    The same steps in the same order (the least (|x|, i, j) pivot, rows then
+    columns cleared, the divisibility fix), so (D, U, V) must be identical,
+    not just equivalent: census digests depend on U and V through the
+    coefficient order of the subgroups.
+    """
+    d = [list(row) for row in a]
+    nrows = len(d)
+    ncols = len(d[0]) if d else 0
+    u = [list(row) for row in identity(nrows)]
+    v = [list(row) for row in identity(ncols)]
+
+    def row_op(i, j, q):  # row i -= q * row j
+        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col i -= q * col j
+        for row in d:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    k = 0
+    while k < min(nrows, ncols):
+        # Find a pivot of least absolute value in the remaining block.
+        entries = [(abs(d[i][j]), i, j) for i in range(k, nrows)
+                   for j in range(k, ncols) if d[i][j] != 0]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        swap_rows(k, pi)
+        swap_cols(k, pj)
+        dirty = False
+        for i in range(k + 1, nrows):
+            if d[i][k] != 0:
+                row_op(i, k, d[i][k] // d[k][k])
+                dirty = dirty or d[i][k] != 0
+        for j in range(k + 1, ncols):
+            if d[k][j] != 0:
+                col_op(j, k, d[k][j] // d[k][k])
+                dirty = dirty or d[k][j] != 0
+        if dirty:
+            continue
+        # Enforce divisibility: d[k][k] must divide everything below-right.
+        bad = next(((i, j) for i in range(k + 1, nrows) for j in range(k + 1, ncols)
+                    if d[i][j] % d[k][k] != 0), None)
+        if bad is not None:
+            row_op(k, bad[0], -1)
+            continue
+        if d[k][k] < 0:
+            d[k] = [-x for x in d[k]]
+            u[k] = [-x for x in u[k]]
+        k += 1
+    return freeze(d), freeze(u), freeze(v)
+
+
 def invariant_lattice(lattice: IntegerLattice, generators) -> Sublattice:
     """Fixed sublattice of the isometries (Isometry values or matrices) given.
 

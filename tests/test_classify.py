@@ -26,7 +26,7 @@ from latglue.classify import (
 )
 from latglue.discforms import GlueError, forms_isometric, glue_subgroup, is_anti_isometry
 from latglue.exact import freeze, mat_mul, transpose
-from latglue.isometries import matrix_order, orbits
+from latglue.isometries import matrix_order, orbits, reduced_binary_form
 from latglue.lattices import LatticeError, Sublattice
 from latglue.report import verify_cases_report
 
@@ -140,6 +140,25 @@ def test_phi_matches_printed_table():
             assert case.phi == freeze(row["phi"])
             assert case.order == row["order"]
             assert case.gamma == freeze(row["gamma"])
+
+
+def test_t_gram_matches_printed_up_to_isometry():
+    """The recomputed T_X Gram agrees with the printed one as a form, not as a matrix.
+
+    The report's "T_X Gram" cell compares the printed generators' Gram with
+    the printed Gram, so it never reads ``case.T_gram``.  A cell comparing
+    matrices would be wrong: on e-f and e the computed [[18,0],[0,6]] is
+    the printed [[6,0],[0,18]] with the basis swapped.  A cell on the
+    reduced form changes the ``verify-table cases`` output, so it waits for
+    a deliberate output change.
+    """
+    differ = []
+    for row in printed_tables()["table2"]:
+        case = next(c for c in classify(row["m"])[0] if c.name == row["name"])
+        assert reduced_binary_form(case.T_gram) == reduced_binary_form(row["t_gram"])
+        if case.T_gram != freeze(row["t_gram"]):
+            differ.append((row["m"], row["name"], case.T_gram))
+    assert differ == [(2, "e-f", ((18, 0), (0, 6))), (2, "e", ((18, 0), (0, 6)))]
 
 
 def test_phi_fixes_polarization_and_gram():

@@ -17,6 +17,8 @@ from latglue.exact import (
     solve_smith,
 )
 
+from oracles import snf_by_closures
+
 
 def random_matrix(rng, nrows, ncols, bound=9):
     return tuple(
@@ -206,6 +208,28 @@ def test_snf_divisibility_chain():
         assert diag[: len(nonzero)] == nonzero
         for first, second in zip(nonzero, nonzero[1:]):
             assert second % first == 0
+
+
+def test_snf_matches_the_closure_oracle():
+    """(D, U, V) equal the oracle's entry for entry, not just up to unimodular change."""
+    rng = random.Random(24)
+    shapes = [(r, c) for r in range(1, 6) for c in range(1, 7)]
+    zero_lines = huge = 0
+    for k in range(3000):
+        nrows, ncols = shapes[k % len(shapes)]
+        a = [list(row) for row in random_matrix(rng, nrows, ncols, bound=30)]
+        if k % 5 == 1:
+            a[rng.randrange(nrows)] = [0] * ncols
+        if k % 5 == 2:
+            j = rng.randrange(ncols)
+            for row in a:
+                row[j] = 0
+        if k % 7 == 3:
+            a[rng.randrange(nrows)][rng.randrange(ncols)] += 10**21
+        zero_lines += any(not any(row) for row in a) or any(not any(col) for col in zip(*a))
+        huge += any(abs(x) > 10**20 for row in a for x in row)
+        assert snf(a) == snf_by_closures(a), a
+    assert snf(()) == snf_by_closures(()) and zero_lines > 1000 and huge > 400
 
 
 def test_snf_and_hnf_against_sympy():

@@ -437,11 +437,16 @@ def test_full_group_orbits_merge_printed_rows(invariant, full_group):
 
 
 def orbits_by_closure(group, vectors):
-    """Oracle: the earlier orbit partition, a BFS using every element as a generator."""
+    """Oracle: the earlier orbit partition, a BFS using every element as a generator.
+
+    An orbit has at most |G| members, so a list of non-isometries, whose
+    closure need not be finite, raises LatticeError instead of growing.
+    """
     remaining = set(tuple(v) for v in vectors)
     result = []
     while remaining:
-        orbit = closure([min(remaining)], group.elements, lambda v, g: g.apply(v))
+        orbit = closure([min(remaining)], group.elements, lambda v, g: g.apply(v),
+                        limit=len(group.elements))
         members = tuple(sorted(orbit))
         result.append(Orbit(members[0], members))
         remaining -= orbit
@@ -558,11 +563,16 @@ def test_isometry_order_and_validation(invariant):
 
 
 def test_isometry_refuses_a_non_integral_matrix():
-    """A rational rotation preserves 2 I_2 but does not map the lattice to itself."""
+    """A rational rotation preserves 2 I_2 but does not map the lattice to itself.
+
+    Entries that are not numbers at all get the same LatticeError, not a TypeError.
+    """
     two = IntegerLattice(((2, 0), (0, 2)))
     rotation = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
     assert is_isometry_matrix(two, rotation)
-    for matrix in (rotation, ((0.5, 0), (0, 1)), ((1, Fraction(1, 2)), (0, 1))):
+    non_integral = (rotation, ((0.5, 0), (0, 1)), ((1, Fraction(1, 2)), (0, 1)),
+                    (("a", "b"), ("c", "d")), ((None, 0), (0, 1)))
+    for matrix in non_integral:
         with pytest.raises(LatticeError, match="matrix entries must be integers"):
             Isometry(two, matrix)
     assert Isometry(two, ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))).order == 4
