@@ -2,7 +2,8 @@
 
 Everything here works on tuples-of-tuples of Python ints; ``frac_inverse``
 takes and returns Fractions but clears denominators first, so every
-elimination loop (``det``, ``ldl_rows``, ``hnf``, ``snf``) is an integer
+elimination loop (``det``, ``ldl_rows``, ``hnf`` and the Smith pivot loop
+``_smith``, which serves both ``snf`` and ``smith_diagonal``) is an integer
 one, and no floating point is used anywhere.  Lattice pairings and
 discriminant forms share one v*G*w^T kernel, ``bilinear``.  Conventions
 are pinned so that every caller sees deterministic output:
@@ -25,11 +26,11 @@ FracVector = tuple[Fraction, ...]
 
 
 def freeze(rows) -> tuple:
-    return tuple(tuple(row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)])
 
 
 def transpose(a):
@@ -38,11 +39,11 @@ def transpose(a):
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def mat_vec(a, v):
-    return tuple(sum(map(mul, row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def bilinear(v, gram, w):
@@ -198,16 +199,33 @@ def snf(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form.
 
     Returns (D, U, V) with U*a*V = D, U and V unimodular, and D diagonal
-    with nonnegative entries satisfying d1 | d2 | ... .  Each step moves the
-    first entry of least absolute value (in row-major order) of the block
-    that is left to its corner, then clears its row and column by division
-    with remainder.
+    with nonnegative entries satisfying d1 | d2 | ... .
     """
     d = [list(row) for row in a]
+    u = [list(row) for row in identity(len(d))]
+    v = [list(row) for row in identity(len(d[0]) if d else 0)]
+    _smith(d, u, v)
+    return freeze(d), freeze(u), freeze(v)
+
+
+def smith_diagonal(a) -> IntVector:
+    """The diagonal d1 | d2 | ... of ``snf(a)[0]``, without building U or V."""
+    d = [list(row) for row in a]
+    _smith(d, [[] for _ in d], [])
+    return tuple([d[i][i] for i in range(min(len(d), len(d[0])) if d else 0)])
+
+
+def _smith(d, u, v) -> None:
+    """The Smith pivot loop on the list rows d, in place.
+
+    Row steps are applied to the rows of u and column steps to the rows of
+    v: ``snf`` passes identities, ``smith_diagonal`` empty rows and no rows.
+    Each step moves the first entry of least absolute value (in row-major
+    order) of the block that is left to its corner, then clears its row and
+    column by division with remainder.
+    """
     nrows = len(d)
     ncols = len(d[0]) if d else 0
-    u = [list(row) for row in identity(nrows)]
-    v = [list(row) for row in identity(ncols)]
     k = 0
     while k < min(nrows, ncols):
         least = 0
@@ -261,7 +279,6 @@ def snf(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             d[k] = [-x for x in top]
             u[k] = [-x for x in utop]
         k += 1
-    return freeze(d), freeze(u), freeze(v)
 
 
 def right_kernel(a) -> IntMatrix:

@@ -3,7 +3,7 @@
 Short vectors come from an all-integer Fincke-Pohst enumeration (Fincke &
 Pohst 1985; Cohen, *A Course in Computational Algebraic Number Theory*,
 2.7).  One set-up per lattice sorts the basis by ascending diagonal and
-reads the fraction-free (Bareiss) LDL^T of ``exact.ldl_rows``, so that
+reads the fraction-free (Bareiss) LDL^T of ``exact.ldl_rows`` on it, so that
 M*Q(x) = sum_i c_i * t_i^2 with integers M, c_i and t_i = sum_{j>=i}
 u_ij * x_j.  The descent then uses ``isqrt`` and floor division only,
 solves its last level in closed form, and is refused up front
@@ -11,7 +11,8 @@ solves its last level in closed form, and is refused up front
 only (the nonzero coordinate of the outermost level positive) and adds the negatives at
 the end, so each pair +-v is found once.
 
-The orthogonal group of a positive definite lattice is enumerated by
+The orthogonal group of a positive definite lattice (checked on the
+leading minors the lattice kept at construction) is enumerated by
 matching basis vectors to candidate images of the right norm, forward
 checked against the pairings, with -M found together with M.  The column
 with the fewest candidates is searched first, and G*v is computed only for
@@ -37,7 +38,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from numbers import Real
-from operator import attrgetter, mul
+from operator import attrgetter, mul, neg
 
 from .exact import (
     IntMatrix,
@@ -100,7 +101,7 @@ def matrix_order(matrix, limit: int = 10_000) -> int:
 
 
 class Isometry(Frozen):
-    """Gram-preserving integer basis change; its ``order`` is computed on first use."""
+    """Gram-preserving integer basis change with int entries; ``order`` is computed on first use."""
 
     _key = attrgetter("lattice", "matrix")
 
@@ -108,6 +109,7 @@ class Isometry(Frozen):
         matrix = freeze(matrix)
         if any(not isinstance(x, Real) or x % 1 for row in matrix for x in row):
             raise LatticeError("matrix entries must be integers")
+        matrix = freeze(map(int, row) for row in matrix)  # integral floats and Fractions too
         if not is_isometry_matrix(lattice, matrix):
             raise LatticeError("matrix does not preserve the Gram matrix")
         self._set(lattice=lattice, matrix=matrix)
@@ -127,16 +129,11 @@ class Isometry(Frozen):
         return mat_vec(self.matrix, v)
 
 
-def _bareiss_rows(gram, task: str = "short-vector enumeration") -> list[list[int]]:
-    """``ldl_rows`` of a Gram matrix whose leading minors must all be positive.
-
-    Otherwise, i.e. unless the form is positive definite (Sylvester), raises
-    LatticeError "<task> needs a positive definite lattice".
-    """
-    rows = ldl_rows(gram)
-    if any(row[0] <= 0 for row in rows):
+def _require_definite(lattice: IntegerLattice, task: str) -> None:
+    """Raise LatticeError "<task> needs a positive definite lattice" unless the
+    leading minors the lattice kept are all positive (Sylvester)."""
+    if min(lattice._minors) <= 0:
         raise LatticeError(f"{task} needs a positive definite lattice")
-    return rows
 
 
 class _ShortVectors:
@@ -156,13 +153,14 @@ class _ShortVectors:
     """
 
     def __init__(self, lattice: IntegerLattice):
+        _require_definite(lattice, "short-vector enumeration")
         gram = lattice.gram
         n = lattice.rank
         order = sorted(range(n), key=lambda i: gram[i][i])
         # slot[i]: the position of original basis vector i in the sorted basis
         self.slot = sorted(range(n), key=order.__getitem__)
         g = [[gram[i][j] for j in order] for i in order]
-        raw = _bareiss_rows(g)
+        raw = ldl_rows(g)
         minors = [1] + [row[0] for row in raw]
         self.pivots, self.tails, nums, dens = [], [], [], []
         for k, row in enumerate(raw):
@@ -232,8 +230,9 @@ class _ShortVectors:
             y[i] = 0
 
         descend(n - 1, self.scale * norm, True)
-        found += [tuple(-x for x in v) for v in found]
-        return tuple(sorted(tuple(v[k] for k in self.slot) for v in found))
+        found += [tuple(map(neg, v)) for v in found]
+        slot = self.slot
+        return tuple(sorted([tuple([v[k] for k in slot]) for v in found]))
 
 
 @lru_cache(maxsize=1)
@@ -297,14 +296,14 @@ def _isometries(a: IntegerLattice, b: IntegerLattice):
             raise LatticeError("too many candidate images for basis vectors")
     cands = [by_norm[b.gram[i][i]] for i in range(n)]
     cols = sorted(range(n), key=lambda i: (len(cands[i]), i))
-    first = [v for v in cands[cols[0]] if v > tuple(-x for x in v)]
+    first = [v for v in cands[cols[0]] if v > tuple(map(neg, v))]
     images = [None] * n
     pairing = {}
 
     def backtrack(k: int, lists):
         if k == n:
             yield transpose(images)
-            yield transpose([tuple(-x for x in v) for v in images])
+            yield transpose([tuple(map(neg, v)) for v in images])
             return
         i, rest = cols[k], cols[k + 1:]
         target = b.gram[i]
@@ -331,13 +330,14 @@ def orthogonal_group(lattice: IntegerLattice) -> IsometryGroup:
 
     The last lattice's group is remembered, so ``lattice-info`` and orbit
     reports on one lattice run one search; a guard error is raised afresh on
-    every call.  ``_isometries`` yields only Gram-preserving matrices, so the
-    elements skip Isometry's check.
+    every call.  Definiteness is read off the lattice's leading minors.
+    ``_isometries`` yields only Gram-preserving matrices, so the elements
+    skip Isometry's check.
     """
     n = lattice.rank
     if n > RANK_GUARD:
         raise LatticeError(f"orthogonal group enumeration is guarded to rank <= {RANK_GUARD}")
-    _bareiss_rows(lattice.gram, "group enumeration")
+    _require_definite(lattice, "group enumeration")
     matrices = sorted(_isometries(lattice, lattice))
     return IsometryGroup(lattice, tuple(Isometry._unchecked(lattice, m) for m in matrices))
 
@@ -370,7 +370,7 @@ def orbits(group: IsometryGroup, vectors) -> tuple[Orbit, ...]:
     result = []
     while remaining:
         start = min(remaining)
-        orbit = {g.apply(start) for g in group.elements}
+        orbit = {tuple([sum(map(mul, row, start)) for row in g.matrix]) for g in group.elements}
         if start not in orbit:
             raise LatticeError("orbits need a group: its elements miss the identity")
         members = tuple(sorted(orbit))

@@ -4,7 +4,9 @@ A lattice is a free Z-module carrying a non-degenerate symmetric bilinear
 form, stored as its exact integer Gram matrix on a fixed basis.  Vectors
 are plain tuples of ints holding coordinates in that basis; dual vectors
 are tuples of Fractions.  Everything is an immutable value and every
-computation is exact.
+computation is exact.  A lattice keeps the leading minors of its one
+Bareiss LDL^T (``ldl_rows``); ``determinant``, ``signature`` and the
+definiteness check of ``isometries.orthogonal_group`` read them.
 
 >>> L = IntegerLattice(((6, 3, 0), (3, 6, 0), (0, 0, 6)))
 >>> L.determinant()
@@ -103,7 +105,10 @@ class Frozen:
 class IntegerLattice(Frozen):
     """Even or odd non-degenerate lattice given by its Gram matrix.
 
-    Equality and the hash (``Frozen``'s) read ``gram`` only.
+    ``_minors`` holds the leading minors D_1, ..., D_n of ``ldl_rows(gram)``,
+    computed once; D_n is the determinant, since the zero-pivot dodges of
+    ``ldl_rows`` keep it, and a singular Gram is refused.  Equality, the hash
+    (``Frozen``'s) and the repr read ``gram`` only.
     """
 
     _key = attrgetter("gram")
@@ -117,11 +122,11 @@ class IntegerLattice(Frozen):
             raise LatticeError("Gram entries must be integers")
         if gram != transpose(gram):
             raise LatticeError("Gram matrix must be symmetric")
-        # det(gram), computed once to reject degenerate Grams
-        d = det(gram)
-        if d == 0:
-            raise LatticeError("degenerate Gram matrix")
-        self._set(gram=gram, _det=d)
+        try:
+            minors = tuple([row[0] for row in ldl_rows(gram)])
+        except ZeroDivisionError:
+            raise LatticeError("degenerate Gram matrix") from None
+        self._set(gram=gram, _minors=minors)
 
     def __repr__(self):
         return f"IntegerLattice(gram={self.gram!r})"
@@ -135,16 +140,16 @@ class IntegerLattice(Frozen):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def determinant(self) -> int:
-        return self._det
+        return self._minors[-1]
 
     def signature(self) -> tuple[int, int]:
-        """(s+, s-) counted exactly from the leading minors of ``ldl_rows``.
+        """(s+, s-) counted exactly from the leading minors kept at construction.
 
         The pivots of LDL^T are D_{k+1} / D_k, so s- is the number of sign
         changes in 1, D_1, ..., D_n (Jacobi); ``ldl_rows`` dodges zero
         minors by congruences, which keep the signature.
         """
-        minors = [1] + [row[0] for row in ldl_rows(self.gram)]
+        minors = (1, *self._minors)
         neg = sum((a < 0) != (b < 0) for a, b in zip(minors, minors[1:]))
         return self.rank - neg, neg
 

@@ -25,7 +25,7 @@ from .classify import (
     vector_name,
 )
 from .discforms import GlueError, discriminant_group, forms_isometric, is_anti_isometry
-from .exact import freeze, gram_of_rows, hnf, snf, transpose
+from .exact import freeze, gram_of_rows, hnf, smith_diagonal, transpose
 from .isometries import (
     RANK_GUARD,
     group_generated_by,
@@ -94,12 +94,6 @@ def classify_markdown(report: dict) -> str:
     return "\n".join(lines)
 
 
-def discriminant_orders_any(lattice: IntegerLattice) -> list[int]:
-    """Cyclic factor orders of L^dual/L (works for odd lattices too)."""
-    d, _u, _v = snf(lattice.gram)
-    return [d[i][i] for i in range(lattice.rank) if d[i][i] > 1]
-
-
 def lattice_info_report(lattice: IntegerLattice) -> dict:
     s_plus, s_minus = lattice.signature()
     report = {
@@ -109,7 +103,8 @@ def lattice_info_report(lattice: IntegerLattice) -> dict:
         "determinant": lattice.determinant(),
         "signature": [s_plus, s_minus],
         "even": lattice.is_even,
-        "discriminant_orders": discriminant_orders_any(lattice),
+        # the cyclic factor orders of L^dual/L (odd lattices too)
+        "discriminant_orders": [d for d in smith_diagonal(lattice.gram) if d > 1],
     }
     if s_minus and s_plus:
         report["skipped"] = {"isometry_group_order":

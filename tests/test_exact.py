@@ -12,6 +12,7 @@ from latglue.exact import (
     mat_mul,
     mat_vec,
     right_kernel,
+    smith_diagonal,
     snf,
     solve_int,
     solve_smith,
@@ -228,8 +229,11 @@ def test_snf_matches_the_closure_oracle():
             a[rng.randrange(nrows)][rng.randrange(ncols)] += 10**21
         zero_lines += any(not any(row) for row in a) or any(not any(col) for col in zip(*a))
         huge += any(abs(x) > 10**20 for row in a for x in row)
-        assert snf(a) == snf_by_closures(a), a
-    assert snf(()) == snf_by_closures(()) and zero_lines > 1000 and huge > 400
+        smith = snf(a)
+        assert smith == snf_by_closures(a), a
+        assert smith_diagonal(a) == tuple(smith[0][i][i] for i in range(min(nrows, ncols))), a
+    assert snf(()) == snf_by_closures(()) and smith_diagonal(()) == ()
+    assert zero_lines > 1000 and huge > 400
 
 
 def test_snf_and_hnf_against_sympy():

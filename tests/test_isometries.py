@@ -575,7 +575,13 @@ def test_isometry_refuses_a_non_integral_matrix():
     for matrix in non_integral:
         with pytest.raises(LatticeError, match="matrix entries must be integers"):
             Isometry(two, matrix)
-    assert Isometry(two, ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))).order == 4
+    # integral Fractions and floats are accepted and stored as ints, so ``apply`` returns ints
+    quarter_turn = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
+    for matrix in (quarter_turn, ((0.0, -1.0), (1.0, 0.0))):
+        iso = Isometry(two, matrix)
+        assert iso.order == 4 and all(type(x) is int for row in iso.matrix for x in row)
+        image = iso.apply((1, 2))
+        assert image == (-2, 1) and all(type(x) is int for x in image)
 
 
 def test_isometry_between():

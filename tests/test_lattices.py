@@ -31,14 +31,25 @@ def test_determinant_examples(invariant):
 
 
 def test_determinant_is_computed_once(monkeypatch):
-    from latglue import lattices
+    """One ``ldl_rows`` per lattice, at construction: the determinant, the
+    signature and O(L)'s definiteness check read the minors it kept."""
+    from latglue import isometries, lattices
 
     calls = []
-    monkeypatch.setattr(lattices, "det", lambda gram: calls.append(gram) or det(gram))
+    for module in (lattices, isometries):
+        monkeypatch.setattr(module, "ldl_rows", lambda gram: calls.append(gram) or ldl_rows(gram))
     lattice = IntegerLattice(S_GRAM)
-    assert lattice.determinant() == lattice.determinant() == 162
     assert calls == [S_GRAM]
-    # the kept value is no part of equality, hashing or the repr
+    assert lattice.determinant() == lattice.determinant() == 162
+    assert lattice.signature() == (3, 0)
+    assert calls == [S_GRAM]
+    for gram in (((0, 1), (1, 0)), ((-2, 1), (1, -2))):
+        other = IntegerLattice(gram)
+        with pytest.raises(LatticeError, match="^group enumeration needs a positive definite"):
+            isometries.orthogonal_group(other)
+        assert calls[1:] == [gram]
+        del calls[1:]
+    # the kept minors are no part of equality, hashing or the repr
     assert lattice == IntegerLattice(S_GRAM) and hash(lattice) == hash(IntegerLattice(S_GRAM))
     assert repr(lattice) == f"IntegerLattice(gram={S_GRAM!r})"
 
@@ -160,9 +171,11 @@ def signature_test_gram(rng, n, kind):
 def test_signature_random_sum():
     """Integer signature against the Fraction LDL^T (and sympy), and the rows of ``ldl_rows``.
 
-    On every Gram the last pivot of ``ldl_rows`` is the determinant; on a
-    positive definite one its rows are those of the unpivoted Bareiss set-up,
-    and where a pivot had to move they still describe an integral form.
+    On every Gram the last pivot of ``ldl_rows`` is the determinant, and so
+    is ``determinant()``, which reads it (also on fixed Grams whose leading
+    entry is 0, dodged by a swap or by adding a row); on a positive definite
+    Gram its rows are those of the unpivoted Bareiss set-up, and where a
+    pivot had to move they still describe an integral form.
     """
     try:
         from sympy import ZZ
@@ -172,6 +185,10 @@ def test_signature_random_sum():
     else:
         def charpoly(gram):
             return DomainMatrix.from_list([list(row) for row in gram], ZZ).charpoly()
+    swap, add = ((0, 0, 1), (0, 2, 0), (1, 0, 0)), U
+    for gram in (swap, add, direct_sum(U, ((2, 1), (1, 2)))):
+        assert IntegerLattice(gram).determinant() == det(gram), gram
+        assert IntegerLattice(gram).signature() == signature_by_fractions(gram), gram
     rng = random.Random(5)
     seen = Counter()
     while seen["gram"] < 1000:
@@ -183,7 +200,8 @@ def test_signature_random_sum():
         seen["diagonal"] += n
         seen["zero diagonal"] += sum(1 for i in range(n) if gram[i][i] == 0)
         expected = signature_by_fractions(gram)
-        assert IntegerLattice(gram).signature() == expected, gram
+        lattice = IntegerLattice(gram)
+        assert lattice.signature() == expected and lattice.determinant() == det(gram), gram
         if charpoly is not None:
             assert signature_by_descartes(charpoly, gram) == expected, gram
         rows = ldl_rows(gram)
