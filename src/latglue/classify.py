@@ -370,8 +370,7 @@ def classify(m: int) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
                 exclude(rep, "complement admits no order-3 isometry")
                 continue
             cases.append(build_extension(m, orbit, sub))
-    order_key = {"h": 0, "e-f": 1, "e": 2, "e+f": 3, "2e-f": 4}
-    cases.sort(key=lambda c: (c.n, order_key.get(c.name, 99), c.L))
+    cases.sort(key=lambda c: (c.n, c.L))
     return tuple(cases), tuple(excluded)
 
 

@@ -43,7 +43,7 @@ from .exact import (
     solve_smith,
     transpose,
 )
-from .isometries import is_isometry_matrix
+from .isometries import is_isometry_matrix, proven_isometry
 from .lattices import Frozen, IntegerLattice, LatticeError, Sublattice, closure
 
 
@@ -531,7 +531,10 @@ def _induced_matrix(matrix, group: DiscriminantGroup, used) -> IntMatrix:
 
     Column i is the class of M lift_i, read off its pairings:
     (classes G) M nums_i / den_i, an exact division for an isometry M.
-    Only the columns in ``used`` are computed (the others are 0); M is checked in any case.
+    Only the columns in ``used`` are computed (the others are 0).  M is
+    checked in any case: an element of the last O(L) search on the source
+    lattice object is proven already (``proven_isometry``), any other M gets
+    the full M^T G M == G check.
     """
     if group.source is None or group.classes is None:
         raise GlueError("induced maps need a lattice-backed group")
@@ -540,18 +543,16 @@ def _induced_matrix(matrix, group: DiscriminantGroup, used) -> IntMatrix:
         m = tuple(tuple(map(int, row)) for row in matrix)
     except (TypeError, ValueError, OverflowError):
         m = None
-    if m is None or m != tuple(map(tuple, matrix)) or not is_isometry_matrix(group.source, m):
+    if m is None or m != tuple(map(tuple, matrix)) or not (
+            proven_isometry(group.source, m) or is_isometry_matrix(group.source, m)):
         raise GlueError("matrix is not an isometry of the source lattice")
-    cols = []
-    for i, (num, den) in enumerate(zip(nums, dens)):
-        col = [0] * len(nums)
-        if i in used:
-            for r, x in enumerate(mat_vec(group.classes_gram, mat_vec(m, num))):
-                col[r], rest = divmod(x, den)
-                if rest:
-                    raise GlueError("induced map is not integral: the lifts and classes disagree")
-        cols.append(col)
-    return transpose(cols)
+    rows = [[0] * len(nums) for _ in nums]
+    for i in used:
+        for row, x in zip(rows, mat_vec(group.classes_gram, mat_vec(m, nums[i]))):
+            row[i], rest = divmod(x, dens[i])
+            if rest:
+                raise GlueError("induced map is not integral: the lifts and classes disagree")
+    return rows
 
 
 def induced_map(matrix, group: DiscriminantGroup) -> FiniteAbelianMap:
@@ -562,11 +563,13 @@ def induced_map(matrix, group: DiscriminantGroup) -> FiniteAbelianMap:
 def extends_to_overlattice(matrix, h: IsotropicSubgroup) -> bool:
     """Extension criterion: the induced map must fix the glue subgroup setwise.
 
-    M is checked to be an isometry on every call; then only the generators
-    of H are mapped, through the induced columns they use (none for the
-    trivial subgroup).  M is invertible over Z, so its induced map is an
-    automorphism of A_L and the image of H is a subgroup of order |H|; once
-    the generators' images lie in H, that image is H.
+    M is checked to be an isometry on every call, by a lookup when it is an
+    element of the last O(L) search on the source lattice object and by
+    M^T G M == G otherwise; then only the generators of H are mapped,
+    through the induced columns they use (none for the trivial subgroup).
+    M is invertible over Z, so its induced map is an automorphism of A_L
+    and the image of H is a subgroup of order |H|; once the generators'
+    images lie in H, that image is H.
     """
     group = h.parent
     used = {i for g in h.generators for i, c in enumerate(g.coeffs) if c}

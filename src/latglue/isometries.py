@@ -21,9 +21,11 @@ only meant for the small ranks the toolkit works at and is guarded
 accordingly.  The pairing filter proves the Gram identity, so the elements
 are built without checking it again, and each element's ``order`` is
 computed on first use.  ``orthogonal_group`` remembers the last lattice it
-was asked about, so the reports on one lattice share one search; the
-short-vector set-up of the last lattice, with each norm it enumerated, is
-kept the same way.  Orbits are read off the group in one pass.
+was asked about, so the reports on one lattice share one search, and the
+elements of the last search serve as proven isometries of that lattice
+object (``proven_isometry``); the short-vector set-up of the last lattice,
+with each norm it enumerated, is kept the same way.  Orbits are read off
+the group in one pass.
 
 >>> a2 = IntegerLattice(((2, 1), (1, 2)))
 >>> orthogonal_group(a2).order(), len(vectors_of_norm(a2, 2))
@@ -35,6 +37,7 @@ matrix are the images of the basis vectors.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from numbers import Real
@@ -324,6 +327,9 @@ def _isometries(a: IntegerLattice, b: IntegerLattice):
     yield from backtrack(0, [first] + [cands[j] for j in cols[1:]])
 
 
+_proven: tuple = (None, [])  # (lattice, sorted matrices) of the last search
+
+
 @lru_cache(maxsize=1)
 def orthogonal_group(lattice: IntegerLattice) -> IsometryGroup:
     """O(L) for a positive definite lattice of small rank, by backtracking.
@@ -332,14 +338,30 @@ def orthogonal_group(lattice: IntegerLattice) -> IsometryGroup:
     reports on one lattice run one search; a guard error is raised afresh on
     every call.  Definiteness is read off the lattice's leading minors.
     ``_isometries`` yields only Gram-preserving matrices, so the elements
-    skip Isometry's check.
+    skip Isometry's check, and the sorted matrices are kept with the lattice
+    object for ``proven_isometry`` (a guard error leaves them as they were).
     """
+    global _proven
     n = lattice.rank
     if n > RANK_GUARD:
         raise LatticeError(f"orthogonal group enumeration is guarded to rank <= {RANK_GUARD}")
     _require_definite(lattice, "group enumeration")
     matrices = sorted(_isometries(lattice, lattice))
+    _proven = (lattice, matrices)
     return IsometryGroup(lattice, tuple(Isometry._unchecked(lattice, m) for m in matrices))
+
+
+def proven_isometry(lattice: IntegerLattice, matrix: IntMatrix) -> bool:
+    """True if ``matrix`` is an element the last O(L) search found on this very lattice object.
+
+    The search's pairing filter proved M^T G M == G for each of them, and a
+    lattice is immutable.  False proves nothing: ``is_isometry_matrix`` checks.
+    """
+    searched, matrices = _proven
+    if lattice is not searched:
+        return False
+    i = bisect_left(matrices, matrix)
+    return i < len(matrices) and matrices[i] == matrix
 
 
 class Orbit(Frozen):

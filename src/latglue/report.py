@@ -312,14 +312,16 @@ def verify_cases_report() -> dict:
     for m in (2, 3, 6):
         found, _ = classify(m)
         for case in found:
-            cases[(m, case.name)] = case
+            cases[(m, case.L)] = case
     cells.append(_cell("case count", len(cases), len(data["table2"])))
 
     first = data["table2"][0]
     reference = gluing_map(first["m"], first["name"]).domain
     for i, row in enumerate(data["table2"]):
         label = f"row {i} ({row['label']})"
-        case = cases.get((row["m"], row["name"]))
+        if row["name"] != vector_name(row["L"]):
+            raise GlueError(f"{label}: name {row['name']!r} does not spell L = {row['L']}")
+        case = cases.get((row["m"], tuple(row["L"])))
         if case is None:
             cells.append(_cell(f"{label}: present", False, True))
             continue

@@ -104,18 +104,29 @@ def test_verify_detects_corruption(capsys, monkeypatch):
 
 
 def test_inconsistent_golden_data_is_input_error(capsys, monkeypatch):
-    """A non-injective printed gluing is an input error (exit 2), not a crash."""
+    """A non-injective printed gluing, or a row whose L its name does not
+    spell, is an input error (exit 2), not a crash."""
     import latglue.classify as classify_mod
     import latglue.report as report_mod
 
-    corrupted = json.loads(json.dumps(classify_mod.printed_tables()))
+    pristine = classify_mod.printed_tables()
+    corruptions = []
+    corrupted = json.loads(json.dumps(pristine))
     corrupted["table2"][0]["gamma"] = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    monkeypatch.setattr(classify_mod, "printed_tables", lambda: corrupted)
-    monkeypatch.setattr(report_mod, "printed_tables", lambda: corrupted)
-    code, _, err = run_cli(capsys, "verify-table", "cases")
-    assert code == 2
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    corruptions.append(corrupted)
+    for i, row in enumerate(pristine["table2"]):
+        for j in range(len(row["L"])):
+            corrupted = json.loads(json.dumps(pristine))
+            corrupted["table2"][i]["L"][j] += 1
+            corruptions.append(corrupted)
+    assert len(corruptions) == 1 + 21
+    for corrupted in corruptions:
+        monkeypatch.setattr(classify_mod, "printed_tables", lambda: corrupted)
+        monkeypatch.setattr(report_mod, "printed_tables", lambda: corrupted)
+        code, _, err = run_cli(capsys, "verify-table", "cases")
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 def test_corrupted_gluing_after_a_clean_run_is_still_an_input_error(capsys, monkeypatch):

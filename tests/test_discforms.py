@@ -440,6 +440,57 @@ def test_extension_can_fail():
     assert extends_to_overlattice(identity(2), glue) is True
 
 
+def test_extension_reads_the_last_search_on_its_own_lattice_object(monkeypatch):
+    """Elements of the last O(L) search on the very lattice object skip the
+    M^T G M == G check, with the same verdicts; anything else is checked."""
+    import latglue.discforms as discforms
+    import latglue.isometries as isometries
+
+    calls = []
+
+    def counted(lattice, matrix):
+        calls.append(matrix)
+        return isometries.is_isometry_matrix(lattice, matrix)
+
+    monkeypatch.setattr(discforms, "is_isometry_matrix", counted)
+
+    def verdicts(lattice, elements):
+        subgroups = enumerate_isotropic_subgroups(discriminant_group(lattice), 2)
+        return [[extends_to_overlattice(m, h) for m in elements] for h in subgroups]
+
+    lattice = IntegerLattice(((4, 2, 0), (2, 4, 0), (0, 0, 4)))  # A_L = (2, 2, 12)
+    isometries.orthogonal_group.cache_clear()
+    elements = [g.matrix for g in isometries.orthogonal_group(lattice).elements]
+    assert len(elements) == 24
+    searched = verdicts(lattice, elements)
+    assert len(searched) == 3 and [row.count(True) for row in searched] == [8, 8, 8]
+    assert calls == []  # (b) every element is read off the search
+
+    # (b) the same Gram matrix in another object gets the full check
+    assert verdicts(IntegerLattice(lattice.gram), elements) == searched
+    assert len(calls) == 3 * 24
+
+    # (c) a non-isometry still raises right after the search
+    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    h = enumerate_isotropic_subgroups(discriminant_group(lattice), 2)[0]
+    with pytest.raises(GlueError, match="not an isometry of the source lattice"):
+        extends_to_overlattice(shear, h)
+
+    # (a) the verdicts with the search forgotten are the same
+    monkeypatch.setattr(isometries, "_proven", (None, []))
+    calls.clear()
+    assert verdicts(lattice, elements) == searched
+    assert len(calls) == 3 * 24
+
+    # (d) a search on another lattice replaces the first one's elements
+    isometries.orthogonal_group.cache_clear()
+    isometries.orthogonal_group(lattice)
+    isometries.orthogonal_group(IntegerLattice(((2, 1, 0), (1, 2, 0), (0, 0, 8))))
+    calls.clear()
+    assert verdicts(lattice, elements) == searched
+    assert len(calls) == 3 * 24
+
+
 def test_is_anti_isometry_pullback(pinned):
     gamma_matrix = ((0, 1, 0), (1, 0, 0), (0, 0, 2))
     domain = pullback_form(pinned, gamma_matrix, (3, 3, 9))
