@@ -426,7 +426,7 @@ def overlattice_with_basis(h: IsotropicSubgroup):
                          for num, den in zip(nums, dens)])
     cleared = [tuple(denom * x for x in row) for row in identity(n)]
     cleared += [mat_vec(lifts_t, coeffs) for coeffs in gens]
-    hh = [row for row in hnf(cleared)[0] if any(row)]
+    hh = [row for row in hnf(cleared) if any(row)]
     if len(hh) != n:
         raise GlueError("overlattice basis has wrong rank")
     # the Gram of the cleared rows is denom^2 times the overlattice Gram

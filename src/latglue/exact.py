@@ -1,12 +1,12 @@
 """Exact linear algebra over Z and Q.
 
 Everything here works on tuples-of-tuples of Python ints; ``frac_inverse``
-takes and returns Fractions but clears denominators first, so every
-elimination loop (``det``, ``ldl_rows``, ``hnf`` and the Smith pivot loop
-``_smith``, which serves both ``snf`` and ``smith_diagonal``) is an integer
-one, and no floating point is used anywhere.  Lattice pairings and
-discriminant forms share one v*G*w^T kernel, ``bilinear``.  Conventions
-are pinned so that every caller sees deterministic output:
+clears denominators first, so there is one integer elimination of each
+kind and no floating point: the Bareiss step ``_bareiss_step`` of ``det``
+and ``ldl_rows``, ``hnf`` (H only, also behind ``right_kernel``) and the
+Smith loop ``_smith`` of ``snf`` and ``smith_diagonal``.  Lattice pairings
+and discriminant forms share one v*G*w^T kernel, ``bilinear``.
+Conventions are pinned so that every caller sees deterministic output:
 
 * Hermite normal form is row-style with positive pivots and entries above
   a pivot reduced into [0, pivot).
@@ -67,9 +67,8 @@ def gram_of_rows(rows, gram):
 def det(a) -> int:
     """Exact determinant of a square integer matrix by fraction-free (Bareiss) elimination.
 
-    After step k every entry below and right of the pivot is a (k+1)-minor,
-    so each division by the previous pivot is exact and only ints occur; a
-    zero pivot is swapped with a nonzero entry below it, flipping the sign.
+    Only ints occur (``_bareiss_step``); a zero pivot is swapped with a
+    nonzero entry below it, flipping the sign.
     """
     m = [list(row) for row in a]
     n = len(m)
@@ -81,12 +80,7 @@ def det(a) -> int:
                 return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        pivot, top = m[k][k], m[k]
-        for row in m[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - f * top[j]) // prev
-        prev = pivot
+        prev = _bareiss_step(m, k, prev)
     return sign * prev
 
 
@@ -118,13 +112,22 @@ def ldl_rows(gram) -> list[list[int]]:
                 a[k] = [x + y for x, y in zip(a[k], a[j])]
                 for row in a:
                     row[k] += row[j]
-        pivot, top = a[k][k], a[k]
-        for row in a[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - f * top[j]) // prev
-        prev = pivot
+        prev = _bareiss_step(a, k, prev)
     return [row[k:] for k, row in enumerate(a)]
+
+
+def _bareiss_step(a, k: int, prev: int) -> int:
+    """Fraction-free step k on the square list rows a, in place; returns the pivot a[k][k].
+
+    Each entry below and right of the pivot becomes the (k+1)-minor
+    (pivot * a[i][j] - a[i][k] * a[k][j]) // prev, an exact division.
+    """
+    pivot, top = a[k][k], a[k]
+    for row in a[k + 1:]:
+        f = row[k]
+        for j in range(k + 1, len(top)):
+            row[j] = (pivot * row[j] - f * top[j]) // prev
+    return pivot
 
 
 def adjugate(a) -> IntMatrix:
@@ -150,16 +153,15 @@ def frac_inverse(a) -> FracMatrix:
     return freeze((Fraction(e * x, d) for x in row) for row in adjugate(b))
 
 
-def hnf(a) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
+def hnf(a) -> IntMatrix:
+    """Row-style Hermite normal form H of a, with the row lattice of a.
 
-    Returns (H, U) with H = U*a, U unimodular, pivots positive, entries
-    above each pivot reduced into [0, pivot), zero rows at the bottom.
+    H has as many rows as a: pivots positive, entries above each pivot
+    reduced into [0, pivot), zero rows at the bottom.
     """
     rows = [list(row) for row in a]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    u = [list(row) for row in identity(nrows)]
     pivot_row = 0
     for col in range(ncols):
         if pivot_row == nrows:
@@ -169,30 +171,25 @@ def hnf(a) -> tuple[IntMatrix, IntMatrix]:
             nonzero = [i for i in range(pivot_row, nrows) if rows[i][col] != 0]
             if not nonzero:
                 break
-            i_min = min(nonzero, key=lambda i: (abs(rows[i][col]), i))
-            if i_min != pivot_row:
-                rows[pivot_row], rows[i_min] = rows[i_min], rows[pivot_row]
-                u[pivot_row], u[i_min] = u[i_min], u[pivot_row]
-            if len(nonzero) == 1 and i_min == nonzero[0]:
+            i_min = min(nonzero, key=lambda i: abs(rows[i][col]))  # the first least
+            rows[pivot_row], rows[i_min] = rows[i_min], rows[pivot_row]
+            if len(nonzero) == 1:
                 break
             for i in range(pivot_row + 1, nrows):
                 if rows[i][col] != 0:
                     q = rows[i][col] // rows[pivot_row][col]
                     rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot_row])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
         if rows[pivot_row][col] == 0:
             continue
         if rows[pivot_row][col] < 0:
             rows[pivot_row] = [-x for x in rows[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
         p = rows[pivot_row][col]
         for i in range(pivot_row):
             q = rows[i][col] // p
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot_row])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
         pivot_row += 1
-    return freeze(rows), freeze(u)
+    return freeze(rows)
 
 
 def snf(a) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -282,17 +279,16 @@ def _smith(d, u, v) -> None:
 
 
 def right_kernel(a) -> IntMatrix:
-    """Basis (as rows) of the integer solutions x of a*x = 0."""
-    ncols = len(a[0]) if a else 0
+    """Basis (as rows, in Hermite normal form) of the integer solutions x of a*x = 0.
+
+    It is the I part of the rows of hnf([a^T | I]) whose a^T part is zero
+    (Cohen, 2.4): a row [0 | x] of that lattice combines only rows with a pivot past a^T.
+    """
     if not a:
-        return identity(ncols)
-    d, _u, v = snf(a)
-    rank = sum(1 for i in range(min(len(d), ncols)) if d[i][i] != 0)
-    cols = [tuple(v[i][j] for i in range(ncols)) for j in range(rank, ncols)]
-    if not cols:
         return ()
-    h, _ = hnf(cols)
-    return tuple(row for row in h if any(row))
+    m = len(a)
+    stacked = [col + unit for col, unit in zip(transpose(a), identity(len(a[0])))]
+    return tuple(row[m:] for row in hnf(stacked) if not any(row[:m]))
 
 
 def solve_int(a, t) -> IntVector | None:

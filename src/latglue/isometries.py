@@ -20,12 +20,11 @@ the vectors a column takes, once per search.  This is
 only meant for the small ranks the toolkit works at and is guarded
 accordingly.  The pairing filter proves the Gram identity, so the elements
 are built without checking it again, and each element's ``order`` is
-computed on first use.  ``orthogonal_group`` remembers the last lattice it
-was asked about, so the reports on one lattice share one search, and the
-elements of the last search serve as proven isometries of that lattice
-object (``proven_isometry``); the short-vector set-up of the last lattice,
-with each norm it enumerated, is kept the same way.  Orbits are read off
-the group in one pass.
+computed on first use.  One module slot keeps the group of the last
+search: the reports on one lattice share it, and its elements serve as
+proven isometries of that lattice object (``proven_isometry``).  An
+``lru_cache`` keeps the short-vector set-up of the last lattice, with each
+norm it enumerated.  Orbits are read off the group in one pass.
 
 >>> a2 = IntegerLattice(((2, 1), (1, 2)))
 >>> orthogonal_group(a2).order(), len(vectors_of_norm(a2, 2))
@@ -92,11 +91,10 @@ def is_isometry_matrix(lattice: IntegerLattice, matrix) -> bool:
     return True
 
 
-def matrix_order(matrix, limit: int = 10_000) -> int:
-    n = len(matrix)
-    eye = identity(n)
+def matrix_order(matrix) -> int:
+    eye = identity(len(matrix))
     power = freeze(matrix)
-    for k in range(1, limit + 1):
+    for k in range(1, 10_001):
         if power == eye:
             return k
         power = mat_mul(power, matrix)
@@ -327,41 +325,39 @@ def _isometries(a: IntegerLattice, b: IntegerLattice):
     yield from backtrack(0, [first] + [cands[j] for j in cols[1:]])
 
 
-_proven: tuple = (None, [])  # (lattice, sorted matrices) of the last search
+_searched: IsometryGroup | None = None  # the group of the last search
 
 
-@lru_cache(maxsize=1)
 def orthogonal_group(lattice: IntegerLattice) -> IsometryGroup:
     """O(L) for a positive definite lattice of small rank, by backtracking.
 
-    The last lattice's group is remembered, so ``lattice-info`` and orbit
-    reports on one lattice run one search; a guard error is raised afresh on
-    every call.  Definiteness is read off the lattice's leading minors.
-    ``_isometries`` yields only Gram-preserving matrices, so the elements
-    skip Isometry's check, and the sorted matrices are kept with the lattice
-    object for ``proven_isometry`` (a guard error leaves them as they were).
+    The module slot ``_searched`` keeps the last search's group, so reports
+    on one lattice (or an equal one) run one search; a guard error is raised
+    afresh on every call and leaves the slot as it was.  Definiteness is read
+    off the leading minors.  ``_isometries`` yields only Gram-preserving
+    matrices, so the elements, sorted by matrix, skip Isometry's check.
     """
-    global _proven
-    n = lattice.rank
-    if n > RANK_GUARD:
-        raise LatticeError(f"orthogonal group enumeration is guarded to rank <= {RANK_GUARD}")
-    _require_definite(lattice, "group enumeration")
-    matrices = sorted(_isometries(lattice, lattice))
-    _proven = (lattice, matrices)
-    return IsometryGroup(lattice, tuple(Isometry._unchecked(lattice, m) for m in matrices))
+    global _searched
+    if _searched is None or _searched.lattice != lattice:
+        if lattice.rank > RANK_GUARD:
+            raise LatticeError(f"orthogonal group enumeration is guarded to rank <= {RANK_GUARD}")
+        _require_definite(lattice, "group enumeration")
+        matrices = sorted(_isometries(lattice, lattice))
+        _searched = IsometryGroup(lattice, tuple(Isometry._unchecked(lattice, m) for m in matrices))
+    return _searched
 
 
 def proven_isometry(lattice: IntegerLattice, matrix: IntMatrix) -> bool:
-    """True if ``matrix`` is an element the last O(L) search found on this very lattice object.
+    """True if ``matrix`` is an element of the kept search on this very lattice object.
 
     The search's pairing filter proved M^T G M == G for each of them, and a
     lattice is immutable.  False proves nothing: ``is_isometry_matrix`` checks.
     """
-    searched, matrices = _proven
-    if lattice is not searched:
+    if _searched is None or _searched.lattice is not lattice:
         return False
-    i = bisect_left(matrices, matrix)
-    return i < len(matrices) and matrices[i] == matrix
+    elements = _searched.elements
+    i = bisect_left(elements, matrix, key=attrgetter("matrix"))
+    return i < len(elements) and elements[i].matrix == matrix
 
 
 class Orbit(Frozen):

@@ -214,7 +214,7 @@ class Sublattice(Frozen):
         basis = freeze(basis)
         if basis and any(len(row) != ambient.rank for row in basis):
             raise LatticeError("generator length must match ambient rank")
-        h, _ = hnf(basis) if basis else ((), ())
+        h = hnf(basis)
         if sum(1 for row in h if any(row)) != len(basis):
             raise LatticeError("generators must be linearly independent")
         self._set(ambient=ambient, basis=basis)

@@ -25,7 +25,7 @@ from .classify import (
     vector_name,
 )
 from .discforms import GlueError, discriminant_group, forms_isometric, is_anti_isometry
-from .exact import freeze, gram_of_rows, hnf, smith_diagonal, transpose
+from .exact import freeze, gram_of_rows, hnf, smith_diagonal, snf, solve_smith, transpose
 from .isometries import (
     RANK_GUARD,
     group_generated_by,
@@ -330,13 +330,14 @@ def verify_cases_report() -> dict:
             _cell(
                 f"{label}: complement span",
                 _mat(case.T_basis),
-                _mat(hnf(printed_t)[0][: len(printed_t)]),
+                _mat(hnf(printed_t)[: len(printed_t)]),
             )
         )
-        printed_t_gram = gram_of_rows(printed_t, lattice.gram)
-        cells.append(
-            _cell(f"{label}: T_X Gram", _mat(printed_t_gram), row["t_gram"])
-        )
+        # the recomputed T's Gram, carried over to the printed generators
+        smith = snf(transpose(case.T_basis))
+        coords = [solve_smith(smith, v) for v in printed_t]
+        t_gram = case.T_gram if None in coords else gram_of_rows(coords, case.T_gram)
+        cells.append(_cell(f"{label}: T_X Gram", _mat(t_gram), row["t_gram"]))
         cells.append(_cell(f"{label}: isometry", _mat(case.phi), row["phi"]))
         cells.append(_cell(f"{label}: order", case.order, row["order"]))
         gamma = gluing_map(row["m"], row["name"])

@@ -14,9 +14,11 @@ from latglue.exact import (
     bilinear,
     freeze,
     gram_of_rows,
+    hnf,
     identity,
     mat_vec,
     right_kernel,
+    snf,
     solve_int,
     transpose,
 )
@@ -220,6 +222,17 @@ def snf_by_closures(a):
             u[k] = [-x for x in u[k]]
         k += 1
     return freeze(d), freeze(u), freeze(v)
+
+
+def kernel_by_smith(a):
+    """``right_kernel`` through a Smith form U a V = D: the columns of V past the rank, in HNF."""
+    ncols = len(a[0]) if a else 0
+    if not a:
+        return identity(ncols)
+    d, _u, v = snf(a)
+    rank = sum(1 for i in range(min(len(d), ncols)) if d[i][i] != 0)
+    cols = [tuple(v[i][j] for i in range(ncols)) for j in range(rank, ncols)]
+    return tuple(row for row in hnf(cols) if any(row))
 
 
 def invariant_lattice(lattice: IntegerLattice, generators) -> Sublattice:

@@ -103,6 +103,28 @@ def test_verify_detects_corruption(capsys, monkeypatch):
         assert code == 1
 
 
+def test_t_gram_cells_read_the_recomputed_complement(monkeypatch):
+    """Each "T_X Gram" cell carries classify's T_gram over to the printed
+    generators, so a wrong recomputed Gram is a mismatch in every row."""
+    import latglue.report as report_mod
+    from latglue.classify import Row
+
+    assert verify_cases_report()["status"] == "pass-with-allowlisted"
+    classify = report_mod.classify
+
+    def doubled(m):
+        found, excluded = classify(m)
+        return [Row(**{**vars(case), "T_gram": tuple(tuple(2 * x for x in row)
+                                                      for row in case.T_gram)})
+                for case in found], excluded
+
+    monkeypatch.setattr(report_mod, "classify", doubled)
+    report = verify_cases_report()
+    cells = [c for c in report["cells"] if c["cell"].endswith(": T_X Gram")]
+    assert len(cells) == 7 and all(c["status"] == "mismatch" for c in cells)
+    assert report["status"] == "mismatch"
+
+
 def test_inconsistent_golden_data_is_input_error(capsys, monkeypatch):
     """A non-injective printed gluing, or a row whose L its name does not
     spell, is an input error (exit 2), not a crash."""

@@ -459,7 +459,7 @@ def test_extension_reads_the_last_search_on_its_own_lattice_object(monkeypatch):
         return [[extends_to_overlattice(m, h) for m in elements] for h in subgroups]
 
     lattice = IntegerLattice(((4, 2, 0), (2, 4, 0), (0, 0, 4)))  # A_L = (2, 2, 12)
-    isometries.orthogonal_group.cache_clear()
+    monkeypatch.setattr(isometries, "_searched", None)
     elements = [g.matrix for g in isometries.orthogonal_group(lattice).elements]
     assert len(elements) == 24
     searched = verdicts(lattice, elements)
@@ -477,13 +477,13 @@ def test_extension_reads_the_last_search_on_its_own_lattice_object(monkeypatch):
         extends_to_overlattice(shear, h)
 
     # (a) the verdicts with the search forgotten are the same
-    monkeypatch.setattr(isometries, "_proven", (None, []))
+    monkeypatch.setattr(isometries, "_searched", None)
     calls.clear()
     assert verdicts(lattice, elements) == searched
     assert len(calls) == 3 * 24
 
     # (d) a search on another lattice replaces the first one's elements
-    isometries.orthogonal_group.cache_clear()
+    monkeypatch.setattr(isometries, "_searched", None)
     isometries.orthogonal_group(lattice)
     isometries.orthogonal_group(IntegerLattice(((2, 1, 0), (1, 2, 0), (0, 0, 8))))
     calls.clear()

@@ -16,9 +16,10 @@ from latglue.exact import (
     snf,
     solve_int,
     solve_smith,
+    transpose,
 )
 
-from oracles import snf_by_closures
+from oracles import kernel_by_smith, snf_by_closures
 
 
 def random_matrix(rng, nrows, ncols, bound=9):
@@ -175,9 +176,12 @@ def test_hnf_shape_and_transform():
     rng = random.Random(11)
     for _ in range(250):
         a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        h, u = hnf(a)
-        assert mat_mul(u, a) == h
-        assert abs(det(u)) == 1
+        h = hnf(a)
+        assert len(h) == len(a)
+        # the same row lattice: each row of either is an integer combination of the other's
+        for rows, others in ((a, h), (h, a)):
+            for row in rows:
+                assert solve_int(transpose(others), row) is not None, (a, row)
         # positive pivots, staircase shape, reduced entries above pivots
         pivot_cols = []
         seen_zero_row = False
@@ -253,7 +257,7 @@ def test_snf_and_hnf_against_sympy():
         factors = [int(x) for x in normalforms.invariant_factors(Matrix(a))]
         assert [d[i][i] for i in range(min(nrows, ncols))] == factors
         if nrows == ncols and det(a) != 0:
-            h, _ = hnf(a)
+            h = hnf(a)
             assert prod(next(x for x in row if x) for row in h) == abs(det(a))
         else:
             singular += nrows == ncols
@@ -273,6 +277,25 @@ def test_kernel_and_solve():
             target = mat_vec(a, x0)
             for x in (solve_int(a, target), solve_smith(smith, target)):
                 assert x is not None and mat_vec(a, x) == target
+
+
+def test_right_kernel_matches_the_smith_oracle():
+    """One Hermite form of [a^T | I] gives the kernel the Smith route gives, row for row."""
+    rng = random.Random(27)
+    deficient = nontrivial = 0
+    for k in range(400):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        a = [list(row) for row in random_matrix(rng, nrows, ncols)]
+        if nrows > 1 and k % 2 == 0:  # the last row a combination of the others
+            c = [rng.randint(-2, 2) for _ in range(nrows - 1)]
+            a[-1] = [sum(ci * row[j] for ci, row in zip(c, a)) for j in range(ncols)]
+        deficient += sum(1 for x in smith_diagonal(a) if x) < min(nrows, ncols)
+        kernel = right_kernel(a)
+        assert kernel == kernel_by_smith(a), a
+        nontrivial += bool(kernel)
+    assert deficient >= 80 and nontrivial >= 180
+    for a in ((), ((),), ((), ())):
+        assert right_kernel(a) == kernel_by_smith(a) == ()
 
 
 def test_solve_reports_unsolvable():

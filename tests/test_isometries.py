@@ -326,7 +326,7 @@ def test_isometry_check_matches_gram_of_rows_oracle():
 
 
 def test_orthogonal_group_runs_once_per_lattice(monkeypatch):
-    orthogonal_group.cache_clear()
+    monkeypatch.setattr(isometries, "_searched", None)
     lattice = IntegerLattice(((4, 2, 1), (2, 6, 0), (1, 0, 8)))
     searches = []
     search = isometries._isometries
@@ -347,8 +347,8 @@ def test_orthogonal_group_runs_once_per_lattice(monkeypatch):
     assert orthogonal_group(lattice) == group and len(searches) == 3
 
 
-def test_guard_errors_are_raised_on_every_call():
-    orthogonal_group.cache_clear()
+def test_guard_errors_are_raised_on_every_call(monkeypatch):
+    monkeypatch.setattr(isometries, "_searched", None)
     lattice = IntegerLattice(((2, 1), (1, 2)))
     group = orthogonal_group(lattice)
     rank5 = IntegerLattice(tuple(tuple(2 * int(i == j) for j in range(5)) for i in range(5)))
@@ -362,7 +362,7 @@ def test_guard_errors_are_raised_on_every_call():
 
 
 def test_short_vector_setup_once_per_lattice_and_refusals_repeat(monkeypatch):
-    orthogonal_group.cache_clear()
+    monkeypatch.setattr(isometries, "_searched", None)
     isometries._short_vectors.cache_clear()
     setups = []
 
@@ -392,7 +392,7 @@ def test_short_vector_setup_once_per_lattice_and_refusals_repeat(monkeypatch):
 
 
 def test_orbit_report_reuses_the_searched_norms(monkeypatch):
-    orthogonal_group.cache_clear()
+    monkeypatch.setattr(isometries, "_searched", None)
     isometries._short_vectors.cache_clear()
     enumerated = []
     enumerate_norm = isometries._ShortVectors._vectors

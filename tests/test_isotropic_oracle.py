@@ -493,7 +493,7 @@ def overlattice_by_fractions(h):
     n = group.source.rank
     rows = list(identity(n)) + [fraction_lift(group, g) for g in h.generators]
     denom = lcm_denominator(rows)
-    hh, _ = hnf(freeze(tuple(int(x * denom) for x in row) for row in rows))
+    hh = hnf(freeze(tuple(int(x * denom) for x in row) for row in rows))
     basis = freeze(tuple(Fraction(x, denom) for x in row) for row in hh if any(row))
     return gram_of_rows(basis, group.source.gram), basis
 

@@ -77,7 +77,7 @@ def overlattice_key(lattice, rows):
     cleared = freeze(
         tuple(int(Fraction(x) * scale) for x in row) for row in rows
     )
-    h, _ = hnf(cleared)
+    h = hnf(cleared)
     return tuple(row for row in h if any(row))
 
 
@@ -102,7 +102,7 @@ def brute_force_even_overlattices(lattice, group):
         rows += [fraction_lift(group, group.element(c)) for c in gens]
         scale = abs(lattice.determinant())
         cleared = freeze(tuple(int(x * scale) for x in row) for row in rows)
-        h, _ = hnf(cleared)
+        h = hnf(cleared)
         basis = freeze(
             tuple(Fraction(x, scale) for x in row) for row in h if any(row)
         )
