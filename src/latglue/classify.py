@@ -53,6 +53,7 @@ from .exact import (
     gram_of_rows,
     mat_mul,
     mat_vec,
+    right_kernel,
     transpose,
     vec_content,
 )
@@ -185,23 +186,14 @@ def vector_name(v: IntVector) -> str:
     return "".join(parts) if parts else "0"
 
 
-def totient(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
-
-
 def admissible_orders() -> frozenset[int]:
-    """Orders of a non-trivial cyclic action on a rank-2 complement.
+    """Orders of the elements of O(L_inv) whose fixed lattice has rank 1.
 
-    The rank bound allows exactly totient(m) <= 2, i.e. m in {2,3,4,6};
-    orders without an isometry of the invariant lattice are then dropped.
+    Such an element fixes a line ZL and no vector of T = L^perp, which is
+    what an order-m action on the polarized lattice needs.
     """
-    totient_ok = [m for m in range(2, 7) if totient(m) <= 2]
-    group = full_isometry_group()
-    return frozenset(m for m in totient_ok if group.has_element_of_order(m))
+    return frozenset(g.order for g in full_isometry_group().elements if len(right_kernel(tuple(
+        tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(g.matrix)))) == 1)
 
 
 def admissible_n(m: int) -> frozenset[int]:

@@ -222,8 +222,7 @@ class DiscriminantGroup(Frozen):
     def element_table(self) -> tuple[tuple[int, int, tuple], ...]:
         """(order, x Q x^T mod 2e, x) for every element x, in lexicographic order."""
         orders, e = self.orders, self.exponent
-        return tuple((lcm(*(d // gcd(x, d) for x, d in zip(c, orders))),
-                      bilinear(c, self.int_gram, c) % (2 * e), c)
+        return tuple((_order(c, orders), bilinear(c, self.int_gram, c) % (2 * e), c)
                      for c in itertools.product(*(range(d) for d in orders)))
 
     def element_from_dual_vector(self, v) -> "DiscElement":
@@ -236,6 +235,16 @@ class DiscriminantGroup(Frozen):
         if any(p.denominator != 1 for p in pairings):
             raise GlueError("vector is not in the dual lattice")
         return self.element(mat_vec(self.classes, pairings))
+
+
+def _order(coeffs, orders) -> int:
+    """Order of the element with these coefficients: the lcm of d_i / gcd(c_i, d_i)."""
+    return lcm(*(d // gcd(c, d) for c, d in zip(coeffs, orders)))
+
+
+def _reduce(matrix, orders) -> IntMatrix:
+    """``matrix`` with row i reduced modulo orders[i], as ints."""
+    return freeze(tuple(int(x) % d for x in row) for d, row in zip(orders, matrix))
 
 
 def _isotropic_coeffs(orders, gram, e) -> list[tuple]:
@@ -328,18 +337,8 @@ class DiscElement(Frozen):
             tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __rmul__(self, k: int) -> "DiscElement":
-        return self.parent.element(tuple(k * a for a in self.coeffs))
-
     def order(self) -> int:
-        result = 1
-        for c, d in zip(self.coeffs, self.parent.orders):
-            if c:
-                result = lcm(result, d // gcd(c, d))
-        return result
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return _order(self.coeffs, self.parent.orders)
 
 
 def span_elements(parent: DiscriminantGroup, generators) -> frozenset:
@@ -466,7 +465,8 @@ class FiniteAbelianMap(Frozen):
     """Homomorphism between discriminant groups.
 
     ``matrix`` columns are the images of the domain generators, written in
-    the codomain generators and reduced modulo the codomain orders.
+    the codomain generators and reduced modulo the codomain orders; the
+    order of column j must divide d_j, which makes the map well-defined.
 
     The image is (M Z^k + D Z^l) / D Z^l for M = ``matrix`` and D the
     diagonal of the codomain orders, so the Smith form of [M | D] has
@@ -482,13 +482,13 @@ class FiniteAbelianMap(Frozen):
             raise GlueError("map matrix shape mismatch")
         if any(int(x) != x for row in matrix for x in row):
             raise GlueError("map matrix entries must be integers")
-        reduced = freeze(tuple(int(x) % d for x in row) for d, row in zip(codomain.orders, matrix))
+        reduced = _reduce(matrix, codomain.orders)
         for j, d in enumerate(domain.orders):
-            image = codomain.element(tuple(row[j] for row in reduced))
-            if not (d * image).is_zero():
+            k = _order([row[j] for row in reduced], codomain.orders)
+            if d % k:
                 raise GlueError(
                     f"map is not well-defined: generator {j} of order {d} "
-                    f"maps to an element of order {image.order()}"
+                    f"maps to an element of order {k}"
                 )
         self._set(domain=domain, codomain=codomain, matrix=reduced)
 
@@ -496,14 +496,6 @@ class FiniteAbelianMap(Frozen):
         if x.parent != self.domain:
             raise GlueError("element is not in the domain")
         return self.codomain.element(mat_vec(self.matrix, x.coeffs))
-
-    def compose(self, inner: "FiniteAbelianMap") -> "FiniteAbelianMap":
-        """self after inner."""
-        if inner.codomain != self.domain:
-            raise GlueError("maps do not compose")
-        return FiniteAbelianMap(
-            inner.domain, self.codomain, mat_mul(self.matrix, inner.matrix)
-        )
 
     @cached_property
     def _smith(self):
@@ -614,30 +606,31 @@ def glue_extension_check(
     """phi_bar . gamma == gamma . psi_bar on every element.
 
     ``phi_bar`` acts on gamma's codomain, ``psi_bar`` on gamma's domain.
-    Both sides are homomorphisms, so comparing their matrices (the images
-    of the generators) decides it.
+    Both sides are homomorphisms, so comparing the images of the generators
+    decides it: Phi Gamma == Gamma Psi, rows reduced modulo the codomain orders.
     """
     if phi_bar.domain != gamma.codomain or phi_bar.codomain != gamma.codomain:
         raise GlueError("phi_bar does not act on the gluing codomain")
     if psi_bar.domain != gamma.domain or psi_bar.codomain != gamma.domain:
         raise GlueError("psi_bar does not act on the gluing domain")
-    return phi_bar.compose(gamma).matrix == gamma.compose(psi_bar).matrix
+    orders = gamma.codomain.orders
+    return (_reduce(mat_mul(phi_bar.matrix, gamma.matrix), orders)
+            == _reduce(mat_mul(gamma.matrix, psi_bar.matrix), orders))
 
 
 def solve_psi_bar(phi_bar: FiniteAbelianMap, gamma: FiniteAbelianMap) -> FiniteAbelianMap:
     """The unique psi_bar with gamma . psi_bar == phi_bar . gamma.
 
     Needs gamma injective and the image of phi_bar . gamma inside the image
-    of gamma.
+    of gamma; column i of psi_bar solves gamma x = column i of Phi Gamma.
     """
     if phi_bar.domain != gamma.codomain:
         raise GlueError("phi_bar does not act on the gluing codomain")
     if not gamma.is_injective():
         raise GlueError("gluing morphism is not injective")
     cols = []
-    for i in range(gamma.domain.ngens):
-        target = phi_bar.apply(gamma.apply(gamma.domain.generator(i)))
-        pre = gamma.solve(target)
+    for column in transpose(mat_mul(phi_bar.matrix, gamma.matrix)):
+        pre = gamma.solve(phi_bar.codomain.element(column))
         if pre is None:
             raise GlueError(
                 "not extendable along this gluing: generator image leaves the glue image"

@@ -331,31 +331,34 @@ _searched: IsometryGroup | None = None  # the group of the last search
 def orthogonal_group(lattice: IntegerLattice) -> IsometryGroup:
     """O(L) for a positive definite lattice of small rank, by backtracking.
 
-    The module slot ``_searched`` keeps the last search's group, so reports
-    on one lattice (or an equal one) run one search; a guard error is raised
-    afresh on every call and leaves the slot as it was.  Definiteness is read
-    off the leading minors.  ``_isometries`` yields only Gram-preserving
-    matrices, so the elements, sorted by matrix, skip Isometry's check.
+    The module slot ``_searched`` keeps the last search's group, read once
+    per call, so reports on one lattice (or an equal one) run one search; a
+    guard error is raised afresh on every call and leaves the slot as it was.
+    Definiteness is read off the leading minors.  ``_isometries`` yields only
+    Gram-preserving matrices, so the elements, sorted by matrix, skip Isometry's check.
     """
     global _searched
-    if _searched is None or _searched.lattice != lattice:
+    group = _searched
+    if group is None or group.lattice != lattice:
         if lattice.rank > RANK_GUARD:
             raise LatticeError(f"orthogonal group enumeration is guarded to rank <= {RANK_GUARD}")
         _require_definite(lattice, "group enumeration")
-        matrices = sorted(_isometries(lattice, lattice))
-        _searched = IsometryGroup(lattice, tuple(Isometry._unchecked(lattice, m) for m in matrices))
-    return _searched
+        group = _searched = IsometryGroup(lattice, tuple(
+            Isometry._unchecked(lattice, m) for m in sorted(_isometries(lattice, lattice))))
+    return group
 
 
 def proven_isometry(lattice: IntegerLattice, matrix: IntMatrix) -> bool:
     """True if ``matrix`` is an element of the kept search on this very lattice object.
 
     The search's pairing filter proved M^T G M == G for each of them, and a
-    lattice is immutable.  False proves nothing: ``is_isometry_matrix`` checks.
+    lattice is immutable.  The slot is read once per call.  False proves
+    nothing: ``is_isometry_matrix`` checks.
     """
-    if _searched is None or _searched.lattice is not lattice:
+    group = _searched
+    if group is None or group.lattice is not lattice:
         return False
-    elements = _searched.elements
+    elements = group.elements
     i = bisect_left(elements, matrix, key=attrgetter("matrix"))
     return i < len(elements) and elements[i].matrix == matrix
 

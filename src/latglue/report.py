@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 
 from .classify import (
+    admissible_n,
     admissible_orders,
     case_symmetry_group,
     classify,
@@ -209,16 +210,21 @@ def _cell(name: str, computed, printed, allow_id: str | None = None) -> dict:
 
 
 def verify_orbits_report() -> dict:
-    """Cell-by-cell diff of the recomputed orbit table against the printed one."""
+    """Cell-by-cell diff of the recomputed orbit table against the printed one.
+
+    The norms are the derived ones, 6n for n in ``admissible_n(2)``, and the
+    printed ones; a norm in only one of the two sets is a mismatch cell.
+    """
     data = printed_tables()
     sym = case_symmetry_group()
     lattice = invariant_lattice_fixed()
-    by_norm = {
-        norm: vectors_of_norm(lattice, norm)
-        for norm in sorted({row["norm"] for row in data["table1"]})
-    }
+    derived = {6 * n for n in admissible_n(2)}
+    printed = {row["norm"] for row in data["table1"]}
+    by_norm = {norm: vectors_of_norm(lattice, norm) for norm in sorted(derived | printed)}
     cells = []
     for norm, vectors in by_norm.items():
+        if (norm in derived) != (norm in printed):
+            cells.append(_cell(f"norm {norm}: in table 1", norm in derived, norm in printed))
         computed = orbits(sym, vectors)
         printed_rows = [r for r in data["table1"] if r["norm"] == norm]
         cells.append(

@@ -21,7 +21,6 @@ from latglue.classify import (
     order6_closure,
     order_bound_report,
     printed_tables,
-    totient,
     vector_name,
 )
 from latglue.discforms import GlueError, forms_isometric, glue_subgroup, is_anti_isometry
@@ -31,13 +30,6 @@ from latglue.lattices import LatticeError, Sublattice
 from latglue.report import verify_cases_report
 
 import oracles
-
-
-def test_totient_filter():
-    assert [m for m in range(2, 7) if totient(m) <= 2] == [2, 3, 4, 6]
-    assert totient(6) == 2
-    assert totient(4) == 2
-    assert totient(5) == 4
 
 
 def test_admissible_orders():

@@ -103,6 +103,35 @@ def test_verify_detects_corruption(capsys, monkeypatch):
         assert code == 1
 
 
+def test_verify_orbits_checks_the_norm_set(capsys, monkeypatch):
+    """Deleting a whole printed norm block, or printing one the derivation
+    does not admit, is a mismatch (exit 1), not a pass on fewer cells."""
+    import latglue.classify as classify_mod
+    import latglue.report as report_mod
+    from latglue.isometries import orbits, vectors_of_norm
+
+    pristine = classify_mod.printed_tables()
+    sym, lattice = classify_mod.case_symmetry_group(), classify_mod.invariant_lattice_fixed()
+    extra = [{"norm": 12, "representative": list(o.representative),
+              "name": classify_mod.vector_name(o.representative),
+              "members": [list(v) for v in o.members]}
+             for o in orbits(sym, vectors_of_norm(lattice, 12))]
+    for norm in (6, 18, 24, 12):
+        corrupted = json.loads(json.dumps(pristine))
+        kept = [row for row in corrupted["table1"] if row["norm"] != norm]
+        corrupted["table1"] = kept + (extra if norm == 12 else [])
+        assert len(corrupted["table1"]) != len(pristine["table1"])
+        monkeypatch.setattr(classify_mod, "printed_tables", lambda: corrupted)
+        monkeypatch.setattr(report_mod, "printed_tables", lambda: corrupted)
+        report = verify_orbits_report()
+        bad = [c["cell"] for c in report["cells"] if c["status"] == "mismatch"]
+        assert report["status"] == "mismatch" and f"norm {norm}: in table 1" in bad
+        if norm == 12:  # the added block itself is right: only its norm is refused
+            assert bad == ["norm 12: in table 1"]
+        code, _, _ = run_cli(capsys, "verify-table", "orbits")
+        assert code == 1
+
+
 def test_t_gram_cells_read_the_recomputed_complement(monkeypatch):
     """Each "T_X Gram" cell carries classify's T_gram over to the printed
     generators, so a wrong recomputed Gram is a mismatch in every row."""

@@ -361,6 +361,45 @@ def test_guard_errors_are_raised_on_every_call(monkeypatch):
     assert orthogonal_group(lattice) is group
 
 
+A2 = ((2, 1), (1, 2))
+
+
+def test_orthogonal_group_reads_the_slot_once(monkeypatch):
+    """A search that lands in the slot between the lattice test and the
+    return (here from inside the comparison) does not change the result."""
+    other = orthogonal_group(IntegerLattice(((2, 0), (0, 4))))
+    monkeypatch.setattr(isometries, "_searched", orthogonal_group(IntegerLattice(A2)))
+
+    class Switching(IntegerLattice):
+        def __ne__(self, kept):
+            isometries._searched = other
+            return False
+
+    group = orthogonal_group(Switching(A2))
+    assert group.lattice.gram == A2 and group.order() == 12
+
+
+def test_proven_isometry_reads_the_slot_once(monkeypatch):
+    """The elements looked up belong to the lattice the slot was tested on,
+    even when another search lands in the slot in between."""
+    lattice = IntegerLattice(A2)
+    other = orthogonal_group(IntegerLattice(((2, 0), (0, 4))))
+    flip = ((1, 0), (0, -1))  # in O([[2,0],[0,4]]), not in O(A2)
+    assert flip in [g.matrix for g in other.elements]
+
+    class Switching(IsometryGroup):
+        @property
+        def lattice(self):
+            isometries._searched = other
+            return self.__dict__["lattice"]
+
+    kept = orthogonal_group(lattice)
+    monkeypatch.setattr(isometries, "_searched", Switching(lattice, kept.elements))
+    assert not isometries.proven_isometry(lattice, flip)
+    monkeypatch.setattr(isometries, "_searched", Switching(lattice, kept.elements))
+    assert isometries.proven_isometry(lattice, kept.elements[0].matrix)
+
+
 def test_short_vector_setup_once_per_lattice_and_refusals_repeat(monkeypatch):
     monkeypatch.setattr(isometries, "_searched", None)
     isometries._short_vectors.cache_clear()

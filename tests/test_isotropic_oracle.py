@@ -24,7 +24,11 @@ checked against one ``bilinear`` call per element
 only the induced columns H's generators use, against the whole induced
 map (``extends_by_induced_map``), and the integer fields that
 ``discriminant_group`` fills from the Smith form against the group the
-public constructor builds from its ``Fraction`` data.
+public constructor builds from its ``Fraction`` data.  ``FiniteAbelianMap``
+tests well-definedness on its reduced columns; the oracle boxes each column
+as an element and adds it to itself d times.  ``solve_psi_bar`` solves the
+columns of one product Phi Gamma; the oracle maps one generator at a time
+through ``apply``.
 """
 
 import itertools
@@ -50,6 +54,7 @@ from latglue.discforms import (
     overlattice_with_basis,
     preserves_form,
     pullback_form,
+    solve_psi_bar,
     span_elements,
     with_generators,
 )
@@ -195,7 +200,8 @@ def random_map(rng, domain, codomain, keep_q=False):
     elems = list(codomain.elements())
     cols = []
     for i, d in enumerate(domain.orders):
-        pool = [y for y in elems if (d * y).is_zero()]
+        pool = [y for y in elems
+                if not any(d * c % o for c, o in zip(y.coeffs, codomain.orders))]
         if keep_q:
             want = domain.q(domain.generator(i))
             pool = [y for y in pool if codomain.q(y) == want]
@@ -348,6 +354,70 @@ def test_glue_extension_check_matches_enumeration():
     assert verdicts[0::3] == [True] * 7
     assert verdicts[1::3].count(False) == 1
     assert verdicts[2::3] == [False] * 7
+
+
+def test_solve_psi_bar_matches_the_apply_route():
+    """On the seven printed rows, the columns of Phi Gamma solved at once give
+    the psi_bar that solving gamma . psi_bar = phi_bar . gamma one generator
+    at a time, through ``apply``, gives."""
+    cases = {(m, c.name): c for m in (2, 3, 6) for c in classify(m)[0]}
+    rows = printed_tables()["table2"]
+    for row in rows:
+        gamma = gluing_map(row["m"], row["name"])
+        phi_bar = induced_map(cases[(row["m"], row["name"])].phi, invariant_discriminant())
+        cols = [gamma.solve(phi_bar.apply(gamma.apply(gamma.domain.generator(i)))).coeffs
+                for i in range(gamma.domain.ngens)]
+        assert solve_psi_bar(phi_bar, gamma).matrix == transpose(cols)
+    assert len(rows) == 7
+
+
+def multiple_by_adding(x, d):
+    """d x as d - 1 additions of x to itself."""
+    total = x
+    for _ in range(d - 1):
+        total = total + x
+    return total
+
+
+def test_map_well_definedness_matches_the_element_route():
+    """Random integer matrices between random divisibility chains: the map is
+    refused exactly when some column, boxed as an element of the codomain, is
+    not killed by its generator's order, and is otherwise stored reduced row
+    by row modulo the codomain orders."""
+    rng = random.Random(2028)
+
+    def chain():
+        orders = [rng.choice((2, 3, 4, 6))]
+        for _ in range(rng.randrange(3)):
+            orders.append(orders[-1] * rng.choice((1, 2, 3)))
+        return tuple(orders[:rng.randrange(4)])
+
+    verdicts = set()
+    for _ in range(400):
+        domain, codomain = bare_group(chain()), bare_group(chain())
+        cols = []
+        for d in domain.orders:
+            # each entry is, half the time, a multiple of d_i / gcd(d_i, d), which d kills
+            scale = [o // gcd(o, d) if rng.random() < 0.5 else 1 for o in codomain.orders]
+            cols.append(tuple(k * rng.randint(-40, 40) for k in scale))
+        matrix = transpose(cols) if cols else ((),) * codomain.ngens
+        bad = []
+        for j, (d, col) in enumerate(zip(domain.orders, cols)):
+            image = codomain.element(col)
+            killed = not any(multiple_by_adding(image, d).coeffs)
+            assert killed == (d % image.order() == 0)
+            if not killed:
+                bad.append((j, d, image.order()))
+        verdicts.add(bool(bad))
+        if bad:
+            j, d, k = bad[0]
+            with pytest.raises(GlueError, match=f"^map is not well-defined: generator {j} "
+                                                f"of order {d} maps to an element of order {k}$"):
+                FiniteAbelianMap(domain, codomain, matrix)
+        else:
+            reduced = tuple(tuple(x % o for x in row) for o, row in zip(codomain.orders, matrix))
+            assert FiniteAbelianMap(domain, codomain, matrix).matrix == reduced
+    assert verdicts == {False, True}
 
 
 def class_by_cleared_solve(group, v):

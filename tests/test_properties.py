@@ -51,7 +51,7 @@ def all_subgroups(group):
     zero = group.zero().coeffs
     cyclic = {}
     for elem in group.elements():
-        if elem.is_zero():
+        if not any(elem.coeffs):
             continue
         span = span_elements(group, [elem])
         if span not in cyclic:
