@@ -186,6 +186,7 @@ def vector_name(v: IntVector) -> str:
     return "".join(parts) if parts else "0"
 
 
+@lru_cache(maxsize=1)
 def admissible_orders() -> frozenset[int]:
     """Orders of the elements of O(L_inv) whose fixed lattice has rank 1.
 

@@ -65,33 +65,32 @@ class DiscriminantGroup(Frozen):
     ``classes``: a dual vector v has integral pairings G v with the source
     basis and the class ``classes`` * G v (reduced modulo the orders).
 
-    The constructor converts a rational ``pair_gram`` (diagonal mod 2Z is
-    q, off-diagonal mod Z is b) and rational ``lifts`` once, and
-    ``discriminant_group`` fills the integer fields from a Smith form; both
-    run the same integer checks.  Built on first read: the Fractions
-    ``pair_gram`` = Q / e and ``lifts``, ``isotropic_generators``,
+    The constructor clears a rational pairing matrix (diagonal mod 2Z is q,
+    off-diagonal mod Z is b) and rational lifts into these integers once,
+    and ``discriminant_group`` fills them from a Smith form; both run the
+    same integer checks.  Built on first read: ``isotropic_generators``,
     ``classes_gram`` and ``element_table``.
 
     Equality and the hash (``Frozen``'s) read ``orders``, ``int_gram``, the
-    integer lifts and ``source``, which match ``pair_gram`` and ``lifts``
+    integer lifts and ``source``, which fix the rational pairings and lifts
     one to one, so two groups that differ in ``classes`` are equal.
     """
 
     _key = attrgetter("orders", "int_gram", "_cleared", "source")
 
-    def __init__(self, orders, pair_gram, lifts=None, source: IntegerLattice | None = None,
+    def __init__(self, orders, pairings, lifts=None, source: IntegerLattice | None = None,
                  classes=None):
         if any(int(d) != d for d in orders):
             raise GlueError("cyclic factor orders must be integers")
-        orders, pair_gram = tuple(int(d) for d in orders), freeze(pair_gram)
+        orders, pairings = tuple(int(d) for d in orders), freeze(pairings)
         lifts = None if lifts is None else freeze(lifts)
-        if any(not isinstance(x, int | Fraction) for row in pair_gram + (lifts or ()) for x in row):
+        if any(not isinstance(x, int | Fraction) for row in pairings + (lifts or ()) for x in row):
             raise GlueError("pairing and lift entries must be integers or Fractions")
         # the scale clearing every pairing is the exponent, unless a check is to fail
-        scale = lcm(orders[-1] if orders else 1, lcm_denominator(pair_gram))
+        scale = lcm(orders[-1] if orders else 1, lcm_denominator(pairings))
         dens = tuple(lcm_denominator([lift]) for lift in lifts or ())
         self._store(orders, freeze(tuple(x.numerator * (scale // x.denominator) for x in row)
-                                   for row in pair_gram), scale,
+                                   for row in pairings), scale,
                     None if lifts is None else (
                         freeze(tuple(x.numerator * (den // x.denominator) for x in lift)
                                for lift, den in zip(lifts, dens)), dens),
@@ -141,11 +140,6 @@ class DiscriminantGroup(Frozen):
     def generator(self, i: int) -> "DiscElement":
         return self.element(tuple(1 if j == i else 0 for j in range(self.ngens)))
 
-    def elements(self):
-        """All elements, in lexicographic coefficient order."""
-        for coeffs in itertools.product(*(range(d) for d in self.orders)):
-            yield DiscElement(self, coeffs)
-
     # -- the forms --------------------------------------------------------
 
     def q(self, x: "DiscElement") -> Fraction:
@@ -156,17 +150,6 @@ class DiscriminantGroup(Frozen):
         return Fraction(bilinear(x.coeffs, self.int_gram, x.coeffs) % (2 * e), e)
 
     # -- lattice-backed extras -------------------------------------------
-
-    @cached_property
-    def pair_gram(self):
-        """The rational pairing matrix Q / e of the generators."""
-        return freeze(tuple(Fraction(x, self.exponent) for x in row) for row in self.int_gram)
-
-    @cached_property
-    def lifts(self):
-        """The rational generator lifts nums[i] / dens[i], or None."""
-        return None if self._cleared is None else freeze(
-            tuple(Fraction(x, den) for x in num) for num, den in zip(*self._cleared))
 
     @property
     def cleared_lifts(self) -> tuple[tuple[IntVector, ...], tuple[int, ...]]:
@@ -380,9 +363,6 @@ class IsotropicSubgroup(Frozen):
     def element_coeffs(self) -> frozenset:
         return self._coeffs
 
-    def elements(self) -> list[DiscElement]:
-        return [self.parent.element(c) for c in sorted(self.element_coeffs())]
-
     def order(self) -> int:
         return len(self.element_coeffs())
 
@@ -491,11 +471,6 @@ class FiniteAbelianMap(Frozen):
                     f"maps to an element of order {k}"
                 )
         self._set(domain=domain, codomain=codomain, matrix=reduced)
-
-    def apply(self, x: DiscElement) -> DiscElement:
-        if x.parent != self.domain:
-            raise GlueError("element is not in the domain")
-        return self.codomain.element(mat_vec(self.matrix, x.coeffs))
 
     @cached_property
     def _smith(self):
@@ -657,15 +632,13 @@ def pullback_form(
     """
     if codomain.source is None:
         raise GlueError("pullback needs a lattice-backed codomain")
-    # pair_gram is the Gram of the lifts, so the image lifts pair as
-    # C^T pair_gram C = C^T Q C / e, for C the reduced image columns
+    # Q / e is the Gram of the lifts, so the image lifts pair as
+    # C Q C^T / e, for C the reduced image columns as rows
     cols = [codomain.element(tuple(row[j] for row in matrix)).coeffs
             for j in range(len(domain_orders))]
-    q, e = codomain.int_gram, codomain.exponent
-    return DiscriminantGroup(
-        tuple(domain_orders),
-        tuple(tuple(Fraction(-bilinear(x, q, y), e) for y in cols) for x in cols),
-    )
+    e = codomain.exponent
+    return DiscriminantGroup(tuple(domain_orders), tuple(
+        tuple(Fraction(-x, e) for x in row) for row in gram_of_rows(cols, codomain.int_gram)))
 
 
 def forms_isometric(a: DiscriminantGroup, b: DiscriminantGroup):

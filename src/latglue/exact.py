@@ -60,8 +60,8 @@ def vec_content(v: IntVector | list[int]) -> int:
 
 
 def gram_of_rows(rows, gram):
-    """Pairing matrix rows * gram * rows^T of row vectors under a Gram matrix."""
-    return mat_mul(mat_mul(rows, gram), transpose(rows))
+    """Pairing matrix rows * gram * rows^T; k rows of length 0 give the k x k zero matrix."""
+    return tuple([tuple([sum(map(mul, u, w)) for w in rows]) for u in mat_mul(rows, gram)])
 
 
 def det(a) -> int:

@@ -3,7 +3,8 @@
 None of these is library API: each one is either a second, independent
 route to a value the library computes (``b`` reads the rational pairing
 matrix, where the library's form checks read the integer one) or a
-helper the tests need and the commands do not.
+helper the tests need and the commands do not (the ``Fraction`` views of
+a group's integer fields, its element list, a map's image of one element).
 """
 
 import itertools
@@ -26,9 +27,31 @@ from latglue.isometries import Isometry, _isometries, vectors_of_norm
 from latglue.lattices import IntegerLattice, LatticeError, Sublattice, closure
 
 
+def rational_pairings(group):
+    """The pairing matrix Q / e of the generators in Fractions: q and b before reduction."""
+    return freeze(tuple(Fraction(x, group.exponent) for x in row) for row in group.int_gram)
+
+
+def rational_lifts(group):
+    """The generator lifts nums[i] / dens[i] of a lattice-backed group, in Fractions."""
+    nums, dens = group.cleared_lifts
+    return freeze(tuple(Fraction(x, den) for x in num) for num, den in zip(nums, dens))
+
+
+def all_elements(group) -> list:
+    """Every element of a discriminant group, in lexicographic coefficient order."""
+    return [group.element(c) for c in itertools.product(*(range(d) for d in group.orders))]
+
+
+def apply_map(f, x):
+    """f(x) for a map between discriminant groups, read off its matrix."""
+    assert x.parent == f.domain, "element is not in the domain"
+    return f.codomain.element(mat_vec(f.matrix, x.coeffs))
+
+
 def b(group, x, y) -> Fraction:
-    """The bilinear form b(x, y) in [0, 1), read off the Fraction ``pair_gram`` mod 1."""
-    gram = group.pair_gram
+    """The bilinear form b(x, y) in [0, 1), read off the Fraction pairing matrix mod 1."""
+    gram = rational_pairings(group)
     total = sum(
         xi * gram[i][j] * yj for i, xi in enumerate(x.coeffs) for j, yj in enumerate(y.coeffs)
     )
@@ -97,7 +120,7 @@ def isotropic_generators_by_product(group) -> dict:
 def extends_by_induced_map(matrix, h) -> bool:
     """The extension test on the whole induced map: every generator of H maps into H."""
     bar = induced_map(matrix, h.parent)
-    return all(bar.apply(g).coeffs in h.element_coeffs() for g in h.generators)
+    return all(apply_map(bar, g).coeffs in h.element_coeffs() for g in h.generators)
 
 
 def is_isometry_by_gram_of_rows(lattice: IntegerLattice, matrix) -> bool:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from latglue.exact import (
     det,
     frac_inverse,
+    gram_of_rows,
     hnf,
     identity,
     mat_mul,
@@ -115,6 +116,17 @@ def det_test_matrix(rng, n, kind):
         k = rng.choice((-2, -1, 1, 3))
         a[1][0], a[1][1] = k * a[0][0], k * a[0][1]
     return tuple(map(tuple, a))
+
+
+def test_gram_of_rows_is_the_two_products():
+    """rows * gram * rows^T, also for no rows and for rows of length 0."""
+    rng = random.Random(17)
+    for _ in range(200):
+        n, k = rng.randint(1, 4), rng.randint(0, 4)
+        gram, rows = random_matrix(rng, n, n), random_matrix(rng, k, n)
+        assert gram_of_rows(rows, gram) == mat_mul(mat_mul(rows, gram), transpose(rows))
+    assert gram_of_rows([(), (), ()], ()) == ((0, 0, 0),) * 3
+    assert gram_of_rows([], ((2,),)) == ()
 
 
 def test_det_against_fraction_and_sympy_oracles():

@@ -63,7 +63,7 @@ def reduce_mod(x, modulus):
 def forms_match_by_fractions(gamma, sign):
     dom, cod = gamma.domain, gamma.codomain
     gens = [dom.generator(i) for i in range(dom.ngens)]
-    images = [gamma.apply(g) for g in gens]
+    images = [oracles.apply_map(gamma, g) for g in gens]
     for i, (x, y) in enumerate(zip(gens, images)):
         if cod.q(y) != reduce_mod(sign * dom.q(x), 2):
             return False
@@ -74,7 +74,8 @@ def forms_match_by_fractions(gamma, sign):
 
 
 def negated(group):
-    return DiscriminantGroup(group.orders, tuple(tuple(-x for x in row) for row in group.pair_gram))
+    return DiscriminantGroup(group.orders, tuple(tuple(-x for x in row)
+                                                 for row in oracles.rational_pairings(group)))
 
 
 def test_forms_match_matches_fraction_formula(groups):
@@ -172,7 +173,7 @@ def ambient_divisibility_by_fractions(polarization, gamma):
     group = gamma.codomain
     g = lattice.divisibility(polarization)
     for i in range(gamma.domain.ngens):
-        image = gamma.apply(gamma.domain.generator(i))
+        image = oracles.apply_map(gamma, gamma.domain.generator(i))
         pairing = lattice.pairing(polarization, fraction_lift(group, image))
         if pairing.denominator != 1:
             raise GlueError("polarization does not pair integrally with the glue")
@@ -203,8 +204,9 @@ def test_ambient_divisibility_matches_fraction_formula():
 
 def test_ambient_divisibility_refuses_lifts_that_are_not_dual_vectors():
     disc = invariant_discriminant()
-    sevenths = tuple(tuple(x / 7 for x in lift) for lift in disc.lifts)
-    fake = type(disc)(disc.orders, disc.pair_gram, sevenths, disc.source, disc.classes)
+    sevenths = tuple(tuple(x / 7 for x in lift) for lift in oracles.rational_lifts(disc))
+    fake = type(disc)(disc.orders, oracles.rational_pairings(disc), sevenths, disc.source,
+                      disc.classes)
     gamma = gluing_map(2, "h")
     bad = FiniteAbelianMap(gamma.domain, fake, gamma.matrix)
     for polarization in ((0, 0, 1), (1, 0, 0), (1, -1, 0)):
@@ -216,7 +218,7 @@ def test_ambient_divisibility_refuses_lifts_that_are_not_dual_vectors():
 def forms_isometric_by_fractions(a, b):
     if a.orders != b.orders:
         return None
-    elems = list(b.elements())
+    elems = oracles.all_elements(b)
     chosen = []
 
     def candidates(i):
@@ -246,7 +248,7 @@ def forms_isometric_by_fractions(a, b):
 
 def scaled(group, unit):
     return DiscriminantGroup(group.orders, tuple(tuple(unit * x for x in row)
-                                                 for row in group.pair_gram))
+                                                 for row in oracles.rational_pairings(group)))
 
 
 def test_forms_isometric_matches_fraction_search(groups, rebased):

@@ -11,8 +11,8 @@ injectivity by listing the spanned image (``injective_by_spanning``), not
 by the Smith form they check.  ``FiniteAbelianMap.is_injective`` and
 ``solve`` read one Smith form of [M | D]; on random maps between groups of
 different shapes they are checked against that listed image and against
-a brute-force preimage search, and ``pullback_form`` (integer Q = e *
-pair_gram) against minus the Gram of the ``Fraction`` lifts
+a brute-force preimage search, and ``pullback_form`` (integer Q, e times
+the pairing matrix) against minus the Gram of the ``Fraction`` lifts
 (``pullback_by_fractions``).  Classes of dual vectors are read off the
 Smith form (``DiscriminantGroup.classes``); the oracle solves
 sum_i c_i lift_i = v modulo L as a cleared integer system.
@@ -28,7 +28,7 @@ public constructor builds from its ``Fraction`` data.  ``FiniteAbelianMap``
 tests well-definedness on its reduced columns; the oracle boxes each column
 as an element and adds it to itself d times.  ``solve_psi_bar`` solves the
 columns of one product Phi Gamma; the oracle maps one generator at a time
-through ``apply``.
+through ``oracles.apply_map``.
 """
 
 import itertools
@@ -74,7 +74,15 @@ from latglue.exact import (
 from latglue.isometries import orthogonal_group
 from latglue.lattices import IntegerLattice
 
-from oracles import b, extends_by_induced_map, isotropic_generators_by_product
+from oracles import (
+    all_elements,
+    apply_map,
+    b,
+    extends_by_induced_map,
+    isotropic_generators_by_product,
+    rational_lifts,
+    rational_pairings,
+)
 from test_properties import all_subgroups, fraction_lift
 
 D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
@@ -171,10 +179,11 @@ def preserves_form_by_enumeration(auto):
     group = auto.domain
     if not injective_by_spanning(auto):
         return False
-    elems = list(group.elements())
+    elems = all_elements(group)
     gens = [group.generator(i) for i in range(group.ngens)]
-    return all(group.q(auto.apply(x)) == group.q(x) for x in elems) and all(
-        b(group, auto.apply(x), auto.apply(g)) == b(group, x, g) for x in elems for g in gens
+    return all(group.q(apply_map(auto, x)) == group.q(x) for x in elems) and all(
+        b(group, apply_map(auto, x), apply_map(auto, g)) == b(group, x, g)
+        for x in elems for g in gens
     )
 
 
@@ -184,10 +193,10 @@ def is_anti_isometry_by_enumeration(gamma):
     dom, cod = gamma.domain, gamma.codomain
     gens = [dom.generator(i) for i in range(dom.ngens)]
     return all(
-        (dom.q(x) + cod.q(gamma.apply(x))) % 2 == 0 for x in dom.elements()
+        (dom.q(x) + cod.q(apply_map(gamma, x))) % 2 == 0 for x in all_elements(dom)
     ) and all(
-        (b(dom, x, g) + b(cod, gamma.apply(x), gamma.apply(g))) % 1 == 0
-        for x in dom.elements() for g in gens
+        (b(dom, x, g) + b(cod, apply_map(gamma, x), apply_map(gamma, g))) % 1 == 0
+        for x in all_elements(dom) for g in gens
     )
 
 
@@ -197,7 +206,7 @@ def random_map(rng, domain, codomain, keep_q=False):
     With ``keep_q`` that element also has the generator's q value, so that
     only the b values on generator pairs can tell a form isometry apart.
     """
-    elems = list(codomain.elements())
+    elems = all_elements(codomain)
     cols = []
     for i, d in enumerate(domain.orders):
         pool = [y for y in elems
@@ -285,14 +294,14 @@ def test_is_injective_matches_spanned_image(random_maps):
 def test_solve_finds_a_preimage_exactly_when_one_exists(random_maps):
     solved = unsolvable = 0
     for f in random_maps:
-        image = {f.apply(x) for x in f.domain.elements()}
-        for target in f.codomain.elements():
+        image = {apply_map(f, x) for x in all_elements(f.domain)}
+        for target in all_elements(f.codomain):
             pre = f.solve(target)
             assert (pre is not None) == (target in image)
             if pre is None:
                 unsolvable += 1
             else:
-                assert f.apply(pre) == target
+                assert apply_map(f, pre) == target
                 solved += 1
     assert solved >= 800 and unsolvable >= 4000
 
@@ -316,7 +325,7 @@ def test_pullback_form_matches_fraction_formula(groups, rebased):
                            for row, d in zip(f.matrix, group.orders))
             pulled = pullback_form(group, matrix, domain.orders)
             expected = pullback_by_fractions(group, matrix, domain.orders)
-            assert pulled.pair_gram == expected
+            assert rational_pairings(pulled) == expected
             assert pulled == DiscriminantGroup(domain.orders, expected)
             checked += 1
             trivial += group.order() == 1 and domain.order() > 1
@@ -328,8 +337,8 @@ def test_pullback_form_matches_fraction_formula(groups, rebased):
 def glue_extension_check_by_enumeration(phi_bar, psi_bar, gamma):
     """phi_bar . gamma == gamma . psi_bar, compared on every element of the domain."""
     return all(
-        phi_bar.apply(gamma.apply(x)) == gamma.apply(psi_bar.apply(x))
-        for x in gamma.domain.elements()
+        apply_map(phi_bar, apply_map(gamma, x)) == apply_map(gamma, apply_map(psi_bar, x))
+        for x in all_elements(gamma.domain)
     )
 
 
@@ -359,14 +368,14 @@ def test_glue_extension_check_matches_enumeration():
 def test_solve_psi_bar_matches_the_apply_route():
     """On the seven printed rows, the columns of Phi Gamma solved at once give
     the psi_bar that solving gamma . psi_bar = phi_bar . gamma one generator
-    at a time, through ``apply``, gives."""
+    at a time, through ``oracles.apply_map``, gives."""
     cases = {(m, c.name): c for m in (2, 3, 6) for c in classify(m)[0]}
     rows = printed_tables()["table2"]
     for row in rows:
         gamma = gluing_map(row["m"], row["name"])
         phi_bar = induced_map(cases[(row["m"], row["name"])].phi, invariant_discriminant())
-        cols = [gamma.solve(phi_bar.apply(gamma.apply(gamma.domain.generator(i)))).coeffs
-                for i in range(gamma.domain.ngens)]
+        cols = [gamma.solve(apply_map(phi_bar, apply_map(gamma, gen))).coeffs
+                for gen in map(gamma.domain.generator, range(gamma.domain.ngens))]
         assert solve_psi_bar(phi_bar, gamma).matrix == transpose(cols)
     assert len(rows) == 7
 
@@ -427,9 +436,10 @@ def class_by_cleared_solve(group, v):
     """
     if any(Fraction(p).denominator != 1 for p in mat_vec(group.source.gram, v)):
         raise GlueError("vector is not in the dual lattice")
-    denom = lcm_denominator(list(group.lifts) + [v])
+    lifts = rational_lifts(group)
+    denom = lcm_denominator(list(lifts) + [v])
     n = len(v)
-    cols = [[int(lift[j] * denom) for j in range(n)] for lift in group.lifts]
+    cols = [[int(lift[j] * denom) for j in range(n)] for lift in lifts]
     cols += [[denom * (i == j) for i in range(n)] for j in range(n)]
     sol = solve_int(transpose(cols), tuple(int(x * denom) for x in v))
     if sol is None:
@@ -463,10 +473,10 @@ def random_rebase(rng, group):
         else:  # generator j += c * (what keeps order d_j) * generator i
             step = rng.randint(1, 5) * max(1, orders[i] // orders[j])
             coeffs[j] = [a + step * b for a, b in zip(coeffs[j], coeffs[i])]
-    n = group.source.rank
+    n, lifts = group.source.rank, rational_lifts(group)
     return [
         tuple(
-            sum(c * group.lifts[i][col] for i, c in enumerate(row)) + rng.randint(-2, 2)
+            sum(c * lifts[i][col] for i, c in enumerate(row)) + rng.randint(-2, 2)
             for col in range(n)
         )
         for row in coeffs
@@ -489,8 +499,8 @@ def test_class_map_matches_cleared_solve(groups, rebased):
     indefinite = changed = checked = 0
     for lattice, group in groups + rebased:
         indefinite += lattice.signature()[1] > 0
-        changed += group.lifts != discriminant_group(lattice).lifts
-        vectors = random_dual_vectors(rng, lattice, 12) + list(group.lifts)
+        changed += rational_lifts(group) != rational_lifts(discriminant_group(lattice))
+        vectors = random_dual_vectors(rng, lattice, 12) + list(rational_lifts(group))
         for v in vectors:
             assert group.element_from_dual_vector(v) == class_by_cleared_solve(group, v)
             checked += 1
@@ -512,7 +522,7 @@ def test_induced_map_and_glue_subgroup_match_cleared_solve(groups, rebased):
             isometries += [g.matrix for g in orthogonal_group(lattice).elements]
         for matrix in isometries:
             cols = [class_by_cleared_solve(group, mat_vec(matrix, lift)).coeffs
-                    for lift in group.lifts]
+                    for lift in rational_lifts(group)]
             assert induced_map(matrix, group).matrix == freeze(transpose(cols))
     for lattice, _group in groups:
         n = lattice.rank
@@ -547,14 +557,14 @@ def induced_map_by_fractions(matrix, group):
         gram_of_rows(transpose(matrix), gram) != gram
     ):
         raise GlueError("matrix is not an isometry of the source lattice")
-    images = mat_mul(matrix, transpose(group.lifts))
+    images = mat_mul(matrix, transpose(rational_lifts(group)))
     return FiniteAbelianMap(group, group, mat_mul(mat_mul(group.classes, gram), images))
 
 
 def extends_by_every_element(matrix, h):
     bar = induced_map_by_fractions(matrix, h.parent)
     coeffs = h.element_coeffs()
-    return {bar.apply(h.parent.element(c)).coeffs for c in coeffs} == coeffs
+    return {apply_map(bar, h.parent.element(c)).coeffs for c in coeffs} == coeffs
 
 
 def overlattice_by_fractions(h):
@@ -630,7 +640,8 @@ def test_each_generator_leaves_the_span_of_the_ones_before(census):
         for h in all_isotropic(group):
             for k, g in enumerate(h.generators):
                 assert g.coeffs not in span_elements(group, h.generators[:k])
-            if h.order() > 1 and max(x.order() for x in h.elements()) == h.order():
+            orders = [group.element(c).order() for c in h.element_coeffs()]
+            if h.order() > 1 and max(orders) == h.order():
                 assert len(h.generators) == 1
                 cyclic += 1
             else:
@@ -670,8 +681,8 @@ def test_isotropic_subgroups_do_not_depend_on_the_divisor_order(census):
         shuffled = rng.sample(orders, len(orders))
         listings = []
         for sequence in (orders, orders[::-1], shuffled):
-            fresh = type(group)(group.orders, group.pair_gram, group.lifts, group.source,
-                                group.classes)
+            fresh = type(group)(group.orders, rational_pairings(group), rational_lifts(group),
+                                group.source, group.classes)
             listings.append({d: enumerate_isotropic_subgroups(fresh, d) for d in sequence})
         assert listings[0] == listings[1] == listings[2]
         assert listings[0] == {d: enumerate_isotropic_subgroups(group, d) for d in orders}
@@ -731,10 +742,11 @@ def test_discriminant_group_equals_its_public_rebuild(census):
     for lattice, group, _isometries in census:
         fresh = discriminant_group(lattice)
         for g in (fresh, group):
-            rebuilt = DiscriminantGroup(g.orders, g.pair_gram, g.lifts, g.source, g.classes)
+            pairings, lifts = rational_pairings(g), rational_lifts(g)
+            rebuilt = DiscriminantGroup(g.orders, pairings, lifts, g.source, g.classes)
             assert rebuilt == g and hash(rebuilt) == hash(g)
             assert rebuilt.cleared_lifts == g.cleared_lifts
             assert (rebuilt.int_gram, rebuilt.exponent) == (g.int_gram, g.exponent)
-            assert rebuilt.pair_gram == g.pair_gram and rebuilt.lifts == g.lifts
+            assert rational_pairings(rebuilt) == pairings and rational_lifts(rebuilt) == lifts
         nums, dens = fresh.cleared_lifts
         assert all(gcd(den, *num) == 1 for num, den in zip(nums, dens))

@@ -21,7 +21,14 @@ from latglue.exact import det, freeze, hnf, mat_mul, mat_vec, transpose
 from latglue.isometries import admits_order3, group_generated_by, orthogonal_group
 from latglue.lattices import IntegerLattice, Sublattice
 
-from oracles import b, coinvariant_lattice, in_span, invariant_lattice
+from oracles import (
+    all_elements,
+    b,
+    coinvariant_lattice,
+    in_span,
+    invariant_lattice,
+    rational_lifts,
+)
 
 
 def random_even_lattice(rng, max_rank=3, max_det=200, definite=False):
@@ -50,7 +57,7 @@ def all_subgroups(group):
     """Every subgroup of a discriminant group, by closure joins (oracle side)."""
     zero = group.zero().coeffs
     cyclic = {}
-    for elem in group.elements():
+    for elem in all_elements(group):
         if not any(elem.coeffs):
             continue
         span = span_elements(group, [elem])
@@ -83,9 +90,10 @@ def overlattice_key(lattice, rows):
 
 def fraction_lift(group, x):
     """sum_i x_i lift_i in Fractions; the trivial group lifts its zero to 0."""
-    if not group.lifts:
+    lifts = rational_lifts(group)
+    if not lifts:
         return (0,) * group.source.rank
-    return mat_vec(transpose(group.lifts), x.coeffs)
+    return mat_vec(transpose(lifts), x.coeffs)
 
 
 def brute_force_even_overlattices(lattice, group):
@@ -180,7 +188,7 @@ def test_q_b_compatibility_everywhere():
         lattice = random_even_lattice(rng, max_det=80)
         group = discriminant_group(lattice)
         assert group.order() == abs(lattice.determinant())
-        elems = list(group.elements())
+        elems = all_elements(group)
         if len(elems) > 40:
             elems = [rng.choice(elems) for _ in range(40)]
         for x, y in itertools.product(elems, repeat=2):
