@@ -176,14 +176,9 @@ def case_symmetry_group() -> IsometryGroup:
 def vector_name(v: IntVector) -> str:
     """Human-readable combination of the basis letters, e.g. '2e-f+h'."""
     names = printed_tables()["basis_names"]
-    parts = []
-    for coeff, letter in zip(v, names):
-        if coeff == 0:
-            continue
-        sign = "-" if coeff < 0 else ("+" if parts else "")
-        mag = abs(coeff)
-        parts.append(f"{sign}{'' if mag == 1 else mag}{letter}")
-    return "".join(parts) if parts else "0"
+    text = "".join(f"{'-' if c < 0 else '+'}{'' if abs(c) == 1 else abs(c)}{letter}"
+                   for c, letter in zip(v, names) if c)
+    return text.removeprefix("+") or "0"
 
 
 @lru_cache(maxsize=1)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm, prod
 from operator import attrgetter
 
@@ -45,6 +45,8 @@ from .exact import (
 )
 from .isometries import is_isometry_matrix, proven_isometry
 from .lattices import Frozen, IntegerLattice, LatticeError, Sublattice, closure
+
+_identity_basis = cache(lambda n: freeze(map(Fraction, row) for row in identity(n)))
 
 
 class GlueError(ValueError):
@@ -316,9 +318,7 @@ class DiscElement(Frozen):
     def __add__(self, other: "DiscElement") -> "DiscElement":
         if self.parent is not other.parent and self.parent != other.parent:
             raise GlueError("elements belong to different groups")
-        return self.parent.element(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self.parent.element(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def order(self) -> int:
         return _order(self.coeffs, self.parent.orders)
@@ -355,9 +355,7 @@ class IsotropicSubgroup(Frozen):
         for coeffs in span:
             if bilinear(coeffs, parent.int_gram, coeffs) % (2 * parent.exponent):
                 value = parent.q(parent.element(coeffs))
-                raise GlueError(
-                    f"subgroup is not isotropic: q({coeffs}) = {value}"
-                )
+                raise GlueError(f"subgroup is not isotropic: q({coeffs}) = {value}")
         self._set(parent=parent, generators=generators, _coeffs=span)
 
     def element_coeffs(self) -> frozenset:
@@ -386,7 +384,7 @@ def overlattice_with_basis(h: IsotropicSubgroup):
 
     Returns (lattice, basis) where ``basis`` rows are rational coordinates
     of the new basis in the source-lattice basis, in canonical HNF form.
-    H = 0 gives the source lattice itself (if even) and the identity basis, without an HNF.
+    H = 0 gives the source lattice itself (if even) and the identity basis (once per rank).
     """
     group = h.parent
     if group.source is None:
@@ -398,7 +396,7 @@ def overlattice_with_basis(h: IsotropicSubgroup):
     if not gens:
         if not lattice.is_even:
             raise GlueError("overlattice of an isotropic subgroup must be even")
-        return lattice, freeze(map(Fraction, row) for row in identity(n))
+        return lattice, _identity_basis(n)
     # L and the generator lifts, all over the common denominator of the lifts
     denom = lcm(*dens)
     lifts_t = transpose([tuple(denom // den * x for x in num)
@@ -499,20 +497,21 @@ def _induced_matrix(matrix, group: DiscriminantGroup, used) -> IntMatrix:
     Column i is the class of M lift_i, read off its pairings:
     (classes G) M nums_i / den_i, an exact division for an isometry M.
     Only the columns in ``used`` are computed (the others are 0).  M is
-    checked in any case: an element of the last O(L) search on the source
-    lattice object is proven already (``proven_isometry``), any other M gets
-    the full M^T G M == G check.
+    checked in any case: M as given is looked up among the elements of the
+    last O(L) search on the source lattice object (``proven_isometry``),
+    and only a miss is converted to ints and gets the M^T G M == G check.
     """
     if group.source is None or group.classes is None:
         raise GlueError("induced maps need a lattice-backed group")
     nums, dens = group.cleared_lifts
-    try:
-        m = tuple(tuple(map(int, row)) for row in matrix)
-    except (TypeError, ValueError, OverflowError):
-        m = None
-    if m is None or m != tuple(map(tuple, matrix)) or not (
-            proven_isometry(group.source, m) or is_isometry_matrix(group.source, m)):
-        raise GlueError("matrix is not an isometry of the source lattice")
+    m = proven_isometry(group.source, matrix)
+    if m is None:
+        try:
+            m = tuple(tuple(map(int, row)) for row in matrix)
+        except (TypeError, ValueError, OverflowError):
+            m = None
+        if m is None or m != tuple(map(tuple, matrix)) or not is_isometry_matrix(group.source, m):
+            raise GlueError("matrix is not an isometry of the source lattice")
     rows = [[0] * len(nums) for _ in nums]
     for i in used:
         for row, x in zip(rows, mat_vec(group.classes_gram, mat_vec(m, nums[i]))):

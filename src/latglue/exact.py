@@ -53,10 +53,7 @@ def bilinear(v, gram, w):
 
 def vec_content(v: IntVector | list[int]) -> int:
     """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def gram_of_rows(rows, gram):

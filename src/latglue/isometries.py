@@ -23,8 +23,8 @@ are built without checking it again, and each element's ``order`` is
 computed on first use.  One module slot keeps the group of the last
 search: the reports on one lattice share it, and its elements serve as
 proven isometries of that lattice object (``proven_isometry``).  An
-``lru_cache`` keeps the short-vector set-up of the last lattice, with each
-norm it enumerated.  Orbits are read off the group in one pass.
+``lru_cache`` keeps the short-vector set-up of the last lattice, so a
+lattice enumerates a norm once.  Orbits are read off the group in one pass.
 
 >>> a2 = IntegerLattice(((2, 1), (1, 2)))
 >>> orthogonal_group(a2).order(), len(vectors_of_norm(a2, 2))
@@ -145,12 +145,13 @@ class _ShortVectors:
     by their contents, give M*Q(x) = sum_i c_i * t_i^2 with integers M, c_i
     and t_i = d_i * x_i + sum_{j>i} u_ij * x_j (``pivots`` d_i, ``tails``
     u_ij, ``coeffs`` c_i, ``scale`` M).  After that ``_vectors`` works in
-    ints only: ``isqrt`` and floor division per level, a closed-form last
-    level.  While every coordinate above level i is 0 it takes y_i >= 0
-    only (and +t only at the closed-form level), so it finds one of each
-    pair +-v and appends the negatives before sorting.  ``vectors`` checks
-    NODE_GUARD on every call and keeps each norm's result in ``by_norm``,
-    so a lattice enumerates a norm once.
+    ints only: one descent for a set of norms, ``isqrt`` and floor division
+    per level pruned on the largest norm, and a closed-form last level per
+    norm.  While every coordinate above level i is 0 it takes y_i >= 0 only
+    (and +t only at the closed-form level), so it finds one of each pair +-v
+    and appends the negatives before sorting.  ``vectors`` checks NODE_GUARD
+    per norm on every call and keeps each norm's result in ``by_norm`` (norm
+    0 from the start), so a lattice enumerates a norm once.
     """
 
     def __init__(self, lattice: IntegerLattice):
@@ -180,48 +181,57 @@ class _ShortVectors:
             det([[x for c, x in enumerate(row) if c != j] for r, row in enumerate(g) if r != j])
             for j in range(1, n)
         ]
-        self.by_norm: dict[int, tuple[IntVector, ...]] = {}
+        self.by_norm: dict[int, tuple[IntVector, ...]] = {0: ((0,) * n,)}
 
     def node_bound(self, norm: int) -> int:
-        """Level-1 nodes of ``vectors(norm)``: prod_{j>=1} (2*isqrt(norm*adj_jj // det) + 1)."""
+        """Level-1 nodes for ``norm``: prod_{j>=1} (2*isqrt(norm*adj_jj // det) + 1)."""
         return prod(2 * isqrt(norm * c // self.det) + 1 for c in self.cofactors)
 
-    def vectors(self, norm: int) -> tuple[IntVector, ...]:
-        """All vectors of the given norm >= 0, sorted, in the lattice's own basis."""
-        if norm == 0:
-            return ((0,) * len(self.slot),)
-        bound = self.node_bound(norm)
-        if bound > NODE_GUARD:
-            raise LatticeError(
-                f"short-vector enumeration of norm {norm} may visit {_decimal(bound)} nodes "
-                f"(limit {NODE_GUARD})"
-            )
-        if norm not in self.by_norm:
-            self.by_norm[norm] = self._vectors(norm)
-        return self.by_norm[norm]
+    def vectors(self, norms) -> dict[int, tuple[IntVector, ...]]:
+        """The sorted vectors of each given norm >= 0, in the lattice's own basis, by norm.
 
-    def _vectors(self, norm: int) -> tuple[IntVector, ...]:
-        """The Fincke-Pohst descent behind ``vectors``, for a norm > 0 within NODE_GUARD."""
+        NODE_GUARD is checked per norm, ascending, before the norms not kept
+        yet are enumerated in one descent.
+        """
+        norms = sorted(set(norms))
+        for norm in norms:
+            bound = self.node_bound(norm)
+            if bound > NODE_GUARD:
+                raise LatticeError(
+                    f"short-vector enumeration of norm {norm} may visit {_decimal(bound)} nodes "
+                    f"(limit {NODE_GUARD})"
+                )
+        new = [norm for norm in norms if norm not in self.by_norm]
+        if new:
+            self._vectors(new)
+        return {norm: self.by_norm[norm] for norm in norms}
+
+    def _vectors(self, norms: list[int]) -> None:
+        """The Fincke-Pohst descent behind ``vectors``: ascending norms > 0 into ``by_norm``."""
         n = len(self.slot)
         pivots, tails, coeffs = self.pivots, self.tails, self.coeffs
+        budget = self.scale * norms[-1]
+        # norm N has rem - slack of its own budget left where the largest has rem
+        wanted = [(budget - self.scale * norm, []) for norm in norms]
         y = [0] * n
-        found: list[IntVector] = []
 
         def descend(i: int, rem: int, top: bool):
             # top: every y_j with j > i is 0, so shift is 0 and y_i >= 0 suffices
             d, c = pivots[i], coeffs[i]
             shift = sum(map(mul, tails[i], y[i + 1:]))
             if i == 0:
-                # c*t^2 == rem with t = d*y_0 + shift, solved in closed form
-                if rem % c:
-                    return
-                t = isqrt(rem // c)
-                if t * t * c != rem:
-                    return
-                for root in (t,) if top else {t, -t}:
-                    if (root - shift) % d == 0:
-                        y[0] = (root - shift) // d
-                        found.append(tuple(y))
+                # c*t^2 == rem - slack with t = d*y_0 + shift, solved in closed form
+                for slack, found in wanted:
+                    left = rem - slack
+                    if left < 0 or left % c:
+                        continue
+                    t = isqrt(left // c)
+                    if t * t * c != left:
+                        continue
+                    for root in (t,) if top else {t, -t}:
+                        if (root - shift) % d == 0:
+                            y[0] = (root - shift) // d
+                            found.append(tuple(y))
                 return
             t = isqrt(rem // c)
             for yi in range(0 if top else -((t + shift) // d), (t - shift) // d + 1):
@@ -230,10 +240,11 @@ class _ShortVectors:
                 descend(i - 1, rem - c * u * u, top and not yi)
             y[i] = 0
 
-        descend(n - 1, self.scale * norm, True)
-        found += [tuple(map(neg, v)) for v in found]
+        descend(n - 1, budget, True)
         slot = self.slot
-        return tuple(sorted([tuple([v[k] for k in slot]) for v in found]))
+        for norm, (_, found) in zip(norms, wanted):
+            found += [tuple(map(neg, v)) for v in found]
+            self.by_norm[norm] = tuple(sorted([tuple([v[k] for k in slot]) for v in found]))
 
 
 @lru_cache(maxsize=1)
@@ -257,7 +268,7 @@ def vectors_of_norm(lattice: IntegerLattice, norm: int) -> tuple[IntVector, ...]
     """
     if norm < 0:
         return ()
-    return _short_vectors(lattice).vectors(norm)
+    return _short_vectors(lattice).vectors((norm,))[norm]
 
 
 class IsometryGroup(Frozen):
@@ -278,9 +289,10 @@ class IsometryGroup(Frozen):
 def _isometries(a: IntegerLattice, b: IntegerLattice):
     """Every matrix M with M^T * gram_a * M = gram_b, each exactly once.
 
-    Column i of M is an a-vector of norm b.gram[i][i].  The columns are
-    searched in order of candidate count, fewest first, ties by index.
-    When column i takes v, each column j searched later keeps the
+    Column i of M is an a-vector of norm b.gram[i][i], from one descent for
+    all diagonal norms (NODE_GUARD before it, CANDIDATE_GUARD after it).
+    The columns are searched in order of candidate count, fewest first, ties
+    by index.  When column i takes v, each column j searched later keeps the
     candidates w with (gram_a * v) . w == b.gram[i][j] (forward checking);
     a branch ends once a list is empty.  gram_a * v is computed once per
     vector a column takes, in a dict local to the call, and never for the
@@ -289,13 +301,10 @@ def _isometries(a: IntegerLattice, b: IntegerLattice):
     positive), and each hit is yielded with its negative.
     """
     n = b.rank
-    short = _short_vectors(a)
-    by_norm = {}
-    for norm in sorted({b.gram[i][i] for i in range(n)}):
-        by_norm[norm] = short.vectors(norm)
-        if len(by_norm[norm]) > CANDIDATE_GUARD:
-            raise LatticeError("too many candidate images for basis vectors")
+    by_norm = _short_vectors(a).vectors(b.gram[i][i] for i in range(n))
     cands = [by_norm[b.gram[i][i]] for i in range(n)]
+    if any(len(vectors) > CANDIDATE_GUARD for vectors in cands):
+        raise LatticeError("too many candidate images for basis vectors")
     cols = sorted(range(n), key=lambda i: (len(cands[i]), i))
     first = [v for v in cands[cols[0]] if v > tuple(map(neg, v))]
     images = [None] * n
@@ -348,19 +357,21 @@ def orthogonal_group(lattice: IntegerLattice) -> IsometryGroup:
     return group
 
 
-def proven_isometry(lattice: IntegerLattice, matrix: IntMatrix) -> bool:
-    """True if ``matrix`` is an element of the kept search on this very lattice object.
+def proven_isometry(lattice: IntegerLattice, matrix) -> IntMatrix | None:
+    """The element of the kept search on this very lattice object equal to ``matrix``, or None.
 
     The search's pairing filter proved M^T G M == G for each of them, and a
-    lattice is immutable.  The slot is read once per call.  False proves
-    nothing: ``is_isometry_matrix`` checks.
+    lattice is immutable.  The slot is read once per call.  Lists and string
+    entries are a miss, and None proves nothing: ``is_isometry_matrix`` checks.
     """
     group = _searched
     if group is None or group.lattice is not lattice:
-        return False
-    elements = group.elements
-    i = bisect_left(elements, matrix, key=attrgetter("matrix"))
-    return i < len(elements) and elements[i].matrix == matrix
+        return None
+    try:
+        kept = group.elements[bisect_left(group.elements, matrix, key=attrgetter("matrix"))].matrix
+    except (TypeError, IndexError):  # not comparable with int tuples, or past the last one
+        return None
+    return kept if kept == matrix else None
 
 
 class Orbit(Frozen):

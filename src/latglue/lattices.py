@@ -173,10 +173,7 @@ class IntegerLattice(Frozen):
         self._check_length(v)
         if not any(v):
             raise LatticeError("divisibility of the zero vector is undefined")
-        g = 0
-        for x in mat_vec(self.gram, v):
-            g = gcd(g, x)
-        return g
+        return gcd(*mat_vec(self.gram, v))
 
     # -- sublattices --------------------------------------------------
 

@@ -500,6 +500,79 @@ def test_extension_reads_the_last_search_on_its_own_lattice_object(monkeypatch):
     assert len(calls) == 3 * 24
 
 
+def test_extension_verdicts_for_one_matrix_given_six_ways(monkeypatch):
+    """The lookup path (the lattice object just searched) and the check path
+    (an equal fresh object) give the same verdict or the same GlueError for a
+    matrix as int tuples, lists, integral floats, Fractions, with a string
+    entry and in a wrong shape; only a miss reaches the M^T G M == G check."""
+    import latglue.discforms as discforms
+    import latglue.isometries as isometries
+
+    hits, checks = [], []
+
+    def looked_up(lattice, matrix):
+        kept = isometries.proven_isometry(lattice, matrix)
+        hits.append(kept is not None)
+        return kept
+
+    def checked(lattice, matrix):
+        checks.append(matrix)
+        return isometries.is_isometry_matrix(lattice, matrix)
+
+    monkeypatch.setattr(discforms, "proven_isometry", looked_up)
+    monkeypatch.setattr(discforms, "is_isometry_matrix", checked)
+
+    def outcomes(lattice, matrix):
+        group = discriminant_group(lattice)
+        h = enumerate_isotropic_subgroups(group, 2)[0]
+        result = []
+        for run in (lambda: extends_to_overlattice(matrix, h),
+                    lambda: induced_map(matrix, group).matrix):
+            try:
+                result.append(run())
+            except GlueError as exc:
+                result.append(str(exc))
+        return result
+
+    gram = ((8, 0), (0, 8))  # A_L = (8, 8): half of O(L) fixes its order-2 isotropic subgroup
+    refused = "matrix is not an isometry of the source lattice"
+    monkeypatch.setattr(isometries, "_searched", None)
+    searched = IntegerLattice(gram)
+    elements = [g.matrix for g in isometries.orthogonal_group(searched).elements]
+    verdicts = set()
+    for m in elements:
+        ways = {
+            "tuples": m,
+            "lists": [list(row) for row in m],
+            "floats": tuple(tuple(float(x) for x in row) for row in m),
+            "fractions": tuple(tuple(Q(x) for x in row) for row in m),
+            "string": ((str(m[0][0]), m[0][1]), m[1]),
+            "shape": m + ((0, 0),),
+        }
+        plain = outcomes(searched, m)
+        verdicts.add(plain[0])
+        for way, matrix in ways.items():
+            hits.clear(), checks.clear()
+            on_searched = outcomes(searched, matrix)
+            hit = way in ("tuples", "floats", "fractions")
+            assert hits == [hit, hit] and bool(checks) == (way in ("lists", "shape")), (m, way)
+            hits.clear()
+            assert outcomes(IntegerLattice(gram), matrix) == on_searched, (m, way)
+            assert hits == [False, False], (m, way)
+            assert on_searched == ([refused, refused] if way in ("string", "shape") else plain)
+    assert verdicts == {True, False} and len(elements) == 8
+
+
+def test_trivial_overlattice_shares_one_identity_basis_per_rank():
+    for gram in (((2, 1), (1, 2)), ((4, 2), (2, 4)), S_GRAM):
+        lattice = IntegerLattice(gram)
+        trivial = IsotropicSubgroup(discriminant_group(lattice), ())
+        over, basis = overlattice_with_basis(trivial)
+        assert over is lattice and basis == identity(len(gram))
+        assert all(type(x) is Q for row in basis for x in row)
+        assert overlattice_with_basis(trivial)[1] is basis
+
+
 def test_is_anti_isometry_pullback(pinned):
     gamma_matrix = ((0, 1, 0), (1, 0, 0), (0, 0, 2))
     domain = pullback_form(pinned, gamma_matrix, (3, 3, 9))

@@ -210,6 +210,64 @@ def test_node_guard(monkeypatch):
         vectors_of_norm(two_i4, 200)
 
 
+def test_one_descent_for_a_norm_set_matches_a_descent_per_norm():
+    """Norm sets with 0 and repeats, on seeded lattices of rank 1-4: one
+    descent pruned on the largest norm finds what a descent per norm and
+    the box oracle find."""
+    cases = [(IntegerLattice(g), (0, 3, 3, 12, 27, 27)) for g in EDGE_GRAMS]
+    rng = random.Random(23)
+    while len(cases) < 200:
+        lattice = sheared(rng, random_definite_lattice(rng, max_rank=4))
+        # diagonal norms, as O(L) asks for, have vectors; random ones may not
+        diagonal = [lattice.gram[i][i] for i in range(lattice.rank)]
+        norms = [0, rng.randint(1, 40), *rng.sample(diagonal, rng.randint(1, lattice.rank))]
+        norms.append(rng.choice(norms))
+        rng.shuffle(norms)
+        if box_size(lattice, max(norms)) <= 6000:
+            cases.append((lattice, tuple(norms)))
+    assert {lattice.rank for lattice, _ in cases} == {1, 2, 3, 4}
+    hits = shared = 0
+    for lattice, norms in cases:
+        by_norm = isometries._ShortVectors(lattice).vectors(norms)
+        for norm in set(norms):
+            alone = isometries._ShortVectors(lattice).vectors((norm,))[norm]
+            assert by_norm[norm] == alone == vectors_of_norm_boxed(lattice, norm), (
+                lattice.gram, norms, norm)
+            hits += len(alone) > 1
+        shared += sum(len(by_norm[norm]) > 1 for norm in set(norms)) > 1
+    assert hits > 250 and shared > 80
+
+
+def test_a_norm_set_is_refused_as_its_first_norm_past_the_node_guard(monkeypatch):
+    """NODE_GUARD is checked per norm in ascending order, before the descent."""
+    two_i4 = IntegerLattice(tuple(tuple(2 * int(i == j) for j in range(4)) for i in range(4)))
+    monkeypatch.setattr(isometries, "NODE_GUARD", 9260)
+    with pytest.raises(LatticeError) as alone:
+        isometries._ShortVectors(two_i4).vectors((200,))
+    assert str(alone.value) == "short-vector enumeration of norm 200 may visit 9261 nodes (limit 9260)"
+    short = isometries._ShortVectors(two_i4)
+    for norms in ((8, 200, 2, 8), (0, 200, 300), (300, 200)):
+        with pytest.raises(LatticeError) as joint:
+            short.vectors(norms)
+        assert str(joint.value) == str(alone.value), norms
+    assert list(short.by_norm) == [0]  # nothing was enumerated
+    # O(L) asks for its diagonal norms 2 and 10^21 at once: refused as 10^21 alone
+    monkeypatch.undo()
+    big = 10**21
+    lattice = IntegerLattice(((2, 1, 0), (1, 2, 0), (0, 0, big)))
+    with pytest.raises(LatticeError) as alone:
+        vectors_of_norm(lattice, big)
+    with pytest.raises(LatticeError) as joint:
+        orthogonal_group(IntegerLattice(lattice.gram))
+    assert str(joint.value) == str(alone.value)
+    assert str(alone.value).startswith(f"short-vector enumeration of norm {big} may visit ")
+    level = IntegerLattice(((big, big - 1), (big - 1, big)))
+    with pytest.raises(LatticeError) as refused:
+        orthogonal_group(level)
+    assert str(refused.value) == (
+        f"short-vector enumeration of norm {big} may visit 44721359549 nodes (limit 1000000)")
+
+
 A2 = ((2, -1), (-1, 2))
 # the simple roots e1-e2, e2-e3, e3-e4, e3+e4 of D4 in Z^4
 D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
@@ -242,6 +300,27 @@ def test_isometries_match_plain_oracle():
         empty += not matrices and a.determinant() != b.determinant()
     assert orthogonal_group(IntegerLattice(D4)).order() == 1152  # the Weyl group of F4
     assert found > 4000 and empty >= 15
+
+
+def test_candidate_guard_comes_after_the_node_guard(monkeypatch):
+    """O(L) checks NODE_GUARD for every diagonal norm before its one descent
+    and CANDIDATE_GUARD after it, so a long basis vector past the node guard
+    is named even when the 12 roots of A3 exceed a lowered candidate guard
+    (an odd long norm has only the two vectors +-e4: A3 is even)."""
+    monkeypatch.setattr(isometries, "_searched", None)
+    a3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+
+    def with_long(norm):
+        return IntegerLattice(tuple(row + (0,) for row in a3) + ((0, 0, 0, norm),))
+
+    monkeypatch.setattr(isometries, "CANDIDATE_GUARD", 11)
+    with pytest.raises(LatticeError, match="^too many candidate images for basis vectors$"):
+        orthogonal_group(with_long(101))
+    with pytest.raises(LatticeError, match=r"^short-vector enumeration of norm 1000001 may "
+                                           r"visit \d+ nodes \(limit 1000000\)$"):
+        orthogonal_group(with_long(10**6 + 1))
+    monkeypatch.setattr(isometries, "CANDIDATE_GUARD", 12)
+    assert orthogonal_group(with_long(101)).order() == 96  # O(A3) x {+-1}
 
 
 def test_orthogonal_group_order(invariant, full_group):
@@ -395,9 +474,23 @@ def test_proven_isometry_reads_the_slot_once(monkeypatch):
 
     kept = orthogonal_group(lattice)
     monkeypatch.setattr(isometries, "_searched", Switching(lattice, kept.elements))
-    assert not isometries.proven_isometry(lattice, flip)
+    assert isometries.proven_isometry(lattice, flip) is None
     monkeypatch.setattr(isometries, "_searched", Switching(lattice, kept.elements))
-    assert isometries.proven_isometry(lattice, kept.elements[0].matrix)
+    assert isometries.proven_isometry(lattice, kept.elements[0].matrix) is kept.elements[0].matrix
+
+
+def test_proven_isometry_returns_the_kept_matrix_or_none(monkeypatch):
+    monkeypatch.setattr(isometries, "_searched", None)
+    lattice = IntegerLattice(A2)
+    m = orthogonal_group(lattice).elements[3].matrix
+    for equal in (m, tuple(tuple(float(x) for x in row) for row in m),
+                  tuple(tuple(Fraction(x) for x in row) for row in m)):
+        assert isometries.proven_isometry(lattice, equal) is m
+    lists = [list(row) for row in m]
+    string = ((str(m[0][0]), m[0][1]), m[1])
+    for miss in (lists, string, m + ((0, 0),), m[:1], (), "ab", 5, None):
+        assert isometries.proven_isometry(lattice, miss) is None
+    assert isometries.proven_isometry(IntegerLattice(A2), m) is None  # another object
 
 
 def test_short_vector_setup_once_per_lattice_and_refusals_repeat(monkeypatch):
@@ -431,24 +524,26 @@ def test_short_vector_setup_once_per_lattice_and_refusals_repeat(monkeypatch):
 
 
 def test_orbit_report_reuses_the_searched_norms(monkeypatch):
+    """One descent per search: O(L) enumerates its three diagonal norms at
+    once, and a norm is never enumerated twice on one lattice."""
     monkeypatch.setattr(isometries, "_searched", None)
     isometries._short_vectors.cache_clear()
-    enumerated = []
-    enumerate_norm = isometries._ShortVectors._vectors
+    descents = []
+    descend = isometries._ShortVectors._vectors
 
-    def counted(self, norm):
-        enumerated.append(norm)
-        return enumerate_norm(self, norm)
+    def counted(self, norms):
+        descents.append(tuple(norms))
+        return descend(self, norms)
 
     monkeypatch.setattr(isometries._ShortVectors, "_vectors", counted)
     lattice = IntegerLattice(((4, 2, 1), (2, 6, 0), (1, 0, 8)))
     table = orbit_report(6, lattice)
-    assert enumerated == [4, 6, 8]
+    assert descents == [(4, 6, 8)]
     assert sum(o["size"] for o in table["orbits"]) == len(vectors_of_norm(lattice, 6))
     lattice_info_report(lattice)
     orbit_report(10, lattice)
     orbit_report(10, lattice)
-    assert enumerated == [4, 6, 8, 10]
+    assert descents == [(4, 6, 8), (10,)]
 
 
 def test_orbit_stabilizer(invariant, full_group):
