@@ -47,7 +47,6 @@ from .discforms import (
 from .exact import (
     IntMatrix,
     IntVector,
-    adjugate,
     det,
     freeze,
     gram_of_rows,
@@ -182,14 +181,21 @@ def vector_name(v: IntVector) -> str:
 
 
 @lru_cache(maxsize=1)
+def fixed_lattices() -> tuple[tuple[Isometry, IntMatrix], ...]:
+    """Each element g of O(L_inv), in sort order, with the Hermite basis of ker(g - 1)."""
+    return tuple((g, right_kernel(tuple(tuple(x - (i == j) for j, x in enumerate(row))
+                                        for i, row in enumerate(g.matrix))))
+                 for g in full_isometry_group().elements)
+
+
+@lru_cache(maxsize=1)
 def admissible_orders() -> frozenset[int]:
     """Orders of the elements of O(L_inv) whose fixed lattice has rank 1.
 
     Such an element fixes a line ZL and no vector of T = L^perp, which is
     what an order-m action on the polarized lattice needs.
     """
-    return frozenset(g.order for g in full_isometry_group().elements if len(right_kernel(tuple(
-        tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(g.matrix)))) == 1)
+    return frozenset(g.order for g, kernel in fixed_lattices() if len(kernel) == 1)
 
 
 def admissible_n(m: int) -> frozenset[int]:
@@ -284,34 +290,31 @@ def build_extension(m: int, orbit: Orbit, sub: Sublattice) -> Row:
     """The case row of one orbit; ``sub`` is T + ZL on T's basis rows, then L.
 
     The isometry phi is the first element of O(L_inv), in its sort order, of
-    order m that fixes L and fixes no vector of T; GlueError if there is none.
-    Written on those rows R it is phi_t = adj(R^T) phi R^T / det(R^T), and for
-    glue index |det(R^T)| > 1 phi_t must fix the glue subgroup of T + ZL
-    (Nikulin's extension criterion), else LatticeError.
+    order m whose fixed lattice is exactly ZL (``fixed_lattices``); GlueError
+    if there is none.  For glue index ``sub.index()`` > 1, phi written on the
+    rows of ``sub`` must fix its glue subgroup (Nikulin's extension
+    criterion), else LatticeError.
     """
     lattice = invariant_lattice_fixed()
     polarization = max(orbit.members)
     name = vector_name(polarization)
     t_basis = sub.basis[:-1]
-    basis_t = transpose(sub.basis)
-    d, adj = det(basis_t), adjugate(basis_t)
-    k = len(t_basis)
-    for phi in full_isometry_group().elements:
-        if phi.order != m or phi.apply(polarization) != polarization:
-            continue
-        # phi preserves T + ZL, so d divides every entry of adj(R^T) phi R^T
-        phi_t = freeze(tuple(x // d for x in row)
-                       for row in mat_mul(mat_mul(adj, phi.matrix), basis_t))
-        if det(tuple(tuple(phi_t[i][j] - (i == j) for j in range(k)) for i in range(k))):
-            break
-    else:
+    # L is primitive and the max of an orbit closed under -1: the Hermite basis of ZL
+    phi = next((g for g, kernel in fixed_lattices()
+                if g.order == m and kernel == (polarization,)), None)
+    if phi is None:
         raise GlueError(f"no order-{m} isometry of the invariant lattice fixes exactly Z{name}")
-    if abs(d) > 1 and not extends_to_overlattice(phi_t, glue_subgroup(sub)):
-        raise LatticeError("isometry of the invariant lattice fails the glue extension criterion")
+    index = sub.index()
+    if index > 1:
+        # phi preserves T + ZL, so the coordinates of the images are integers
+        phi_t = transpose([[int(x) for x in sub.coordinates_of(phi.apply(row))]
+                           for row in sub.basis])
+        if not extends_to_overlattice(phi_t, glue_subgroup(sub)):
+            raise LatticeError("isometry of the invariant lattice fails the glue extension criterion")
     witness = orbit_witness(case_symmetry_group(), orbit.representative, polarization)
     return Row(
         L=polarization, name=name, n=lattice.norm(polarization) // 6,
-        T_gram=freeze(gram_of_rows(t_basis, lattice.gram)), T_basis=t_basis, index=abs(d),
+        T_gram=freeze(gram_of_rows(t_basis, lattice.gram)), T_basis=t_basis, index=index,
         phi=phi.matrix, order=m, **_glue_data(m, name, phi.matrix, polarization),
         orbit_rep=orbit.representative, orbit_size=orbit.size, witness=witness.matrix,
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from operator import attrgetter
 
 from .exact import (
@@ -255,17 +255,7 @@ class Sublattice(Frozen):
         return Sublattice(self.ambient, right_kernel(conditions))
 
     def index(self) -> int:
-        """Index in the ambient lattice (full-rank sublattices only).
-
-        Computed as the integer square root of det(sub)/det(ambient); a
-        non-square ratio means the inputs were inconsistent.
-        """
+        """Index in the ambient lattice (full-rank sublattices only): |det(basis)|."""
         if self.rank != self.ambient.rank:
             raise LatticeError("index is defined for full-rank sublattices only")
-        n, rest = divmod(det(self.gram()), self.ambient.determinant())
-        if rest or n < 0:
-            raise LatticeError("determinant ratio is not a positive integer")
-        root = isqrt(n)
-        if root * root != n:
-            raise LatticeError(f"determinant ratio {n} is not a perfect square")
-        return root
+        return abs(det(self.basis))

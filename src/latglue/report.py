@@ -376,22 +376,20 @@ def verify_cases_report() -> dict:
             _cell(f"{label}: divisibility", case.div, row["divisibility"])
         )
 
-    # The claimed glue generator of the existence walkthrough: its q value
-    # is recomputed and the discrepancy surfaced through the allowlist.
-    t_rows = ((1, 1, 0), (0, 0, 1), (1, -1, 0))
-    t_lattice = IntegerLattice(gram_of_rows(t_rows, lattice.gram))
-    a_t = discriminant_group(t_lattice)
-    claimed_ambient = tuple(Fraction(s) for s in data["claimed_glue_lift"])
-    sub = lattice.span(t_rows)
-    claimed = a_t.element_from_dual_vector(sub.coordinates_of(claimed_ambient))
-    cells.append(
-        _cell(
-            "existence walkthrough: q of the claimed glue generator",
-            str(a_t.q(claimed)),
-            "0",
-            "existence-glue-generator",
-        )
-    )
+    # The claimed glue generator of the existence walkthrough, on T + ZL of
+    # the case row its allowlist entry names: its q value is recomputed and
+    # the discrepancy surfaced through the allowlist.
+    walkthrough = "existence-glue-generator"
+    entry = next((e for e in data["allowlist"] if e["id"] == walkthrough), None)
+    if entry is None or not 0 <= entry["row"] < len(data["table2"]):
+        raise GlueError(f"allowlist entry {walkthrough} does not name a case row")
+    case_row = data["table2"][entry["row"]]
+    sub = lattice.span(case_row["t_generators"] + [case_row["L"]])
+    a_t = discriminant_group(sub.lattice())
+    claimed = a_t.element_from_dual_vector(
+        sub.coordinates_of(tuple(Fraction(s) for s in data["claimed_glue_lift"])))
+    cells.append(_cell("existence walkthrough: q of the claimed glue generator",
+                       str(a_t.q(claimed)), entry["printed"], walkthrough))
 
     return {
         "command": "verify-table cases",

@@ -17,6 +17,7 @@ from latglue.exact import (
     gram_of_rows,
     hnf,
     identity,
+    mat_mul,
     mat_vec,
     right_kernel,
     snf,
@@ -256,6 +257,34 @@ def kernel_by_smith(a):
     rank = sum(1 for i in range(min(len(d), ncols)) if d[i][i] != 0)
     cols = [tuple(v[i][j] for i in range(ncols)) for j in range(rank, ncols)]
     return tuple(row for row in hnf(cols) if any(row))
+
+
+def group_side_cases(group, symmetry, m: int) -> dict:
+    """The order-m cases read off the group: {L: (orbit size, T basis, elements)}.
+
+    An order-m element g whose fixed lattice ker(g - 1) has rank 1 fixes a
+    line ZL and no vector of T = L^perp, so T = ker(1 + g + ... + g^(m-1)).
+    The fixed lines fall into ``symmetry`` orbits; L is the largest member of
+    its orbit, and ``elements`` are the order-m g with ker(g - 1) = ZL, in
+    sort order.  No norm enters, and every kernel is read off a Smith form.
+    """
+    eye = identity(group.lattice.rank)
+    by_line = {}
+    for g in group.elements:
+        shifted = tuple(tuple(x - e for x, e in zip(row, unit)) for row, unit in zip(g.matrix, eye))
+        fixed = kernel_by_smith(shifted)
+        if g.order == m and len(fixed) == 1:
+            by_line.setdefault(fixed[0], []).append(g)
+    cases = {}
+    for line in by_line:
+        orbit = {h.apply(line) for h in symmetry.elements}
+        rep = max(orbit)
+        power = total = eye
+        for _ in range(m - 1):
+            power = mat_mul(by_line[rep][0].matrix, power)
+            total = tuple(tuple(map(sum, zip(a, b))) for a, b in zip(total, power))
+        cases[rep] = (len(orbit), kernel_by_smith(total), by_line[rep])
+    return cases
 
 
 def invariant_lattice(lattice: IntegerLattice, generators) -> Sublattice:

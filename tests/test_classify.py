@@ -267,10 +267,8 @@ def test_classify_rejects_bad_m():
 
 def _fixing_exactly(m, polarization):
     """Elements of O(L_inv) of order m whose fixed lattice is Z polarization, in sort order."""
-    lattice = invariant_lattice_fixed()
-    line = {(tuple(polarization),), (tuple(-x for x in polarization),)}
-    return [g for g in full_isometry_group().elements
-            if g.order == m and oracles.invariant_lattice(lattice, (g,)).basis in line]
+    case = oracles.group_side_cases(full_isometry_group(), case_symmetry_group(), m).get(polarization)
+    return case[2] if case else []
 
 
 def _case_input(m, polarization):
@@ -299,6 +297,24 @@ def test_phi_is_the_first_element_fixing_exactly_l():
             assert found[1].matrix == mat_mul(printed, printed)
         if m < 6:
             assert build_extension(*_case_input(m, tuple(row["L"]))).phi == printed
+
+
+def test_group_side_derivation_finds_the_classified_cases():
+    """A case is an order-m element of O(L_inv) whose fixed lattice is ZL.
+
+    Read from the group side alone (``oracles.group_side_cases``), the fixed
+    lines give exactly the L, orbit sizes and T of ``classify(m)``; phi is
+    the first element fixing exactly ZL for m = 2, 3 and the second,
+    phi_2 phi_3, for m = 6.
+    """
+    for m, count in ((2, 5), (3, 1), (6, 1)):
+        derived = oracles.group_side_cases(full_isometry_group(), case_symmetry_group(), m)
+        cases = classify(m)[0]
+        assert sorted(derived) == sorted(case.L for case in cases) and len(cases) == count
+        for case in cases:
+            size, t_basis, elements = derived[case.L]
+            assert (size, t_basis) == (case.orbit_size, case.T_basis)
+            assert case.phi == elements[0 if m < 6 else 1].matrix
 
 
 def test_nikulin_check_runs_exactly_when_the_index_exceeds_one(monkeypatch):

@@ -4,7 +4,7 @@ Each oracle below is the earlier rational computation, kept verbatim in
 spirit: ``forms_match_by_fractions`` compares ``Fraction`` values of q and b
 reduced mod 2 and mod 1; ``extend_by_fractions`` conjugates the block by the
 Gauss-Jordan ``inverse_by_fractions`` (not ``frac_inverse``, which runs on
-the same ``adjugate`` as ``build_extension``) and checks denominators,
+the same ``adjugate`` as ``Sublattice.coordinates_of``) and checks denominators,
 which the glue extension criterion must match;
 ``ambient_divisibility_by_fractions`` pairs the polarization with
 ``Fraction`` lifts of the glued generators; and
@@ -23,6 +23,7 @@ from latglue.classify import (
     ambient_divisibility,
     build_extension,
     case_symmetry_group,
+    fixed_lattices,
     full_isometry_group,
     gluing_map,
     invariant_discriminant,
@@ -158,6 +159,35 @@ def test_extend_block_isometry_matches_fraction_formula():
     assert verdicts[True, True] >= 20 and verdicts[False, True] >= 20
     # a unimodular R^T conjugates every block integrally
     assert verdicts[False, False] == 0
+
+
+def test_fixed_lattice_is_zl_exactly_when_the_block_fixes_no_vector_of_t():
+    """ker(g - 1) = ZL iff det(phi_t - 1) != 0 on T, for every g fixing L.
+
+    Over every primitive L of norm <= 72, case or not, and every g of
+    O(L_inv) with g L = L: the table ``build_extension`` reads against the
+    conjugation adj(R^T) g R^T / det(R^T) onto the rows R of T + ZL and the
+    determinant on T's block, the criterion it replaced.
+    """
+    lattice = invariant_lattice_fixed()
+    verdicts = Counter()
+    for norm in range(2, 73, 2):
+        for v in vectors_of_norm(lattice, norm):
+            if vec_content(v) != 1:
+                continue
+            rows = lattice.span((v,)).orthogonal_complement().basis + (v,)
+            basis_t = transpose(rows)
+            d, adj = det(basis_t), adjugate(basis_t)
+            line = {(v,), (tuple(-x for x in v),)}
+            for g, kernel in fixed_lattices():
+                if g.apply(v) != v:
+                    continue
+                conj = mat_mul(mat_mul(adj, g.matrix), basis_t)
+                assert all(x % d == 0 for row in conj for x in row)
+                shifted = tuple(tuple(conj[i][j] // d - (i == j) for j in range(2)) for i in range(2))
+                assert (kernel in line) == (det(shifted) != 0), (v, g.matrix)
+                verdicts[kernel in line, g.order] += 1
+    assert verdicts == {(False, 1): 170, (False, 2): 144, (True, 2): 14, (True, 3): 4, (True, 6): 4}
 
 
 def test_extend_block_isometry_rejects_a_polarization_in_the_span_of_t():

@@ -32,8 +32,6 @@ SILENT = {
     ("table2", 2, "gamma", 0, 1): GAMMA,
     ("table2", 2, "gamma", 0, 2): GAMMA,
     ("table2", 5, "gamma", 0, 2): GAMMA,
-    ("allowlist", 1, "row"): "the existence-walkthrough cell finds its allowlist entry by id, "
-                             "so that entry's row is not read",
 }
 SAMPLE = 40
 
@@ -94,3 +92,33 @@ def test_unchecked_golden_leaves_are_declared(golden, capsys):
         if verdicts(capsys) == shipped:
             silent.add(path)
     assert silent == set(SILENT)
+
+
+def test_walkthrough_reads_the_case_row_of_its_allowlist_entry(golden, capsys):
+    """The existence-walkthrough cell takes T + ZL from table2[entry.row].
+
+    Row 3 (L = e+f) spans the same T + ZL as the shipped row 1 (L = e-f) on
+    other rows, and q of a class does not depend on the basis, so its cell
+    is allowlisted all the same; the claimed lift (e+f)/2 is not in the dual
+    of row 2's T + ZL (L = e), so raising the row refuses the command.
+    """
+    pristine, use = golden
+    walkthrough = "existence walkthrough: q of the claimed glue generator"
+
+    def status(row):
+        data = json.loads(json.dumps(pristine))
+        (entry,) = [e for e in data["allowlist"] if e["id"] == "existence-glue-generator"]
+        entry["row"] = row
+        use(data)
+        code = main(["verify-table", "cases"])
+        captured = capsys.readouterr()
+        if code == 2:
+            return code, captured.err
+        (cell,) = [c for c in json.loads(captured.out)["cells"] if c["cell"] == walkthrough]
+        return code, cell["status"], cell["computed"], cell["printed"]
+
+    assert pristine["allowlist"][1]["row"] == 1
+    assert status(1) == status(3) == (0, "allowlisted", "1/2", "0")
+    assert status(2) == (2, "error: vector is not in the dual lattice\n")
+    assert status(len(pristine["table2"])) == (
+        2, "error: allowlist entry existence-glue-generator does not name a case row\n")
