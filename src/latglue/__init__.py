@@ -36,7 +36,6 @@ from .isometries import (
     orbit_witness,
     orbits,
     orthogonal_group,
-    reduced_binary_form,
     vectors_of_norm,
 )
 from .lattices import IntegerLattice, LatticeError, Sublattice
@@ -68,7 +67,6 @@ __all__ = [
     "overlattice_with_basis",
     "preserves_form",
     "pullback_form",
-    "reduced_binary_form",
     "solve_psi_bar",
     "vectors_of_norm",
     "with_generators",

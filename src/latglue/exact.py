@@ -1,11 +1,12 @@
 """Exact linear algebra over Z and Q.
 
-Everything here works on tuples-of-tuples of Python ints; ``frac_inverse``
-clears denominators first, so there is one integer elimination of each
-kind and no floating point: the Bareiss step ``_bareiss_step`` of ``det``
-and ``ldl_rows``, ``hnf`` (H only, also behind ``right_kernel``) and the
-Smith loop ``_smith`` of ``snf`` and ``smith_diagonal``.  Lattice pairings
-and discriminant forms share one v*G*w^T kernel, ``bilinear``.
+Everything here works on tuples-of-tuples of Python ints; ``frac_inverse``,
+the one rational inverse (``Sublattice.coordinates_of`` reads it), clears
+denominators first, so there is one integer elimination of each kind and
+no floating point: the Bareiss step ``_bareiss_step`` of ``det`` and
+``ldl_rows``, ``hnf`` (H only, also behind ``right_kernel``) and the Smith
+loop ``_smith`` of ``snf`` and ``smith_diagonal``.  Lattice pairings and
+discriminant forms share one v*G*w^T kernel, ``bilinear``.
 Conventions are pinned so that every caller sees deterministic output:
 
 * Hermite normal form is row-style with positive pivots and entries above

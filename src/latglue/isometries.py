@@ -47,6 +47,7 @@ from .exact import (
     IntVector,
     det,
     freeze,
+    gram_of_rows,
     identity,
     ldl_rows,
     mat_mul,
@@ -73,22 +74,11 @@ def _decimal(n: int) -> str:
 
 
 def is_isometry_matrix(lattice: IntegerLattice, matrix) -> bool:
-    """M^T G M == G for the Gram matrix G; False for any M that is not n x n.
-
-    G is symmetric (``IntegerLattice`` checks that), so G c_j is formed once per
-    column c_j of M, and c_i . (G c_j) == G_ij is tested for i <= j only, up to the first mismatch.
-    """
+    """M^T G M == G for the Gram G, by ``gram_of_rows`` on the columns of M; False unless n x n."""
     gram = lattice.gram
-    n = len(gram)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
+    if len(matrix) != len(gram) or any(len(row) != len(gram) for row in matrix):
         return False
-    cols = list(zip(*matrix))
-    for j, col in enumerate(cols):
-        image = [sum(map(mul, row, col)) for row in gram]
-        for i in range(j + 1):
-            if sum(map(mul, cols[i], image)) != gram[i][j]:
-                return False
-    return True
+    return gram_of_rows(transpose(matrix), gram) == gram
 
 
 def matrix_order(matrix) -> int:
@@ -427,50 +417,8 @@ def group_generated_by(lattice: IntegerLattice, generators) -> tuple[IntMatrix, 
     return tuple(sorted(closure([identity(lattice.rank)], gens, mat_mul, limit=100_000)))
 
 
-def reduced_binary_form(gram: IntMatrix) -> tuple[int, int, int]:
-    """Gauss-reduced (a, b, c) of a positive definite binary form.
-
-    The form is a x^2 + b xy + c y^2 read off a 2x2 Gram matrix; reduction
-    reaches the unique representative with -a < b <= a <= c (and b >= 0
-    when a == c).
-    """
-    a, b, c = gram[0][0], 2 * gram[0][1], gram[1][1]
-    if a <= 0 or 4 * a * c - b * b <= 0:
-        raise LatticeError("form is not positive definite")
-    while True:
-        if b > a or b <= -a:
-            # x -> x + t*y brings b into (-a, a] without changing a
-            r = b % (2 * a)
-            if r > a:
-                r -= 2 * a
-            t = (r - b) // (2 * a)
-            a, b, c = a, r, c + b * t + a * t * t
-            continue
-        if c < a:
-            a, b, c = c, -b, a
-            continue
-        if a == c and b < 0:
-            b = -b
-            continue
-        return a, b, c
-
-
 def admits_order3(lattice: IntegerLattice) -> bool:
-    """Rank-2 even positive definite lattice with an order-3 isometry.
-
-    Two independent routes must agree: a brute-force order-3 element in
-    O(T), and the normal-form criterion that the Gauss-reduced form is
-    (2a, a, 2a)-shaped, i.e. has equal coefficients.
-    """
+    """Rank-2 even positive definite lattice with an order-3 isometry, read off O(T)."""
     if lattice.rank != 2 or not lattice.is_even:
         raise LatticeError("order-3 criterion applies to even rank-2 lattices")
-    group = orthogonal_group(lattice)
-    brute = group.has_element_of_order(3)
-    a, b, c = reduced_binary_form(lattice.gram)
-    normal_form = a == b == c
-    if brute != normal_form:
-        raise LatticeError(
-            f"internal inconsistency: brute-force {brute} vs normal form {normal_form} "
-            f"on reduced form {(a, b, c)}"
-        )
-    return brute
+    return orthogonal_group(lattice).has_element_of_order(3)

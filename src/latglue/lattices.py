@@ -30,14 +30,13 @@ from .exact import (
     FracVector,
     IntMatrix,
     IntVector,
-    adjugate,
     bilinear,
     det,
+    frac_inverse,
     freeze,
     gram_of_rows,
     hnf,
     identity,
-    lcm_denominator,
     ldl_rows,
     mat_mul,
     mat_vec,
@@ -211,6 +210,8 @@ class Sublattice(Frozen):
         basis = freeze(basis)
         if basis and any(len(row) != ambient.rank for row in basis):
             raise LatticeError("generator length must match ambient rank")
+        if any(not isinstance(x, int) for row in basis for x in row):
+            raise LatticeError("generator entries must be integers")
         h = hnf(basis)
         if sum(1 for row in h if any(row)) != len(basis):
             raise LatticeError("generators must be linearly independent")
@@ -227,22 +228,16 @@ class Sublattice(Frozen):
         return IntegerLattice(self.gram())
 
     def coordinates_of(self, v) -> FracVector:
-        """Coordinates of an ambient (rational) vector in the sublattice basis.
+        """Coordinates x = (BB^T)^-1 B v (``frac_inverse``) of an ambient rational v on the basis B.
 
-        The vector must lie in the Q-span (else LatticeError).  With B the
-        basis rows and v = w/e, w integral, x = adj(BB^T) B w / (e det(BB^T))
-        is the only candidate, and B^T x = v is checked in integers.
+        B^T x = v is checked, so a v off the Q-span raises LatticeError.
         """
         self.ambient._check_length(v)
         basis = self.basis
-        e = lcm_denominator((v,))
-        w = [x.numerator * (e // x.denominator) for x in v]
-        bbt = mat_mul(basis, transpose(basis))
-        d = det(bbt)
-        y = mat_vec(adjugate(bbt), mat_vec(basis, w))
-        if any(sum(yk * row[i] for yk, row in zip(y, basis)) != d * x for i, x in enumerate(w)):
+        x = mat_vec(frac_inverse(mat_mul(basis, transpose(basis))), mat_vec(basis, v))
+        if any(sum(xk * row[i] for xk, row in zip(x, basis)) != vi for i, vi in enumerate(v)):
             raise LatticeError("vector does not lie in the span of the sublattice")
-        return tuple(Fraction(yk, e * d) for yk in y)
+        return x
 
     def orthogonal_complement(self) -> "Sublattice":
         """Primitive sublattice of all ambient vectors pairing to 0 with this one.

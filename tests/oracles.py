@@ -124,12 +124,17 @@ def extends_by_induced_map(matrix, h) -> bool:
     return all(apply_map(bar, g).coeffs in h.element_coeffs() for g in h.generators)
 
 
-def is_isometry_by_gram_of_rows(lattice: IntegerLattice, matrix) -> bool:
-    """M^T G M == G by two whole matrix products, after an explicit n x n shape guard."""
+def is_isometry_by_pairings(lattice: IntegerLattice, matrix) -> bool:
+    """M^T G M == G entry by entry, column i of M paired with column j by ``bilinear``.
+
+    An explicit n x n shape guard comes first; the library reads ``gram_of_rows`` instead.
+    """
     n = lattice.rank
     if len(matrix) != n or any(len(row) != n for row in matrix):
         return False
-    return gram_of_rows(transpose(freeze(matrix)), lattice.gram) == lattice.gram
+    cols = list(zip(*matrix))
+    return all(bilinear(cols[i], lattice.gram, cols[j]) == lattice.gram[i][j]
+               for i in range(n) for j in range(n))
 
 
 def isometry_between(a: IntegerLattice, b: IntegerLattice):
@@ -340,3 +345,32 @@ def binary_form_exists(k: int) -> bool:
                 return True
         a += 1
     return False
+
+
+def reduced_binary_form(gram) -> tuple[int, int, int]:
+    """Gauss-reduced (a, b, c) of a positive definite binary form (Conway-Sloane, SPLAG ch. 15).
+
+    The form is a x^2 + b xy + c y^2 read off a 2x2 Gram matrix; reduction
+    reaches the unique representative with -a < b <= a <= c (and b >= 0
+    when a == c).  An even lattice has an order-3 isometry exactly when
+    a == b == c, the reference for ``admits_order3``.
+    """
+    a, b, c = gram[0][0], 2 * gram[0][1], gram[1][1]
+    if a <= 0 or 4 * a * c - b * b <= 0:
+        raise LatticeError("form is not positive definite")
+    while True:
+        if b > a or b <= -a:
+            # x -> x + t*y brings b into (-a, a] without changing a
+            r = b % (2 * a)
+            if r > a:
+                r -= 2 * a
+            t = (r - b) // (2 * a)
+            a, b, c = a, r, c + b * t + a * t * t
+            continue
+        if c < a:
+            a, b, c = c, -b, a
+            continue
+        if a == c and b < 0:
+            b = -b
+            continue
+        return a, b, c

@@ -3,8 +3,8 @@
 Each oracle below is the earlier rational computation, kept verbatim in
 spirit: ``forms_match_by_fractions`` compares ``Fraction`` values of q and b
 reduced mod 2 and mod 1; ``extend_by_fractions`` conjugates the block by the
-Gauss-Jordan ``inverse_by_fractions`` (not ``frac_inverse``, which runs on
-the same ``adjugate`` as ``Sublattice.coordinates_of``) and checks denominators,
+Gauss-Jordan ``inverse_by_fractions`` (not ``frac_inverse``, which
+``Sublattice.coordinates_of`` reads) and checks denominators,
 which the glue extension criterion must match;
 ``ambient_divisibility_by_fractions`` pairs the polarization with
 ``Fraction`` lifts of the glued generators; and

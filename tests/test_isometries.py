@@ -26,7 +26,6 @@ from latglue.isometries import (
     orbit_witness,
     orbits,
     orthogonal_group,
-    reduced_binary_form,
     vectors_of_norm,
 )
 from latglue.lattices import IntegerLattice, LatticeError, closure
@@ -36,9 +35,10 @@ from oracles import (
     coinvariant_lattice,
     in_span,
     invariant_lattice,
-    is_isometry_by_gram_of_rows,
+    is_isometry_by_pairings,
     isometries_plain,
     isometry_between,
+    reduced_binary_form,
     saturation,
 )
 from test_exact import inverse_by_fractions
@@ -375,7 +375,7 @@ def test_group_elements_against_isometry_oracle(invariant):
         Isometry(invariant, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
 
 
-def test_isometry_check_matches_gram_of_rows_oracle():
+def test_isometry_check_matches_pairing_oracle():
     """Elements of O(L), one-entry changes of them, Fraction entries and wrong shapes."""
     rng = random.Random(211)
     verdicts = Counter()
@@ -394,12 +394,12 @@ def test_isometry_check_matches_gram_of_rows_oracle():
                 m[:-1] + (m[-1][:-1],), m[:-1] + (m[-1] + (0,),),
             )
             for matrix in candidates:
-                expected = is_isometry_by_gram_of_rows(lattice, matrix)
+                expected = is_isometry_by_pairings(lattice, matrix)
                 assert is_isometry_matrix(lattice, matrix) == expected, (lattice.gram, matrix)
                 verdicts[expected] += 1
     two = IntegerLattice(((2, 0), (0, 2)))
     for matrix in (((1, 0), (0, 1), (9, 9)), ((1, 0), (0,)), ((0, 1, 0), (1, 0, 0))):
-        assert not is_isometry_by_gram_of_rows(two, matrix)
+        assert not is_isometry_by_pairings(two, matrix)
         assert not is_isometry_matrix(two, matrix)
     assert verdicts[True] >= 200 and verdicts[False] >= 1000
 

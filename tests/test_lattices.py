@@ -396,6 +396,14 @@ def test_index_requires_full_rank(invariant):
         invariant.span((E,)).index()
 
 
+def test_sublattice_refuses_non_integer_generators(invariant):
+    """A half-integral or float generator once gave index 0 and a Fraction Gram."""
+    for entry in (Fraction(1, 2), 0.5, Fraction(1), 1.0, "1", None):
+        with pytest.raises(LatticeError, match="generator entries must be integers"):
+            invariant.span(((entry, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert invariant.span(((2, 0, 0), (0, 1, 0), (0, 0, 1))).index() == 2
+
+
 def test_json_round_trip(invariant):
     text = json.dumps({"gram": [list(row) for row in S_GRAM]})
     assert IntegerLattice.from_json(text) == invariant

@@ -28,6 +28,7 @@ from oracles import (
     in_span,
     invariant_lattice,
     rational_lifts,
+    reduced_binary_form,
 )
 
 
@@ -197,7 +198,7 @@ def test_q_b_compatibility_everywhere():
 
 
 def test_admits_order3_exhaustive():
-    """Brute force and the reduced-form criterion agree on all small forms."""
+    """O(T) and the reduced-form criterion (``oracles.reduced_binary_form``) agree on all small forms."""
     checked = 0
     for p in range(1, 21):
         for r in range(p, 21):
@@ -207,7 +208,8 @@ def test_admits_order3_exhaustive():
                     continue
                 if max(abs(x) for row in gram for x in row) > 40:
                     continue
-                assert admits_order3(IntegerLattice(gram)) in (True, False)
+                form = reduced_binary_form(gram)  # (a, b, c); order 3 exactly when a == b == c
+                assert admits_order3(IntegerLattice(gram)) == (len(set(form)) == 1), (gram, form)
                 checked += 1
     assert checked > 400
 
