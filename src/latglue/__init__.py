@@ -9,7 +9,6 @@ shipped transcription of the printed tables.
 """
 
 from .discforms import (
-    DiscElement,
     DiscriminantGroup,
     FiniteAbelianMap,
     GlueError,
@@ -41,7 +40,6 @@ from .isometries import (
 from .lattices import IntegerLattice, LatticeError, Sublattice
 
 __all__ = [
-    "DiscElement",
     "DiscriminantGroup",
     "FiniteAbelianMap",
     "GlueError",

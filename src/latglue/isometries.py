@@ -134,7 +134,7 @@ class _ShortVectors:
     outer levels take the long basis vectors), and the Bareiss rows, divided
     by their contents, give M*Q(x) = sum_i c_i * t_i^2 with integers M, c_i
     and t_i = d_i * x_i + sum_{j>i} u_ij * x_j (``pivots`` d_i, ``tails``
-    u_ij, ``coeffs`` c_i, ``scale`` M).  After that ``_vectors`` works in
+    u_ij, ``weights`` c_i, ``scale`` M).  After that ``_vectors`` works in
     ints only: one descent for a set of norms, ``isqrt`` and floor division
     per level pruned on the largest norm, and a closed-form last level per
     norm.  While every coordinate above level i is 0 it takes y_i >= 0 only
@@ -164,7 +164,7 @@ class _ShortVectors:
             nums.append(num // common)
             dens.append(den // common)
         self.scale = lcm(*dens)
-        self.coeffs = [num * (self.scale // den) for num, den in zip(nums, dens)]
+        self.weights = [num * (self.scale // den) for num, den in zip(nums, dens)]
         self.det = minors[-1]
         # adj(G)_jj for the levels j >= 1, i.e. the determinants of the minors
         self.cofactors = [
@@ -199,7 +199,7 @@ class _ShortVectors:
     def _vectors(self, norms: list[int]) -> None:
         """The Fincke-Pohst descent behind ``vectors``: ascending norms > 0 into ``by_norm``."""
         n = len(self.slot)
-        pivots, tails, coeffs = self.pivots, self.tails, self.coeffs
+        pivots, tails, weights = self.pivots, self.tails, self.weights
         budget = self.scale * norms[-1]
         # norm N has rem - slack of its own budget left where the largest has rem
         wanted = [(budget - self.scale * norm, []) for norm in norms]
@@ -207,7 +207,7 @@ class _ShortVectors:
 
         def descend(i: int, rem: int, top: bool):
             # top: every y_j with j > i is 0, so shift is 0 and y_i >= 0 suffices
-            d, c = pivots[i], coeffs[i]
+            d, c = pivots[i], weights[i]
             shift = sum(map(mul, tails[i], y[i + 1:]))
             if i == 0:
                 # c*t^2 == rem - slack with t = d*y_0 + shift, solved in closed form

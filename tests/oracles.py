@@ -4,7 +4,9 @@ None of these is library API: each one is either a second, independent
 route to a value the library computes (``b`` reads the rational pairing
 matrix, where the library's form checks read the integer one) or a
 helper the tests need and the commands do not (the ``Fraction`` views of
-a group's integer fields, its element list, a map's image of one element).
+a group's integer fields, its element list, the sum and order of elements,
+a map's image of one element).  Elements are coefficient tuples, as in
+the library.
 """
 
 import itertools
@@ -41,21 +43,33 @@ def rational_lifts(group):
 
 def all_elements(group) -> list:
     """Every element of a discriminant group, in lexicographic coefficient order."""
-    return [group.element(c) for c in itertools.product(*(range(d) for d in group.orders))]
+    return list(itertools.product(*(range(d) for d in group.orders)))
+
+
+def add(group, x, y) -> tuple:
+    """x + y in the group: the coefficient-wise sum, reduced by ``group.element``."""
+    return group.element(tuple(a + c for a, c in zip(group.element(x), group.element(y))))
+
+
+def element_order(group, x) -> int:
+    """The least k >= 1 with k x = 0, by adding x to itself."""
+    x = group.element(x)
+    k, multiple = 1, x
+    while any(multiple):
+        k, multiple = k + 1, add(group, multiple, x)
+    return k
 
 
 def apply_map(f, x):
     """f(x) for a map between discriminant groups, read off its matrix."""
-    assert x.parent == f.domain, "element is not in the domain"
-    return f.codomain.element(mat_vec(f.matrix, x.coeffs))
+    return f.codomain.element(mat_vec(f.matrix, f.domain.element(x)))
 
 
 def b(group, x, y) -> Fraction:
     """The bilinear form b(x, y) in [0, 1), read off the Fraction pairing matrix mod 1."""
     gram = rational_pairings(group)
-    total = sum(
-        xi * gram[i][j] * yj for i, xi in enumerate(x.coeffs) for j, yj in enumerate(y.coeffs)
-    )
+    total = sum(xi * gram[i][j] * yj for i, xi in enumerate(group.element(x))
+                for j, yj in enumerate(group.element(y)))
     return Fraction(total) % 1
 
 
@@ -90,15 +104,15 @@ def isotropic_generators_by_product(group) -> dict:
     x Q x^T on every tuple of ``itertools.product`` in turn.
     """
     orders, e, gram = group.orders, group.exponent, group.int_gram
-    zero = group.zero().coeffs
+    zero = (0,) * len(orders)
 
-    def add(x, y):
+    def step(x, y):
         return tuple((a + b) % d for a, b, d in zip(x, y, orders))
 
     cyclic = {}
     for c in itertools.product(*(range(d) for d in orders)):
         if any(c) and bilinear(c, gram, c) % (2 * e) == 0:
-            cyclic.setdefault(frozenset(closure([zero], [c], add)), c)
+            cyclic.setdefault(frozenset(closure([zero], [c], step)), c)
     trivial = frozenset([zero])
     found = {trivial: ()}
     frontier = [trivial]
@@ -108,7 +122,7 @@ def isotropic_generators_by_product(group) -> dict:
         for line, g in cyclic.items():
             if line <= span or any(bilinear(g, gram, h) % e for h in gens):
                 continue
-            joined = frozenset(closure(span, [g], add))
+            joined = frozenset(closure(span, [g], step))
             if joined not in found:
                 found[joined] = gens + (g,)
                 frontier.append(joined)
@@ -121,7 +135,7 @@ def isotropic_generators_by_product(group) -> dict:
 def extends_by_induced_map(matrix, h) -> bool:
     """The extension test on the whole induced map: every generator of H maps into H."""
     bar = induced_map(matrix, h.parent)
-    return all(apply_map(bar, g).coeffs in h.element_coeffs() for g in h.generators)
+    return all(apply_map(bar, g) in h.element_coeffs() for g in h.generators)
 
 
 def is_isometry_by_pairings(lattice: IntegerLattice, matrix) -> bool:

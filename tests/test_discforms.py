@@ -21,15 +21,18 @@ from latglue.discforms import (
     overlattice_with_basis,
     pullback_form,
     solve_psi_bar,
+    span_elements,
     with_generators,
 )
 from latglue.exact import identity
 from latglue.lattices import IntegerLattice, LatticeError
 
 from oracles import (
+    add,
     all_elements,
     apply_map,
     b,
+    element_order,
     form_error_by_fractions,
     isometry_between,
     rational_lifts,
@@ -72,8 +75,8 @@ def test_rank_one_example():
     group = discriminant_group(IntegerLattice(((2,),)))
     assert group.orders == (2,)
     assert rational_lifts(group) == ((Q(1, 2),),)
-    assert group.q(group.generator(0)) == Q(1, 2)
-    assert b(group, group.generator(0), group.generator(0)) == Q(1, 2)
+    assert group.q((1,)) == Q(1, 2)
+    assert b(group, (1,), (1,)) == Q(1, 2)
 
 
 def test_odd_lattice_rejected():
@@ -83,7 +86,7 @@ def test_odd_lattice_rejected():
 
 def test_pinned_generators(pinned):
     assert pinned.orders == (3, 3, 18)
-    f1, f2, f3 = (pinned.generator(i) for i in range(3))
+    f1, f2, f3 = identity(3)
     assert pinned.q(f1) == Q(2, 3)
     assert pinned.q(f2) == Q(2, 3)
     assert pinned.q(f3) == Q(7, 18)
@@ -93,8 +96,8 @@ def test_pinned_generators(pinned):
 
 
 def test_q_of_zero_is_zero(pinned):
-    assert pinned.q(pinned.zero()) == 0
-    assert b(pinned, pinned.zero(), pinned.generator(2)) == 0
+    assert pinned.q((0, 0, 0)) == 0
+    assert b(pinned, (0, 0, 0), (0, 0, 1)) == 0
 
 
 def test_q_b_compatibility(pinned):
@@ -102,14 +105,15 @@ def test_q_b_compatibility(pinned):
     rng = random.Random(31)
     for _ in range(400):
         x, y = rng.choice(elems), rng.choice(elems)
-        lhs = (pinned.q(x + y) - pinned.q(x) - pinned.q(y)) % 2
+        lhs = (pinned.q(add(pinned, x, y)) - pinned.q(x) - pinned.q(y)) % 2
         assert lhs == (2 * b(pinned, x, y)) % 2
 
 
 def test_forms_reject_elements_of_another_group():
+    """An element of a group with another generator count is refused by its length."""
     group = discriminant_group(IntegerLattice(((2, 1), (1, 2))))
-    stranger = discriminant_group(IntegerLattice(((6,),))).generator(0)
-    with pytest.raises(GlueError):
+    stranger = discriminant_group(IntegerLattice(((2, 0), (0, 6)))).element((1, 1))
+    with pytest.raises(GlueError, match="coefficient length 2 does not match 1 generators"):
         group.q(stranger)
 
 
@@ -118,7 +122,7 @@ def test_element_rejects_non_integral_coefficients():
     for bad in (Q(1, 2), 2.7):
         with pytest.raises(GlueError, match="coefficients must be integers"):
             group.element((bad,))
-    assert group.element((Q(3, 1),)).coeffs == (3,)
+    assert group.element((Q(3, 1),)) == (3,) and type(group.element((Q(3, 1),))[0]) is int
 
 
 def test_form_checks_match_the_fraction_checks():
@@ -169,15 +173,16 @@ def test_group_rejects_non_integer_orders_and_entries():
 
 def test_subgroup_rejects_generators_that_are_not_elements():
     group = discriminant_group(IntegerLattice(((8,),)))
-    for generators in ([(4,)], [group.element((4,)), 4]):
-        with pytest.raises(GlueError, match="generators must be elements of the group"):
+    for generators, message in (([(Q(1, 2),)], "must be integers"),
+                                ([(4,), (4, 0)], "length 2 does not match 1 generators")):
+        with pytest.raises(GlueError, match=message):
             IsotropicSubgroup(group, generators)
 
 
 def test_element_table_is_built_once_and_lists_every_element(disc):
     e = disc.exponent
     table = disc.element_table
-    assert table == tuple((x.order(), int(disc.q(x) * e), x.coeffs) for x in all_elements(disc))
+    assert table == tuple((element_order(disc, x), int(disc.q(x) * e), x) for x in all_elements(disc))
     assert forms_isometric(disc, disc) is not None and disc.element_table is table
 
 
@@ -235,14 +240,14 @@ def test_existence_walkthrough_dual_classes():
         (0, Q(1, 6), 0),
     ]
     elems = [group.element_from_dual_vector(v) for v in printed]
-    span = {group.zero().coeffs}
-    frontier = [group.zero()]
+    span = {(0, 0, 0)}
+    frontier = [(0, 0, 0)]
     while frontier:
         current = frontier.pop()
         for gen in elems:
-            nxt = current + gen
-            if nxt.coeffs not in span:
-                span.add(nxt.coeffs)
+            nxt = add(group, current, gen)
+            if nxt not in span:
+                span.add(nxt)
                 frontier.append(nxt)
     assert len(span) == 648
 
@@ -275,7 +280,7 @@ def test_enumerate_isotropic_order_two():
             recovered.append(sub)
     assert len(recovered) == 2  # both glues give isometric copies
     f_class = group.element_from_dual_vector((Q(1, 2), 0, Q(-1, 2)))
-    assert any(f_class.coeffs in sub.element_coeffs() for sub in subs)
+    assert any(f_class in sub.element_coeffs() for sub in subs)
 
 
 def test_enumerate_isotropic_trivial_and_empty():
@@ -287,18 +292,43 @@ def test_enumerate_isotropic_trivial_and_empty():
 def test_non_isotropic_subgroup_rejected():
     group = discriminant_group(IntegerLattice(((2,),)))
     with pytest.raises(GlueError):
-        IsotropicSubgroup(group, (group.generator(0),))
+        IsotropicSubgroup(group, ((1,),))
 
 
 def test_subgroup_rejects_elements_of_another_group():
-    """4 in Z16 (q = 1) must not be read as 4 in Z8 (q = 0)."""
+    """(4, 4) in Z8 x Z8 (q = 0) is refused by its length, not truncated to 4 in Z8."""
     z8 = discriminant_group(IntegerLattice(((8,),)))
-    z16 = discriminant_group(IntegerLattice(((16,),)))
-    stranger = z16.element((4,))
-    assert z16.q(stranger) == 1
-    with pytest.raises(GlueError, match="elements belong to different groups"):
+    z8_z8 = discriminant_group(IntegerLattice(((8, 0), (0, 8))))
+    stranger = z8_z8.element((4, 4))
+    assert z8_z8.q(stranger) == 0
+    with pytest.raises(GlueError, match="coefficient length 2 does not match 1 generators"):
         IsotropicSubgroup(z8, [stranger])
     assert IsotropicSubgroup(z8, [z8.element((4,))]).order() == 2
+
+
+def test_coefficient_tuples_are_checked_and_reduced():
+    """q, solve, span_elements and IsotropicSubgroup refuse a tuple of the wrong
+    length or with a non-integral entry, and read an unreduced tuple as its reduction."""
+    group = discriminant_group(IntegerLattice(T_EF_GRAM))
+    assert group.orders == (6, 6, 18)
+    double = FiniteAbelianMap(group, group, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    checks = (group.q, double.solve, lambda x: span_elements(group, [x]),
+              lambda x: IsotropicSubgroup(group, [x]))
+    for bad, message in (((0, 3), "length 2 does not match 3"),
+                         ((0, 3, 9, 0), "length 4 does not match 3"),
+                         ((0, Q(3, 2), 9), "must be integers"), ((0, 3, 9.5), "must be integers")):
+        for check in checks:
+            with pytest.raises(GlueError, match=message):
+                check(bad)
+    f_class = group.element_from_dual_vector((Q(1, 2), 0, Q(-1, 2)))
+    assert f_class == (0, 3, 9)
+    for x in (f_class, (1, 2, 3), (0, 4, 0)):
+        unreduced = (x[0] - 6, x[1] + 12, Q(x[2] + 54))
+        for check in checks[:3]:
+            assert check(unreduced) == check(x)
+    assert double.solve((1, 2, 3)) is None
+    assert apply_map(double, double.solve((-6, 14, 2 - 18))) == (0, 2, 2)
+    assert IsotropicSubgroup(group, [(6, -3, 27)]) == IsotropicSubgroup(group, [f_class])
 
 
 def test_isotropy_is_checked_on_every_element():
@@ -322,7 +352,7 @@ def test_overlattice_checks_integrality_and_evenness():
     four = IntegerLattice(((4,),))
     for lift, message in ((Q(1, 4), "not integral"), (Q(1, 2), "must be even")):
         group = fake_group(four, lift)
-        h = IsotropicSubgroup(group, (group.generator(0),))
+        h = IsotropicSubgroup(group, ((1,),))
         with pytest.raises(GlueError, match=message):
             overlattice_with_basis(h)
     # H = 0 gives the source lattice itself, so an odd source is refused as well
@@ -352,7 +382,7 @@ def test_glue_subgroup_of_direct_sum(invariant):
     f_class = glue.parent.element_from_dual_vector(
         sub.coordinates_of((0, 1, 0))
     )
-    assert f_class.coeffs in glue.element_coeffs()
+    assert f_class in glue.element_coeffs()
 
 
 def test_induced_map_identity_and_negation(pinned):
@@ -360,9 +390,8 @@ def test_induced_map_identity_and_negation(pinned):
     assert eye.matrix == identity(3)
     minus = tuple(tuple(-int(i == j) for j in range(3)) for i in range(3))
     neg = induced_map(minus, pinned)
-    for i in range(3):
-        gen = pinned.generator(i)
-        assert apply_map(neg, gen) == pinned.element(tuple(-c for c in gen.coeffs))
+    for gen in identity(3):
+        assert apply_map(neg, gen) == pinned.element(tuple(-c for c in gen))
 
 
 def test_induced_map_rejects_rational_isometries():
@@ -397,7 +426,7 @@ def test_induced_map_printed_values(pinned):
     """phi for L = e-f sends f1 to 2 f1 and f2 to f2 + 12 f3."""
     phi = ((0, -1, 0), (-1, 0, 0), (0, 0, -1))
     bar = induced_map(phi, pinned)
-    f1, f2 = pinned.generator(0), pinned.generator(1)
+    f1, f2, _ = identity(3)
     assert apply_map(bar, f1) == pinned.element((2, 0, 0))
     assert apply_map(bar, f2) == pinned.element((0, 1, 12))
     assert apply_map(bar, pinned.element((0, 0, 2))) == pinned.element((0, 1, 4))
@@ -414,7 +443,7 @@ def test_induced_map_preserves_forms(pinned, invariant):
             assert pinned.q(apply_map(bar, x)) == pinned.q(x)
         for i in range(3):
             for j in range(i, 3):
-                x, y = pinned.generator(i), pinned.generator(j)
+                x, y = identity(3)[i], identity(3)[j]
                 assert b(pinned, apply_map(bar, x), apply_map(bar, y)) == b(pinned, x, y)
 
 

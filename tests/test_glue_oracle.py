@@ -63,7 +63,7 @@ def reduce_mod(x, modulus):
 
 def forms_match_by_fractions(gamma, sign):
     dom, cod = gamma.domain, gamma.codomain
-    gens = [dom.generator(i) for i in range(dom.ngens)]
+    gens = identity(dom.ngens)
     images = [oracles.apply_map(gamma, g) for g in gens]
     for i, (x, y) in enumerate(zip(gens, images)):
         if cod.q(y) != reduce_mod(sign * dom.q(x), 2):
@@ -202,8 +202,8 @@ def ambient_divisibility_by_fractions(polarization, gamma):
     lattice = invariant_lattice_fixed()
     group = gamma.codomain
     g = lattice.divisibility(polarization)
-    for i in range(gamma.domain.ngens):
-        image = oracles.apply_map(gamma, gamma.domain.generator(i))
+    for gen in identity(gamma.domain.ngens):
+        image = oracles.apply_map(gamma, gen)
         pairing = lattice.pairing(polarization, fraction_lift(group, image))
         if pairing.denominator != 1:
             raise GlueError("polarization does not pair integrally with the glue")
@@ -248,22 +248,24 @@ def test_ambient_divisibility_refuses_lifts_that_are_not_dual_vectors():
 def forms_isometric_by_fractions(a, b):
     if a.orders != b.orders:
         return None
-    elems = oracles.all_elements(b)
+    orders = {e: oracles.element_order(b, e) for e in oracles.all_elements(b)}
+    gens = identity(a.ngens)
     chosen = []
 
     def candidates(i):
-        gen = a.generator(i)
-        for e in elems:
-            if e.order() != gen.order() or b.q(e) != a.q(gen):
+        gen = gens[i]
+        want = (oracles.element_order(a, gen), a.q(gen))
+        for e, order in orders.items():
+            if (order, b.q(e)) != want:
                 continue
-            if any(oracles.b(b, e, chosen[j]) != oracles.b(a, gen, a.generator(j))
+            if any(oracles.b(b, e, chosen[j]) != oracles.b(a, gen, gens[j])
                    for j in range(len(chosen))):
                 continue
             yield e
 
     def backtrack(i):
         if i == a.ngens:
-            matrix = transpose([e.coeffs for e in chosen])
+            matrix = transpose(chosen)
             return matrix if FiniteAbelianMap(a, b, matrix).is_injective() else None
         for e in candidates(i):
             chosen.append(e)

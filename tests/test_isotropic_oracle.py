@@ -25,8 +25,8 @@ only the induced columns H's generators use, against the whole induced
 map (``extends_by_induced_map``), and the integer fields that
 ``discriminant_group`` fills from the Smith form against the group the
 public constructor builds from its ``Fraction`` data.  ``FiniteAbelianMap``
-tests well-definedness on its reduced columns; the oracle boxes each column
-as an element and adds it to itself d times.  ``solve_psi_bar`` solves the
+tests well-definedness on its reduced columns; the oracle reduces each
+column as an element and adds it to itself d times.  ``solve_psi_bar`` solves the
 columns of one product Phi Gamma; the oracle maps one generator at a time
 through ``oracles.apply_map``.
 """
@@ -43,6 +43,7 @@ from latglue.discforms import (
     DiscriminantGroup,
     FiniteAbelianMap,
     GlueError,
+    IsotropicSubgroup,
     bare_group,
     discriminant_group,
     enumerate_isotropic_subgroups,
@@ -75,9 +76,11 @@ from latglue.isometries import orthogonal_group
 from latglue.lattices import IntegerLattice
 
 from oracles import (
+    add,
     all_elements,
     apply_map,
     b,
+    element_order,
     extends_by_induced_map,
     isotropic_generators_by_product,
     rational_lifts,
@@ -125,7 +128,7 @@ def isotropic_by_exhaustion(group):
     """Isotropic subgroups by order: every subgroup, kept if q vanishes on all of it."""
     by_order = {}
     for subgroup in all_subgroups(group):
-        if all(group.q(group.element(c)) == 0 for c in subgroup):
+        if all(group.q(c) == 0 for c in subgroup):
             by_order.setdefault(len(subgroup), []).append(subgroup)
     return {n: sorted(subs, key=sorted) for n, subs in by_order.items()}
 
@@ -169,6 +172,35 @@ def test_unusable_orders_give_nothing(groups):
         assert enumerate_isotropic_subgroups(group, non_divisor) == []
 
 
+def test_elements_come_out_as_reduced_int_tuples(groups):
+    """element, element_from_dual_vector, solve and IsotropicSubgroup.generators
+    give tuples of ints, entry i in range(d_i), on every seeded group."""
+    rng = random.Random(311)
+
+    def reduced(group, x):
+        return type(x) is tuple and len(x) == group.ngens and all(
+            type(c) is int and 0 <= c < d for c, d in zip(x, group.orders))
+
+    solved = 0
+    for lattice, group in groups:
+        k = group.ngens
+        for _ in range(5):
+            assert reduced(group, group.element([Fraction(rng.randint(-99, 99)) for _ in range(k)]))
+        for v in random_dual_vectors(rng, lattice, 5):
+            assert reduced(group, group.element_from_dual_vector(v))
+        f = random_map(rng, group, group)
+        for target in all_elements(group):
+            pre = f.solve(tuple(c + rng.randint(-2, 2) * d for c, d in zip(target, group.orders)))
+            assert pre is None or reduced(group, pre)
+            solved += pre is not None
+        for order in divisors(group.order()):
+            for h in enumerate_isotropic_subgroups(group, order):
+                assert all(reduced(group, g) for g in h.generators)
+                shifted = [tuple(c - 2 * d for c, d in zip(g, group.orders)) for g in h.generators]
+                assert IsotropicSubgroup(group, shifted).generators == h.generators
+    assert len(groups) >= 30 and solved >= 100
+
+
 def injective_by_spanning(f):
     """The image spanned element by element has |domain| elements."""
     images = [f.codomain.element(c) for c in transpose(f.matrix)]
@@ -180,7 +212,7 @@ def preserves_form_by_enumeration(auto):
     if not injective_by_spanning(auto):
         return False
     elems = all_elements(group)
-    gens = [group.generator(i) for i in range(group.ngens)]
+    gens = identity(group.ngens)
     return all(group.q(apply_map(auto, x)) == group.q(x) for x in elems) and all(
         b(group, apply_map(auto, x), apply_map(auto, g)) == b(group, x, g)
         for x in elems for g in gens
@@ -191,7 +223,7 @@ def is_anti_isometry_by_enumeration(gamma):
     if not injective_by_spanning(gamma):
         raise GlueError("gluing morphism is not injective")
     dom, cod = gamma.domain, gamma.codomain
-    gens = [dom.generator(i) for i in range(dom.ngens)]
+    gens = identity(dom.ngens)
     return all(
         (dom.q(x) + cod.q(apply_map(gamma, x))) % 2 == 0 for x in all_elements(dom)
     ) and all(
@@ -210,11 +242,11 @@ def random_map(rng, domain, codomain, keep_q=False):
     cols = []
     for i, d in enumerate(domain.orders):
         pool = [y for y in elems
-                if not any(d * c % o for c, o in zip(y.coeffs, codomain.orders))]
+                if not any(d * c % o for c, o in zip(y, codomain.orders))]
         if keep_q:
-            want = domain.q(domain.generator(i))
+            want = domain.q(identity(domain.ngens)[i])
             pool = [y for y in pool if codomain.q(y) == want]
-        cols.append(rng.choice(pool).coeffs)
+        cols.append(rng.choice(pool))
     return FiniteAbelianMap(domain, codomain, transpose(cols) or ((),) * codomain.ngens)
 
 
@@ -374,17 +406,17 @@ def test_solve_psi_bar_matches_the_apply_route():
     for row in rows:
         gamma = gluing_map(row["m"], row["name"])
         phi_bar = induced_map(cases[(row["m"], row["name"])].phi, invariant_discriminant())
-        cols = [gamma.solve(apply_map(phi_bar, apply_map(gamma, gen))).coeffs
-                for gen in map(gamma.domain.generator, range(gamma.domain.ngens))]
+        cols = [gamma.solve(apply_map(phi_bar, apply_map(gamma, gen)))
+                for gen in identity(gamma.domain.ngens)]
         assert solve_psi_bar(phi_bar, gamma).matrix == transpose(cols)
     assert len(rows) == 7
 
 
-def multiple_by_adding(x, d):
+def multiple_by_adding(group, x, d):
     """d x as d - 1 additions of x to itself."""
     total = x
     for _ in range(d - 1):
-        total = total + x
+        total = add(group, total, x)
     return total
 
 
@@ -413,10 +445,10 @@ def test_map_well_definedness_matches_the_element_route():
         bad = []
         for j, (d, col) in enumerate(zip(domain.orders, cols)):
             image = codomain.element(col)
-            killed = not any(multiple_by_adding(image, d).coeffs)
-            assert killed == (d % image.order() == 0)
+            killed = not any(multiple_by_adding(codomain, image, d))
+            assert killed == (d % element_order(codomain, image) == 0)
             if not killed:
-                bad.append((j, d, image.order()))
+                bad.append((j, d, element_order(codomain, image)))
         verdicts.add(bool(bad))
         if bad:
             j, d, k = bad[0]
@@ -521,7 +553,7 @@ def test_induced_map_and_glue_subgroup_match_cleared_solve(groups, rebased):
         if lattice.signature()[1] == 0 and n <= 3:
             isometries += [g.matrix for g in orthogonal_group(lattice).elements]
         for matrix in isometries:
-            cols = [class_by_cleared_solve(group, mat_vec(matrix, lift)).coeffs
+            cols = [class_by_cleared_solve(group, mat_vec(matrix, lift))
                     for lift in rational_lifts(group)]
             assert induced_map(matrix, group).matrix == freeze(transpose(cols))
     for lattice, _group in groups:
@@ -564,7 +596,7 @@ def induced_map_by_fractions(matrix, group):
 def extends_by_every_element(matrix, h):
     bar = induced_map_by_fractions(matrix, h.parent)
     coeffs = h.element_coeffs()
-    return {apply_map(bar, h.parent.element(c)).coeffs for c in coeffs} == coeffs
+    return {apply_map(bar, c) for c in coeffs} == coeffs
 
 
 def overlattice_by_fractions(h):
@@ -639,8 +671,8 @@ def test_each_generator_leaves_the_span_of_the_ones_before(census):
     for _lattice, group, _isometries in census:
         for h in all_isotropic(group):
             for k, g in enumerate(h.generators):
-                assert g.coeffs not in span_elements(group, h.generators[:k])
-            orders = [group.element(c).order() for c in h.element_coeffs()]
+                assert g not in span_elements(group, h.generators[:k])
+            orders = [element_order(group, c) for c in h.element_coeffs()]
             if h.order() > 1 and max(orders) == h.order():
                 assert len(h.generators) == 1
                 cyclic += 1

@@ -22,6 +22,7 @@ from latglue.isometries import admits_order3, group_generated_by, orthogonal_gro
 from latglue.lattices import IntegerLattice, Sublattice
 
 from oracles import (
+    add,
     all_elements,
     b,
     coinvariant_lattice,
@@ -56,14 +57,14 @@ def random_even_lattice(rng, max_rank=3, max_det=200, definite=False):
 
 def all_subgroups(group):
     """Every subgroup of a discriminant group, by closure joins (oracle side)."""
-    zero = group.zero().coeffs
+    zero = (0,) * group.ngens
     cyclic = {}
     for elem in all_elements(group):
-        if not any(elem.coeffs):
+        if not any(elem):
             continue
         span = span_elements(group, [elem])
         if span not in cyclic:
-            cyclic[span] = elem.coeffs
+            cyclic[span] = elem
     found = {frozenset([zero]): ()}
     frontier = [frozenset([zero])]
     while frontier:
@@ -72,7 +73,7 @@ def all_subgroups(group):
         for span, gen in cyclic.items():
             if span <= current:
                 continue
-            joined = span_elements(group, [group.element(c) for c in gens + (gen,)])
+            joined = span_elements(group, gens + (gen,))
             if joined not in found:
                 found[joined] = gens + (gen,)
                 frontier.append(joined)
@@ -94,7 +95,7 @@ def fraction_lift(group, x):
     lifts = rational_lifts(group)
     if not lifts:
         return (0,) * group.source.rank
-    return mat_vec(transpose(lifts), x.coeffs)
+    return mat_vec(transpose(lifts), group.element(x))
 
 
 def brute_force_even_overlattices(lattice, group):
@@ -108,7 +109,7 @@ def brute_force_even_overlattices(lattice, group):
     keys = set()
     for subgroup, gens in all_subgroups(group).items():
         rows = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-        rows += [fraction_lift(group, group.element(c)) for c in gens]
+        rows += [fraction_lift(group, c) for c in gens]
         scale = abs(lattice.determinant())
         cleared = freeze(tuple(int(x * scale) for x in row) for row in rows)
         h = hnf(cleared)
@@ -193,7 +194,7 @@ def test_q_b_compatibility_everywhere():
         if len(elems) > 40:
             elems = [rng.choice(elems) for _ in range(40)]
         for x, y in itertools.product(elems, repeat=2):
-            lhs = (group.q(x + y) - group.q(x) - group.q(y)) % 2
+            lhs = (group.q(add(group, x, y)) - group.q(x) - group.q(y)) % 2
             assert lhs == (2 * b(group, x, y)) % 2
 
 
