@@ -157,7 +157,6 @@ def invariant_discriminant() -> DiscriminantGroup:
     return with_generators(discriminant_group(lattice), lifts)
 
 
-@lru_cache(maxsize=1)
 def full_isometry_group() -> IsometryGroup:
     return orthogonal_group(invariant_lattice_fixed())
 

@@ -54,6 +54,18 @@ class GlueError(ValueError):
     """Raised when a gluing/extension precondition fails."""
 
 
+def _integers(rows, what: str) -> IntMatrix:
+    """Rows of integral numbers as int tuples, else GlueError "<what> must be integers"."""
+    try:
+        rows = tuple(map(tuple, rows))
+        ints = tuple(tuple(map(int, row)) for row in rows)
+        if ints == rows:
+            return ints
+    except (TypeError, ValueError, OverflowError):  # not iterable, None, "x", inf
+        pass
+    raise GlueError(f"{what} must be integers")
+
+
 class DiscriminantGroup(Frozen):
     """Finite abelian group with a Q/2Z-valued quadratic form, stored in integers.
 
@@ -83,9 +95,7 @@ class DiscriminantGroup(Frozen):
 
     def __init__(self, orders, pairings, lifts=None, source: IntegerLattice | None = None,
                  classes=None):
-        if any(int(d) != d for d in orders):
-            raise GlueError("cyclic factor orders must be integers")
-        orders, pairings = tuple(int(d) for d in orders), freeze(pairings)
+        (orders,), pairings = _integers((orders,), "cyclic factor orders"), freeze(pairings)
         lifts = None if lifts is None else freeze(lifts)
         if any(not isinstance(x, int | Fraction) for row in pairings + (lifts or ()) for x in row):
             raise GlueError("pairing and lift entries must be integers or Fractions")
@@ -130,13 +140,11 @@ class DiscriminantGroup(Frozen):
         return prod(self.orders)
 
     def element(self, coeffs) -> tuple[int, ...]:
-        """``coeffs`` checked for length and integrality, reduced modulo the orders."""
-        k = len(self.orders)
+        """``coeffs`` checked for integrality and length, reduced modulo the orders."""
+        (coeffs,), k = _integers((coeffs,), "coefficients"), len(self.orders)
         if len(coeffs) != k:
             raise GlueError(f"coefficient length {len(coeffs)} does not match {k} generators")
-        if any(int(c) != c for c in coeffs):
-            raise GlueError("coefficients must be integers")
-        return tuple(int(c) % d for c, d in zip(coeffs, self.orders))
+        return tuple(c % d for c, d in zip(coeffs, self.orders))
 
     # -- the forms --------------------------------------------------------
 
@@ -436,10 +444,9 @@ class FiniteAbelianMap(Frozen):
     _key = attrgetter("domain", "codomain", "matrix")
 
     def __init__(self, domain: DiscriminantGroup, codomain: DiscriminantGroup, matrix):
+        matrix = _integers(matrix, "map matrix entries")
         if len(matrix) != codomain.ngens or any(len(row) != domain.ngens for row in matrix):
             raise GlueError("map matrix shape mismatch")
-        if any(int(x) != x for row in matrix for x in row):
-            raise GlueError("map matrix entries must be integers")
         reduced = _reduce(matrix, codomain.orders)
         for j, d in enumerate(domain.orders):
             k = _order([row[j] for row in reduced], codomain.orders)
@@ -538,10 +545,9 @@ def _forms_match(gamma: FiniteAbelianMap, sign: int) -> bool:
     dom, cod = gamma.domain, gamma.codomain
     e, f, q, p = dom.exponent, cod.exponent, dom.int_gram, cod.int_gram
     images = [tuple(row[i] for row in gamma.matrix) for i in range(dom.ngens)]
-    for i, y in enumerate(images):
-        for j in range(i, len(images)):
-            diff = bilinear(y, p, images[j]) * e - sign * q[i][j] * f
-            if diff % ((2 if i == j else 1) * e * f):
+    for i, row in enumerate(gram_of_rows(images, p)):
+        for j in range(i, len(row)):
+            if (row[j] * e - sign * q[i][j] * f) % ((2 if i == j else 1) * e * f):
                 return False
     return True
 

@@ -20,11 +20,10 @@ the vectors a column takes, once per search.  This is
 only meant for the small ranks the toolkit works at and is guarded
 accordingly.  The pairing filter proves the Gram identity, so the elements
 are built without checking it again, and each element's ``order`` is
-computed on first use.  One module slot keeps the group of the last
-search: the reports on one lattice share it, and its elements serve as
-proven isometries of that lattice object (``proven_isometry``).  An
-``lru_cache`` keeps the short-vector set-up of the last lattice, so a
-lattice enumerates a norm once.  Orbits are read off the group in one pass.
+computed on first use.  Each lattice keeps its group and short-vector
+set-up (``_memo``): reports on one lattice object share one search, whose
+elements are proven isometries of that object (``proven_isometry``), and
+a norm is enumerated once.  Orbits are read off the group in one pass.
 
 >>> a2 = IntegerLattice(((2, 1), (1, 2)))
 >>> orthogonal_group(a2).order(), len(vectors_of_norm(a2, 2))
@@ -37,7 +36,7 @@ matrix are the images of the basis vectors.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 from numbers import Real
 from operator import attrgetter, mul, neg
@@ -237,15 +236,12 @@ class _ShortVectors:
             self.by_norm[norm] = tuple(sorted([tuple([v[k] for k in slot]) for v in found]))
 
 
-@lru_cache(maxsize=1)
 def _short_vectors(lattice: IntegerLattice) -> _ShortVectors:
-    """The short-vector set-up of the last lattice, for ``_isometries`` and ``vectors_of_norm``.
-
-    An indefinite lattice is refused afresh on every call (``lru_cache``
-    does not keep exceptions); ``vectors`` checks NODE_GUARD per call and
-    then reads the set-up's per-norm dict, which never holds an error.
-    """
-    return _ShortVectors(lattice)
+    """The short-vector set-up the lattice keeps; a refusal is not kept, so it is raised again."""
+    setup = lattice._memo.get("short_vectors")
+    if setup is None:
+        setup = lattice._memo["short_vectors"] = _ShortVectors(lattice)
+    return setup
 
 
 def vectors_of_norm(lattice: IntegerLattice, norm: int) -> tuple[IntVector, ...]:
@@ -324,41 +320,33 @@ def _isometries(a: IntegerLattice, b: IntegerLattice):
     yield from backtrack(0, [first] + [cands[j] for j in cols[1:]])
 
 
-_searched: IsometryGroup | None = None  # the group of the last search
-
-
 def orthogonal_group(lattice: IntegerLattice) -> IsometryGroup:
     """O(L) for a positive definite lattice of small rank, by backtracking.
 
-    The module slot ``_searched`` keeps the last search's group, read once
-    per call, so reports on one lattice (or an equal one) run one search; a
-    guard error is raised afresh on every call and leaves the slot as it was.
-    Definiteness is read off the leading minors.  ``_isometries`` yields only
+    The lattice keeps the group (a guard error is raised on every call), and
+    definiteness is read off its leading minors.  ``_isometries`` yields only
     Gram-preserving matrices, so the elements, sorted by matrix, skip Isometry's check.
     """
-    global _searched
-    group = _searched
-    if group is None or group.lattice != lattice:
+    group = lattice._memo.get("group")
+    if group is None:
         if lattice.rank > RANK_GUARD:
             raise LatticeError(f"orthogonal group enumeration is guarded to rank <= {RANK_GUARD}")
         _require_definite(lattice, "group enumeration")
-        group = _searched = IsometryGroup(lattice, tuple(
+        group = lattice._memo["group"] = IsometryGroup(lattice, tuple(
             Isometry._unchecked(lattice, m) for m in sorted(_isometries(lattice, lattice))))
     return group
 
 
 def proven_isometry(lattice: IntegerLattice, matrix) -> IntMatrix | None:
-    """The element of the kept search on this very lattice object equal to ``matrix``, or None.
+    """The element of the group this lattice object kept equal to ``matrix``, or None.
 
-    The search's pairing filter proved M^T G M == G for each of them, and a
-    lattice is immutable.  The slot is read once per call.  Lists and string
-    entries are a miss, and None proves nothing: ``is_isometry_matrix`` checks.
+    The search's pairing filter proved M^T G M == G for each of them.  Lists
+    and string entries are a miss, and None proves nothing: ``is_isometry_matrix`` checks.
     """
-    group = _searched
-    if group is None or group.lattice is not lattice:
-        return None
+    group = lattice._memo.get("group")
+    elements = () if group is None else group.elements
     try:
-        kept = group.elements[bisect_left(group.elements, matrix, key=attrgetter("matrix"))].matrix
+        kept = elements[bisect_left(elements, matrix, key=attrgetter("matrix"))].matrix
     except (TypeError, IndexError):  # not comparable with int tuples, or past the last one
         return None
     return kept if kept == matrix else None

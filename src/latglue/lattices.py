@@ -107,8 +107,9 @@ class IntegerLattice(Frozen):
 
     ``_minors`` holds the leading minors D_1, ..., D_n of ``ldl_rows(gram)``,
     computed once; D_n is the determinant, since the zero-pivot dodges of
-    ``ldl_rows`` keep it, and a singular Gram is refused.  Equality, the hash
-    (``Frozen``'s) and the repr read ``gram`` only.
+    ``ldl_rows`` keep it, and a singular Gram is refused.  ``isometries``
+    keeps O(L) and the short-vector set-up in the private dict ``_memo``.
+    Equality, the hash (``Frozen``'s) and the repr read ``gram`` only.
     """
 
     _key = attrgetter("gram")
@@ -126,7 +127,7 @@ class IntegerLattice(Frozen):
             minors = tuple([row[0] for row in ldl_rows(gram)])
         except ZeroDivisionError:
             raise LatticeError("degenerate Gram matrix") from None
-        self._set(gram=gram, _minors=minors)
+        self._set(gram=gram, _minors=minors, _memo={})
 
     def __repr__(self):
         return f"IntegerLattice(gram={self.gram!r})"

@@ -308,7 +308,23 @@ def test_subgroup_rejects_elements_of_another_group():
 
 def test_coefficient_tuples_are_checked_and_reduced():
     """q, solve, span_elements and IsotropicSubgroup refuse a tuple of the wrong
-    length or with a non-integral entry, and read an unreduced tuple as its reduction."""
+    length or with a non-integral entry, and read an unreduced tuple as its reduction.
+    A coefficient, matrix entry or order that is no number at all, or an
+    infinite one, is a GlueError too."""
+    z8 = discriminant_group(IntegerLattice(((8,),)))
+    for make, message in ((lambda: z8.q(4), "coefficients must be integers"),
+                          (lambda: IsotropicSubgroup(z8, [(4,), 4]), "coefficients must be integers"),
+                          (lambda: z8.q((None,)), "coefficients must be integers"),
+                          (lambda: z8.q(("x",)), "coefficients must be integers"),
+                          (lambda: z8.q((float("inf"),)), "coefficients must be integers"),
+                          (lambda: z8.q((float("nan"),)), "coefficients must be integers"),
+                          (lambda: FiniteAbelianMap(z8, z8, 5), "map matrix entries must be integers"),
+                          (lambda: FiniteAbelianMap(z8, z8, ((None,),)),
+                           "map matrix entries must be integers"),
+                          (lambda: DiscriminantGroup((None,), ((0,),)),
+                           "cyclic factor orders must be integers")):
+        with pytest.raises(GlueError, match=f"^{message}$"):
+            make()
     group = discriminant_group(IntegerLattice(T_EF_GRAM))
     assert group.orders == (6, 6, 18)
     double = FiniteAbelianMap(group, group, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
@@ -479,7 +495,7 @@ def test_extension_can_fail():
 
 
 def test_extension_reads_the_last_search_on_its_own_lattice_object(monkeypatch):
-    """Elements of the last O(L) search on the very lattice object skip the
+    """Elements of the O(L) search the very lattice object kept skip the
     M^T G M == G check, with the same verdicts; anything else is checked."""
     import latglue.discforms as discforms
     import latglue.isometries as isometries
@@ -497,7 +513,6 @@ def test_extension_reads_the_last_search_on_its_own_lattice_object(monkeypatch):
         return [[extends_to_overlattice(m, h) for m in elements] for h in subgroups]
 
     lattice = IntegerLattice(((4, 2, 0), (2, 4, 0), (0, 0, 4)))  # A_L = (2, 2, 12)
-    monkeypatch.setattr(isometries, "_searched", None)
     elements = [g.matrix for g in isometries.orthogonal_group(lattice).elements]
     assert len(elements) == 24
     searched = verdicts(lattice, elements)
@@ -514,19 +529,17 @@ def test_extension_reads_the_last_search_on_its_own_lattice_object(monkeypatch):
     with pytest.raises(GlueError, match="not an isometry of the source lattice"):
         extends_to_overlattice(shear, h)
 
-    # (a) the verdicts with the search forgotten are the same
-    monkeypatch.setattr(isometries, "_searched", None)
+    # (a) an equal object that runs its own search reads its own elements
+    equal = IntegerLattice(lattice.gram)
+    isometries.orthogonal_group(equal)
     calls.clear()
-    assert verdicts(lattice, elements) == searched
-    assert len(calls) == 3 * 24
+    assert verdicts(equal, elements) == searched
+    assert calls == []
 
-    # (d) a search on another lattice replaces the first one's elements
-    monkeypatch.setattr(isometries, "_searched", None)
-    isometries.orthogonal_group(lattice)
+    # (d) a search on another lattice leaves the first one's elements kept
     isometries.orthogonal_group(IntegerLattice(((2, 1, 0), (1, 2, 0), (0, 0, 8))))
-    calls.clear()
     assert verdicts(lattice, elements) == searched
-    assert len(calls) == 3 * 24
+    assert calls == []
 
 
 def test_extension_verdicts_for_one_matrix_given_six_ways(monkeypatch):
@@ -565,7 +578,6 @@ def test_extension_verdicts_for_one_matrix_given_six_ways(monkeypatch):
 
     gram = ((8, 0), (0, 8))  # A_L = (8, 8): half of O(L) fixes its order-2 isotropic subgroup
     refused = "matrix is not an isometry of the source lattice"
-    monkeypatch.setattr(isometries, "_searched", None)
     searched = IntegerLattice(gram)
     elements = [g.matrix for g in isometries.orthogonal_group(searched).elements]
     verdicts = set()

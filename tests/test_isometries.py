@@ -307,7 +307,6 @@ def test_candidate_guard_comes_after_the_node_guard(monkeypatch):
     and CANDIDATE_GUARD after it, so a long basis vector past the node guard
     is named even when the 12 roots of A3 exceed a lowered candidate guard
     (an odd long norm has only the two vectors +-e4: A3 is even)."""
-    monkeypatch.setattr(isometries, "_searched", None)
     a3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
 
     def with_long(norm):
@@ -405,7 +404,6 @@ def test_isometry_check_matches_pairing_oracle():
 
 
 def test_orthogonal_group_runs_once_per_lattice(monkeypatch):
-    monkeypatch.setattr(isometries, "_searched", None)
     lattice = IntegerLattice(((4, 2, 1), (2, 6, 0), (1, 0, 8)))
     searches = []
     search = isometries._isometries
@@ -416,18 +414,18 @@ def test_orthogonal_group_runs_once_per_lattice(monkeypatch):
 
     monkeypatch.setattr(isometries, "_isometries", counted)
     group = orthogonal_group(lattice)
-    assert orthogonal_group(IntegerLattice(lattice.gram)) is group
     info = lattice_info_report(lattice)
     table = orbit_report(8, lattice)
     assert searches == [lattice.gram]
     assert info["isometry_group_order"] == table["group_order"] == group.order()
-    # another lattice takes the single slot; the first one is searched again
+    # an equal object runs a search of its own; another lattice's search leaves this one's kept
+    equal = IntegerLattice(lattice.gram)
+    assert orthogonal_group(equal) == group and orthogonal_group(equal) is not group
     assert orthogonal_group(IntegerLattice(((2,),))).order() == 2
-    assert orthogonal_group(lattice) == group and len(searches) == 3
+    assert orthogonal_group(lattice) is group and len(searches) == 3
 
 
-def test_guard_errors_are_raised_on_every_call(monkeypatch):
-    monkeypatch.setattr(isometries, "_searched", None)
+def test_guard_errors_are_raised_on_every_call():
     lattice = IntegerLattice(((2, 1), (1, 2)))
     group = orthogonal_group(lattice)
     rank5 = IntegerLattice(tuple(tuple(2 * int(i == j) for j in range(5)) for i in range(5)))
@@ -443,44 +441,40 @@ def test_guard_errors_are_raised_on_every_call(monkeypatch):
 A2 = ((2, 1), (1, 2))
 
 
-def test_orthogonal_group_reads_the_slot_once(monkeypatch):
-    """A search that lands in the slot between the lattice test and the
-    return (here from inside the comparison) does not change the result."""
-    other = orthogonal_group(IntegerLattice(((2, 0), (0, 4))))
-    monkeypatch.setattr(isometries, "_searched", orthogonal_group(IntegerLattice(A2)))
+def test_each_lattice_keeps_its_own_search(monkeypatch):
+    """A search on another lattice leaves the first one's group and proven
+    isometries; the lattice still equals, hashes and prints as a fresh one
+    of its Gram, and refusals are not kept."""
+    searches = []
+    search = isometries._isometries
 
-    class Switching(IntegerLattice):
-        def __ne__(self, kept):
-            isometries._searched = other
-            return False
+    def counted(a, b):
+        searches.append(a.gram)
+        return search(a, b)
 
-    group = orthogonal_group(Switching(A2))
-    assert group.lattice.gram == A2 and group.order() == 12
-
-
-def test_proven_isometry_reads_the_slot_once(monkeypatch):
-    """The elements looked up belong to the lattice the slot was tested on,
-    even when another search lands in the slot in between."""
-    lattice = IntegerLattice(A2)
-    other = orthogonal_group(IntegerLattice(((2, 0), (0, 4))))
-    flip = ((1, 0), (0, -1))  # in O([[2,0],[0,4]]), not in O(A2)
-    assert flip in [g.matrix for g in other.elements]
-
-    class Switching(IsometryGroup):
-        @property
-        def lattice(self):
-            isometries._searched = other
-            return self.__dict__["lattice"]
-
-    kept = orthogonal_group(lattice)
-    monkeypatch.setattr(isometries, "_searched", Switching(lattice, kept.elements))
-    assert isometries.proven_isometry(lattice, flip) is None
-    monkeypatch.setattr(isometries, "_searched", Switching(lattice, kept.elements))
-    assert isometries.proven_isometry(lattice, kept.elements[0].matrix) is kept.elements[0].matrix
+    monkeypatch.setattr(isometries, "_isometries", counted)
+    a, b = IntegerLattice(((4, 2, 1), (2, 6, 0), (1, 0, 8))), IntegerLattice(A2)
+    group = orthogonal_group(a)
+    orthogonal_group(b)
+    assert all(isometries.proven_isometry(a, g.matrix) is g.matrix for g in group.elements)
+    assert orthogonal_group(a) is group and searches == [a.gram, b.gram]
+    fresh = IntegerLattice(a.gram)
+    assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+    assert isometries.proven_isometry(fresh, group.elements[0].matrix) is None
+    big = 10**21
+    level = IntegerLattice(((big, big - 1), (big - 1, big)))
+    indefinite = IntegerLattice(((2, 1), (1, -4)))
+    for _ in range(2):
+        with pytest.raises(LatticeError, match=r"may visit \d+ nodes"):
+            orthogonal_group(level)
+        with pytest.raises(LatticeError, match="needs a positive definite lattice"):
+            orthogonal_group(indefinite)
+        with pytest.raises(LatticeError, match="needs a positive definite lattice"):
+            vectors_of_norm(indefinite, 2)
+    assert searches == [a.gram, b.gram, level.gram, level.gram]
 
 
-def test_proven_isometry_returns_the_kept_matrix_or_none(monkeypatch):
-    monkeypatch.setattr(isometries, "_searched", None)
+def test_proven_isometry_returns_the_kept_matrix_or_none():
     lattice = IntegerLattice(A2)
     m = orthogonal_group(lattice).elements[3].matrix
     for equal in (m, tuple(tuple(float(x) for x in row) for row in m),
@@ -494,8 +488,6 @@ def test_proven_isometry_returns_the_kept_matrix_or_none(monkeypatch):
 
 
 def test_short_vector_setup_once_per_lattice_and_refusals_repeat(monkeypatch):
-    monkeypatch.setattr(isometries, "_searched", None)
-    isometries._short_vectors.cache_clear()
     setups = []
 
     class Counted(isometries._ShortVectors):
@@ -507,8 +499,11 @@ def test_short_vector_setup_once_per_lattice_and_refusals_repeat(monkeypatch):
     lattice = IntegerLattice(((4, 2, 1), (2, 6, 0), (1, 0, 8)))
     lattice_info_report(lattice)
     orbit_report(8, lattice)
-    assert vectors_of_norm(IntegerLattice(lattice.gram), 4) == ((-1, 0, 0), (1, 0, 0))
+    assert vectors_of_norm(lattice, 4) == ((-1, 0, 0), (1, 0, 0))
     assert setups == [lattice.gram]
+    # an equal object builds a set-up of its own
+    assert vectors_of_norm(IntegerLattice(lattice.gram), 4) == ((-1, 0, 0), (1, 0, 0))
+    assert setups == [lattice.gram, lattice.gram]
     # refusals are raised afresh on every call, around a working call
     big = 10**21
     level = IntegerLattice(((big, big - 1), (big - 1, big)))
@@ -519,15 +514,14 @@ def test_short_vector_setup_once_per_lattice_and_refusals_repeat(monkeypatch):
         with pytest.raises(LatticeError, match=r"may visit \d+ nodes"):
             vectors_of_norm(level, big)
         assert vectors_of_norm(level, 2) == ((-1, 1), (1, -1))
-    # a refused lattice is tried again but does not evict the kept set-up
-    assert setups == [lattice.gram, indefinite.gram, level.gram, indefinite.gram]
+    # a refused lattice is tried again; the others keep their set-ups
+    assert vectors_of_norm(lattice, 4) == ((-1, 0, 0), (1, 0, 0))
+    assert setups == [lattice.gram, lattice.gram, indefinite.gram, level.gram, indefinite.gram]
 
 
 def test_orbit_report_reuses_the_searched_norms(monkeypatch):
     """One descent per search: O(L) enumerates its three diagonal norms at
     once, and a norm is never enumerated twice on one lattice."""
-    monkeypatch.setattr(isometries, "_searched", None)
-    isometries._short_vectors.cache_clear()
     descents = []
     descend = isometries._ShortVectors._vectors
 
