@@ -54,7 +54,6 @@ from .exact import (
     mat_vec,
     right_kernel,
     transpose,
-    vec_content,
 )
 from .isometries import (
     Isometry,
@@ -338,8 +337,8 @@ def classify(m: int) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
     for n in sorted(admissible_n(m)):
         norm = 6 * n
         vectors = vectors_of_norm(lattice, norm)
-        primitive = [v for v in vectors if vec_content(v) == 1]
-        imprimitive = [v for v in vectors if vec_content(v) != 1]
+        primitive = [v for v in vectors if gcd(*v) == 1]
+        imprimitive = [v for v in vectors if gcd(*v) != 1]
 
         def exclude(rep, reason):
             excluded.append(Row(L=rep, name=vector_name(rep), norm=norm, reason=reason))

@@ -37,6 +37,7 @@ from .exact import (
     gram_of_rows,
     hnf,
     identity,
+    integral,
     lcm_denominator,
     mat_mul,
     mat_vec,
@@ -55,15 +56,11 @@ class GlueError(ValueError):
 
 
 def _integers(rows, what: str) -> IntMatrix:
-    """Rows of integral numbers as int tuples, else GlueError "<what> must be integers"."""
-    try:
-        rows = tuple(map(tuple, rows))
-        ints = tuple(tuple(map(int, row)) for row in rows)
-        if ints == rows:
-            return ints
-    except (TypeError, ValueError, OverflowError):  # not iterable, None, "x", inf
-        pass
-    raise GlueError(f"{what} must be integers")
+    """The int rows of ``exact.integral``, else GlueError "<what> must be integers"."""
+    ints = integral(rows)
+    if ints is None:
+        raise GlueError(f"{what} must be integers")
+    return ints
 
 
 class DiscriminantGroup(Frozen):
@@ -177,29 +174,27 @@ class DiscriminantGroup(Frozen):
         element b-orthogonal to the generators chosen so far, one cyclic
         subgroup at a time.  This reaches every isotropic H (its elements
         are isotropic and pairwise orthogonal) and nothing else, because
-        q(x + y) = q(x) + q(y) + 2 b(x, y).  Spans are deduplicated, and
-        each keeps the coefficient tuples first adjoined to reach it: one
-        for a cyclic subgroup, none in the span of those before.  Each
-        bucket is sorted by the subgroups' sorted elements.
+        q(x + y) = q(x) + q(y) + 2 b(x, y).  ``lattices.closure`` grows the
+        spans, deduplicated, each keeping the coefficient tuples first
+        adjoined to reach it (one for a cyclic subgroup, none in the span of
+        those before).  Each bucket is sorted by the subgroups' sorted elements.
         """
         orders, e, gram = self.orders, self.exponent, self.int_gram
         zero = (0,) * len(orders)
         cyclic: dict[frozenset, tuple] = {}
         for c in _isotropic_coeffs(orders, gram, e)[1:]:  # [0] is zero
             cyclic.setdefault(_span(orders, [zero], [c]), c)
-        trivial = frozenset([zero])
-        found: dict[frozenset, tuple] = {trivial: ()}
-        frontier = [trivial]
-        while frontier:
-            span = frontier.pop()
-            gens = found[span]
-            for line, g in cyclic.items():
-                if line <= span or any(bilinear(g, gram, h) % e for h in gens):
-                    continue
-                joined = _span(orders, span, [g])
-                if joined not in found:
-                    found[joined] = gens + (g,)
-                    frontier.append(joined)
+        found: dict[frozenset, tuple] = {frozenset([zero]): ()}
+
+        def grow(span, line_g):
+            line, g = line_g
+            if line <= span or any(bilinear(g, gram, h) % e for h in found[span]):
+                return span
+            joined = _span(orders, span, [g])
+            found.setdefault(joined, found[span] + (g,))
+            return joined
+
+        closure(list(found), list(cyclic.items()), grow)
         buckets: dict[int, list[tuple]] = {}
         for span in sorted(found, key=sorted):
             buckets.setdefault(len(span), []).append(found[span])
@@ -485,18 +480,15 @@ def _induced_matrix(matrix, group: DiscriminantGroup, used) -> IntMatrix:
     Only the columns in ``used`` are computed (the others are 0).  M is
     checked in any case: M as given is looked up among the elements of the
     last O(L) search on the source lattice object (``proven_isometry``),
-    and only a miss is converted to ints and gets the M^T G M == G check.
+    and only a miss is read by ``exact.integral`` and gets M^T G M == G.
     """
     if group.source is None or group.classes is None:
         raise GlueError("induced maps need a lattice-backed group")
     nums, dens = group.cleared_lifts
     m = proven_isometry(group.source, matrix)
     if m is None:
-        try:
-            m = tuple(tuple(map(int, row)) for row in matrix)
-        except (TypeError, ValueError, OverflowError):
-            m = None
-        if m is None or m != tuple(map(tuple, matrix)) or not is_isometry_matrix(group.source, m):
+        m = integral(matrix)
+        if m is None or not is_isometry_matrix(group.source, m):
             raise GlueError("matrix is not an isometry of the source lattice")
     rows = [[0] * len(nums) for _ in nums]
     for i in used:

@@ -2,11 +2,12 @@
 
 Everything here works on tuples-of-tuples of Python ints; ``frac_inverse``,
 the one rational inverse (``Sublattice.coordinates_of`` reads it), clears
-denominators first, so there is one integer elimination of each kind and
-no floating point: the Bareiss step ``_bareiss_step`` of ``det`` and
-``ldl_rows``, ``hnf`` (H only, also behind ``right_kernel``) and the Smith
-loop ``_smith`` of ``snf`` and ``smith_diagonal``.  Lattice pairings and
-discriminant forms share one v*G*w^T kernel, ``bilinear``.
+denominators and reads ``snf`` (there is no adjugate), so there is one
+integer elimination of each kind and no floating point: the Bareiss step
+``_bareiss_step`` of ``det`` and ``ldl_rows``, ``hnf`` (H only, also behind
+``right_kernel``) and the Smith loop ``_smith`` of ``snf`` and
+``smith_diagonal``.  Lattice pairings and discriminant forms share one
+v*G*w^T kernel, ``bilinear``, and entries are checked integral by ``integral``.
 Conventions are pinned so that every caller sees deterministic output:
 
 * Hermite normal form is row-style with positive pivots and entries above
@@ -17,7 +18,7 @@ Conventions are pinned so that every caller sees deterministic output:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -50,11 +51,6 @@ def mat_vec(a, v):
 def bilinear(v, gram, w):
     """v*gram*w^T (int on integer inputs), skipping zero entries of v; no length check."""
     return sum(vi * sum(map(mul, row, w)) for vi, row in zip(v, gram) if vi)
-
-
-def vec_content(v: IntVector | list[int]) -> int:
-    """gcd of the entries (0 for the zero vector)."""
-    return gcd(*v)
 
 
 def gram_of_rows(rows, gram):
@@ -128,27 +124,20 @@ def _bareiss_step(a, k: int, prev: int) -> int:
     return pivot
 
 
-def adjugate(a) -> IntMatrix:
-    """Integer adjugate by cofactors: a . adjugate(a) == det(a) . I."""
-    return tuple(
-        tuple((-1) ** (i + j) * det([r[:i] + r[i + 1:] for k, r in enumerate(a) if k != j])
-              for j in range(len(a)))
-        for i in range(len(a))
-    )
-
-
 def frac_inverse(a) -> FracMatrix:
     """Inverse of a nonsingular square matrix of ints or Fractions, as Fractions.
 
     With a = b/e for the integer matrix b and e the lcm of the denominators,
-    a^-1 = e adj(b) / det(b); a singular matrix raises ZeroDivisionError.
+    and U b V = D by ``snf``, a^-1 = e V D^-1 U = e V (d_n D^-1) U / d_n
+    (Cohen, 2.4); a singular matrix (d_n = 0) raises ZeroDivisionError.
     """
     e = lcm_denominator(a)
-    b = [[x.numerator * (e // x.denominator) for x in row] for row in a]
-    d = det(b)
-    if not d:
+    d, u, v = snf([[x.numerator * (e // x.denominator) for x in row] for row in a])
+    last = d[-1][-1] if d else 1  # d_1 | ... | d_n, so a zero on D makes d_n zero
+    if not last:
         raise ZeroDivisionError("matrix is singular")
-    return freeze((Fraction(e * x, d) for x in row) for row in adjugate(b))
+    scaled = [[x * (last // d[k][k]) for x in row] for k, row in enumerate(u)]
+    return freeze((Fraction(e * x, last) for x in row) for row in mat_mul(v, scaled))
 
 
 def hnf(a) -> IntMatrix:
@@ -316,6 +305,16 @@ def solve_smith(smith, t) -> IntVector | None:
                 return None
             w[i] = ut[i] // di
     return mat_vec(v, tuple(w))
+
+
+def integral(rows) -> IntMatrix | None:
+    """The rows as int tuples if int(x) == x for every entry x, else None (also if int(x) raises)."""
+    try:
+        rows = freeze(rows)
+        ints = tuple(tuple(map(int, row)) for row in rows)
+        return ints if ints == rows else None
+    except (TypeError, ValueError, OverflowError):  # not iterable, None, "x", inf, nan
+        return None
 
 
 def lcm_denominator(rows) -> int:

@@ -38,7 +38,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property
 from math import gcd, isqrt, lcm, prod
-from numbers import Real
 from operator import attrgetter, mul, neg
 
 from .exact import (
@@ -48,11 +47,11 @@ from .exact import (
     freeze,
     gram_of_rows,
     identity,
+    integral,
     ldl_rows,
     mat_mul,
     mat_vec,
     transpose,
-    vec_content,
 )
 from .lattices import Frozen, IntegerLattice, LatticeError, closure
 
@@ -91,15 +90,14 @@ def matrix_order(matrix) -> int:
 
 
 class Isometry(Frozen):
-    """Gram-preserving integer basis change with int entries; ``order`` is computed on first use."""
+    """Gram-preserving basis change, its entries made ints by ``exact.integral``; ``order`` lazy."""
 
     _key = attrgetter("lattice", "matrix")
 
     def __init__(self, lattice: IntegerLattice, matrix: IntMatrix):
-        matrix = freeze(matrix)
-        if any(not isinstance(x, Real) or x % 1 for row in matrix for x in row):
+        matrix = integral(matrix)
+        if matrix is None:
             raise LatticeError("matrix entries must be integers")
-        matrix = freeze(map(int, row) for row in matrix)  # integral floats and Fractions too
         if not is_isometry_matrix(lattice, matrix):
             raise LatticeError("matrix does not preserve the Gram matrix")
         self._set(lattice=lattice, matrix=matrix)
@@ -155,7 +153,7 @@ class _ShortVectors:
         minors = [1] + [row[0] for row in raw]
         self.pivots, self.tails, nums, dens = [], [], [], []
         for k, row in enumerate(raw):
-            content = vec_content(row)
+            content = gcd(*row)
             self.pivots.append(row[0] // content)
             self.tails.append([x // content for x in row[1:]])
             num, den = content * content, minors[k] * minors[k + 1]
@@ -247,11 +245,13 @@ def _short_vectors(lattice: IntegerLattice) -> _ShortVectors:
 def vectors_of_norm(lattice: IntegerLattice, norm: int) -> tuple[IntVector, ...]:
     """All lattice vectors of the exact given norm, lexicographically sorted.
 
-    A negative norm has no vectors; otherwise the lattice must be positive
-    definite (a leading minor <= 0 raises LatticeError), and an enumeration
-    whose node bound exceeds NODE_GUARD raises LatticeError instead of
-    running.
+    A norm that is not an int raises LatticeError, a negative norm has no
+    vectors; otherwise the lattice must be positive definite (a leading
+    minor <= 0 raises LatticeError), and an enumeration whose node bound
+    exceeds NODE_GUARD raises LatticeError instead of running.
     """
+    if not isinstance(norm, int):
+        raise LatticeError("norm must be an integer")
     if norm < 0:
         return ()
     return _short_vectors(lattice).vectors((norm,))[norm]

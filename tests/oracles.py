@@ -15,6 +15,7 @@ from fractions import Fraction
 from latglue.discforms import induced_map
 from latglue.exact import (
     bilinear,
+    det,
     freeze,
     gram_of_rows,
     hnf,
@@ -276,6 +277,15 @@ def kernel_by_smith(a):
     rank = sum(1 for i in range(min(len(d), ncols)) if d[i][i] != 0)
     cols = [tuple(v[i][j] for i in range(ncols)) for j in range(rank, ncols)]
     return tuple(row for row in hnf(cols) if any(row))
+
+
+def adjugate(a):
+    """Integer adjugate by cofactors, a . adjugate(a) == det(a) . I (once ``exact.adjugate``)."""
+    return tuple(
+        tuple((-1) ** (i + j) * det([r[:i] + r[i + 1:] for k, r in enumerate(a) if k != j])
+              for j in range(len(a)))
+        for i in range(len(a))
+    )
 
 
 def group_side_cases(group, symmetry, m: int) -> dict:

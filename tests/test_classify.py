@@ -414,7 +414,6 @@ def test_divisor_norms_give_exactly_the_classified_cases():
     the same cases as the hand-set ``admissible_n``.
     """
     from latglue.classify import build_extension
-    from latglue.exact import vec_content
     from latglue.isometries import admits_order3, orbits, vectors_of_norm
     from latglue.lattices import Sublattice
 
@@ -430,7 +429,7 @@ def test_divisor_norms_give_exactly_the_classified_cases():
         found = []
         for n in (n for n in range(1, bound + 1) if bound % n == 0):
             vectors = vectors_of_norm(lattice, norm_gcd * n)
-            for orbit in orbits(case_symmetry_group(), [v for v in vectors if vec_content(v) == 1]):
+            for orbit in orbits(case_symmetry_group(), [v for v in vectors if gcd(*v) == 1]):
                 rep = max(orbit.members)
                 t_sub = lattice.span((rep,)).orthogonal_complement()
                 sub = Sublattice(lattice, t_sub.basis + (rep,))

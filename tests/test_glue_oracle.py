@@ -41,8 +41,7 @@ from latglue.discforms import (
     glue_subgroup,
     pullback_form,
 )
-from latglue.exact import adjugate, det, freeze, identity, mat_mul, mat_vec, transpose
-from latglue.exact import vec_content
+from latglue.exact import det, freeze, identity, mat_mul, mat_vec, transpose
 from latglue.isometries import Orbit, orbits, orthogonal_group, vectors_of_norm
 from latglue.lattices import LatticeError, Sublattice
 
@@ -120,16 +119,6 @@ def extend_by_fractions(t_sub, polarization, block):
     return freeze(tuple(int(x) for x in row) for row in conj)
 
 
-def test_adjugate_times_matrix_is_the_determinant():
-    rng = random.Random(402)
-    for n in (1, 2, 3, 4):
-        for _ in range(20):
-            a = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
-            d = det(a)
-            scalar = tuple(tuple(d * x for x in row) for row in identity(n))
-            assert mat_mul(a, adjugate(a)) == scalar == mat_mul(adjugate(a), a)
-
-
 def test_extend_block_isometry_matches_fraction_formula():
     """Every O(T) element on every primitive orbit of norm <= 54.
 
@@ -142,7 +131,7 @@ def test_extend_block_isometry_matches_fraction_formula():
     sym = case_symmetry_group()
     verdicts = Counter()
     for norm in range(2, 55, 2):
-        primitive = [v for v in vectors_of_norm(lattice, norm) if vec_content(v) == 1]
+        primitive = [v for v in vectors_of_norm(lattice, norm) if gcd(*v) == 1]
         for orbit in orbits(sym, primitive):
             rep = max(orbit.members)
             t_sub = lattice.span((rep,)).orthogonal_complement()
@@ -173,11 +162,11 @@ def test_fixed_lattice_is_zl_exactly_when_the_block_fixes_no_vector_of_t():
     verdicts = Counter()
     for norm in range(2, 73, 2):
         for v in vectors_of_norm(lattice, norm):
-            if vec_content(v) != 1:
+            if gcd(*v) != 1:
                 continue
             rows = lattice.span((v,)).orthogonal_complement().basis + (v,)
             basis_t = transpose(rows)
-            d, adj = det(basis_t), adjugate(basis_t)
+            d, adj = det(basis_t), oracles.adjugate(basis_t)
             line = {(v,), (tuple(-x for x in v),)}
             for g, kernel in fixed_lattices():
                 if g.apply(v) != v:

@@ -759,14 +759,24 @@ def test_trivial_subgroup_still_checks_the_isometry(census):
                         for i in range(n))
         halved = ((Fraction(1, 2),) + stretch[0][1:],) + stretch[1:]
         wide = tuple(row + (0,) for row in identity(n))
-        # entries int() refuses: TypeError (None, [1]), ValueError ('x'), OverflowError (inf)
-        odd = [((x,) + identity(n)[0][1:],) + identity(n)[1:] for x in (None, [1], "x", float("inf"))]
-        for bad in (stretch, halved, wide, identity(n)[:-1] or ((),), *odd):
+        # entries int() refuses: TypeError (None, [1]), ValueError ('x', nan), OverflowError
+        # (inf); and entries int() changes: '1', 2.5, 5/2
+        odd = [((x,) + identity(n)[0][1:],) + identity(n)[1:]
+               for x in (None, [1], "x", "1", float("inf"), float("nan"), 2.5, Fraction(5, 2))]
+        for bad in (stretch, halved, wide, identity(n)[:-1] or ((),), None, *odd):
             with pytest.raises(GlueError, match="not an isometry of the source lattice"):
                 extends_to_overlattice(bad, h)
             with pytest.raises(GlueError, match="not an isometry of the source lattice"):
                 induced_map(bad, group)
         assert extends_to_overlattice(identity(n), h)
+        assert extends_to_overlattice(((True,) + identity(n)[0][1:],) + identity(n)[1:], h)
+    # integral entries of other types are accepted: 2.0 and 4/2 in an isometry of <2> + <-4>
+    lattice = IntegerLattice(((2, 0), (0, -4)))
+    group = discriminant_group(lattice)
+    h = enumerate_isotropic_subgroups(group, 1)[0]
+    for two in (2, 2.0, Fraction(4, 2)):
+        pell = ((3, 4), (two, 3))
+        assert extends_to_overlattice(pell, h) and induced_map(pell, group).matrix == ((1, 0), (0, 3))
 
 
 def test_discriminant_group_equals_its_public_rebuild(census):
