@@ -478,9 +478,9 @@ def _induced_matrix(matrix, group: DiscriminantGroup, used) -> IntMatrix:
     Column i is the class of M lift_i, read off its pairings:
     (classes G) M nums_i / den_i, an exact division for an isometry M.
     Only the columns in ``used`` are computed (the others are 0).  M is
-    checked in any case: M as given is looked up among the elements of the
-    last O(L) search on the source lattice object (``proven_isometry``),
-    and only a miss is read by ``exact.integral`` and gets M^T G M == G.
+    checked in any case: M as given is looked up among the matrices of
+    O(L) the source lattice object kept (``proven_isometry``), and only a
+    miss is read by ``exact.integral`` and gets M^T G M == G.
     """
     if group.source is None or group.classes is None:
         raise GlueError("induced maps need a lattice-backed group")
@@ -625,31 +625,23 @@ def forms_isometric(a: DiscriminantGroup, b: DiscriminantGroup):
     order and q of every element of b are tabulated once per group
     (``DiscriminantGroup.element_table``).
     """
-    if a.orders != b.orders:
-        return None
-    e, qa, qb, table = a.exponent, a.int_gram, b.int_gram, b.element_table
-    chosen: list[tuple[int, ...]] = []
+    return _forms_backtrack(a, b, []) if a.orders == b.orders else None
 
-    def candidates(i):
-        want = (a.orders[i], qa[i][i] % (2 * e))
-        for order, q, c in table:
-            if (order, q) == want and all(
-                (bilinear(c, qb, h) - qa[i][j]) % e == 0 for j, h in enumerate(chosen)
-            ):
-                yield c
 
-    def backtrack(i):
-        if i == a.ngens:
-            matrix = transpose(chosen)
-            if FiniteAbelianMap(a, b, matrix).is_injective():
-                return matrix
-            return None
-        for c in candidates(i):
+def _forms_backtrack(a: DiscriminantGroup, b: DiscriminantGroup, chosen: list):
+    """``forms_isometric`` with the images ``chosen`` of a's first generators fixed."""
+    i, e, qa, qb = len(chosen), a.exponent, a.int_gram, b.int_gram
+    if i == a.ngens:
+        matrix = transpose(chosen)
+        return matrix if FiniteAbelianMap(a, b, matrix).is_injective() else None
+    want = (a.orders[i], qa[i][i] % (2 * e))
+    for order, q, c in b.element_table:
+        if (order, q) == want and all(
+            (bilinear(c, qb, h) - qa[i][j]) % e == 0 for j, h in enumerate(chosen)
+        ):
             chosen.append(c)
-            result = backtrack(i + 1)
+            result = _forms_backtrack(a, b, chosen)
             if result is not None:
                 return result
             chosen.pop()
-        return None
-
-    return backtrack(0)
+    return None

@@ -16,14 +16,15 @@ leading minors the lattice kept at construction) is enumerated by
 matching basis vectors to candidate images of the right norm, forward
 checked against the pairings, with -M found together with M.  The column
 with the fewest candidates is searched first, and G*v is computed only for
-the vectors a column takes, once per search.  This is
-only meant for the small ranks the toolkit works at and is guarded
-accordingly.  The pairing filter proves the Gram identity, so the elements
-are built without checking it again, and each element's ``order`` is
-computed on first use.  Each lattice keeps its group and short-vector
-set-up (``_memo``): reports on one lattice object share one search, whose
-elements are proven isometries of that object (``proven_isometry``), and
-a norm is enumerated once.  Orbits are read off the group in one pass.
+the vectors a column takes, once per search.  This is only meant for the
+small ranks the toolkit works at and is guarded accordingly.  The pairing
+filter proves the Gram identity, so the elements are built without
+checking it again, and each element's ``order`` is computed on first use.
+A lattice keeps (``_memo``) its short-vector set-up, so a norm is
+enumerated once, and the sorted matrices of O(L), which ``proven_isometry``
+bisects.  It holds the ``IsometryGroup`` only weakly, and the recursions
+take their state as arguments, so no search leaves a reference cycle.
+Orbits are read off the group in one pass.
 
 >>> a2 = IntegerLattice(((2, 1), (1, 2)))
 >>> orthogonal_group(a2).order(), len(vectors_of_norm(a2, 2))
@@ -39,6 +40,7 @@ from bisect import bisect_left
 from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 from operator import attrgetter, mul, neg
+from weakref import ref
 
 from .exact import (
     IntMatrix,
@@ -196,42 +198,39 @@ class _ShortVectors:
     def _vectors(self, norms: list[int]) -> None:
         """The Fincke-Pohst descent behind ``vectors``: ascending norms > 0 into ``by_norm``."""
         n = len(self.slot)
-        pivots, tails, weights = self.pivots, self.tails, self.weights
         budget = self.scale * norms[-1]
         # norm N has rem - slack of its own budget left where the largest has rem
         wanted = [(budget - self.scale * norm, []) for norm in norms]
-        y = [0] * n
-
-        def descend(i: int, rem: int, top: bool):
-            # top: every y_j with j > i is 0, so shift is 0 and y_i >= 0 suffices
-            d, c = pivots[i], weights[i]
-            shift = sum(map(mul, tails[i], y[i + 1:]))
-            if i == 0:
-                # c*t^2 == rem - slack with t = d*y_0 + shift, solved in closed form
-                for slack, found in wanted:
-                    left = rem - slack
-                    if left < 0 or left % c:
-                        continue
-                    t = isqrt(left // c)
-                    if t * t * c != left:
-                        continue
-                    for root in (t,) if top else {t, -t}:
-                        if (root - shift) % d == 0:
-                            y[0] = (root - shift) // d
-                            found.append(tuple(y))
-                return
-            t = isqrt(rem // c)
-            for yi in range(0 if top else -((t + shift) // d), (t - shift) // d + 1):
-                y[i] = yi
-                u = d * yi + shift
-                descend(i - 1, rem - c * u * u, top and not yi)
-            y[i] = 0
-
-        descend(n - 1, budget, True)
+        self._descend(n - 1, budget, True, [0] * n, wanted)
         slot = self.slot
         for norm, (_, found) in zip(norms, wanted):
             found += [tuple(map(neg, v)) for v in found]
             self.by_norm[norm] = tuple(sorted([tuple([v[k] for k in slot]) for v in found]))
+
+    def _descend(self, i: int, rem: int, top: bool, y: list[int], wanted) -> None:
+        """Level i of ``_vectors`` given y_j, j > i; ``top``: they are 0, so y_i >= 0 suffices."""
+        d, c = self.pivots[i], self.weights[i]
+        shift = sum(map(mul, self.tails[i], y[i + 1:]))
+        if i == 0:
+            # c*t^2 == rem - slack with t = d*y_0 + shift, solved in closed form
+            for slack, found in wanted:
+                left = rem - slack
+                if left < 0 or left % c:
+                    continue
+                t = isqrt(left // c)
+                if t * t * c != left:
+                    continue
+                for root in (t,) if top else {t, -t}:
+                    if (root - shift) % d == 0:
+                        y[0] = (root - shift) // d
+                        found.append(tuple(y))
+            return
+        t = isqrt(rem // c)
+        for yi in range(0 if top else -((t + shift) // d), (t - shift) // d + 1):
+            y[i] = yi
+            u = d * yi + shift
+            self._descend(i - 1, rem - c * u * u, top and not yi, y, wanted)
+        y[i] = 0
 
 
 def _short_vectors(lattice: IntegerLattice) -> _ShortVectors:
@@ -293,60 +292,67 @@ def _isometries(a: IntegerLattice, b: IntegerLattice):
         raise LatticeError("too many candidate images for basis vectors")
     cols = sorted(range(n), key=lambda i: (len(cands[i]), i))
     first = [v for v in cands[cols[0]] if v > tuple(map(neg, v))]
-    images = [None] * n
-    pairing = {}
+    lists = [first] + [cands[j] for j in cols[1:]]
+    yield from _backtrack(0, lists, cols, [None] * n, a.gram, b.gram, {})
 
-    def backtrack(k: int, lists):
-        if k == n:
-            yield transpose(images)
-            yield transpose([tuple(map(neg, v)) for v in images])
-            return
-        i, rest = cols[k], cols[k + 1:]
-        target = b.gram[i]
-        for v in lists[0]:
-            images[i] = v
-            later = []
-            if rest:
-                gv = pairing.get(v)
-                if gv is None:
-                    gv = pairing[v] = mat_vec(a.gram, v)
-            for j, ws in zip(rest, lists[1:]):
-                later.append([w for w in ws if sum(map(mul, gv, w)) == target[j]])
-                if not later[-1]:
-                    break
-            else:
-                yield from backtrack(k + 1, later)
 
-    yield from backtrack(0, [first] + [cands[j] for j in cols[1:]])
+def _backtrack(k: int, lists, cols, images, gram_a, gram_b, pairing):
+    """``_isometries`` from the k-th column searched: ``lists`` holds the candidates of cols[k:]."""
+    if k == len(cols):
+        yield transpose(images)
+        yield transpose([tuple(map(neg, v)) for v in images])
+        return
+    i, rest = cols[k], cols[k + 1:]
+    target = gram_b[i]
+    for v in lists[0]:
+        images[i] = v
+        later = []
+        if rest:
+            gv = pairing.get(v)
+            if gv is None:
+                gv = pairing[v] = mat_vec(gram_a, v)
+        for j, ws in zip(rest, lists[1:]):
+            later.append([w for w in ws if sum(map(mul, gv, w)) == target[j]])
+            if not later[-1]:
+                break
+        else:
+            yield from _backtrack(k + 1, later, cols, images, gram_a, gram_b, pairing)
 
 
 def orthogonal_group(lattice: IntegerLattice) -> IsometryGroup:
     """O(L) for a positive definite lattice of small rank, by backtracking.
 
-    The lattice keeps the group (a guard error is raised on every call), and
-    definiteness is read off its leading minors.  ``_isometries`` yields only
-    Gram-preserving matrices, so the elements, sorted by matrix, skip Isometry's check.
+    The lattice keeps the sorted matrices (a guard error is raised on every
+    call) and a weak reference to the group: it is returned while a caller
+    holds it, else rebuilt from the matrices without a search.  Definiteness
+    is read off the leading minors; ``_isometries`` yields only
+    Gram-preserving matrices, so the elements skip Isometry's check.
     """
-    group = lattice._memo.get("group")
+    memo = lattice._memo
+    kept = memo.get("group")
+    group = kept and kept()
     if group is None:
-        if lattice.rank > RANK_GUARD:
-            raise LatticeError(f"orthogonal group enumeration is guarded to rank <= {RANK_GUARD}")
-        _require_definite(lattice, "group enumeration")
-        group = lattice._memo["group"] = IsometryGroup(lattice, tuple(
-            Isometry._unchecked(lattice, m) for m in sorted(_isometries(lattice, lattice))))
+        matrices = memo.get("isometries")
+        if matrices is None:
+            if lattice.rank > RANK_GUARD:
+                raise LatticeError(
+                    f"orthogonal group enumeration is guarded to rank <= {RANK_GUARD}")
+            _require_definite(lattice, "group enumeration")
+            matrices = memo["isometries"] = tuple(sorted(_isometries(lattice, lattice)))
+        group = IsometryGroup(lattice, tuple(Isometry._unchecked(lattice, m) for m in matrices))
+        memo["group"] = ref(group)
     return group
 
 
 def proven_isometry(lattice: IntegerLattice, matrix) -> IntMatrix | None:
-    """The element of the group this lattice object kept equal to ``matrix``, or None.
+    """The matrix of O(L) this lattice object kept equal to ``matrix``, or None.
 
     The search's pairing filter proved M^T G M == G for each of them.  Lists
     and string entries are a miss, and None proves nothing: ``is_isometry_matrix`` checks.
     """
-    group = lattice._memo.get("group")
-    elements = () if group is None else group.elements
+    matrices = lattice._memo.get("isometries", ())
     try:
-        kept = elements[bisect_left(elements, matrix, key=attrgetter("matrix"))].matrix
+        kept = matrices[bisect_left(matrices, matrix)]
     except (TypeError, IndexError):  # not comparable with int tuples, or past the last one
         return None
     return kept if kept == matrix else None

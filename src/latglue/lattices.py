@@ -108,7 +108,8 @@ class IntegerLattice(Frozen):
     ``_minors`` holds the leading minors D_1, ..., D_n of ``ldl_rows(gram)``,
     computed once; D_n is the determinant, since the zero-pivot dodges of
     ``ldl_rows`` keep it, and a singular Gram is refused.  ``isometries``
-    keeps O(L) and the short-vector set-up in the private dict ``_memo``.
+    keeps the short-vector set-up and the matrices of O(L) in the private
+    dict ``_memo``, and the group built on them only as a weak reference.
     Equality, the hash (``Frozen``'s) and the repr read ``gram`` only.
     """
 

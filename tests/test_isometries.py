@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -480,6 +482,42 @@ def test_each_lattice_keeps_its_own_search(monkeypatch):
         with pytest.raises(LatticeError, match="needs a positive definite lattice"):
             vectors_of_norm(indefinite, 2)
     assert searches == [a.gram, b.gram, level.gram, level.gram]
+
+
+def test_kept_matrices_outlive_the_group_and_a_dropped_lattice_is_freed(monkeypatch):
+    """The lattice keeps the sorted matrices of O(L) and holds the group only
+    weakly: a group no caller holds is freed, proven_isometry reads the kept
+    matrices meanwhile, and the next call rebuilds an equal group without a
+    search.  Nothing the search built refers back to the lattice, so dropping
+    the lattice frees it at once, without the cyclic collector."""
+    searches = []
+    search = isometries._isometries
+
+    def counted(a, b):
+        searches.append(a.gram)
+        return search(a, b)
+
+    monkeypatch.setattr(isometries, "_isometries", counted)
+    lattice = IntegerLattice(((4, 2, 1), (2, 6, 0), (1, 0, 8)))
+    group = orthogonal_group(lattice)
+    matrices = [g.matrix for g in group.elements]
+    dropped = weakref.ref(group)
+    del group
+    assert dropped() is None
+    assert all(isometries.proven_isometry(lattice, m) is m for m in matrices)
+    group = orthogonal_group(lattice)
+    assert group == IsometryGroup(lattice, tuple(Isometry(lattice, m) for m in matrices))
+    assert all(g.matrix is m for g, m in zip(group.elements, matrices))
+    assert orthogonal_group(lattice) is group and searches == [lattice.gram]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kept = weakref.ref(lattice)
+        del lattice, group
+        assert kept() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_proven_isometry_returns_the_kept_matrix_or_none():
