@@ -2,8 +2,8 @@
 
 Short vectors come from an all-integer Fincke-Pohst enumeration (Fincke &
 Pohst 1985; Cohen, *A Course in Computational Algebraic Number Theory*,
-2.7).  One set-up per lattice sorts the basis by ascending diagonal and
-reads the fraction-free (Bareiss) LDL^T of ``exact.ldl_rows`` on it, so that
+2.7).  One set-up per lattice reads the fraction-free (Bareiss) LDL^T that
+the lattice ran on its basis sorted by ascending diagonal, so that
 M*Q(x) = sum_i c_i * t_i^2 with integers M, c_i and t_i = sum_{j>=i}
 u_ij * x_j.  The descent then uses ``isqrt`` and floor division only,
 solves its last level in closed form, and is refused up front
@@ -50,7 +50,6 @@ from .exact import (
     gram_of_rows,
     identity,
     integral,
-    ldl_rows,
     mat_mul,
     mat_vec,
     transpose,
@@ -122,36 +121,36 @@ class Isometry(Frozen):
 def _require_definite(lattice: IntegerLattice, task: str) -> None:
     """Raise LatticeError "<task> needs a positive definite lattice" unless the
     leading minors the lattice kept are all positive (Sylvester)."""
-    if min(lattice._minors) <= 0:
+    if min([row[0] for row in lattice._ldl[1]]) <= 0:
         raise LatticeError(f"{task} needs a positive definite lattice")
 
 
 class _ShortVectors:
     """Integer Fincke-Pohst enumeration for one positive definite lattice.
 
-    The set-up runs once: the basis is sorted by ascending diagonal (so the
-    outer levels take the long basis vectors), and the Bareiss rows, divided
-    by their contents, give M*Q(x) = sum_i c_i * t_i^2 with integers M, c_i
-    and t_i = d_i * x_i + sum_{j>i} u_ij * x_j (``pivots`` d_i, ``tails``
-    u_ij, ``weights`` c_i, ``scale`` M).  After that ``_vectors`` works in
-    ints only: one descent for a set of norms, ``isqrt`` and floor division
-    per level pruned on the largest norm, and a closed-form last level per
-    norm.  While every coordinate above level i is 0 it takes y_i >= 0 only
-    (and +t only at the closed-form level), so it finds one of each pair +-v
-    and appends the negatives before sorting.  ``vectors`` checks NODE_GUARD
-    per norm on every call and keeps each norm's result in ``by_norm`` (norm
-    0 from the start), so a lattice enumerates a norm once.
+    The set-up runs once on the lattice's ``_ldl``: the Bareiss rows of the
+    basis sorted by ascending diagonal (long vectors at the outer levels), over
+    their contents, give M*Q(x) = sum_i c_i * t_i^2 with integers M, c_i and
+    t_i = d_i * x_i + sum_{j>i} u_ij * x_j (``pivots`` d_i, ``tails`` u_ij,
+    ``weights`` c_i, ``scale`` M).  The node bound reads adj(G)_jj of the
+    sorted Gram, j >= 1 (``cofactors``): the last is the kept D_{n-1}, the
+    others ``det``s of ``gram`` without basis vector order[j].  After that
+    ``_vectors`` works in ints only: one descent for a set of norms, ``isqrt``
+    and floor division per level pruned on the largest norm, and a closed-form
+    last level per norm.  While every coordinate above level i is 0 it takes
+    y_i >= 0 only (and +t only at the closed-form level), so it finds one of
+    each pair +-v and appends the negatives before sorting.  ``vectors`` checks
+    NODE_GUARD per norm on every call and keeps each norm's result in
+    ``by_norm`` (norm 0 from the start), so a lattice enumerates a norm once.
     """
 
     def __init__(self, lattice: IntegerLattice):
         _require_definite(lattice, "short-vector enumeration")
         gram = lattice.gram
         n = lattice.rank
-        order = sorted(range(n), key=lambda i: gram[i][i])
+        order, raw = lattice._ldl
         # slot[i]: the position of original basis vector i in the sorted basis
         self.slot = sorted(range(n), key=order.__getitem__)
-        g = [[gram[i][j] for j in order] for i in order]
-        raw = ldl_rows(g)
         minors = [1] + [row[0] for row in raw]
         self.pivots, self.tails, nums, dens = [], [], [], []
         for k, row in enumerate(raw):
@@ -165,11 +164,10 @@ class _ShortVectors:
         self.scale = lcm(*dens)
         self.weights = [num * (self.scale // den) for num, den in zip(nums, dens)]
         self.det = minors[-1]
-        # adj(G)_jj for the levels j >= 1, i.e. the determinants of the minors
         self.cofactors = [
-            det([[x for c, x in enumerate(row) if c != j] for r, row in enumerate(g) if r != j])
-            for j in range(1, n)
-        ]
+            det([[x for c, x in enumerate(row) if c != k] for r, row in enumerate(gram) if r != k])
+            for k in order[1:-1]
+        ] + minors[1:n][-1:]
         self.by_norm: dict[int, tuple[IntVector, ...]] = {0: ((0,) * n,)}
 
     def node_bound(self, norm: int) -> int:

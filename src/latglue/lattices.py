@@ -4,9 +4,9 @@ A lattice is a free Z-module carrying a non-degenerate symmetric bilinear
 form, stored as its exact integer Gram matrix on a fixed basis.  Vectors
 are plain tuples of ints holding coordinates in that basis; dual vectors
 are tuples of Fractions.  Everything is an immutable value and every
-computation is exact.  A lattice keeps the leading minors of its one
-Bareiss LDL^T (``ldl_rows``); ``determinant``, ``signature`` and the
-definiteness check of ``isometries.orthogonal_group`` read them.
+computation is exact.  A lattice keeps the one Bareiss LDL^T (``ldl_rows``)
+of its basis sorted by ascending diagonal; ``determinant``, ``signature``,
+and the definiteness check and short-vector set-up of ``isometries`` read it.
 
 >>> L = IntegerLattice(((6, 3, 0), (3, 6, 0), (0, 0, 6)))
 >>> L.determinant()
@@ -105,9 +105,10 @@ class Frozen:
 class IntegerLattice(Frozen):
     """Even or odd non-degenerate lattice given by its Gram matrix.
 
-    ``_minors`` holds the leading minors D_1, ..., D_n of ``ldl_rows(gram)``,
-    computed once; D_n is the determinant, since the zero-pivot dodges of
-    ``ldl_rows`` keep it, and a singular Gram is refused.  ``isometries``
+    ``_ldl`` is (order, rows), computed once: the basis sorted by ascending
+    diagonal (ties by index) and ``ldl_rows`` on it, whose first entries are
+    the leading minors D_1, ..., D_n.  D_n is the determinant, as the sort and
+    the zero-pivot dodges are unimodular congruences.  ``isometries``
     keeps the short-vector set-up and the matrices of O(L) in the private
     dict ``_memo``, and the group built on them only as a weak reference.
     Equality, the hash (``Frozen``'s) and the repr read ``gram`` only.
@@ -124,11 +125,12 @@ class IntegerLattice(Frozen):
             raise LatticeError("Gram entries must be integers")
         if gram != transpose(gram):
             raise LatticeError("Gram matrix must be symmetric")
+        order = tuple(sorted(range(n), key=lambda i: gram[i][i]))
         try:
-            minors = tuple([row[0] for row in ldl_rows(gram)])
+            rows = ldl_rows(tuple([tuple([gram[i][j] for j in order]) for i in order]))
         except ZeroDivisionError:
             raise LatticeError("degenerate Gram matrix") from None
-        self._set(gram=gram, _minors=minors, _memo={})
+        self._set(gram=gram, _ldl=(order, freeze(rows)), _memo={})
 
     def __repr__(self):
         return f"IntegerLattice(gram={self.gram!r})"
@@ -142,16 +144,16 @@ class IntegerLattice(Frozen):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def determinant(self) -> int:
-        return self._minors[-1]
+        return self._ldl[1][-1][0]
 
     def signature(self) -> tuple[int, int]:
         """(s+, s-) counted exactly from the leading minors kept at construction.
 
         The pivots of LDL^T are D_{k+1} / D_k, so s- is the number of sign
-        changes in 1, D_1, ..., D_n (Jacobi); ``ldl_rows`` dodges zero
-        minors by congruences, which keep the signature.
+        changes in 1, D_1, ..., D_n (Jacobi); the sort and the dodges of
+        zero minors in ``ldl_rows`` are congruences, which keep the signature.
         """
-        minors = (1, *self._minors)
+        minors = (1, *[row[0] for row in self._ldl[1]])
         neg = sum((a < 0) != (b < 0) for a, b in zip(minors, minors[1:]))
         return self.rank - neg, neg
 

@@ -11,6 +11,7 @@ the library.
 
 import itertools
 from fractions import Fraction
+from math import isqrt, prod
 
 from latglue.discforms import induced_map
 from latglue.exact import (
@@ -286,6 +287,18 @@ def adjugate(a):
               for j in range(len(a)))
         for i in range(len(a))
     )
+
+
+def node_bound_by_cofactors(lattice: IntegerLattice, norm: int) -> int:
+    """The short-vector node bound as the set-up once computed it: on the basis
+    sorted by ascending diagonal, prod_{j>=1} (2*isqrt(norm*det(minor_j) // det) + 1),
+    where minor_j drops row and column j and every determinant is ``exact.det``."""
+    gram = lattice.gram
+    order = sorted(range(lattice.rank), key=lambda i: gram[i][i])
+    g = [[gram[i][j] for j in order] for i in order]
+    minors = [det([[x for c, x in enumerate(row) if c != j] for r, row in enumerate(g) if r != j])
+              for j in range(1, len(g))]
+    return prod(2 * isqrt(norm * minor // det(g)) + 1 for minor in minors)
 
 
 def group_side_cases(group, symmetry, m: int) -> dict:

@@ -41,6 +41,7 @@ from oracles import (
     is_isometry_by_pairings,
     isometries_plain,
     isometry_between,
+    node_bound_by_cofactors,
     reduced_binary_form,
     saturation,
 )
@@ -218,6 +219,33 @@ def test_node_guard(monkeypatch):
     monkeypatch.setattr(isometries, "NODE_GUARD", 9260)
     with pytest.raises(LatticeError, match="may visit 9261 nodes"):
         vectors_of_norm(two_i4, 200)
+
+
+def test_node_bound_reads_the_kept_minor_as_the_cofactor_oracle_does():
+    """The set-up takes adj(G)_{n-1,n-1} of the sorted Gram as the lattice's
+    kept leading minor D_{n-1} and the other cofactors from ``gram``; the
+    node bound equals the one that eliminated and took every cofactor
+    itself, on 200 seeded lattices of rank 1-4 and the 10^21 Grams."""
+    big = 10**21
+    lattices = [IntegerLattice(g) for g in EDGE_GRAMS + (
+        ((big, 1), (1, 2)), ((big, big - 1), (big - 1, big)), ((2, 1, 0), (1, 2, 0), (0, 0, big)),
+        ((10, 1, 0), (1, 2, 0), (0, 0, 4)), ((8, 1, 0, 0), (1, 6, 1, 0), (0, 1, 4, 1), (0, 0, 1, 2)),
+    )]
+    rng = random.Random(41)
+    while len(lattices) < 214:
+        lattices.append(sheared(rng, random_definite_lattice(rng, max_rank=4)))
+    seen = Counter()
+    for lattice in lattices:
+        diagonal = [lattice.gram[i][i] for i in range(lattice.rank)]
+        seen[lattice.rank] += 1
+        seen["tie"] += len(set(diagonal)) < len(diagonal)
+        seen["descending"] += any(a > b for a, b in zip(diagonal, diagonal[1:]))
+        setup = isometries._ShortVectors(lattice)
+        for norm in (0, 1, 2, 7, 30, 1000, big):
+            assert setup.node_bound(norm) == node_bound_by_cofactors(lattice, norm), (
+                lattice.gram, norm)
+    assert min(seen[rank] for rank in (1, 2, 3, 4)) >= 30, seen
+    assert seen["tie"] >= 40 and seen["descending"] >= 80, seen
 
 
 def test_one_descent_for_a_norm_set_matches_a_descent_per_norm():

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from math import prod
 
 import pytest
 from fractions import Fraction
@@ -36,8 +37,9 @@ def test_determinant_is_computed_once(monkeypatch):
     from latglue import isometries, lattices
 
     calls = []
-    for module in (lattices, isometries):
-        monkeypatch.setattr(module, "ldl_rows", lambda gram: calls.append(gram) or ldl_rows(gram))
+    for module in (lattices, isometries):  # isometries imports no ldl_rows; were it to, it is spied
+        monkeypatch.setattr(module, "ldl_rows", lambda gram: calls.append(gram) or ldl_rows(gram),
+                            raising=False)
     lattice = IntegerLattice(S_GRAM)
     assert calls == [S_GRAM]
     assert lattice.determinant() == lattice.determinant() == 162
@@ -52,6 +54,36 @@ def test_determinant_is_computed_once(monkeypatch):
     # the kept minors are no part of equality, hashing or the repr
     assert lattice == IntegerLattice(S_GRAM) and hash(lattice) == hash(IntegerLattice(S_GRAM))
     assert repr(lattice) == f"IntegerLattice(gram={S_GRAM!r})"
+
+
+def test_one_elimination_per_lattice_the_short_vector_setup_included(monkeypatch):
+    """The lattice eliminates its basis sorted by ascending diagonal once; the
+    short-vector set-up, O(L), ``vectors_of_norm`` and the reports read that
+    elimination, and the set-up's ``det`` calls are the max(n - 2, 0)
+    node-bound cofactors other than the kept D_{n-1}."""
+    from latglue import isometries, lattices, report
+
+    calls, dets = [], []
+    for module in (lattices, isometries):
+        monkeypatch.setattr(module, "ldl_rows", lambda gram: calls.append(gram) or ldl_rows(gram),
+                            raising=False)
+    monkeypatch.setattr(isometries, "det", lambda a: dets.append(a) or det(a))
+    lattice = IntegerLattice(((10, 1, 0), (1, 2, 0), (0, 0, 4)))
+    assert calls == [((2, 0, 1), (0, 4, 0), (1, 0, 10))]
+    assert lattice.determinant() == det(lattice.gram) == 76
+    assert isometries.orthogonal_group(lattice).order() == 8
+    assert isometries.vectors_of_norm(lattice, 2) == ((0, -1, 0), (0, 1, 0))
+    report.lattice_info_report(lattice)
+    report.orbit_report(4, lattice)
+    report.orbit_report(12, lattice)
+    assert calls == [((2, 0, 1), (0, 4, 0), (1, 0, 10))]
+    # the set-up's one det: adj_11 of the sorted Gram, i.e. the Gram without basis vector 2
+    assert dets == [[[10, 1], [1, 2]]]
+    for gram in (((3,),), ((4, 2), (2, 5)), S_GRAM,
+                 ((6, 0, 0, 1), (0, 4, 1, 0), (0, 1, 2, 0), (1, 0, 0, 8))):
+        del calls[:], dets[:]
+        isometries.vectors_of_norm(IntegerLattice(gram), 2)
+        assert len(calls) == 1 and len(dets) == max(len(gram) - 2, 0), gram
 
 
 def direct_sum(*grams):
@@ -78,15 +110,15 @@ def test_signature_examples(invariant):
     assert IntegerLattice(direct_sum(U, A2_NEG)).signature() == (1, 3)
 
 
-def signature_by_fractions(gram):
-    """Oracle: the earlier signature, the pivot signs of a rational LDL^T.
+def pivots_by_fractions(gram):
+    """Oracle: the pivots of a rational LDL^T, whose product is the determinant.
 
     A zero pivot is dodged by a symmetric swap with a nonzero diagonal
     entry, or if the whole remaining diagonal vanishes by mixing in a row.
     """
     n = len(gram)
     m = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = 0
+    pivots = []
     for k in range(n):
         if m[k][k] == 0:
             j = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
@@ -101,17 +133,37 @@ def signature_by_fractions(gram):
                 for r in range(n):
                     m[r][k] += m[r][j]
         pivot = m[k][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
+        pivots.append(pivot)
         for r in range(k + 1, n):
             factor = m[r][k] / pivot
             if factor:
                 for c in range(k + 1, n):
                     m[r][c] -= factor * m[k][c]
                 m[r][k] = Fraction(0)
-    return pos, neg
+    return pivots
+
+
+def signature_by_fractions(gram):
+    """Oracle: the earlier signature, the pivot signs of a rational LDL^T."""
+    pivots = pivots_by_fractions(gram)
+    pos = sum(1 for pivot in pivots if pivot > 0)
+    return pos, len(pivots) - pos
+
+
+def test_sorted_elimination_keeps_the_determinant_and_the_signature():
+    """The lattice eliminates its basis sorted by ascending diagonal, so a zero
+    diagonal entry comes first and a descending diagonal is reordered; the
+    determinant and the signature still equal the Fraction LDL^T's."""
+    a2 = ((2, 1), (1, 2))
+    for gram in (
+        direct_sum(U, a2), direct_sum(a2, U), direct_sum(((4,),), A2_NEG),
+        ((0, 0, 1), (0, 2, 0), (1, 0, 0)), ((2, 1), (1, 0)), ((10, 1, 0), (1, 2, 0), (0, 0, 4)),
+        ((6, 1, 0), (1, 0, 2), (0, 2, -4)), ((3, 1, 0, 0), (1, 0, 1, 0), (0, 1, -2, 1), (0, 0, 1, 0)),
+    ):
+        lattice = IntegerLattice(gram)
+        pivots = pivots_by_fractions(gram)
+        assert lattice.determinant() == prod(pivots) == det(gram), gram
+        assert lattice.signature() == signature_by_fractions(gram), gram
 
 
 def bareiss_rows_unpivoted(gram):
