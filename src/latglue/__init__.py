@@ -31,7 +31,6 @@ from .discforms import (
 from .isometries import (
     Isometry,
     IsometryGroup,
-    admits_order3,
     orbit_witness,
     orbits,
     orthogonal_group,
@@ -49,7 +48,6 @@ __all__ = [
     "IsotropicSubgroup",
     "LatticeError",
     "Sublattice",
-    "admits_order3",
     "discriminant_group",
     "enumerate_isotropic_subgroups",
     "extends_to_overlattice",

@@ -7,8 +7,9 @@ m in {2, 3, 6} fixing L and acting with full order on the rank-2
 complement T = L^perp: the admissible orders, the admissible norms
 L^2 = 6n, the surviving (L, T) pairs, each case's isometry (an element
 of O(L_inv) of order m whose fixed lattice is ZL, checked against the
-glue extension criterion), the induced data on the discriminant groups,
-and the divisibility of L in the full ambient lattice.  Each found case and
+glue extension criterion; this table alone decides whether a candidate
+is a case), the induced data on the discriminant groups, and the
+divisibility of L in the full ambient lattice.  Each found case and
 each excluded candidate is one frozen ``Row`` of exactly the printed keys.
 
 Candidate polarizations are grouped under the subgroup of the orthogonal
@@ -59,7 +60,6 @@ from .isometries import (
     Isometry,
     IsometryGroup,
     Orbit,
-    admits_order3,
     orbit_witness,
     orbits,
     orthogonal_group,
@@ -83,6 +83,7 @@ GOLDEN_SHAPE = {
     "printed_admissible_m": [int],
     "isometry_generators_row_convention": {"rho1": _MAT3, "rho2": _MAT3, "rho3": _MAT3},
     "dual_generator_lifts": (_FRAC3, _FRAC3, _FRAC3),
+    "printed_invariant_discriminant_orders": _VEC3,
     "coinvariant_discriminant_orders": _VEC3,
     "table1": [{"norm": int, "representative": _VEC3, "name": str, "members": [_VEC3]}],
     "table2": [{
@@ -291,7 +292,7 @@ def build_extension(m: int, orbit: Orbit, sub: Sublattice) -> Row:
     order m whose fixed lattice is exactly ZL (``fixed_lattices``); GlueError
     if there is none.  For glue index ``sub.index()`` > 1, phi written on the
     rows of ``sub`` must fix its glue subgroup (Nikulin's extension
-    criterion), else LatticeError.
+    criterion), else LatticeError; a non-integral coordinate there is GlueError.
     """
     lattice = invariant_lattice_fixed()
     polarization = max(orbit.members)
@@ -304,9 +305,8 @@ def build_extension(m: int, orbit: Orbit, sub: Sublattice) -> Row:
         raise GlueError(f"no order-{m} isometry of the invariant lattice fixes exactly Z{name}")
     index = sub.index()
     if index > 1:
-        # phi preserves T + ZL, so the coordinates of the images are integers
-        phi_t = transpose([[int(x) for x in sub.coordinates_of(phi.apply(row))]
-                           for row in sub.basis])
+        # phi preserves T + ZL, so extends_to_overlattice finds the coordinates integral
+        phi_t = transpose([sub.coordinates_of(phi.apply(row)) for row in sub.basis])
         if not extends_to_overlattice(phi_t, glue_subgroup(sub)):
             raise LatticeError("isometry of the invariant lattice fails the glue extension criterion")
     witness = orbit_witness(case_symmetry_group(), orbit.representative, polarization)
@@ -354,9 +354,6 @@ def classify(m: int) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
                 expected = lattice.determinant() * m * m // norm
                 exclude(rep, f"det(T_X) = {det(t_sub.gram())} != {expected} forced by glue"
                              f" index {m} (actual index {index})")
-                continue
-            if m == 3 and not admits_order3(t_sub.lattice()):
-                exclude(rep, "complement admits no order-3 isometry")
                 continue
             cases.append(build_extension(m, orbit, sub))
     cases.sort(key=lambda c: (c.n, c.L))

@@ -602,12 +602,10 @@ def pullback_form(
 ) -> DiscriminantGroup:
     """Abstract group with q defined as minus the pullback along a gluing.
 
-    ``matrix`` columns give the images of the abstract generators inside the
-    lattice-backed ``codomain``; the anti-isometry law q_dom = -q_cod(gamma .)
-    then determines the pairing matrix of the abstract group.
+    ``matrix`` columns give the images of the abstract generators inside
+    ``codomain``, with or without a lattice behind it; the anti-isometry law
+    q_dom = -q_cod(gamma .) then determines the pairing matrix of the abstract group.
     """
-    if codomain.source is None:
-        raise GlueError("pullback needs a lattice-backed codomain")
     # Q / e is the Gram of the lifts, so the image lifts pair as
     # C Q C^T / e, for C the reduced image columns as rows
     cols = [codomain.element(tuple(row[j] for row in matrix)) for j in range(len(domain_orders))]

@@ -374,12 +374,12 @@ def orbits(group: IsometryGroup, vectors) -> tuple[Orbit, ...]:
     one pass over the elements per orbit, from the smallest vector left.
     Each orbit is closed under the group even if the input was not; the
     representative is the lexicographically smallest member and orbits are
-    sorted by representative.  A vector whose length is not the rank
-    raises LatticeError.
+    sorted by representative.  A vector whose length is not the rank, or
+    with an entry neither an int nor a Fraction, raises LatticeError.
     """
     remaining = set()
     for v in vectors:
-        group.lattice._check_length(v)
+        group.lattice._check_vector(v)
         remaining.add(tuple(v))
     result = []
     while remaining:
@@ -394,9 +394,9 @@ def orbits(group: IsometryGroup, vectors) -> tuple[Orbit, ...]:
 
 
 def orbit_witness(group: IsometryGroup, source: IntVector, target: IntVector):
-    """A group element g with g(source) = target, or None; LatticeError on a wrong length."""
-    group.lattice._check_length(source)
-    group.lattice._check_length(target)
+    """A group element g with g(source) = target, or None; LatticeError on a bad vector."""
+    group.lattice._check_vector(source)
+    group.lattice._check_vector(target)
     for g in group.elements:
         if g.apply(source) == tuple(target):
             return g

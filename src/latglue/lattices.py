@@ -162,19 +162,25 @@ class IntegerLattice(Frozen):
     def pairing(self, v, w) -> int | Fraction:
         if len(v) != self.rank or len(w) != self.rank:
             raise LatticeError(f"vector lengths {len(v)}, {len(w)} do not match rank {self.rank}")
+        self._check_vector(v)
+        self._check_vector(w)
         total = bilinear(v, self.gram, w)
         return int(total) if total.denominator == 1 else total
 
     def norm(self, v) -> int | Fraction:
         return self.pairing(v, v)
 
-    def _check_length(self, v) -> None:
+    def _check_vector(self, v, kinds=(int, Fraction)) -> None:
+        """LatticeError unless v has ``rank`` entries, each an instance of ``kinds``."""
         if len(v) != self.rank:
             raise LatticeError(f"vector length {len(v)} does not match rank {self.rank}")
+        if not all(isinstance(x, kinds) for x in v):
+            kind = "integers" if kinds is int else "integers or Fractions"
+            raise LatticeError(f"vector entries must be {kind}")
 
     def divisibility(self, v: IntVector) -> int:
         """div(v) = gcd of all pairings of v with lattice vectors."""
-        self._check_length(v)
+        self._check_vector(v, int)
         if not any(v):
             raise LatticeError("divisibility of the zero vector is undefined")
         return gcd(*mat_vec(self.gram, v))
@@ -242,9 +248,7 @@ class Sublattice(Frozen):
 
         B^T x = v is checked, so a v off the Q-span raises LatticeError.
         """
-        self.ambient._check_length(v)
-        if any(not isinstance(x, int | Fraction) for x in v):
-            raise LatticeError("vector entries must be integers or Fractions")
+        self.ambient._check_vector(v)
         basis = self.basis
         x = mat_vec(self._inverse_gram, mat_vec(basis, v))
         if any(sum(xk * row[i] for xk, row in zip(x, basis)) != vi for i, vi in enumerate(v)):

@@ -190,22 +190,20 @@ def orbit_markdown(report: dict) -> str:
 # -- golden verification ---------------------------------------------------
 
 
-def _cell(name: str, computed, printed, allow_id: str | None = None) -> dict:
-    """One comparison cell; a mismatch is allowlisted, with the entry's id, only
-    when both sides equal the printed and computed values the entry declares."""
+def _cell(name: str, computed, printed, erratum: dict | None = None) -> dict:
+    """One comparison cell; a mismatch is allowlisted, with the id and note of the
+    allowlist entry ``erratum``, only when it declares exactly this computed and printed pair."""
     if computed == printed:
         return {"cell": name, "status": "pass", "computed": computed, "printed": printed}
-    data = printed_tables()
-    for entry in data["allowlist"]:
-        if entry["id"] == allow_id and (computed, printed) == (entry["computed"], entry["printed"]):
-            return {
-                "cell": name,
-                "status": "allowlisted",
-                "computed": computed,
-                "printed": printed,
-                "allowlist_id": allow_id,
-                "note": entry["note"],
-            }
+    if erratum is not None and (computed, printed) == (erratum["computed"], erratum["printed"]):
+        return {
+            "cell": name,
+            "status": "allowlisted",
+            "computed": computed,
+            "printed": printed,
+            "allowlist_id": erratum["id"],
+            "note": erratum["note"],
+        }
     return {"cell": name, "status": "mismatch", "computed": computed, "printed": printed}
 
 
@@ -303,7 +301,8 @@ def verify_cases_report() -> dict:
     )
 
     disc = invariant_discriminant()
-    cells.append(_cell("invariant discriminant orders", list(disc.orders), [3, 3, 18]))
+    cells.append(_cell("invariant discriminant orders", list(disc.orders),
+                       data["printed_invariant_discriminant_orders"]))
     bound = order_bound_report()
     cells.append(_cell("order bound", bound["bound"], data["printed_order_bound"]))
     cells.append(
@@ -363,18 +362,10 @@ def verify_cases_report() -> dict:
                 True,
             )
         )
-        allow_id = None
-        for entry in data["allowlist"]:
-            if entry.get("table") == "cases" and entry.get("row") == i and "psi_bar" in str(
-                entry.get("cell", "")
-            ):
-                allow_id = entry["id"]
-        cells.append(
-            _cell(f"{label}: psi_bar", _mat(case.psi_bar), row["psi_bar"], allow_id)
-        )
-        cells.append(
-            _cell(f"{label}: divisibility", case.div, row["divisibility"])
-        )
+        erratum = next((e for e in data["allowlist"]
+                        if (e["table"], e["row"], e["cell"]) == ("cases", i, "psi_bar")), None)
+        cells.append(_cell(f"{label}: psi_bar", _mat(case.psi_bar), row["psi_bar"], erratum))
+        cells.append(_cell(f"{label}: divisibility", case.div, row["divisibility"]))
 
     # The claimed glue generator of the existence walkthrough, on T + ZL of
     # the case row its allowlist entry names: its q value is recomputed and
@@ -389,7 +380,7 @@ def verify_cases_report() -> dict:
     claimed = a_t.element_from_dual_vector(
         sub.coordinates_of(tuple(Fraction(s) for s in data["claimed_glue_lift"])))
     cells.append(_cell("existence walkthrough: q of the claimed glue generator",
-                       str(a_t.q(claimed)), entry["printed"], walkthrough))
+                       str(a_t.q(claimed)), entry["printed"], entry))
 
     return {
         "command": "verify-table cases",

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -23,7 +24,13 @@ from latglue.classify import (
     printed_tables,
     vector_name,
 )
-from latglue.discforms import GlueError, forms_isometric, glue_subgroup, is_anti_isometry
+from latglue.discforms import (
+    GlueError,
+    extends_to_overlattice,
+    forms_isometric,
+    glue_subgroup,
+    is_anti_isometry,
+)
 from latglue.exact import freeze, mat_mul, transpose
 from latglue.isometries import matrix_order, orbits
 from latglue.lattices import LatticeError, Sublattice
@@ -342,6 +349,31 @@ def test_nikulin_check_runs_exactly_when_the_index_exceeds_one(monkeypatch):
             build_extension(*_case_input(m, case.L))
 
 
+def test_nikulin_check_reads_the_coordinates_as_given(monkeypatch):
+    """build_extension hands the Fraction coordinates of phi on T + ZL to
+    ``extends_to_overlattice`` as they are; a non-integral one is GlueError, not truncated."""
+    seen = []
+
+    def recorded(matrix, h):
+        seen.append(matrix)
+        return extends_to_overlattice(matrix, h)
+
+    monkeypatch.setattr(classify_module, "extends_to_overlattice", recorded)
+    cases = [(m, case) for m in (2, 3) for case in classify(m)[0] if case.index > 1]
+    assert len(cases) == 4
+    for m, case in cases:
+        seen.clear()
+        assert vars(build_extension(*_case_input(m, case.L))) == vars(case)
+        (matrix,) = seen
+        assert all(type(x) is Fraction for row in matrix for x in row)
+    exact = Sublattice.coordinates_of
+    monkeypatch.setattr(Sublattice, "coordinates_of",
+                        lambda sub, v: tuple(x + Fraction(1, 2) for x in exact(sub, v)))
+    for m, case in cases:
+        with pytest.raises(GlueError, match="^matrix is not an isometry of the source lattice$"):
+            build_extension(*_case_input(m, case.L))
+
+
 def test_no_order3_isometry_fixes_exactly_e():
     assert _fixing_exactly(3, (1, 0, 0)) == []
     with pytest.raises(GlueError, match="no order-3 isometry .* fixes exactly Ze$"):
@@ -441,3 +473,13 @@ def test_divisor_norms_give_exactly_the_classified_cases():
 
         assert fields(found) == fields(classify(m)[0])
         assert len(found) == {2: 5, 3: 1}[m]
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: gluing_map(2, "nope"), LatticeError, "no printed gluing data for m=2, L=nope"),
+    (lambda: check_shape([], GOLDEN_SHAPE), GlueError, "golden data is not an object"),
+], ids=["gluing_map-unknown-name", "check_shape-not-an-object"])
+def test_classify_guards_raise_their_messages(call, kind, message):
+    with pytest.raises(kind) as caught:
+        call()
+    assert type(caught.value) is kind and str(caught.value) == message

@@ -19,6 +19,7 @@ from latglue.discforms import (
     is_anti_isometry,
     overlattice_from_isotropic,
     overlattice_with_basis,
+    preserves_form,
     pullback_form,
     solve_psi_bar,
     span_elements,
@@ -674,3 +675,40 @@ def test_solver_rejects_images_outside_glue():
     phi_bar = FiniteAbelianMap(group, group, ((1, 0), (3, 1)))
     with pytest.raises(GlueError):
         solve_psi_bar(phi_bar, gamma)
+
+
+A2_GROUP = discriminant_group(IntegerLattice(((2, 1), (1, 2))))
+BARE_3 = bare_group((3,))
+GLUE_3 = FiniteAbelianMap(BARE_3, A2_GROUP, identity(1))
+ON_BARE_3 = FiniteAbelianMap(BARE_3, BARE_3, identity(1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BARE_3.cleared_lifts, "group has no lattice lifts"),
+    (lambda: BARE_3.classes_gram, "group has no source lattice"),
+    (lambda: with_generators(BARE_3, [(Q(1, 3),)]), "can only rebase a lattice-backed group"),
+    (lambda: with_generators(discriminant_group(IntegerLattice(((6, 0), (0, 6)))),
+                             [(Q(1, 6), 0), (0, Q(1, 3))]),
+     "given vectors do not freely generate the group"),
+    (lambda: overlattice_with_basis(IsotropicSubgroup(BARE_3, [(0,)])),
+     "overlattices need a lattice-backed group"),
+    (lambda: glue_subgroup(IntegerLattice(((2, 1), (1, 2))).span(((1, 0),))),
+     "glue subgroup needs a full-rank sublattice"),
+    (lambda: glue_extension_check(ON_BARE_3, ON_BARE_3, GLUE_3),
+     "phi_bar does not act on the gluing codomain"),
+    (lambda: glue_extension_check(induced_map(identity(2), A2_GROUP),
+                                  induced_map(identity(2), A2_GROUP), GLUE_3),
+     "psi_bar does not act on the gluing domain"),
+    (lambda: solve_psi_bar(ON_BARE_3, GLUE_3), "phi_bar does not act on the gluing codomain"),
+    (lambda: solve_psi_bar(induced_map(identity(2), A2_GROUP),
+                           FiniteAbelianMap(BARE_3, A2_GROUP, ((0,),))),
+     "gluing morphism is not injective"),
+    (lambda: preserves_form(GLUE_3), "form preservation needs an endomorphism"),
+], ids=["cleared_lifts-bare", "classes_gram-bare", "with_generators-bare",
+        "with_generators-not-free", "overlattice_with_basis-bare", "glue_subgroup-rank-1",
+        "glue_extension_check-phi", "glue_extension_check-psi", "solve_psi_bar-phi",
+        "solve_psi_bar-zero-gamma", "preserves_form-not-endomorphism"])
+def test_discforms_guards_raise_their_messages(call, message):
+    with pytest.raises(GlueError) as caught:
+        call()
+    assert str(caught.value) == message

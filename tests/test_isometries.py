@@ -818,3 +818,23 @@ def test_group_needs_positive_definite():
     with pytest.raises(LatticeError):
         orthogonal_group(IntegerLattice(((0, 1), (1, 0))))
 
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: admits_order3(IntegerLattice(((2,),))),
+     "order-3 criterion applies to even rank-2 lattices"),
+    (lambda: admits_order3(IntegerLattice(((1, 0), (0, 2)))),
+     "order-3 criterion applies to even rank-2 lattices"),
+    (lambda: matrix_order(((1, 1), (0, 1))), "matrix order exceeds the search limit"),
+    (lambda: orbit_witness(orthogonal_group(IntegerLattice(((2, 1), (1, 2)))), (1, 0), (1, 1)),
+     None),
+], ids=["admits_order3-rank-1", "admits_order3-odd", "matrix_order-infinite",
+        "orbit_witness-other-norm"])
+def test_isometries_guards_raise_their_messages(call, message):
+    """Each call raises LatticeError with exactly ``message``, or returns None when it is None
+    (no element carries a norm-2 vector of A2 to a norm-6 one)."""
+    if message is None:
+        assert call() is None
+        return
+    with pytest.raises(LatticeError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -7,6 +7,7 @@ import pytest
 from fractions import Fraction
 
 from latglue.exact import det, frac_inverse, freeze, identity, ldl_rows, mat_mul, mat_vec, transpose
+from latglue.isometries import orbit_witness, orbits, orthogonal_group
 from latglue.lattices import (
     IntegerLattice,
     LatticeError,
@@ -557,3 +558,47 @@ def test_closure_orbit_and_limit():
     assert closure([1, 2], [6], step, limit=4) == {1, 2, 7, 8}
     with pytest.raises(LatticeError):
         closure([0], [1], step, limit=5)
+
+
+A2_LATTICE = IntegerLattice(((2, 1), (1, 2)))
+EXACT_ENTRIES = "vector entries must be integers or Fractions"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: A2_LATTICE.pairing((0.5, 0), (1, 0)), EXACT_ENTRIES),
+    (lambda: A2_LATTICE.pairing((1, 0), (1, "b")), EXACT_ENTRIES),
+    (lambda: A2_LATTICE.norm(("a", 0)), EXACT_ENTRIES),
+    (lambda: A2_LATTICE.divisibility((Fraction(1, 2), 0)), "vector entries must be integers"),
+    (lambda: A2_LATTICE.divisibility((1.0, 0)), "vector entries must be integers"),
+    (lambda: A2_LATTICE.full().coordinates_of((0.5, 0)), EXACT_ENTRIES),
+    (lambda: orbits(orthogonal_group(A2_LATTICE), [("a", "b")]), EXACT_ENTRIES),
+    (lambda: orbits(orthogonal_group(A2_LATTICE), [(0.5, 0)]), EXACT_ENTRIES),
+    (lambda: orbit_witness(orthogonal_group(A2_LATTICE), (1, 0), (1.0, 0)), EXACT_ENTRIES),
+    (lambda: orbit_witness(orthogonal_group(A2_LATTICE), (1.0, 0), (1, 0)), EXACT_ENTRIES),
+], ids=["pairing-float", "pairing-str", "norm-str", "divisibility-fraction", "divisibility-float",
+        "coordinates_of-float", "orbits-str", "orbits-float", "orbit_witness-target-float",
+        "orbit_witness-source-float"])
+def test_vector_inputs_need_int_or_fraction_entries(call, message):
+    """Each reader of a lattice vector runs the one check of its length and entries:
+    a float or a string is a LatticeError, and divisibility takes ints only."""
+    with pytest.raises(LatticeError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+def test_vector_inputs_keep_fraction_entries():
+    half = (Fraction(1, 2), 0)
+    assert A2_LATTICE.pairing(half, (1, 0)) == 1 and A2_LATTICE.norm(half) == Fraction(1, 2)
+    group = orthogonal_group(A2_LATTICE)
+    assert orbits(group, [half])[0].size == 6
+    assert orbit_witness(group, half, (0, Fraction(1, 2))) is not None
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: IntegerLattice(((1.5,),)), "Gram entries must be integers"),
+    (lambda: A2_LATTICE.span(((1,),)), "generator length must match ambient rank"),
+], ids=["gram-float", "span-short-generator"])
+def test_lattice_guards_raise_their_messages(call, message):
+    with pytest.raises(LatticeError) as caught:
+        call()
+    assert str(caught.value) == message

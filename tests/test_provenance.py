@@ -122,3 +122,32 @@ def test_walkthrough_reads_the_case_row_of_its_allowlist_entry(golden, capsys):
     assert status(2) == (2, "error: vector is not in the dual lattice\n")
     assert status(len(pristine["table2"])) == (
         2, "error: allowlist entry existence-glue-generator does not name a case row\n")
+
+
+@pytest.mark.parametrize("leaf", range(3))
+def test_invariant_discriminant_orders_are_read_from_the_golden_file(golden, capsys, leaf):
+    """Raising one printed order by 1 turns its cell into a mismatch and exits 1."""
+    pristine, use = golden
+    data = json.loads(json.dumps(pristine))
+    data["printed_invariant_discriminant_orders"][leaf] += 1
+    use(data)
+    code = main(["verify-table", "cases"])
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    (cell,) = [c for c in cells if c["cell"] == "invariant discriminant orders"]
+    assert (code, cell["status"], cell["computed"]) == (1, "mismatch", [3, 3, 18])
+    assert cell["printed"] == data["printed_invariant_discriminant_orders"]
+
+
+def test_cell_allowlists_by_the_entry_it_is_given(monkeypatch):
+    """``_cell`` reads no golden data: a mismatch is allowlisted, with the entry's id and
+    note, exactly when the entry declares that computed and printed pair."""
+    monkeypatch.setattr(report_mod, "printed_tables", None)
+    entry = {"id": "x", "table": "cases", "row": 0, "cell": "c",
+             "printed": [1], "computed": [2], "note": "n"}
+    assert report_mod._cell("c", [2], [1], entry) == {
+        "cell": "c", "status": "allowlisted", "computed": [2], "printed": [1],
+        "allowlist_id": "x", "note": "n"}
+    assert report_mod._cell("c", [3], [1], entry)["status"] == "mismatch"
+    assert report_mod._cell("c", [2], [3], entry)["status"] == "mismatch"
+    assert report_mod._cell("c", [2], [1])["status"] == "mismatch"
+    assert report_mod._cell("c", [2], [2], entry)["status"] == "pass"
