@@ -384,11 +384,9 @@ def overlattice_with_basis(h: IsotropicSubgroup):
     denom = lcm(*dens)
     lifts_t = transpose([tuple(denom // den * x for x in num)
                          for num, den in zip(nums, dens)])
-    cleared = [tuple(denom * x for x in row) for row in identity(n)]
+    cleared = [tuple(denom * x for x in row) for row in identity(n)]  # so hh has n rows
     cleared += [mat_vec(lifts_t, coeffs) for coeffs in gens]
     hh = [row for row in hnf(cleared) if any(row)]
-    if len(hh) != n:
-        raise GlueError("overlattice basis has wrong rank")
     # the Gram of the cleared rows is denom^2 times the overlattice Gram
     scaled = gram_of_rows(hh, lattice.gram)
     square = denom * denom

@@ -50,6 +50,14 @@ class LatticeError(ValueError):
     """Raised for inputs violating a lattice precondition."""
 
 
+def _length(v, what: str = "vector") -> int:
+    """len(v), or LatticeError if v has no length."""
+    try:
+        return len(v)
+    except TypeError:
+        raise LatticeError(f"{what} must be a sequence, not {type(v).__name__}") from None
+
+
 def closure(start, gens, step, limit=None) -> set:
     """Smallest superset of ``start`` closed under x -> step(x, g) for g in gens.
 
@@ -160,8 +168,9 @@ class IntegerLattice(Frozen):
     # -- bilinear form ------------------------------------------------
 
     def pairing(self, v, w) -> int | Fraction:
-        if len(v) != self.rank or len(w) != self.rank:
-            raise LatticeError(f"vector lengths {len(v)}, {len(w)} do not match rank {self.rank}")
+        nv, nw = _length(v), _length(w)
+        if nv != self.rank or nw != self.rank:
+            raise LatticeError(f"vector lengths {nv}, {nw} do not match rank {self.rank}")
         self._check_vector(v)
         self._check_vector(w)
         total = bilinear(v, self.gram, w)
@@ -172,7 +181,7 @@ class IntegerLattice(Frozen):
 
     def _check_vector(self, v, kinds=(int, Fraction)) -> None:
         """LatticeError unless v has ``rank`` entries, each an instance of ``kinds``."""
-        if len(v) != self.rank:
+        if _length(v) != self.rank:
             raise LatticeError(f"vector length {len(v)} does not match rank {self.rank}")
         if not all(isinstance(x, kinds) for x in v):
             kind = "integers" if kinds is int else "integers or Fractions"
@@ -188,7 +197,7 @@ class IntegerLattice(Frozen):
     # -- sublattices --------------------------------------------------
 
     def span(self, generators) -> "Sublattice":
-        return Sublattice(self, freeze(generators))
+        return Sublattice(self, generators)
 
     def full(self) -> "Sublattice":
         return Sublattice(self, identity(self.rank))
@@ -218,9 +227,10 @@ class Sublattice(Frozen):
     """Sublattice of an ambient lattice, rows of ``basis`` in ambient coordinates."""
 
     def __init__(self, ambient: IntegerLattice, basis: IntMatrix):
-        basis = freeze(basis)
-        if basis and any(len(row) != ambient.rank for row in basis):
+        basis = tuple(basis)
+        if any(_length(row, "generator") != ambient.rank for row in basis):
             raise LatticeError("generator length must match ambient rank")
+        basis = freeze(basis)
         if any(not isinstance(x, int) for row in basis for x in row):
             raise LatticeError("generator entries must be integers")
         h = hnf(basis)

@@ -595,6 +595,24 @@ def test_vector_inputs_keep_fraction_entries():
 
 
 @pytest.mark.parametrize("call, message", [
+    (lambda: A2_LATTICE.norm(5), "vector must be a sequence, not int"),
+    (lambda: A2_LATTICE.pairing((1, 0), 3), "vector must be a sequence, not int"),
+    (lambda: A2_LATTICE.pairing((1, 0, 0), 3), "vector must be a sequence, not int"),
+    (lambda: A2_LATTICE.divisibility(None), "vector must be a sequence, not NoneType"),
+    (lambda: A2_LATTICE.full().coordinates_of(None), "vector must be a sequence, not NoneType"),
+    (lambda: orbits(orthogonal_group(A2_LATTICE), [5]), "vector must be a sequence, not int"),
+    (lambda: orbit_witness(orthogonal_group(A2_LATTICE), 1, (1, 0)),
+     "vector must be a sequence, not int"),
+    (lambda: A2_LATTICE.span([(1, 0), 5]), "generator must be a sequence, not int"),
+], ids=["norm", "pairing", "pairing-long-first", "divisibility", "coordinates_of", "orbits", "orbit_witness", "span"])
+def test_vector_inputs_without_a_length_are_refused(call, message):
+    """A vector or generator row with no length is a one-line LatticeError, not a TypeError."""
+    with pytest.raises(LatticeError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
     (lambda: IntegerLattice(((1.5,),)), "Gram entries must be integers"),
     (lambda: A2_LATTICE.span(((1,),)), "generator length must match ambient rank"),
 ], ids=["gram-float", "span-short-generator"])

@@ -151,3 +151,56 @@ def test_cell_allowlists_by_the_entry_it_is_given(monkeypatch):
     assert report_mod._cell("c", [2], [3], entry)["status"] == "mismatch"
     assert report_mod._cell("c", [2], [1])["status"] == "mismatch"
     assert report_mod._cell("c", [2], [2], entry)["status"] == "pass"
+
+
+PRINTED = "a printed result fed back in as an input"
+DERIVATION_READS = {
+    "invariant_gram": "input: the Gram matrix of L_inv",
+    "symplectic_group_order": "input: g0 = |Z_3^4 : A_6|, which the bound multiplies",
+    "basis_names": "presentation: the letters of each case's name",
+    "dual_generator_lifts": "presentation: the pinned generators f1, f2, f3 of A_inv",
+    "coinvariant_discriminant_orders": f"{PRINTED}: the domain orders of each gluing",
+    "table2": f"{PRINTED}: the gluing of a case is looked up in its row",
+    "table2[*].m": f"{PRINTED}: half of the row key (m, name) of a gluing",
+    "table2[*].name": f"{PRINTED}: half of the row key (m, name) of a gluing",
+    "table2[*].gamma": f"{PRINTED}: the printed gluing matrix",
+}
+
+
+class Recorded(dict):
+    """A golden-data dict that adds the path of each key read to ``reads``.
+
+    A list of dicts under a key reads as a list of ``Recorded`` rows, whose
+    keys are recorded as ``key[*].field``.
+    """
+
+    def __init__(self, data, reads, prefix=""):
+        super().__init__(data)
+        self.reads, self.prefix = reads, prefix
+
+    def __getitem__(self, key):
+        path = self.prefix + key
+        self.reads.add(path)
+        value = super().__getitem__(key)
+        if isinstance(value, list) and value and all(isinstance(x, dict) for x in value):
+            return [Recorded(x, self.reads, f"{path}[*].") for x in value]
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+def test_the_derivation_reads_only_its_declared_golden_keys(golden):
+    """``classify(2/3/6)`` and ``order_bound_report`` read exactly ``DERIVATION_READS``.
+
+    Every cache of ``classify`` is rebuilt from the recording dict and
+    emptied afterwards.  A PR that derives one of the printed results fed
+    back in drops its key here.
+    """
+    pristine, use = golden
+    reads = set()
+    use(Recorded(pristine, reads))
+    for m in (2, 3, 6):
+        classify_mod.classify(m)
+    assert classify_mod.order_bound_report()["bound"] == 174960
+    assert sorted(reads) == sorted(DERIVATION_READS)
