@@ -32,12 +32,15 @@ from operator import attrgetter
 from .exact import (
     IntMatrix,
     IntVector,
+    as_integer,
+    as_matrix,
+    as_sequence,
+    as_vector,
     bilinear,
     freeze,
     gram_of_rows,
     hnf,
     identity,
-    integral,
     lcm_denominator,
     mat_mul,
     mat_vec,
@@ -53,14 +56,6 @@ _identity_basis = cache(lambda n: freeze(map(Fraction, row) for row in identity(
 
 class GlueError(ValueError):
     """Raised when a gluing/extension precondition fails."""
-
-
-def _integers(rows, what: str) -> IntMatrix:
-    """The int rows of ``exact.integral``, else GlueError "<what> must be integers"."""
-    ints = integral(rows)
-    if ints is None:
-        raise GlueError(f"{what} must be integers")
-    return ints
 
 
 class DiscriminantGroup(Frozen):
@@ -92,10 +87,10 @@ class DiscriminantGroup(Frozen):
 
     def __init__(self, orders, pairings, lifts=None, source: IntegerLattice | None = None,
                  classes=None):
-        (orders,), pairings = _integers((orders,), "cyclic factor orders"), freeze(pairings)
-        lifts = None if lifts is None else freeze(lifts)
-        if any(not isinstance(x, int | Fraction) for row in pairings + (lifts or ()) for x in row):
-            raise GlueError("pairing and lift entries must be integers or Fractions")
+        orders = as_vector(orders, GlueError, "cyclic factor orders must be integers")
+        msg = "pairing and lift entries must be integers or Fractions"
+        pairings = as_matrix(pairings, GlueError, msg, fractions=True)
+        lifts = None if lifts is None else as_matrix(lifts, GlueError, msg, fractions=True)
         # the scale clearing every pairing is the exponent, unless a check is to fail
         scale = lcm(orders[-1] if orders else 1, lcm_denominator(pairings))
         dens = tuple(lcm_denominator([lift]) for lift in lifts or ())
@@ -104,7 +99,8 @@ class DiscriminantGroup(Frozen):
                     None if lifts is None else (
                         freeze(tuple(x.numerator * (den // x.denominator) for x in lift)
                                for lift, den in zip(lifts, dens)), dens),
-                    source, classes)
+                    source, classes if classes is None else
+                    as_matrix(classes, GlueError, "class map entries must be integers"))
 
     def _store(self, orders, gram, scale, cleared, source, classes):
         """Check and set the fields, from ``gram`` = ``scale`` * pairings (e | scale)."""
@@ -125,7 +121,7 @@ class DiscriminantGroup(Frozen):
         exponent = orders[-1] if k else 1
         self._set(orders=orders, exponent=exponent, _cleared=cleared, source=source,
                   int_gram=freeze(tuple(x // (scale // exponent) for x in row) for row in gram),
-                  classes=None if classes is None else freeze(classes))
+                  classes=classes)
 
     # -- structure ------------------------------------------------------
 
@@ -138,7 +134,7 @@ class DiscriminantGroup(Frozen):
 
     def element(self, coeffs) -> tuple[int, ...]:
         """``coeffs`` checked for integrality and length, reduced modulo the orders."""
-        (coeffs,), k = _integers((coeffs,), "coefficients"), len(self.orders)
+        coeffs, k = as_vector(coeffs, GlueError, "coefficients must be integers"), len(self.orders)
         if len(coeffs) != k:
             raise GlueError(f"coefficient length {len(coeffs)} does not match {k} generators")
         return tuple(c % d for c, d in zip(coeffs, self.orders))
@@ -211,8 +207,8 @@ class DiscriminantGroup(Frozen):
         """Class of a dual vector given by rational source-lattice coordinates."""
         if self.source is None or self.classes is None:
             raise GlueError("group has no source lattice")
-        if len(v) != self.source.rank:
-            raise GlueError(f"vector length {len(v)} does not match rank {self.source.rank}")
+        v = as_vector(v, GlueError, "vector entries must be integers or Fractions", "vector",
+                      True, self.source.rank)
         pairings = mat_vec(self.source.gram, v)
         if any(p.denominator != 1 for p in pairings):
             raise GlueError("vector is not in the dual lattice")
@@ -249,8 +245,8 @@ def _isotropic_coeffs(orders, gram, e) -> list[tuple]:
 
 def bare_group(orders) -> DiscriminantGroup:
     """Group structure only (zero pairing data), as in ``with_generators``' rebasing map."""
-    k = len(orders)
-    return DiscriminantGroup(tuple(orders), ((Fraction(0),) * k,) * k)
+    orders = as_vector(orders, GlueError, "cyclic factor orders must be integers")
+    return DiscriminantGroup(orders, ((0,) * len(orders),) * len(orders))
 
 
 def discriminant_group(lattice: IntegerLattice) -> DiscriminantGroup:
@@ -285,9 +281,8 @@ def with_generators(group: DiscriminantGroup, lifts) -> DiscriminantGroup:
     """
     if group.source is None:
         raise GlueError("can only rebase a lattice-backed group")
-    lattice = group.source
-    lifts_t = freeze(tuple(Fraction(x) for x in v) for v in lifts)
-    elems = [group.element_from_dual_vector(v) for v in lifts_t]
+    lifts = as_sequence(lifts, GlueError, what="lifts")  # each one read by element_from_dual_vector
+    elems = [group.element_from_dual_vector(v) for v in lifts]
     orders = tuple(_order(c, group.orders) for c in elems)
     if prod(orders) != group.order():
         raise GlueError("given vectors do not freely generate the group")
@@ -299,7 +294,7 @@ def with_generators(group: DiscriminantGroup, lifts) -> DiscriminantGroup:
         raise GlueError("given vectors do not generate the group")
     inverse = transpose([onto.solve(unit) for unit in identity(group.ngens)])
     return DiscriminantGroup(
-        orders, gram_of_rows(lifts_t, lattice.gram), lifts_t, lattice,
+        orders, gram_of_rows(lifts, group.source.gram), lifts, group.source,
         mat_mul(inverse, group.classes),
     )
 
@@ -333,6 +328,7 @@ class IsotropicSubgroup(Frozen):
     _key = attrgetter("parent", "generators")
 
     def __init__(self, parent: DiscriminantGroup, generators):
+        generators = as_sequence(generators, GlueError, what="generators")
         generators = tuple(map(parent.element, generators))
         span = span_elements(parent, generators)
         for coeffs in span:
@@ -354,12 +350,11 @@ def enumerate_isotropic_subgroups(group: DiscriminantGroup, order: int) -> list[
     The group grows all its isotropic subgroups in one pass, on the first
     call (``DiscriminantGroup.isotropic_generators``); each call then builds
     those of the given order on the generators that grew them.  An order
-    that does not divide |A_L| gives nothing.
+    that does not divide |A_L| gives nothing; one that is not an integer
+    (``exact.as_integer``) is GlueError.
     """
-    return [
-        IsotropicSubgroup(group, gens)
-        for gens in group.isotropic_generators.get(order, ())
-    ]
+    order = as_integer(order, GlueError, "subgroup order must be an integer")
+    return [IsotropicSubgroup(group, gens) for gens in group.isotropic_generators.get(order, ())]
 
 
 def overlattice_with_basis(h: IsotropicSubgroup):
@@ -437,7 +432,7 @@ class FiniteAbelianMap(Frozen):
     _key = attrgetter("domain", "codomain", "matrix")
 
     def __init__(self, domain: DiscriminantGroup, codomain: DiscriminantGroup, matrix):
-        matrix = _integers(matrix, "map matrix entries")
+        matrix = as_matrix(matrix, GlueError, "map matrix entries must be integers")
         if len(matrix) != codomain.ngens or any(len(row) != domain.ngens for row in matrix):
             raise GlueError("map matrix shape mismatch")
         reduced = _reduce(matrix, codomain.orders)
@@ -477,17 +472,18 @@ def _induced_matrix(matrix, group: DiscriminantGroup, used) -> IntMatrix:
     (classes G) M nums_i / den_i, an exact division for an isometry M.
     Only the columns in ``used`` are computed (the others are 0).  M is
     checked in any case: M as given is looked up among the matrices of
-    O(L) the source lattice object kept (``proven_isometry``), and only a
-    miss is read by ``exact.integral`` and gets M^T G M == G.
+    O(L) the source lattice object kept (``proven_isometry``); an M that is
+    not the kept matrix itself is read by ``exact.as_matrix``, and only a
+    miss gets M^T G M == G.
     """
     if group.source is None or group.classes is None:
         raise GlueError("induced maps need a lattice-backed group")
     nums, dens = group.cleared_lifts
-    m = proven_isometry(group.source, matrix)
-    if m is None:
-        m = integral(matrix)
-        if m is None or not is_isometry_matrix(group.source, m):
-            raise GlueError("matrix is not an isometry of the source lattice")
+    refused = "matrix is not an isometry of the source lattice"
+    kept = proven_isometry(group.source, matrix)
+    m = kept if kept is not None and kept is matrix else as_matrix(matrix, GlueError, refused)
+    if kept is None and not is_isometry_matrix(group.source, m):
+        raise GlueError(refused)
     rows = [[0] * len(nums) for _ in nums]
     for i in used:
         for row, x in zip(rows, mat_vec(group.classes_gram, mat_vec(m, nums[i]))):
@@ -505,10 +501,9 @@ def induced_map(matrix, group: DiscriminantGroup) -> FiniteAbelianMap:
 def extends_to_overlattice(matrix, h: IsotropicSubgroup) -> bool:
     """Extension criterion: the induced map must fix the glue subgroup setwise.
 
-    M is checked to be an isometry on every call, by a lookup when it is an
-    element of the last O(L) search on the source lattice object and by
-    M^T G M == G otherwise; then only the generators of H are mapped,
-    through the induced columns they use (none for the trivial subgroup).
+    M is checked to be an isometry on every call (``_induced_matrix``); then
+    only the generators of H are mapped, through the induced columns they
+    use (none for the trivial subgroup).
     M is invertible over Z, so its induced map is an automorphism of A_L
     and the image of H is a subgroup of order |H|; once the generators'
     images lie in H, that image is H.
@@ -601,14 +596,16 @@ def pullback_form(
     """Abstract group with q defined as minus the pullback along a gluing.
 
     ``matrix`` columns give the images of the abstract generators inside
-    ``codomain``, with or without a lattice behind it; the anti-isometry law
-    q_dom = -q_cod(gamma .) then determines the pairing matrix of the abstract group.
+    ``codomain``, with or without a lattice behind it, checked as a map gamma
+    (``FiniteAbelianMap``); the anti-isometry law q_dom = -q_cod(gamma .) then
+    determines the pairing matrix of the abstract group.
     """
+    gamma = FiniteAbelianMap(bare_group(domain_orders), codomain, matrix)
     # Q / e is the Gram of the lifts, so the image lifts pair as
     # C Q C^T / e, for C the reduced image columns as rows
-    cols = [codomain.element(tuple(row[j] for row in matrix)) for j in range(len(domain_orders))]
+    cols = [tuple(row[j] for row in gamma.matrix) for j in range(gamma.domain.ngens)]
     e = codomain.exponent
-    return DiscriminantGroup(tuple(domain_orders), tuple(
+    return DiscriminantGroup(gamma.domain.orders, tuple(
         tuple(Fraction(-x, e) for x in row) for row in gram_of_rows(cols, codomain.int_gram)))
 
 

@@ -7,7 +7,10 @@ integer elimination of each kind and no floating point: the Bareiss step
 ``_bareiss_step`` of ``det`` and ``ldl_rows``, ``hnf`` (H only, also behind
 ``right_kernel``) and the Smith loop ``_smith`` of ``snf`` and
 ``smith_diagonal``.  Lattice pairings and discriminant forms share one
-v*G*w^T kernel, ``bilinear``, and entries are checked integral by ``integral``.
+v*G*w^T kernel, ``bilinear``.  Inputs pass ``as_integer``, ``as_vector`` or
+``as_matrix``, which raise the caller's error, under one rule: an integer is
+an int that is not a bool, or a Fraction with denominator 1, returned as a
+plain int; floats, Decimals, bools, strings and None are refused.
 Conventions are pinned so that every caller sees deterministic output:
 
 * Hermite normal form is row-style with positive pivots and entries above
@@ -307,14 +310,38 @@ def solve_smith(smith, t) -> IntVector | None:
     return mat_vec(v, tuple(w))
 
 
-def integral(rows) -> IntMatrix | None:
-    """The rows as int tuples if int(x) == x for every entry x, else None (also if int(x) raises)."""
-    try:
-        rows = freeze(rows)
-        ints = tuple(tuple(map(int, row)) for row in rows)
-        return ints if ints == rows else None
-    except (TypeError, ValueError, OverflowError):  # not iterable, None, "x", inf, nan
-        return None
+def as_integer(x, error, message: str) -> int:
+    """x as a plain int if it is an integer (see above), else ``error(message)``."""
+    if isinstance(x, int) and type(x) is not bool or isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    raise error(message)
+
+
+def as_sequence(v, error, message: str | None = None, what: str | None = None):
+    """v, uncopied, if it has a length and is no str or dict, else error ``message``
+    or "<what> must be a sequence, not <type>"."""
+    if hasattr(type(v), "__len__") and not isinstance(v, (str, dict)):
+        return v
+    raise error(message if what is None else f"{what} must be a sequence, not {type(v).__name__}")
+
+
+def as_vector(v, error, message: str, what: str | None = None, fractions=False, rank=None) -> tuple:
+    """The ``as_sequence`` v as a tuple of ``as_integer`` entries, and of Fractions if
+    ``fractions``; its length is checked against ``rank`` (if given) before any entry."""
+    n = len(as_sequence(v, error, message, what))
+    if rank is not None and n != rank:
+        raise error(f"vector length {n} does not match rank {rank}")
+    for x in v:  # a loop of type tests, as ``orbits`` reads every vector here
+        if type(x) is not int and not (fractions and type(x) is Fraction):
+            return tuple([x if fractions and isinstance(x, Fraction)
+                          else as_integer(x, error, message) for x in v])
+    return tuple(v)
+
+
+def as_matrix(rows, error, message: str, what: str | None = None, fractions=False) -> tuple:
+    """The ``as_sequence`` rows, each an ``as_vector``; ragged rows are the caller's check."""
+    rows = as_sequence(rows, error, message, what)
+    return tuple([as_vector(row, error, message, what, fractions) for row in rows])
 
 
 def lcm_denominator(rows) -> int:

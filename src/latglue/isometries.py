@@ -45,11 +45,13 @@ from weakref import ref
 from .exact import (
     IntMatrix,
     IntVector,
+    as_integer,
+    as_matrix,
+    as_sequence,
     det,
     freeze,
     gram_of_rows,
     identity,
-    integral,
     mat_mul,
     mat_vec,
     transpose,
@@ -91,14 +93,12 @@ def matrix_order(matrix) -> int:
 
 
 class Isometry(Frozen):
-    """Gram-preserving basis change, its entries made ints by ``exact.integral``; ``order`` lazy."""
+    """Gram-preserving basis change, its entries ints by ``exact.as_matrix``; ``order`` lazy."""
 
     _key = attrgetter("lattice", "matrix")
 
     def __init__(self, lattice: IntegerLattice, matrix: IntMatrix):
-        matrix = integral(matrix)
-        if matrix is None:
-            raise LatticeError("matrix entries must be integers")
+        matrix = as_matrix(matrix, LatticeError, "matrix entries must be integers")
         if not is_isometry_matrix(lattice, matrix):
             raise LatticeError("matrix does not preserve the Gram matrix")
         self._set(lattice=lattice, matrix=matrix)
@@ -185,8 +185,8 @@ class _ShortVectors:
             bound = self.node_bound(norm)
             if bound > NODE_GUARD:
                 raise LatticeError(
-                    f"short-vector enumeration of norm {norm} may visit {_decimal(bound)} nodes "
-                    f"(limit {NODE_GUARD})"
+                    f"short-vector enumeration of norm {_decimal(norm)} may visit "
+                    f"{_decimal(bound)} nodes (limit {NODE_GUARD})"
                 )
         new = [norm for norm in norms if norm not in self.by_norm]
         if new:
@@ -242,13 +242,12 @@ def _short_vectors(lattice: IntegerLattice) -> _ShortVectors:
 def vectors_of_norm(lattice: IntegerLattice, norm: int) -> tuple[IntVector, ...]:
     """All lattice vectors of the exact given norm, lexicographically sorted.
 
-    A norm that is not an int raises LatticeError, a negative norm has no
-    vectors; otherwise the lattice must be positive definite (a leading
-    minor <= 0 raises LatticeError), and an enumeration whose node bound
-    exceeds NODE_GUARD raises LatticeError instead of running.
+    A norm that is not an integer (``exact.as_integer``) raises LatticeError,
+    a negative norm has no vectors; otherwise the lattice must be positive
+    definite (a leading minor <= 0 raises LatticeError), and an enumeration
+    whose node bound exceeds NODE_GUARD raises LatticeError instead of running.
     """
-    if not isinstance(norm, int):
-        raise LatticeError("norm must be an integer")
+    norm = as_integer(norm, LatticeError, "norm must be an integer")
     if norm < 0:
         return ()
     return _short_vectors(lattice).vectors((norm,))[norm]
@@ -374,13 +373,11 @@ def orbits(group: IsometryGroup, vectors) -> tuple[Orbit, ...]:
     one pass over the elements per orbit, from the smallest vector left.
     Each orbit is closed under the group even if the input was not; the
     representative is the lexicographically smallest member and orbits are
-    sorted by representative.  A vector whose length is not the rank, or
-    with an entry neither an int nor a Fraction, raises LatticeError.
+    sorted by representative.  ``vectors`` that is not a sequence, or a
+    vector that is not a sequence of ``rank`` ints and Fractions, raises LatticeError.
     """
-    remaining = set()
-    for v in vectors:
-        group.lattice._check_vector(v)
-        remaining.add(tuple(v))
+    lattice = group.lattice
+    remaining = {lattice._vector(v) for v in as_sequence(vectors, LatticeError, what="vectors")}
     result = []
     while remaining:
         start = min(remaining)
@@ -395,10 +392,9 @@ def orbits(group: IsometryGroup, vectors) -> tuple[Orbit, ...]:
 
 def orbit_witness(group: IsometryGroup, source: IntVector, target: IntVector):
     """A group element g with g(source) = target, or None; LatticeError on a bad vector."""
-    group.lattice._check_vector(source)
-    group.lattice._check_vector(target)
+    source, target = group.lattice._vector(source), group.lattice._vector(target)
     for g in group.elements:
-        if g.apply(source) == tuple(target):
+        if g.apply(source) == target:
             return g
     return None
 

@@ -31,6 +31,9 @@ from .exact import (
     FracVector,
     IntMatrix,
     IntVector,
+    as_matrix,
+    as_sequence,
+    as_vector,
     bilinear,
     det,
     frac_inverse,
@@ -48,14 +51,6 @@ from .exact import (
 
 class LatticeError(ValueError):
     """Raised for inputs violating a lattice precondition."""
-
-
-def _length(v, what: str = "vector") -> int:
-    """len(v), or LatticeError if v has no length."""
-    try:
-        return len(v)
-    except TypeError:
-        raise LatticeError(f"{what} must be a sequence, not {type(v).__name__}") from None
 
 
 def closure(start, gens, step, limit=None) -> set:
@@ -125,12 +120,10 @@ class IntegerLattice(Frozen):
     _key = attrgetter("gram")
 
     def __init__(self, gram: IntMatrix):
-        gram = freeze(gram)
+        gram = as_matrix(gram, LatticeError, "Gram entries must be integers")
         n = len(gram)
         if n == 0 or any(len(row) != n for row in gram):
             raise LatticeError("Gram matrix must be square and nonempty")
-        if any(not isinstance(x, int) for row in gram for x in row):
-            raise LatticeError("Gram entries must be integers")
         if gram != transpose(gram):
             raise LatticeError("Gram matrix must be symmetric")
         order = tuple(sorted(range(n), key=lambda i: gram[i][i]))
@@ -168,28 +161,22 @@ class IntegerLattice(Frozen):
     # -- bilinear form ------------------------------------------------
 
     def pairing(self, v, w) -> int | Fraction:
-        nv, nw = _length(v), _length(w)
+        nv, nw = (len(as_sequence(x, LatticeError, what="vector")) for x in (v, w))
         if nv != self.rank or nw != self.rank:
             raise LatticeError(f"vector lengths {nv}, {nw} do not match rank {self.rank}")
-        self._check_vector(v)
-        self._check_vector(w)
-        total = bilinear(v, self.gram, w)
+        total = bilinear(self._vector(v), self.gram, self._vector(w))
         return int(total) if total.denominator == 1 else total
 
     def norm(self, v) -> int | Fraction:
         return self.pairing(v, v)
 
-    def _check_vector(self, v, kinds=(int, Fraction)) -> None:
-        """LatticeError unless v has ``rank`` entries, each an instance of ``kinds``."""
-        if _length(v) != self.rank:
-            raise LatticeError(f"vector length {len(v)} does not match rank {self.rank}")
-        if not all(isinstance(x, kinds) for x in v):
-            kind = "integers" if kinds is int else "integers or Fractions"
-            raise LatticeError(f"vector entries must be {kind}")
+    def _vector(self, v, fractions=True, message="vector entries must be integers or Fractions"):
+        """v by ``exact.as_vector`` (LatticeError ``message``), of length ``rank``."""
+        return as_vector(v, LatticeError, message, "vector", fractions, self.rank)
 
     def divisibility(self, v: IntVector) -> int:
         """div(v) = gcd of all pairings of v with lattice vectors."""
-        self._check_vector(v, int)
+        v = self._vector(v, False, "vector entries must be integers")
         if not any(v):
             raise LatticeError("divisibility of the zero vector is undefined")
         return gcd(*mat_vec(self.gram, v))
@@ -209,30 +196,22 @@ class IntegerLattice(Frozen):
         """Parse a Gram matrix given as ``[[...]]`` or ``{"gram": [[...]]}``."""
         try:
             data = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # too deep, or past the int-digit limit
+        except (TypeError, ValueError, RecursionError) as exc:  # not text, too deep, or too long
             raise LatticeError(f"invalid JSON: {exc}") from None
         if isinstance(data, dict):
             data = data.get("gram")
         if not isinstance(data, list):
             raise LatticeError('expected a JSON array or {"gram": [[...]]}')
-        for row in data:
-            if not isinstance(row, list) or any(
-                isinstance(x, bool) or not isinstance(x, int) for x in row
-            ):
-                raise LatticeError("Gram entries must be exact integers")
-        return cls(freeze(data))
+        return cls(as_matrix(data, LatticeError, "Gram entries must be exact integers"))
 
 
 class Sublattice(Frozen):
     """Sublattice of an ambient lattice, rows of ``basis`` in ambient coordinates."""
 
     def __init__(self, ambient: IntegerLattice, basis: IntMatrix):
-        basis = tuple(basis)
-        if any(_length(row, "generator") != ambient.rank for row in basis):
+        basis = as_matrix(basis, LatticeError, "generator entries must be integers", "generator")
+        if any(len(row) != ambient.rank for row in basis):
             raise LatticeError("generator length must match ambient rank")
-        basis = freeze(basis)
-        if any(not isinstance(x, int) for row in basis for x in row):
-            raise LatticeError("generator entries must be integers")
         h = hnf(basis)
         if sum(1 for row in h if any(row)) != len(basis):
             raise LatticeError("generators must be linearly independent")
@@ -258,7 +237,7 @@ class Sublattice(Frozen):
 
         B^T x = v is checked, so a v off the Q-span raises LatticeError.
         """
-        self.ambient._check_vector(v)
+        v = self.ambient._vector(v)
         basis = self.basis
         x = mat_vec(self._inverse_gram, mat_vec(basis, v))
         if any(sum(xk * row[i] for xk, row in zip(x, basis)) != vi for i, vi in enumerate(v)):

@@ -547,7 +547,9 @@ def test_extension_verdicts_for_one_matrix_given_six_ways(monkeypatch):
     """The lookup path (the lattice object just searched) and the check path
     (an equal fresh object) give the same verdict or the same GlueError for a
     matrix as int tuples, lists, integral floats, Fractions, with a string
-    entry and in a wrong shape; only a miss reaches the M^T G M == G check."""
+    entry and in a wrong shape; only a miss reaches the M^T G M == G check.
+    Floats are not integers (``exact.as_integer``), so they are refused on both
+    paths, although the lookup finds their equal kept matrix."""
     import latglue.discforms as discforms
     import latglue.isometries as isometries
 
@@ -601,7 +603,8 @@ def test_extension_verdicts_for_one_matrix_given_six_ways(monkeypatch):
             hits.clear()
             assert outcomes(IntegerLattice(gram), matrix) == on_searched, (m, way)
             assert hits == [False, False], (m, way)
-            assert on_searched == ([refused, refused] if way in ("string", "shape") else plain)
+            refusal = way in ("floats", "string", "shape")
+            assert on_searched == ([refused, refused] if refusal else plain)
     assert verdicts == {True, False} and len(elements) == 8
 
 

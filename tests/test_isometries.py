@@ -134,11 +134,15 @@ def test_vectors_of_norm_rejects_indefinite():
         vectors_of_norm(hyperbolic, 0)
     assert vectors_of_norm(hyperbolic, -2) == ()
     assert vectors_of_norm(IntegerLattice(((2,),)), 0) == ((0,),)
-    # a norm that is not an int is refused before the sign and definiteness checks
-    for norm in (2.0, 2.5, -2.0, "2", None, Fraction(2)):
+    # a norm that is not an integer is refused before the sign and definiteness checks;
+    # an integral Fraction is one, and reads as its int
+    for norm in (2.0, 2.5, -2.0, "2", None, True, Fraction(5, 2)):
         for lattice in (IntegerLattice(((2,),)), hyperbolic):
             with pytest.raises(LatticeError, match="norm must be an integer"):
                 vectors_of_norm(lattice, norm)
+    assert vectors_of_norm(IntegerLattice(((2,),)), Fraction(2)) == ((-1,), (1,))
+    with pytest.raises(LatticeError, match=message):
+        vectors_of_norm(hyperbolic, Fraction(2))
     with pytest.raises(LatticeError, match="norm must be an integer"):
         orbit_report(2.5)
 
@@ -776,22 +780,23 @@ def test_isometry_refuses_a_non_integral_matrix():
                     (("a", "b"), ("c", "d")), ((None, 0), (0, 1)), None)
     non_integral += tuple(((0, -1), (x, 0))
                           for x in ("1", float("inf"), float("nan"), 2.5, Fraction(5, 2)))
+    # integral floats, Decimals and bools are not integers either (``exact.as_integer``)
+    non_integral += (((0.0, -1.0), (1.0, 0.0)), ((0, -1), (True, 0)),
+                     ((Decimal(0), Decimal("-1.0")), (Decimal(1), 0)))
     for matrix in non_integral:
         with pytest.raises(LatticeError, match="matrix entries must be integers"):
             Isometry(two, matrix)
-    # integral Fractions, floats, Decimals and bools are accepted and stored as ints, so
-    # ``apply`` returns ints
+    # integral Fractions are accepted and stored as ints, so ``apply`` returns ints
     quarter_turn = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
-    for matrix in (quarter_turn, ((0.0, -1.0), (1.0, 0.0)), ((0, -1), (True, 0)),
-                   ((Decimal(0), Decimal("-1.0")), (Decimal(1), 0))):
-        iso = Isometry(two, matrix)
-        assert iso.order == 4 and all(type(x) is int for row in iso.matrix for x in row)
-        image = iso.apply((1, 2))
-        assert image == (-2, 1) and all(type(x) is int for x in image)
-    # an entry 2 as 2.0 or 4/2, in an isometry of <2> + <-4>
-    for two_ in (2.0, Fraction(4, 2)):
-        pell = Isometry(IntegerLattice(((2, 0), (0, -4))), ((3, 4), (two_, 3)))
-        assert pell.matrix == ((3, 4), (2, 3)) and type(pell.matrix[1][0]) is int
+    iso = Isometry(two, quarter_turn)
+    assert iso.order == 4 and all(type(x) is int for row in iso.matrix for x in row)
+    image = iso.apply((1, 2))
+    assert image == (-2, 1) and all(type(x) is int for x in image)
+    # an entry 2 as 4/2 in an isometry of <2> + <-4>; as 2.0 it is refused
+    pell = Isometry(IntegerLattice(((2, 0), (0, -4))), ((3, 4), (Fraction(4, 2), 3)))
+    assert pell.matrix == ((3, 4), (2, 3)) and type(pell.matrix[1][0]) is int
+    with pytest.raises(LatticeError, match="matrix entries must be integers"):
+        Isometry(IntegerLattice(((2, 0), (0, -4))), ((3, 4), (2.0, 3)))
 
 
 def test_isometry_between():

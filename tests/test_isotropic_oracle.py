@@ -769,14 +769,18 @@ def test_trivial_subgroup_still_checks_the_isometry(census):
             with pytest.raises(GlueError, match="not an isometry of the source lattice"):
                 induced_map(bad, group)
         assert extends_to_overlattice(identity(n), h)
-        assert extends_to_overlattice(((True,) + identity(n)[0][1:],) + identity(n)[1:], h)
-    # integral entries of other types are accepted: 2.0 and 4/2 in an isometry of <2> + <-4>
+        # a bool is not an integer (``exact.as_integer``), even where the lookup finds its equal
+        with pytest.raises(GlueError, match="not an isometry of the source lattice"):
+            extends_to_overlattice(((True,) + identity(n)[0][1:],) + identity(n)[1:], h)
+    # an integral Fraction is an integer, a float is not: 4/2 and 2.0 in an isometry of <2> + <-4>
     lattice = IntegerLattice(((2, 0), (0, -4)))
     group = discriminant_group(lattice)
     h = enumerate_isotropic_subgroups(group, 1)[0]
-    for two in (2, 2.0, Fraction(4, 2)):
+    for two in (2, Fraction(4, 2)):
         pell = ((3, 4), (two, 3))
         assert extends_to_overlattice(pell, h) and induced_map(pell, group).matrix == ((1, 0), (0, 3))
+    with pytest.raises(GlueError, match="not an isometry of the source lattice"):
+        extends_to_overlattice(((3, 4), (2.0, 3)), h)
 
 
 def test_discriminant_group_equals_its_public_rebuild(census):

@@ -450,11 +450,15 @@ def test_index_requires_full_rank(invariant):
 
 
 def test_sublattice_refuses_non_integer_generators(invariant):
-    """A half-integral or float generator once gave index 0 and a Fraction Gram."""
-    for entry in (Fraction(1, 2), 0.5, Fraction(1), 1.0, "1", None):
+    """A half-integral or float generator once gave index 0 and a Fraction Gram.
+
+    An integral Fraction is an integer (``exact.as_integer``) and is stored as its int."""
+    for entry in (Fraction(1, 2), 0.5, 1.0, True, "1", None):
         with pytest.raises(LatticeError, match="generator entries must be integers"):
             invariant.span(((entry, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert invariant.span(((2, 0, 0), (0, 1, 0), (0, 0, 1))).index() == 2
+    sub = invariant.span(((Fraction(1), 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert sub.index() == 1 and all(type(x) is int for row in sub.basis for x in row)
 
 
 def test_json_round_trip(invariant):
