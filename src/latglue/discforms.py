@@ -472,16 +472,15 @@ def _induced_matrix(matrix, group: DiscriminantGroup, used) -> IntMatrix:
     (classes G) M nums_i / den_i, an exact division for an isometry M.
     Only the columns in ``used`` are computed (the others are 0).  M is
     checked in any case: M as given is looked up among the matrices of
-    O(L) the source lattice object kept (``proven_isometry``); an M that is
-    not the kept matrix itself is read by ``exact.as_matrix``, and only a
-    miss gets M^T G M == G.
+    O(L) the source lattice object kept (``proven_isometry``), then read by
+    ``exact.as_matrix``, and only a miss gets M^T G M == G.
     """
     if group.source is None or group.classes is None:
         raise GlueError("induced maps need a lattice-backed group")
     nums, dens = group.cleared_lifts
     refused = "matrix is not an isometry of the source lattice"
     kept = proven_isometry(group.source, matrix)
-    m = kept if kept is not None and kept is matrix else as_matrix(matrix, GlueError, refused)
+    m = as_matrix(matrix, GlueError, refused)
     if kept is None and not is_isometry_matrix(group.source, m):
         raise GlueError(refused)
     rows = [[0] * len(nums) for _ in nums]

@@ -318,9 +318,10 @@ def as_integer(x, error, message: str) -> int:
 
 
 def as_sequence(v, error, message: str | None = None, what: str | None = None):
-    """v, uncopied, if it has a length and is no str or dict, else error ``message``
-    or "<what> must be a sequence, not <type>"."""
-    if hasattr(type(v), "__len__") and not isinstance(v, (str, dict)):
+    """v, uncopied, if a tuple or list (tested first: the hot paths) or sized, indexed and no
+    str or dict (no set), else error ``message`` or "<what> must be a sequence, not <type>"."""
+    if (t := type(v)) is tuple or t is list or hasattr(t, "__len__") \
+            and hasattr(t, "__getitem__") and not isinstance(v, (str, dict)):
         return v
     raise error(message if what is None else f"{what} must be a sequence, not {type(v).__name__}")
 

@@ -147,12 +147,19 @@ def test_every_public_name_answers_or_refuses_hostile_input():
     (lambda: enumerate_isotropic_subgroups(A, True), GlueError, "subgroup order must be an integer"),
     (lambda: with_generators(A, 5), GlueError, "lifts must be a sequence, not int"),
     (lambda: IsotropicSubgroup(A, 5), GlueError, "generators must be a sequence, not int"),
+    (lambda: IntegerLattice(((2, 1), (1, 4))).norm(frozenset({5, 0})), LatticeError,
+     "vector must be a sequence, not frozenset"),
+    (lambda: pullback_form(A, [[2]], [2]), GlueError, "map is not well-defined"),
+    (lambda: pullback_form(A, [[1, 2]], [8]), GlueError, "map matrix shape mismatch"),
+    (lambda: pullback_form(A, [[]], [8]), GlueError, "map matrix shape mismatch"),
 ], ids=["span-int", "lattice-int", "lattice-ragged-int-row", "lattice-none", "orbits-int",
         "discriminant-group-int-pairings", "lattice-bool", "norm-bool", "isometry-float", "q-float",
         "norm-5000-digits", "dual-vector-int", "dual-vector-float", "order-str", "order-float",
-        "order-bool", "with-generators-int", "isotropic-subgroup-int"])
+        "order-bool", "with-generators-int", "isotropic-subgroup-int", "norm-frozenset",
+        "pullback-ill-defined", "pullback-extra-column", "pullback-short-row"])
 def test_named_hostile_inputs_are_refused(call, error, message):
-    """The inputs that raised TypeError, ValueError or answered before one integer rule."""
+    """The inputs that raised TypeError, ValueError or IndexError, or answered, before
+    one integer rule; a set has no order, so it is not a vector."""
     with pytest.raises(error) as caught:
         call()
     assert str(caught.value).startswith(message)
