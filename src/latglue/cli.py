@@ -59,30 +59,28 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", help="derive the polarization classes for an order-m action"
     )
     p_classify.add_argument("--m", type=int, choices=(2, 3, 6), required=True)
-    p_classify.add_argument("--format", choices=("json", "md"), default="json")
 
     p_verify = sub.add_parser(
         "verify-table", help="diff recomputed values against the printed tables"
     )
     p_verify.add_argument("which", choices=("orbits", "cases"))
-    p_verify.add_argument("--format", choices=("json", "md"), default="json")
 
     p_info = sub.add_parser("lattice-info", help="invariants of a Gram matrix")
-    source = p_info.add_mutually_exclusive_group()
-    source.add_argument("--gram", help="inline JSON Gram matrix")
-    source.add_argument("--file", help="path to a JSON Gram matrix")
 
     p_orbits = sub.add_parser("orbits", help="orbit table for vectors of one norm")
     p_orbits.add_argument("--norm", type=int, required=True)
-    source = p_orbits.add_mutually_exclusive_group()
-    source.add_argument("--gram", help="inline JSON Gram matrix (default: the fixed lattice)")
-    source.add_argument("--file", help="path to a JSON Gram matrix")
+    for p, suffix in ((p_info, ""), (p_orbits, " (default: the fixed lattice)")):
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--gram", help="inline JSON Gram matrix" + suffix)
+        source.add_argument("--file", help="path to a JSON Gram matrix")
     p_orbits.add_argument(
         "--full-group",
         action="store_true",
         help="use the full orthogonal group instead of the printed-table symmetry",
     )
-    p_orbits.add_argument("--format", choices=("json", "md"), default="json")
+    # added last, so that every usage line keeps its option order
+    for p in (p_classify, p_verify, p_orbits):
+        p.add_argument("--format", choices=("json", "md"), default="json")
     return parser
 
 

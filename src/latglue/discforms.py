@@ -133,11 +133,11 @@ class DiscriminantGroup(Frozen):
         return prod(self.orders)
 
     def element(self, coeffs) -> tuple[int, ...]:
-        """``coeffs`` checked for integrality and length, reduced modulo the orders."""
-        coeffs, k = as_vector(coeffs, GlueError, "coefficients must be integers"), len(self.orders)
-        if len(coeffs) != k:
-            raise GlueError(f"coefficient length {len(coeffs)} does not match {k} generators")
-        return tuple(c % d for c, d in zip(coeffs, self.orders))
+        """``coeffs`` reduced mod the orders; its length is checked before its entries are read."""
+        k, msg = len(self.orders), "coefficients must be integers"
+        if (n := len(as_sequence(coeffs, GlueError, msg))) != k:
+            raise GlueError(f"coefficient length {n} does not match {k} generators")
+        return tuple(c % d for c, d in zip(as_vector(coeffs, GlueError, msg), self.orders))
 
     # -- the forms --------------------------------------------------------
 

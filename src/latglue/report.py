@@ -51,6 +51,11 @@ def _mat(m) -> list:
     return [list(row) for row in m]
 
 
+def _row(*cells) -> str:
+    """One Markdown table row; a matrix or list cell comes as its ``json.dumps``."""
+    return "| " + " | ".join(map(str, cells)) + " |"
+
+
 def classify_report(m: int) -> dict:
     """The case and excluded rows of ``classify``, each a copy of its record's fields."""
     cases, excluded = classify(m)
@@ -71,20 +76,9 @@ def classify_markdown(report: dict) -> str:
         "| L | n | T_X Gram | index | isometry | order | gluing | psi_bar | div |",
         "|---|---|----------|-------|----------|-------|--------|---------|-----|",
     ]
-    for case in report["cases"]:
-        lines.append(
-            "| {name} | {n} | {t} | {idx} | {phi} | {order} | {gamma} | {psi} | {div} |".format(
-                name=case["name"],
-                n=case["n"],
-                t=json.dumps(case["T_gram"]),
-                idx=case["index"],
-                phi=json.dumps(case["phi"]),
-                order=case["order"],
-                gamma=json.dumps(case["gamma"]),
-                psi=json.dumps(case["psi_bar"]),
-                div=case["div"],
-            )
-        )
+    lines += [_row(c["name"], c["n"], json.dumps(c["T_gram"]), c["index"], json.dumps(c["phi"]),
+                   c["order"], json.dumps(c["gamma"]), json.dumps(c["psi_bar"]), c["div"])
+              for c in report["cases"]]
     if report["excluded"]:
         lines += ["", "## Excluded candidates", ""]
         for e in report["excluded"]:
@@ -174,15 +168,8 @@ def orbit_markdown(report: dict) -> str:
     if "warning" in report:
         lines += [f"> {report['warning']}", ""]
     lines += ["| representative | name | size | members |", "|---|---|---|---|"]
-    for orbit in report["orbits"]:
-        lines.append(
-            "| {rep} | {name} | {size} | {members} |".format(
-                rep=json.dumps(orbit["representative"]),
-                name=orbit["name"] or "",
-                size=orbit["size"],
-                members=json.dumps(orbit["members"]),
-            )
-        )
+    lines += [_row(json.dumps(o["representative"]), o["name"] or "", o["size"],
+                   json.dumps(o["members"])) for o in report["orbits"]]
     lines.append("")
     return "\n".join(lines)
 
@@ -394,15 +381,8 @@ def verify_cases_report() -> dict:
 def verify_markdown(report: dict) -> str:
     lines = [f"# {report['command']}", "", "| cell | status | computed | printed |",
              "|---|---|---|---|"]
-    for cell in report["cells"]:
-        lines.append(
-            "| {cell} | {status} | {computed} | {printed} |".format(
-                cell=cell["cell"],
-                status=cell["status"],
-                computed=json.dumps(cell["computed"]),
-                printed=json.dumps(cell["printed"]),
-            )
-        )
+    lines += [_row(c["cell"], c["status"], json.dumps(c["computed"]), json.dumps(c["printed"]))
+              for c in report["cells"]]
     lines += ["", f"overall: {report['status']}", ""]
     return "\n".join(lines)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import latglue
-from latglue.cli import main
+from latglue.cli import build_parser, main
 from latglue.report import (
     classify_markdown,
     classify_report,
@@ -373,6 +373,60 @@ def test_golden_command_bytes(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[command]["stdout_sha256"]
     assert code == GOLDEN[command]["rc"]
+
+
+MARKDOWN_BYTES = {
+    "orbits --norm 2 --gram [[2,1],[1,2]] --format md": (
+        "# Orbits of norm-2 vectors (group order 12)\n"
+        "\n"
+        "| representative | name | size | members |\n"
+        "|---|---|---|---|\n"
+        "| [-1, 0] |  | 6 | [[-1, 0], [-1, 1], [0, -1], [0, 1], [1, -1], [1, 0]] |\n"
+    ),
+    "orbits --norm 7 --format md": (
+        "# Orbits of norm-7 vectors (group order 8)\n"
+        "\n"
+        "> no vectors of norm 7 exist in the fixed lattice: all norms are positive multiples of 6\n"
+        "\n"
+        "| representative | name | size | members |\n"
+        "|---|---|---|---|\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MARKDOWN_BYTES))
+def test_markdown_paths_no_golden_command_reaches(capsys, command):
+    """The empty name cell of a custom lattice and the warning blockquote, byte for byte."""
+    assert run_cli(capsys, *command.split()) == (0, MARKDOWN_BYTES[command], "")
+
+
+SUBCOMMAND_ARGS = {
+    "classify": ["--m", "2"],
+    "verify-table": ["orbits"],
+    "lattice-info": ["--gram", "[[2]]"],
+    "orbits": ["--norm", "6"],
+}
+TAKEN_BY = {"format": ("classify", "verify-table", "orbits"), "full_group": ("orbits",)}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+@pytest.mark.parametrize("given, dest, default, value", [
+    (["--format", "md"], "format", "json", "md"),
+    (["--full-group"], "full_group", False, True),
+], ids=["format", "full-group"])
+def test_option_table(command, given, dest, default, value):
+    """Which subcommand takes which option, by parsed value and exit code; no help
+    text is compared, as argparse lays it out differently across Python versions.
+    Without the option each command parses, so a refusal is the option's."""
+    argv = [command, *SUBCOMMAND_ARGS[command]]
+    if command in TAKEN_BY[dest]:
+        assert getattr(build_parser().parse_args(argv), dest) == default
+        assert getattr(build_parser().parse_args(argv + given), dest) == value
+    else:
+        assert not hasattr(build_parser().parse_args(argv), dest)
+        with pytest.raises(SystemExit) as info:
+            main(argv + given)
+        assert info.value.code == 2
 
 
 def test_classify_report_excluded_reasons():

@@ -43,6 +43,16 @@ A = discriminant_group(EIGHT)
 HUGE = 10**5000
 
 
+class RaisingItems:
+    """Sized and indexable, but reading any item raises."""
+
+    def __len__(self):
+        return 10**7
+
+    def __getitem__(self, index):
+        raise RuntimeError("an item was read")
+
+
 def _deep(depth):
     value = 1
     for _ in range(depth):
@@ -152,14 +162,21 @@ def test_every_public_name_answers_or_refuses_hostile_input():
     (lambda: pullback_form(A, [[2]], [2]), GlueError, "map is not well-defined"),
     (lambda: pullback_form(A, [[1, 2]], [8]), GlueError, "map matrix shape mismatch"),
     (lambda: pullback_form(A, [[]], [8]), GlueError, "map matrix shape mismatch"),
+    (lambda: A.q(RaisingItems()), GlueError,
+     "coefficient length 10000000 does not match 1 generators"),
+    (lambda: A.q(range(10**7)), GlueError,
+     "coefficient length 10000000 does not match 1 generators"),
 ], ids=["span-int", "lattice-int", "lattice-ragged-int-row", "lattice-none", "orbits-int",
         "discriminant-group-int-pairings", "lattice-bool", "norm-bool", "isometry-float", "q-float",
         "norm-5000-digits", "dual-vector-int", "dual-vector-float", "order-str", "order-float",
         "order-bool", "with-generators-int", "isotropic-subgroup-int", "norm-frozenset",
-        "pullback-ill-defined", "pullback-extra-column", "pullback-short-row"])
+        "pullback-ill-defined", "pullback-extra-column", "pullback-short-row",
+        "q-length-before-items", "q-long-range"])
 def test_named_hostile_inputs_are_refused(call, error, message):
     """The inputs that raised TypeError, ValueError or IndexError, or answered, before
-    one integer rule; a set has no order, so it is not a vector."""
+    one integer rule; a set has no order, so it is not a vector.  A coefficient
+    length is compared before any entry is read, so a wrong length is refused at
+    once and no item's own exception escapes."""
     with pytest.raises(error) as caught:
         call()
     assert str(caught.value).startswith(message)
