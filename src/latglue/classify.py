@@ -54,12 +54,14 @@ from .exact import (
     mat_mul,
     mat_vec,
     right_kernel,
+    solve_int,
     transpose,
 )
 from .isometries import (
     Isometry,
     IsometryGroup,
     Orbit,
+    matrix_order,
     orbit_witness,
     orbits,
     orthogonal_group,
@@ -187,7 +189,6 @@ def fixed_lattices() -> tuple[tuple[Isometry, IntMatrix], ...]:
                  for g in full_isometry_group().elements)
 
 
-@lru_cache(maxsize=1)
 def admissible_orders() -> frozenset[int]:
     """Orders of the elements of O(L_inv) whose fixed lattice has rank 1.
 
@@ -291,8 +292,8 @@ def build_extension(m: int, orbit: Orbit, sub: Sublattice) -> Row:
     The isometry phi is the first element of O(L_inv), in its sort order, of
     order m whose fixed lattice is exactly ZL (``fixed_lattices``); GlueError
     if there is none.  For glue index ``sub.index()`` > 1, phi written on the
-    rows of ``sub`` must fix its glue subgroup (Nikulin's extension
-    criterion), else LatticeError; a non-integral coordinate there is GlueError.
+    rows of ``sub`` in integers (``solve_int``) must fix its glue subgroup
+    (Nikulin's criterion), else LatticeError; GlueError if phi does not preserve ``sub``.
     """
     lattice = invariant_lattice_fixed()
     polarization = max(orbit.members)
@@ -305,9 +306,10 @@ def build_extension(m: int, orbit: Orbit, sub: Sublattice) -> Row:
         raise GlueError(f"no order-{m} isometry of the invariant lattice fixes exactly Z{name}")
     index = sub.index()
     if index > 1:
-        # phi preserves T + ZL, so extends_to_overlattice finds the coordinates integral
-        phi_t = transpose([sub.coordinates_of(phi.apply(row)) for row in sub.basis])
-        if not extends_to_overlattice(phi_t, glue_subgroup(sub)):
+        columns = [solve_int(transpose(sub.basis), phi.apply(row)) for row in sub.basis]
+        if None in columns:
+            raise GlueError(f"the order-{m} isometry does not preserve the given T + Z{name}")
+        if not extends_to_overlattice(transpose(columns), glue_subgroup(sub)):
             raise LatticeError("isometry of the invariant lattice fails the glue extension criterion")
     witness = orbit_witness(case_symmetry_group(), orbit.representative, polarization)
     return Row(
@@ -364,10 +366,10 @@ def order6_closure(cases2: tuple[Row, ...], cases3: tuple[Row, ...]) -> tuple[Ro
     """Order-6 case rows: polarizations carrying both an order-2 and order-3 action.
 
     Matching is on (orbit of L, Gram of the complement); the order-6
-    isometry is the product of the two commuting extensions.  Each row is a
+    isometry is the product of the two commuting extensions, which
+    ``_glue_data`` (``induced_map``) checks against O(L_inv).  Each row is a
     copy of the order-2 row with phi, order and the glue data replaced.
     """
-    lattice = invariant_lattice_fixed()
     result = []
     for c2 in cases2:
         for c3 in cases3:
@@ -376,9 +378,8 @@ def order6_closure(cases2: tuple[Row, ...], cases3: tuple[Row, ...]) -> tuple[Ro
             product = mat_mul(c2.phi, c3.phi)
             if mat_mul(c3.phi, c2.phi) != product:
                 raise LatticeError("order-2 and order-3 extensions do not commute")
-            phi = Isometry(lattice, product)
-            if phi.order != 6:
-                raise LatticeError(f"product isometry has order {phi.order}")
+            if (order := matrix_order(product)) != 6:
+                raise LatticeError(f"product isometry has order {order}")
             glue = _glue_data(6, c2.name, product, c2.L)
             result.append(Row(**{**vars(c2), "phi": product, "order": 6, **glue}))
     return tuple(result)

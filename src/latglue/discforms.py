@@ -87,8 +87,11 @@ class DiscriminantGroup(Frozen):
 
     def __init__(self, orders, pairings, lifts=None, source: IntegerLattice | None = None,
                  classes=None):
-        orders = as_vector(orders, GlueError, "cyclic factor orders must be integers")
         msg = "pairing and lift entries must be integers or Fractions"
+        k = len(as_sequence(orders, GlueError, "cyclic factor orders must be integers"))
+        if len(as_sequence(pairings, GlueError, msg)) != k:  # both lengths before any entry
+            raise GlueError("pairing matrix shape must match the generator count")
+        orders = as_vector(orders, GlueError, "cyclic factor orders must be integers")
         pairings = as_matrix(pairings, GlueError, msg, fractions=True)
         lifts = None if lifts is None else as_matrix(lifts, GlueError, msg, fractions=True)
         # the scale clearing every pairing is the exponent, unless a check is to fail
@@ -300,7 +303,7 @@ def with_generators(group: DiscriminantGroup, lifts) -> DiscriminantGroup:
 
 
 class DiscElement:
-    """Never built: kept, like ``exact.solve_int``, as ``perfbench/tracer.py`` counts __add__."""
+    """Never built: kept only because ``perfbench/tracer.py`` counts __add__."""
 
     def __add__(self, other):
         return NotImplemented

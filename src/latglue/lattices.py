@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import attrgetter
 
@@ -227,19 +226,15 @@ class Sublattice(Frozen):
     def lattice(self) -> IntegerLattice:
         return IntegerLattice(self.gram())
 
-    @cached_property
-    def _inverse_gram(self):
-        """(BB^T)^-1 (``frac_inverse``) for the basis B, computed on first use."""
-        return frac_inverse(mat_mul(self.basis, transpose(self.basis)))
-
     def coordinates_of(self, v) -> FracVector:
         """Coordinates x = (BB^T)^-1 B v of an ambient v of ints and Fractions on the basis B.
 
-        B^T x = v is checked, so a v off the Q-span raises LatticeError.
+        (BB^T)^-1 is ``frac_inverse``'s, read on each call; B^T x = v is checked, so a v
+        off the Q-span raises LatticeError.  ``exact.solve_int`` gives integral coordinates.
         """
         v = self.ambient._vector(v)
         basis = self.basis
-        x = mat_vec(self._inverse_gram, mat_vec(basis, v))
+        x = mat_vec(frac_inverse(mat_mul(basis, transpose(basis))), mat_vec(basis, v))
         if any(sum(xk * row[i] for xk, row in zip(x, basis)) != vi for i, vi in enumerate(v)):
             raise LatticeError("vector does not lie in the span of the sublattice")
         return x

@@ -26,7 +26,7 @@ from .classify import (
     vector_name,
 )
 from .discforms import GlueError, discriminant_group, forms_isometric, is_anti_isometry
-from .exact import freeze, gram_of_rows, hnf, smith_diagonal, snf, solve_smith, transpose
+from .exact import freeze, gram_of_rows, hnf, smith_diagonal, solve_int, transpose
 from .isometries import (
     RANK_GUARD,
     group_generated_by,
@@ -326,8 +326,7 @@ def verify_cases_report() -> dict:
             )
         )
         # the recomputed T's Gram, carried over to the printed generators
-        smith = snf(transpose(case.T_basis))
-        coords = [solve_smith(smith, v) for v in printed_t]
+        coords = [solve_int(transpose(case.T_basis), v) for v in printed_t]
         t_gram = case.T_gram if None in coords else gram_of_rows(coords, case.T_gram)
         cells.append(_cell(f"{label}: T_X Gram", _mat(t_gram), row["t_gram"]))
         cells.append(_cell(f"{label}: isometry", _mat(case.phi), row["phi"]))

@@ -79,9 +79,12 @@ def form_error_by_fractions(orders, pair_gram):
     """The message the rational checks of a cyclic order chain and pairing matrix raise, or None.
 
     These are the ``Fraction`` checks ``DiscriminantGroup`` ran before it
-    validated in integers, in the same order.
+    validated in integers, in the same order, after the row count, which
+    it compares with the order count before reading any entry.
     """
     k, pair_gram = len(orders), freeze(pair_gram)
+    if len(pair_gram) != k:
+        return "pairing matrix shape must match the generator count"
     if any(d <= 1 for d in orders):
         return "cyclic factor orders must exceed 1"
     if any(orders[i + 1] % orders[i] for i in range(k - 1)):

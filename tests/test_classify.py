@@ -1,6 +1,6 @@
 import json
+import re
 from collections import Counter
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -31,7 +31,7 @@ from latglue.discforms import (
     glue_subgroup,
     is_anti_isometry,
 )
-from latglue.exact import freeze, mat_mul, transpose
+from latglue.exact import freeze, mat_mul, mat_vec, transpose
 from latglue.isometries import matrix_order, orbits
 from latglue.lattices import LatticeError, Sublattice
 from latglue.report import verify_cases_report
@@ -350,8 +350,9 @@ def test_nikulin_check_runs_exactly_when_the_index_exceeds_one(monkeypatch):
 
 
 def test_nikulin_check_reads_the_coordinates_as_given(monkeypatch):
-    """build_extension hands the Fraction coordinates of phi on T + ZL to
-    ``extends_to_overlattice`` as they are; a non-integral one is GlueError, not truncated."""
+    """build_extension hands the integer coordinates (``solve_int``) of phi on T + ZL to
+    ``extends_to_overlattice`` as they are, equal to the rational ``coordinates_of`` kept
+    as the reference; a column with no integer solution is GlueError."""
     seen = []
 
     def recorded(matrix, h):
@@ -363,15 +364,33 @@ def test_nikulin_check_reads_the_coordinates_as_given(monkeypatch):
     assert len(cases) == 4
     for m, case in cases:
         seen.clear()
-        assert vars(build_extension(*_case_input(m, case.L))) == vars(case)
+        _, orbit, sub = _case_input(m, case.L)
+        assert vars(build_extension(m, orbit, sub)) == vars(case)
         (matrix,) = seen
-        assert all(type(x) is Fraction for row in matrix for x in row)
-    exact = Sublattice.coordinates_of
-    monkeypatch.setattr(Sublattice, "coordinates_of",
-                        lambda sub, v: tuple(x + Fraction(1, 2) for x in exact(sub, v)))
+        assert all(type(x) is int for row in matrix for x in row)
+        assert matrix == transpose([sub.coordinates_of(mat_vec(case.phi, b)) for b in sub.basis])
+    solve = classify_module.solve_int
+    # phi fixes L, the last row of T + ZL: its column is made unsolvable
+    monkeypatch.setattr(classify_module, "solve_int",
+                        lambda a, t: None if tuple(t) == transpose(a)[-1] else solve(a, t))
     for m, case in cases:
-        with pytest.raises(GlueError, match="^matrix is not an isometry of the source lattice$"):
+        with pytest.raises(GlueError, match=rf"^the order-{m} isometry does not preserve the given"
+                                            rf" T \+ Z{re.escape(case.name)}$"):
             build_extension(*_case_input(m, case.L))
+
+
+def test_nikulin_check_refuses_a_sublattice_phi_does_not_preserve():
+    """T + ZL for (3, h) with one T row doubled has index 2, and phi maps it
+    off itself: one GlueError line, not a non-integral coordinate."""
+    m, orbit, sub = _case_input(3, (0, 0, 1))
+    for i in (0, 1):
+        rows = list(sub.basis)
+        rows[i] = tuple(2 * x for x in rows[i])
+        doubled = Sublattice(sub.ambient, tuple(rows))
+        assert doubled.index() == 2 * sub.index() == 2
+        with pytest.raises(GlueError, match=r"^the order-3 isometry does not preserve the given"
+                                            r" T \+ Zh$"):
+            build_extension(m, orbit, doubled)
 
 
 def test_no_order3_isometry_fixes_exactly_e():

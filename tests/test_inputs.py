@@ -166,17 +166,20 @@ def test_every_public_name_answers_or_refuses_hostile_input():
      "coefficient length 10000000 does not match 1 generators"),
     (lambda: A.q(range(10**7)), GlueError,
      "coefficient length 10000000 does not match 1 generators"),
+    (lambda: DiscriminantGroup(range(2, 10**6), [[0]]), GlueError,
+     "pairing matrix shape must match the generator count"),
 ], ids=["span-int", "lattice-int", "lattice-ragged-int-row", "lattice-none", "orbits-int",
         "discriminant-group-int-pairings", "lattice-bool", "norm-bool", "isometry-float", "q-float",
         "norm-5000-digits", "dual-vector-int", "dual-vector-float", "order-str", "order-float",
         "order-bool", "with-generators-int", "isotropic-subgroup-int", "norm-frozenset",
         "pullback-ill-defined", "pullback-extra-column", "pullback-short-row",
-        "q-length-before-items", "q-long-range"])
+        "q-length-before-items", "q-long-range", "orders-long-range"])
 def test_named_hostile_inputs_are_refused(call, error, message):
     """The inputs that raised TypeError, ValueError or IndexError, or answered, before
     one integer rule; a set has no order, so it is not a vector.  A coefficient
     length is compared before any entry is read, so a wrong length is refused at
-    once and no item's own exception escapes."""
+    once and no item's own exception escapes; so is the length of ``orders``
+    against the pairing rows."""
     with pytest.raises(error) as caught:
         call()
     assert str(caught.value).startswith(message)
